@@ -77,7 +77,9 @@ class FlowBreakdownError(Exception):
 
 
 class FlowProblem:
-    """Assembled flow data: class path, reference potentials, volume density."""
+    """Assembled flow data: class path, reference potentials, volume density,
+    and the work buffers of its RHS evaluations (one problem runs one flow
+    evaluation at a time)."""
 
     def __init__(self, form0: KahlerForm, form_inf: KahlerForm, omega: VolumeDensity,
                  path: ClassPath | None = None):
@@ -99,6 +101,7 @@ class FlowProblem:
         self.log_h = np.log(omega.h.values)
         self.mean_h = float(np.mean(omega.h.values))
         self.class_det0 = float(np.linalg.det(self.path.A0).real)
+        self.workspace = _Workspace(self.grid, self.tables)
         # admissibility: the initial form must be a metric
         comps0 = metric_components(
             self.path.A0,
@@ -122,9 +125,14 @@ class FlowProblem:
         lam = float(np.linalg.eigvalsh(self.A_t(t)).min())
         return POSITIVITY_EPS * min(1.0, max(lam, 0.0))
 
-    def phi_t_hat(self, t: float) -> np.ndarray:
+    def phi_t_hat(self, t: float, out: np.ndarray | None = None,
+                  work: np.ndarray | None = None) -> np.ndarray:
+        """Spectral phi_t; out receives the result and work holds the second
+        term (either may be None to allocate)."""
         w = math.exp(-t)
-        return w * self.phi0_hat + (1.0 - w) * self.phi_inf_hat
+        res = np.multiply(w, self.phi0_hat, out=out)
+        res += np.multiply(1.0 - w, self.phi_inf_hat, out=work)
+        return res
 
     def phi_t_phys(self, t: float) -> np.ndarray:
         w = math.exp(-t)
@@ -137,6 +145,42 @@ class FlowProblem:
     def laplace_symbol(self, t: float) -> np.ndarray:
         inv = np.linalg.inv(self.A_t(t))
         return self.tables.laplacian_symbol(inv)
+
+    def _stage_constants(self, t: float) -> tuple:
+        """(A_t, positivity floor, e^{-t}) at t, computed once per stage time.
+
+        The lockstep flows and the RK stages of one step revisit the same
+        few times, so the last few are kept.
+        """
+        times = self.workspace.times
+        c = times.get(t)
+        if c is None:
+            if len(times) >= 4:
+                del times[next(iter(times))]
+            c = times[t] = (self.A_t(t), self.positivity_floor(t), math.exp(-t))
+        return c
+
+
+class _Workspace:
+    """Preallocated scratch of one problem's RHS evaluations and RK stages.
+
+    Everything an evaluation or a step returns is a fresh array; these
+    buffers only carry temporaries between the in-place operations, so the
+    hot path allocates (almost) nothing per stage.
+    """
+
+    def __init__(self, grid: GridSpec, tabs):
+        spec = tabs.rshape
+        self.prod = np.empty(tabs._stack.shape, dtype=np.complex128)  # Hessian stencil product
+        self.det = np.empty(grid.shape)
+        self.work = np.empty(grid.shape)  # det intermediate, positivity test, log density
+        self.spec = np.empty(spec, dtype=np.complex128)  # spectral temporaries
+        self.spec2 = np.empty(spec, dtype=np.complex128)
+        self.stage = np.empty(spec, dtype=np.complex128)  # RK stage argument
+        self.k1 = np.empty(spec, dtype=np.complex128)
+        self.E1 = np.empty(spec)  # Lawson integrating factors
+        self.E2 = np.empty(spec)
+        self.times = {}  # stage time -> FlowProblem._stage_constants
 
 
 @dataclass
@@ -154,33 +198,45 @@ def _eval_flow(problem: FlowProblem, p_hat: np.ndarray, t: float, r: int,
 
     p_hat is the spectral full potential.  full=True additionally
     materializes the physical RHS, the metric components, the density, and
-    the physical potential for monitoring.
+    the physical potential for monitoring.  Every array in the result is
+    owned by it; the problem's workspace only holds temporaries.  A
+    non-finite state raises FlowBreakdownError, a metric below the
+    positivity floor SingularMetricError.
     """
     grid = problem.grid
-    hs = hessian_components(grid, p_hat)
-    comps = metric_components(problem.A_t(t), hs, grid.n, grid.shape)
-    det = det_components(comps)
-    floor = problem.positivity_floor(t)
+    ws = problem.workspace
+    A, floor, decay = problem._stage_constants(t)
+    hs = hessian_components(grid, p_hat, ws.prod)
+    comps = metric_components(A, hs, grid.n, grid.shape, out=hs)
+    det = det_components(comps, out=None if full else ws.det, work=ws.work)
+    det_min = float(det.min())  # NaN anywhere makes this NaN
+    if not math.isfinite(det_min):
+        raise FlowBreakdownError(f"non-finite state at t={t:.6f}")
     if grid.n == 1:
-        ok = det.min() >= floor and det.min() > 0.0
+        ok = det_min >= floor and det_min > 0.0
     else:
         g11, g22 = comps[0], comps[1]
         # lambda_min >= floor iff g11 >= floor and det(g - floor I) >= 0
-        ok = bool(
-            (g11.min() >= floor)
-            and ((det - floor * (g11 + g22) + floor * floor).min() >= 0.0)
-            and (det.min() > 0.0)
-        )
+        ok = det_min > 0.0 and g11.min() >= floor
+        if ok:
+            shifted = np.add(g11, g22, out=ws.work)
+            shifted *= floor
+            np.subtract(det, shifted, out=shifted)
+            shifted += floor * floor
+            ok = shifted.min() >= 0.0
     if not ok:
         lam = lambda_min_components(comps, det)
         loc = np.unravel_index(int(np.argmin(lam)), lam.shape)
         raise SingularMetricError(float(lam.min()), loc, t)
-    rhs = np.log(det) - problem.log_h
+    rhs = np.log(det, out=None if full else ws.work)
+    rhs -= problem.log_h
     if r:
-        rhs = rhs + r * t
-    F_hat = forward(grid, rhs) + math.exp(-t) * problem.drift_hat
+        rhs += r * t
+    F_hat = forward(grid, rhs)
+    F_hat += np.multiply(decay, problem.drift_hat, out=ws.spec)
     if comparison:
-        F_hat = F_hat - (p_hat - problem.phi_t_hat(t))
+        phi_t = problem.phi_t_hat(t, out=ws.spec, work=ws.spec2)
+        F_hat -= np.subtract(p_hat, phi_t, out=phi_t)
     if not full:
         return EvalResult(F_hat)
     return EvalResult(F_hat, rhs, comps, det, inverse(grid, p_hat))
@@ -191,40 +247,71 @@ def _lawson_rk4(problem: FlowProblem, y: np.ndarray, t: float, dt: float, r: int
     """One Lawson (integrating factor) RK4 step; plain RK4 when use_if is False.
 
     F0 optionally supplies the already-evaluated RHS at (y, t) so the first
-    stage costs nothing on the run hot path.
+    stage costs nothing on the run hot path; it is only read.  The stage
+    combinations run in place in the problem's workspace and in the stage
+    RHS arrays; the returned state is the (fresh) stage-2 RHS array.
     """
+    ws = problem.workspace
     if use_if:
         ell = problem.laplace_symbol(t + 0.5 * dt)
         if comparison:
-            ell = ell - 1.0
-        E2 = np.exp((0.5 * dt) * ell)
-        E1 = E2 * E2
+            ell -= 1.0
+        E2 = np.multiply(0.5 * dt, ell, out=ws.E2)
+        np.exp(E2, out=E2)
+        E1 = np.multiply(E2, E2, out=ws.E1)
     else:
         ell = None
 
     def N(z, tau):
         F = _eval_flow(problem, z, tau, r, comparison).F_hat
-        return F if ell is None else F - ell * z
+        if ell is not None:
+            F -= np.multiply(ell, z, out=ws.spec)
+        return F
 
-    if F0 is not None:
-        k1 = F0 if ell is None else F0 - ell * y
-    else:
+    if F0 is None:
         k1 = N(y, t)
+    elif ell is None:
+        k1 = F0
+    else:
+        k1 = np.subtract(F0, np.multiply(ell, y, out=ws.k1), out=ws.k1)
+    h = 0.5 * dt
+    z = ws.stage
+    tmp = ws.spec
     if ell is None:
-        y2 = y + (0.5 * dt) * k1
-        k2 = N(y2, t + 0.5 * dt)
-        y3 = y + (0.5 * dt) * k2
-        k3 = N(y3, t + 0.5 * dt)
-        y4 = y + dt * k3
-        k4 = N(y4, t + dt)
-        return y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    y2 = E2 * (y + (0.5 * dt) * k1)
-    k2 = N(y2, t + 0.5 * dt)
-    y3 = E2 * y + (0.5 * dt) * k2
-    k3 = N(y3, t + 0.5 * dt)
-    y4 = E1 * y + dt * (E2 * k3)
-    k4 = N(y4, t + dt)
-    return E1 * y + (dt / 6.0) * (E1 * k1 + 2.0 * (E2 * (k2 + k3)) + k4)
+        k2 = N(np.add(y, np.multiply(h, k1, out=z), out=z), t + h)
+        k3 = N(np.add(y, np.multiply(h, k2, out=z), out=z), t + h)
+        k4 = N(np.add(y, np.multiply(dt, k3, out=z), out=z), t + dt)
+        # y + (dt/6) (k1 + 2 (k2 + k3) + k4)
+        k2 += k3
+        k2 *= 2.0
+        k2 += k1
+        k2 += k4
+        k2 *= dt / 6.0
+        k2 += y
+        return k2
+    # z = E2 (y + h k1)
+    np.multiply(h, k1, out=z)
+    np.add(y, z, out=z)
+    k2 = N(np.multiply(E2, z, out=z), t + h)
+    # z = E2 y + h k2
+    np.multiply(E2, y, out=z)
+    z += np.multiply(h, k2, out=tmp)
+    k3 = N(z, t + h)
+    # z = E1 y + dt (E2 k3)
+    np.multiply(E1, y, out=z)
+    np.multiply(E2, k3, out=tmp)
+    tmp *= dt
+    z += tmp
+    k4 = N(z, t + dt)
+    # E1 y + (dt/6) (E1 k1 + 2 (E2 (k2 + k3)) + k4)
+    k2 += k3
+    np.multiply(E2, k2, out=k2)
+    k2 *= 2.0
+    k2 += np.multiply(E1, k1, out=tmp)
+    k2 += k4
+    k2 *= dt / 6.0
+    k2 += np.multiply(E1, y, out=tmp)
+    return k2
 
 
 def _attempt_step(problem, states, t, dt, use_if, max_halvings=MAX_HALVINGS):

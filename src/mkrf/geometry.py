@@ -71,26 +71,41 @@ def check_hermitian(A: np.ndarray, what: str = "matrix") -> None:
 # This keeps the flow and solver hot loops on plain real arrays.
 
 
-def metric_components(A: np.ndarray, hess_stack: np.ndarray | None, n: int, shape):
-    if n == 1:
-        g11 = np.full(shape, A[0, 0].real) if hess_stack is None else A[0, 0].real + hess_stack[0]
-        return (g11,)
+def metric_components(A: np.ndarray, hess_stack: np.ndarray | None, n: int, shape,
+                      out: np.ndarray | None = None):
+    """Component arrays of A + H, H given as a hessian_components stack.
+
+    out, a stack shaped like hess_stack (it may be hess_stack itself),
+    receives the components, which are then returned as views into it.
+    """
     if hess_stack is None:
+        if n == 1:
+            return (np.full(shape, A[0, 0].real),)
         z = np.zeros(shape)
         return (A[0, 0].real + z, A[1, 1].real + z, A[0, 1].real + z, A[0, 1].imag + z)
-    return (
-        A[0, 0].real + hess_stack[0],
-        A[1, 1].real + hess_stack[1],
-        A[0, 1].real + hess_stack[2],
-        A[0, 1].imag + hess_stack[3],
+    consts = (A[0, 0].real,) if n == 1 else (
+        A[0, 0].real, A[1, 1].real, A[0, 1].real, A[0, 1].imag)
+    return tuple(
+        np.add(c, hess_stack[i], out=None if out is None else out[i])
+        for i, c in enumerate(consts)
     )
 
 
-def det_components(comps):
+def det_components(comps, out: np.ndarray | None = None, work: np.ndarray | None = None):
+    """Pointwise determinant; for n=1 this is comps[0] itself.
+
+    out receives the result and work, of the same shape, holds the
+    intermediate p^2 + q^2; either may be None to allocate.
+    """
     if len(comps) == 1:
         return comps[0]
     g11, g22, p, q = comps
-    return g11 * g22 - (p * p + q * q)
+    qq = np.multiply(q, q, out=out)
+    pq = np.multiply(p, p, out=work)
+    pq += qq
+    det = np.multiply(g11, g22, out=qq)
+    det -= pq
+    return det
 
 
 def lambda_min_components(comps, det=None):

@@ -196,14 +196,18 @@ def inverse(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     return sfft.irfftn(coeffs, s=grid.shape, workers=fft_workers())
 
 
-def hessian_components(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
+def hessian_components(grid: GridSpec, coeffs: np.ndarray,
+                       buf: np.ndarray | None = None) -> np.ndarray:
     """Real component fields of the complex Hessian from rfft coefficients.
 
     Returns a stacked array: (H11,) for n=1; (H11, H22, Re H12, Im H12) for n=2.
-    One batched inverse transform keeps this on the hot path.
+    One batched inverse transform keeps this on the hot path.  buf, when
+    given, is a complex array of shape (components,) + coeffs.shape that
+    receives the stencil product in place of a fresh allocation; the
+    returned stack is always a new array.
     """
     t = tables(grid.n, grid.N)
-    stack = t._stack * coeffs
+    stack = np.multiply(t._stack, coeffs, out=buf)
     naxes = 2 * grid.n
     return sfft.irfftn(
         stack, s=grid.shape, axes=tuple(range(1, naxes + 1)), workers=fft_workers()

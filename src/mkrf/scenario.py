@@ -7,6 +7,7 @@ lists, so experiment files are diffable and round-trip exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -117,6 +118,10 @@ def validate(scenario: Scenario) -> None:
         raise InvalidScenarioError(f"t_max out of range: {s.t_max}")
     if not (0 <= int(s.seed) < 2**64):
         raise InvalidScenarioError(f"seed out of u64 range: {s.seed}")
+    # a non-positive cap would step at the 1e-12 floor forever
+    if (isinstance(s.dt_cap, bool) or not isinstance(s.dt_cap, (int, float))
+            or not (math.isfinite(s.dt_cap) and s.dt_cap > 0.0)):
+        raise InvalidScenarioError(f"dt_cap must be a positive finite number, got {s.dt_cap!r}")
     A0 = matrix_from_rows(s.A0, s.n, "A0")
     if np.linalg.eigvalsh(A0).min() <= 0:
         raise InvalidScenarioError("A0 must be positive definite")

@@ -1,13 +1,20 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import mkrf.flow
+from mkrf.cli import main
 from mkrf.flow import (
+    FlowBreakdownError,
     FlowProblem,
     RunOptions,
     SingularityStopError,
     _attempt_step,
+    _eval_flow,
+    _lawson_rk4,
     initial_comparison_state,
     initial_flow_state,
     initial_scaled_state,
@@ -20,7 +27,7 @@ from mkrf.flow import (
     step_rk4,
 )
 from mkrf.geometry import KahlerForm, VolumeDensity
-from mkrf.grid import GridSpec, ScalarField, synthesize
+from mkrf.grid import GridSpec, ScalarField, forward, hessian_components, synthesize
 
 
 def flat_problem(n=1, N=32, h_const=1.0):
@@ -326,6 +333,16 @@ def test_run_flow_is_deterministic():
     assert r1.series == r2.series
 
 
+def test_lockstep_runs_on_one_problem_are_identical():
+    # the v and w flows and both runs share the problem's workspace;
+    # nothing may leak from one evaluation into the next
+    prob = collapsed_problem()
+    opts = RunOptions(t_max=1.0, run_comparison=True, dt_cap=0.05)
+    r1 = run_flow(prob, opts)
+    r2 = run_flow(prob, opts)
+    assert r1.series == r2.series
+
+
 def test_run_flow_u_dot_matches_rhs():
     # the recorded rate field is the RHS at the final state, not a finite
     # difference
@@ -348,3 +365,139 @@ def test_flat_run_margins_at_machine_precision():
         assert min(res.series[key]) >= -1e-12
     mono = [v for v in res.series["margin_combo_monotone"] if not math.isnan(v)]
     assert min(mono) >= -1e-12
+
+
+# --- workspace: in-place hot path ----------------------------------------------
+
+
+def reference_rhs(prob, p_hat, t, r, comparison):
+    """The n=2 flow RHS written with allocating expressions only."""
+    g = prob.grid
+    A = prob.A_t(t)
+    hs = hessian_components(g, p_hat)
+    g11, g22 = A[0, 0].real + hs[0], A[1, 1].real + hs[1]
+    p, q = A[0, 1].real + hs[2], A[0, 1].imag + hs[3]
+    rhs = np.log(g11 * g22 - (p * p + q * q)) - prob.log_h
+    if r:
+        rhs = rhs + r * t
+    w = math.exp(-t)
+    F = forward(g, rhs) + w * prob.drift_hat
+    if comparison:
+        F = F - (p_hat - (w * prob.phi0_hat + (1.0 - w) * prob.phi_inf_hat))
+    return F
+
+
+def reference_lawson_rk4(prob, y, t, dt, r, comparison, use_if):
+    if not use_if:
+        def N(z, tau):
+            return reference_rhs(prob, z, tau, r, comparison)
+
+        k1 = N(y, t)
+        k2 = N(y + (0.5 * dt) * k1, t + 0.5 * dt)
+        k3 = N(y + (0.5 * dt) * k2, t + 0.5 * dt)
+        k4 = N(y + dt * k3, t + dt)
+        return y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    ell = prob.laplace_symbol(t + 0.5 * dt)
+    if comparison:
+        ell = ell - 1.0
+    E2 = np.exp((0.5 * dt) * ell)
+    E1 = E2 * E2
+
+    def N(z, tau):
+        return reference_rhs(prob, z, tau, r, comparison) - ell * z
+
+    k1 = N(y, t)
+    k2 = N(E2 * (y + (0.5 * dt) * k1), t + 0.5 * dt)
+    k3 = N(E2 * y + (0.5 * dt) * k2, t + 0.5 * dt)
+    k4 = N(E1 * y + dt * (E2 * k3), t + dt)
+    return E1 * y + (dt / 6.0) * (E1 * k1 + 2.0 * (E2 * (k2 + k3)) + k4)
+
+
+@pytest.mark.parametrize("use_if", [False, True])
+@pytest.mark.parametrize("comparison", [False, True])
+@pytest.mark.parametrize("with_f0", [False, True])
+def test_lawson_step_matches_allocating_reference(use_if, comparison, with_f0):
+    # the in-place stage arithmetic is bit-identical to the plain expressions
+    prob = collapsed_problem()
+    y = prob.phi0_hat.copy()
+    t, dt, r = 0.3, 0.01, prob.scaled_r
+    F0 = _eval_flow(prob, y, t, r, comparison).F_hat if with_f0 else None
+    got = _lawson_rk4(prob, y, t, dt, r, comparison, use_if, F0=F0)
+    want = reference_lawson_rk4(prob, y, t, dt, r, comparison, use_if)
+    assert np.array_equal(got, want)
+
+
+def test_full_eval_result_owns_its_arrays():
+    prob = collapsed_problem()
+    r = prob.scaled_r
+    y = prob.phi0_hat.copy()
+    evs = [_eval_flow(prob, y, 0.2, r, comp, full=True) for comp in (False, True)]
+
+    def arrays(ev):
+        return [ev.F_hat, ev.rhs_phys, ev.det, ev.pot_phys, *ev.comps]
+
+    before = [[a.copy() for a in arrays(ev)] for ev in evs]
+    y2 = y * 1.01
+    _eval_flow(prob, y2, 0.3, r, False)
+    _eval_flow(prob, y2, 0.3, r, True, full=True)
+    states = [(y, r, False, evs[0].F_hat), (y, r, True, evs[1].F_hat)]
+    _attempt_step(prob, states, 0.2, 0.05, True)
+    for ev, saved in zip(evs, before):
+        for a, b in zip(arrays(ev), saved):
+            assert np.array_equal(a, b)
+
+
+def test_lockstep_step_peak_allocation():
+    # one warmed-up v + w collapsed step at N=16 allocates no more than the
+    # stage RHS arrays and one Hessian stack at a time; the stencil product
+    # and the pointwise temporaries live in the problem's workspace
+    prob = collapsed_problem(N=16)
+    r = prob.scaled_r
+    y = prob.phi0_hat.copy()
+    states = [(y, r, False, _eval_flow(prob, y, 0.0, r, False).F_hat),
+              (y, r, True, _eval_flow(prob, y, 0.0, r, True).F_hat)]
+    _attempt_step(prob, states, 0.0, 0.01, True)
+    tracemalloc.start()
+    try:
+        _attempt_step(prob, states, 0.0, 0.01, True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+
+
+def test_nonfinite_state_is_breakdown_not_singularity(monkeypatch):
+    prob = finite_problem()
+    y = prob.phi0_hat.copy()
+    y[1, 0, 0, 0] = np.nan
+    calls = []
+    real_eval = mkrf.flow._eval_flow
+
+    def counting_eval(*args, **kwargs):
+        calls.append(args[2])
+        return real_eval(*args, **kwargs)
+
+    monkeypatch.setattr(mkrf.flow, "_eval_flow", counting_eval)
+    with pytest.raises(FlowBreakdownError):
+        _attempt_step(prob, [(y, 0, False)], 0.0, 0.01, True)
+    assert len(calls) == 1  # no halving retries
+
+
+def test_nan_state_run_ends_as_breakdown_exit_3(tmp_path, monkeypatch):
+    real_step = mkrf.flow._lawson_rk4
+    steps = []
+
+    def poisoned_step(problem, y, *args, **kwargs):
+        steps.append(1)
+        if len(steps) == 3:
+            y = y.copy()
+            y.flat[1] = np.nan
+        return real_step(problem, y, *args, **kwargs)
+
+    monkeypatch.setattr(mkrf.flow, "_lawson_rk4", poisoned_step)
+    out = tmp_path / "nan"
+    assert main(["run", "--preset", "finite-time", "--t-max", "0.1", "--out", str(out)]) == 3
+    constants = json.loads((out / "constants.json").read_text())["constants"]
+    assert constants["status"] == "breakdown"
+    assert constants["halvings"] == 0
+    assert constants["steps"] == 2

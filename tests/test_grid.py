@@ -6,6 +6,8 @@ from mkrf.grid import (
     ScalarField,
     SnapshotFormatError,
     complex_hessian,
+    forward,
+    hessian_components,
     mean,
     read_snapshot,
     synthesize,
@@ -102,6 +104,18 @@ def test_hessian_matches_trig_oracle(n, N):
     H = complex_hessian(f)
     expected = trig_hessian_oracle(grid, modes)
     assert np.abs(H.entries - expected).max() < 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_hessian_buffer_matches_allocating_call(n):
+    rng = np.random.default_rng(40 + n)
+    grid = GridSpec(n, 16)
+    coeffs = forward(grid, rng.standard_normal(grid.shape))
+    want = hessian_components(grid, coeffs)
+    buf = np.full((want.shape[0],) + coeffs.shape, np.nan, dtype=np.complex128)
+    got = hessian_components(grid, coeffs, buf)
+    assert np.array_equal(got, want)
+    assert not np.shares_memory(got, buf)
 
 
 def test_hessian_hermitian_for_rough_input():

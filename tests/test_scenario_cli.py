@@ -90,6 +90,14 @@ def test_run_invalid_config_exit_4(tmp_path, capsys):
     assert "A0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dt_cap", [0, -1, "abc"])
+def test_run_rejects_nonpositive_dt_cap_exit_4(tmp_path, capsys, dt_cap):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(tiny_scenario(dt_cap=dt_cap).to_json())
+    assert main(["run", "--config", str(cfg)]) == 4
+    assert "dt_cap" in capsys.readouterr().err
+
+
 def test_run_tiny_scenario_and_report(tmp_path, capsys):
     cfg = tmp_path / "tiny.json"
     # long enough for the convergence monitor's final-gap bar
@@ -169,6 +177,18 @@ def test_cli_preset_runs_exit_codes(tmp_path):
     assert main(["run", "--preset", "finite-time", "--out", str(out2)]) == 0
     data2 = json.loads((out2 / "constants.json").read_text())
     assert data2["constants"]["status"] == "singularity-stop"
+
+
+def test_series_identical_across_thread_counts(tmp_path, monkeypatch):
+    codes, series = [], []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("MKRF_THREADS", threads)
+        out = tmp_path / f"threads{threads}"
+        codes.append(main(["run", "--preset", "finite-time", "--t-max", "0.1",
+                           "--out", str(out)]))
+        series.append((out / "series.csv").read_bytes())
+    assert codes[0] == codes[1]
+    assert series[0] == series[1]
 
 
 def test_cli_collapsed_run_with_psi_family(tmp_path):
