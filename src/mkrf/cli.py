@@ -30,9 +30,11 @@ from .scenario import (
     InvalidScenarioError,
     Scenario,
     build_problem,
+    is_finite_number,
     load_scenario,
     matrix_from_rows,
     run_options,
+    validate,
 )
 
 EXIT_OK = 0
@@ -54,7 +56,10 @@ def _load(args) -> Scenario:
     sc = load_scenario(args.preset, args.config)
     if getattr(args, "t_max", None) is not None:
         sc.t_max = args.t_max
-        sc.psi_times = [t for t in sc.psi_times if t <= sc.t_max]
+        if isinstance(sc.psi_times, list):
+            # entries that are not numbers are left for validate to name
+            sc.psi_times = [t for t in sc.psi_times
+                            if not (is_finite_number(t) and t > sc.t_max)]
     if getattr(args, "grid", None) is not None:
         sc.N = args.grid
     if getattr(args, "seed", None) is not None:
@@ -69,6 +74,7 @@ def _fmt_T(T: float) -> str:
 def cmd_classify(args) -> int:
     try:
         sc = _load(args)
+        validate(sc)
         A0 = matrix_from_rows(sc.A0, sc.n, "A0")
         Ainf = matrix_from_rows(sc.Ainf, sc.n, "Ainf")
         path = compute_T(A0, Ainf)
@@ -209,6 +215,8 @@ def cmd_cy_solve(args) -> int:
                     "damping_history": rep.damping_history,
                     "gauge_offset": rep.gauge_offset,
                     "converged": rep.converged,
+                    "linear_rtols": rep.linear_rtols,
+                    "matvecs": rep.matvecs,
                 },
                 fh, indent=2, sort_keys=True,
             )

@@ -5,7 +5,8 @@ solve_cy finds the mean-zero potential U with
     det(A + H[phi] + H[U]) = c h   pointwise,   c = det(A) / mean(h),
 
 which is discretely solvable because the grid mean of the determinant equals
-det(A) for any periodic potential.  Newton linear systems are solved by a
+det(A) for any periodic potential.  Newton linear systems are solved
+inexactly, to a tolerance proportional to the current residual, by a
 preconditioned Krylov iteration: the constant-coefficient Laplacian of the
 mean metric is inverted exactly in Fourier space and used as the
 preconditioner, and steps are damped by halving until the sup-norm residual
@@ -41,6 +42,9 @@ from .grid import ScalarField, forward, inverse, tables
 
 SUP_TOL_FACTOR = 1e-10
 LINEAR_RTOL = 1e-8
+# largest forcing term: the linear tolerance of a Newton step is the relative
+# residual, capped here and floored at LINEAR_RTOL
+MAX_FORCING = 0.1
 MAX_NEWTON_ITER = 100
 MAX_HALVINGS = 30
 
@@ -77,6 +81,10 @@ class NewtonReport:
     gauge_offset: float = 0.0
     converged: bool = False
     message: str = ""
+    # per Newton iteration: the lgmres relative tolerance and the number of
+    # Jacobian applications it took
+    linear_rtols: list = field(default_factory=list)
+    matvecs: list = field(default_factory=list)
 
 
 def _frame_state(problem: EllipticProblem, root_inv: np.ndarray, U: np.ndarray):
@@ -101,9 +109,72 @@ def _frame_state(problem: EllipticProblem, root_inv: np.ndarray, U: np.ndarray):
     return fr, det_components(fr)
 
 
+class _FrameOperators:
+    """Newton linear systems of one solve, in the A-orthonormal frame.
+
+    The frame congruence R H[v] R with R = A^{-1/2} is a constant linear map
+    of the Hessian symbols, so it is folded into the stencil once per solve:
+    a Jacobian application is one forward transform, one stencil product,
+    one batched inverse transform and one pointwise pairing.
+    """
+
+    def __init__(self, grid, A: np.ndarray, root_inv: np.ndarray):
+        tab = tables(grid.n, grid.N)
+        self.grid = grid
+        self.stencil = np.stack(congruence_components(root_inv, tuple(tab._stack)))
+        self.product = np.empty(self.stencil.shape, dtype=np.complex128)
+        # exact inverse of the mean-metric Laplacian as the spectral
+        # preconditioner; modes with vanishing symbol (the constant and the
+        # pure-Nyquist modes the spectral Hessian annihilates) are the discrete
+        # gauge kernel and are projected out
+        ell = np.broadcast_to(tab.laplacian_symbol(np.linalg.inv(A)), tab.rshape).copy()
+        self.kernel = ell == 0.0
+        ell[self.kernel] = 1.0
+        self.ell = ell
+        self.matvecs = 0
+
+    def operators(self, comps, det):
+        """Jacobian J and preconditioner M at the frame metric comps.
+
+        Both return a fresh array on every call: lgmres keeps them in its
+        Krylov basis.
+        """
+        grid = self.grid
+        npts = grid.num_points
+        mean_det = float(det.mean())
+        # det tr(g^{-1} S) = tr(adj(g) S): the pairing with the determinant
+        # set to one is the adjugate pairing for n=2; for n=1 adj(g) = 1
+        adj = comps if grid.n == 2 else (1.0,)
+
+        def matvec(v):
+            self.matvecs += 1
+            vh = forward(grid, v.reshape(grid.shape))
+            hs = hessian_components(grid, vh, buf=self.product, stencil=self.stencil)
+            out = trace_pair_components(adj, hs, 1.0)
+            out -= out.mean()
+            return out.ravel()
+
+        def precond(v):
+            vh = forward(grid, v.reshape(grid.shape))
+            vh /= self.ell
+            vh[self.kernel] = 0.0
+            out = inverse(grid, vh)
+            out /= mean_det
+            return out.ravel()
+
+        J = spla.LinearOperator((npts, npts), matvec=matvec, dtype=np.float64)
+        M = spla.LinearOperator((npts, npts), matvec=precond, dtype=np.float64)
+        return J, M
+
+
 def solve_cy(problem: EllipticProblem, U0: ScalarField | None = None,
              sup_tol: float | None = None, max_iter: int = MAX_NEWTON_ITER):
-    """Solve the prescribed-determinant equation by damped Newton iteration.
+    """Solve the prescribed-determinant equation by damped inexact Newton iteration.
+
+    Each Newton system is solved by lgmres to the relative tolerance
+    max(LINEAR_RTOL, min(MAX_FORCING, residual / scale)), so early steps are
+    not oversolved and the last ones are solved as tightly as LINEAR_RTOL
+    (Dembo, Eisenstat and Steihaug 1982).
 
     Returns (U, NewtonReport) with mean(U) = 0 and sup-norm residual below
     sup_tol (default 1e-10 c mean(h)).  Raises NewtonConvergenceError when
@@ -114,8 +185,6 @@ def solve_cy(problem: EllipticProblem, U0: ScalarField | None = None,
     eig = np.linalg.eigvalsh(A)
     if eig.min() <= POSITIVITY_EPS:
         raise ValueError("reference class must be positive definite for the elliptic solve")
-    tab = tables(grid.n, grid.N)
-    n = grid.n
     det_A = float(np.linalg.det(A).real)
     root_inv = matrix_sqrt_hermitian(np.linalg.inv(A))
     h = problem.omega.h.values
@@ -135,49 +204,27 @@ def solve_cy(problem: EllipticProblem, U0: ScalarField | None = None,
     res_norm = float(np.abs(res).max())
     report.residual_history.append(res_norm * det_A)
 
-    # exact inverse of the mean-metric Laplacian as the spectral preconditioner;
-    # modes with vanishing symbol (the constant and the pure-Nyquist modes the
-    # spectral Hessian annihilates) are the discrete gauge kernel and are
-    # projected out
-    ell = np.broadcast_to(tab.laplacian_symbol(np.linalg.inv(A)), tab.rshape).copy()
-    kernel = ell == 0.0
-    ell[kernel] = 1.0
-
+    ops = _FrameOperators(grid, A, root_inv)
     npts = grid.num_points
-
-    def make_ops(comps, det):
-        mean_det = float(det.mean())
-
-        def matvec(v):
-            vh = forward(grid, v.reshape(grid.shape))
-            hs = congruence_components(root_inv, hessian_components(grid, vh))
-            out = det * trace_pair_components(comps, hs, det)
-            return (out - out.mean()).ravel()
-
-        def precond(v):
-            vh = forward(grid, v.reshape(grid.shape))
-            vh = vh / ell
-            vh[kernel] = 0.0
-            return (inverse(grid, vh) / mean_det).ravel()
-
-        J = spla.LinearOperator((npts, npts), matvec=matvec, dtype=np.float64)
-        M = spla.LinearOperator((npts, npts), matvec=precond, dtype=np.float64)
-        return J, M
 
     for it in range(max_iter):
         if res_norm <= tol:
             report.converged = True
             break
-        J, M = make_ops(comps, det)
+        J, M = ops.operators(comps, det)
         rhs = -(res - res.mean()).ravel()
+        rtol = max(LINEAR_RTOL, min(MAX_FORCING, res_norm / scale))
+        matvecs_before = ops.matvecs
         # a maxiter return still carries the best iterate; the line search
         # below decides whether the direction is usable
         try:
-            delta, _ = spla.lgmres(J, rhs, M=M, rtol=LINEAR_RTOL, atol=0.0,
+            delta, _ = spla.lgmres(J, rhs, M=M, rtol=rtol, atol=0.0,
                                    maxiter=12, inner_m=30)
         except RuntimeError:
             # residual entirely inside the preconditioner kernel
             delta = np.zeros(npts)
+        report.linear_rtols.append(rtol)
+        report.matvecs.append(ops.matvecs - matvecs_before)
         delta = delta.reshape(grid.shape)
         delta -= delta.mean()
 
@@ -204,6 +251,7 @@ def solve_cy(problem: EllipticProblem, U0: ScalarField | None = None,
         if not accepted:
             # distinguish a genuine stall from an under-resolved target whose
             # residual lives in the discrete gauge kernel
+            kernel = ops.kernel
             res_hat = np.abs(forward(grid, res)) / npts
             kern = float(res_hat[kernel].max()) if kernel.any() else 0.0
             report.message = f"line search failed at iteration {it}"

@@ -180,10 +180,6 @@ def hermitian_from_components(grid: GridSpec, comps) -> HermitianField:
     return HermitianField(grid, entries)
 
 
-def matrix_lambda_min(A: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(A).min())
-
-
 def matrix_sqrt_hermitian(A: np.ndarray) -> np.ndarray:
     """Principal square root of a positive definite 1x1 or 2x2 Hermitian matrix."""
     if A.shape == (1, 1):
@@ -278,11 +274,6 @@ class VolumeDensity:
 
     def mean(self) -> float:
         return mean(self.h)
-
-    def ricci(self) -> HermitianField:
-        """Ricci form of the density: -H[log h]."""
-        H = complex_hessian(ScalarField(self.grid, self.log_h))
-        return HermitianField(self.grid, -H.entries)
 
 
 @dataclass

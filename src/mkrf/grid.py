@@ -197,17 +197,21 @@ def inverse(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
 
 
 def hessian_components(grid: GridSpec, coeffs: np.ndarray,
-                       buf: np.ndarray | None = None) -> np.ndarray:
+                       buf: np.ndarray | None = None,
+                       stencil: np.ndarray | None = None) -> np.ndarray:
     """Real component fields of the complex Hessian from rfft coefficients.
 
     Returns a stacked array: (H11,) for n=1; (H11, H22, Re H12, Im H12) for n=2.
     One batched inverse transform keeps this on the hot path.  buf, when
     given, is a complex array of shape (components,) + coeffs.shape that
     receives the stencil product in place of a fresh allocation; the
-    returned stack is always a new array.
+    returned stack is always a new array.  stencil, when given, replaces the
+    tables' symbol stack with a real array of the same shape, e.g. the
+    symbols of the Hessian seen in another constant frame.
     """
-    t = tables(grid.n, grid.N)
-    stack = np.multiply(t._stack, coeffs, out=buf)
+    if stencil is None:
+        stencil = tables(grid.n, grid.N)._stack
+    stack = np.multiply(stencil, coeffs, out=buf)
     naxes = 2 * grid.n
     return sfft.irfftn(
         stack, s=grid.shape, axes=tuple(range(1, naxes + 1)), workers=fft_workers()

@@ -17,8 +17,29 @@ from .geometry import KahlerForm, VolumeDensity, check_hermitian
 from .grid import GridSpec, ScalarField, synthesize
 
 
+# Largest grid a scenario may ask for, in points N**(2n).  A real field of
+# this size takes 8 MiB and a flow workspace or a Newton solve holds a few
+# dozen of them; the shipped presets and benchmark scenarios reach at most
+# n=2, N=24 (331,776 points).
+MAX_GRID_POINTS = 2**20
+
+
 class InvalidScenarioError(Exception):
     """Configuration rejected; message names the offending field."""
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def is_finite_number(x) -> bool:
+    """True for an int or float (not a bool) with a finite float value."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 @dataclass
@@ -47,7 +68,7 @@ class Scenario:
     def from_json(cls, text: str) -> "Scenario":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:
             raise InvalidScenarioError(f"config is not valid JSON: {e}") from e
         if not isinstance(data, dict):
             raise InvalidScenarioError("config must be a JSON object")
@@ -61,14 +82,23 @@ class Scenario:
         return cls(**data)
 
 
+def _is_pair(e) -> bool:
+    return isinstance(e, (list, tuple)) and len(e) == 2 and all(map(is_finite_number, e))
+
+
 def matrix_from_rows(rows, n: int, what: str) -> np.ndarray:
+    seq = (list, tuple)
+    if not (isinstance(rows, seq)
+            and all(isinstance(row, seq) and all(map(_is_pair, row)) for row in rows)):
+        raise InvalidScenarioError(
+            f"{what}: entries must be [re, im] pairs of finite numbers, got {rows!r}")
     try:
         M = np.array(
             [[complex(float(e[0]), float(e[1])) for e in row] for row in rows],
             dtype=np.complex128,
         )
-    except (TypeError, ValueError, IndexError) as e:
-        raise InvalidScenarioError(f"{what}: entries must be [re, im] pairs ({e})") from e
+    except ValueError as e:  # ragged rows
+        raise InvalidScenarioError(f"{what}: expected {n}x{n} matrix ({e})") from e
     if M.shape != (n, n):
         raise InvalidScenarioError(f"{what}: expected {n}x{n} matrix, got {M.shape}")
     try:
@@ -83,18 +113,25 @@ def matrix_to_rows(M: np.ndarray) -> list:
 
 
 def _parse_modes(modes, n: int, what: str):
+    if not isinstance(modes, (list, tuple)):
+        raise InvalidScenarioError(f"{what}: expected a list of mode terms, got {modes!r}")
     out = []
     for term in modes:
         if isinstance(term, dict):
             mvec, amp, phase = term.get("mode"), term.get("amp"), term.get("phase", 0.0)
+        elif isinstance(term, (list, tuple)) and len(term) in (2, 3):
+            mvec, amp, phase = (*term, 0.0)[:3]
         else:
-            if len(term) == 2:
-                (mvec, amp), phase = term, 0.0
-            else:
-                mvec, amp, phase = term
+            raise InvalidScenarioError(
+                f"{what}: each term is {{mode, amp[, phase]}} or [mode, amp[, phase]],"
+                f" got {term!r}")
         if mvec is None or amp is None:
             raise InvalidScenarioError(f"{what}: each term needs 'mode' and 'amp'")
-        mvec = [int(m) for m in mvec]
+        if not (isinstance(mvec, (list, tuple)) and all(map(_is_int, mvec))):
+            raise InvalidScenarioError(f"{what}: mode vector must list integers, got {mvec!r}")
+        if not (is_finite_number(amp) and is_finite_number(phase)):
+            raise InvalidScenarioError(
+                f"{what}: amp and phase must be finite numbers, got {amp!r}, {phase!r}")
         if len(mvec) != 2 * n:
             raise InvalidScenarioError(
                 f"{what}: mode vector {mvec} must have {2 * n} components"
@@ -109,21 +146,35 @@ def _parse_modes(modes, n: int, what: str):
 
 
 def validate(scenario: Scenario) -> None:
+    """Check every field's type and range; raise InvalidScenarioError naming
+    the first bad field.  Builds no grid."""
     s = scenario
-    if s.n not in (1, 2):
-        raise InvalidScenarioError(f"n must be 1 or 2, got {s.n}")
-    if s.N < 8 or s.N % 2:
-        raise InvalidScenarioError(f"N must be even and >= 8, got {s.N}")
-    if not (0.0 < s.t_max <= 200.0):
-        raise InvalidScenarioError(f"t_max out of range: {s.t_max}")
-    if not (0 <= int(s.seed) < 2**64):
-        raise InvalidScenarioError(f"seed out of u64 range: {s.seed}")
+    if not isinstance(s.name, str):
+        raise InvalidScenarioError(f"name must be a string, got {s.name!r}")
+    if not _is_int(s.n) or s.n not in (1, 2):
+        raise InvalidScenarioError(f"n must be 1 or 2, got {s.n!r}")
+    if not _is_int(s.N) or s.N < 8 or s.N % 2:
+        raise InvalidScenarioError(f"N must be an even integer >= 8, got {s.N!r}")
+    if s.N ** (2 * s.n) > MAX_GRID_POINTS:
+        raise InvalidScenarioError(
+            f"N={s.N} at n={s.n} exceeds the grid budget of {MAX_GRID_POINTS} points"
+            " (N**(2n))")
+    if not is_finite_number(s.t_max) or not (0.0 < s.t_max <= 200.0):
+        raise InvalidScenarioError(f"t_max must be a number in (0, 200], got {s.t_max!r}")
+    if not _is_int(s.seed) or not (0 <= s.seed < 2**64):
+        raise InvalidScenarioError(f"seed must be an integer in the u64 range, got {s.seed!r}")
+    for key in ("run_comparison_flow", "run_psi_family", "use_integrating_factor"):
+        if not isinstance(getattr(s, key), bool):
+            raise InvalidScenarioError(f"{key} must be true or false, got {getattr(s, key)!r}")
+    if (not isinstance(s.psi_times, (list, tuple))
+            or not all(map(is_finite_number, s.psi_times))):
+        raise InvalidScenarioError(
+            f"psi_times must be a list of finite numbers, got {s.psi_times!r}")
     # a non-positive cap would step at the 1e-12 floor forever
-    if (isinstance(s.dt_cap, bool) or not isinstance(s.dt_cap, (int, float))
-            or not (math.isfinite(s.dt_cap) and s.dt_cap > 0.0)):
+    if not is_finite_number(s.dt_cap) or s.dt_cap <= 0.0:
         raise InvalidScenarioError(f"dt_cap must be a positive finite number, got {s.dt_cap!r}")
     A0 = matrix_from_rows(s.A0, s.n, "A0")
-    if np.linalg.eigvalsh(A0).min() <= 0:
+    if not np.linalg.eigvalsh(A0).min() > 0:
         raise InvalidScenarioError("A0 must be positive definite")
     matrix_from_rows(s.Ainf, s.n, "Ainf")
     _parse_modes(s.phi0, s.n, "phi0")
@@ -131,8 +182,8 @@ def validate(scenario: Scenario) -> None:
     _parse_modes(s.log_h, s.n, "log_h")
     if s.run_psi_family:
         for t in s.psi_times:
-            if not (0.0 <= float(t) <= s.t_max):
-                raise InvalidScenarioError(f"psi time {t} outside [0, t_max]")
+            if not (0.0 <= t <= s.t_max):
+                raise InvalidScenarioError(f"psi_times: {t} outside [0, t_max]")
 
 
 def build_problem(scenario: Scenario) -> FlowProblem:

@@ -164,3 +164,83 @@ def test_solve_cy_reports_nonconvergence():
         solve_cy(prob, max_iter=1)
     assert exc.value.report.iterations <= 1
     assert exc.value.report.final_residual > 0.0
+
+
+def test_newton_report_records_forcing_and_matvecs(monkeypatch):
+    import mkrf.elliptic as elliptic
+
+    calls = []
+    pairing = elliptic.trace_pair_components
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return pairing(*args, **kwargs)
+
+    monkeypatch.setattr(elliptic, "trace_pair_components", counted)
+    # at N=8 this density has content the grid cannot resolve
+    g = GridSpec(2, 16)
+    form = KahlerForm(np.array([[1.2, 0.1j], [-0.1j, 1.0]]), g.zeros())
+    h = ScalarField(g, np.exp(synthesize(g, [((1, 0, 0, 0), 0.1), ((0, 1, 1, 0), 0.05)]).values))
+    prob = EllipticProblem.compatible(form, VolumeDensity(h))
+    _, rep = solve_cy(prob)
+    assert rep.iterations >= 2
+    assert len(rep.linear_rtols) == len(rep.matvecs) == rep.iterations
+    assert sum(rep.matvecs) == len(calls)
+    # forcing: the relative residual, capped at MAX_FORCING, floored at LINEAR_RTOL
+    unit = prob.c * mean(h)
+    for rtol, res in zip(rep.linear_rtols, rep.residual_history):
+        expected = max(elliptic.LINEAR_RTOL, min(elliptic.MAX_FORCING, res / unit))
+        assert rtol == pytest.approx(expected, rel=1e-12)
+
+
+def _frame_operators_at(n):
+    from mkrf.elliptic import _FrameOperators, _frame_state
+    from mkrf.geometry import matrix_sqrt_hermitian
+
+    g = GridSpec(n, 8)
+    if n == 1:
+        A = np.array([[1.7]])
+        phi = synthesize(g, [((1, 0), 0.01), ((0, 2), 0.004, 0.3)])
+    else:
+        A = np.array([[1.3, 0.2 + 0.15j], [0.2 - 0.15j, 0.9]])
+        phi = synthesize(g, [((1, 0, 0, 0), 0.01), ((0, 1, 1, 0), 0.006, 0.4)])
+    prob = EllipticProblem.compatible(KahlerForm(A, phi), ones_density(g))
+    root_inv = matrix_sqrt_hermitian(np.linalg.inv(prob.form.A))
+    U = synthesize(g, [((0,) * (2 * n - 1) + (1,), 0.005, 1.1)]).values
+    comps, det = _frame_state(prob, root_inv, U)
+    return g, root_inv, comps, det, _FrameOperators(g, prob.form.A, root_inv)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_folded_matvec_matches_frame_congruence(n):
+    # reference: the Jacobian as det * tr(g^{-1} R H[v] R) with the frame
+    # congruence applied to the Hessian fields
+    from mkrf.geometry import congruence_components, hessian_components, trace_pair_components
+    from mkrf.grid import forward
+
+    g, root_inv, comps, det, ops = _frame_operators_at(n)
+    J, _ = ops.operators(comps, det)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        v = rng.standard_normal(g.num_points)
+        hs = congruence_components(root_inv, hessian_components(g, forward(g, v.reshape(g.shape))))
+        ref = det * trace_pair_components(comps, hs, det)
+        ref = (ref - ref.mean()).ravel()
+        got = J.matvec(v)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert ops.matvecs == 3
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_operator_outputs_are_fresh_arrays(n):
+    # lgmres keeps every returned vector in its Krylov basis
+    g, _, comps, det, ops = _frame_operators_at(n)
+    J, M = ops.operators(comps, det)
+    rng = np.random.default_rng(3)
+    v1, v2 = rng.standard_normal((2, g.num_points))
+    for op in (J, M):
+        first = op.matvec(v1)
+        kept = first.copy()
+        second = op.matvec(v2)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)

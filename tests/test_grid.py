@@ -236,3 +236,17 @@ def test_fft_thread_cap_does_not_change_results(monkeypatch):
     monkeypatch.setenv("MKRF_THREADS", "2")
     threaded = complex_hessian(f).entries
     assert base.tobytes() == threaded.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_hessian_stencil_argument(n):
+    from mkrf.grid import forward, hessian_components, tables
+
+    g = GridSpec(n, 8)
+    rng = np.random.default_rng(11)
+    c = forward(g, rng.standard_normal(g.shape))
+    plain = hessian_components(g, c)
+    stack = tables(n, 8)._stack
+    assert np.array_equal(hessian_components(g, c, stencil=stack), plain)
+    buf = np.empty(stack.shape, dtype=np.complex128)
+    assert np.array_equal(hessian_components(g, c, buf=buf, stencil=2.0 * stack), 2.0 * plain)

@@ -1,11 +1,15 @@
 import json
 import math
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mkrf.cli import main
 from mkrf.grid import read_snapshot
 from mkrf.scenario import (
+    MAX_GRID_POINTS,
     PRESETS,
     InvalidScenarioError,
     Scenario,
@@ -96,6 +100,112 @@ def test_run_rejects_nonpositive_dt_cap_exit_4(tmp_path, capsys, dt_cap):
     cfg.write_text(tiny_scenario(dt_cap=dt_cap).to_json())
     assert main(["run", "--config", str(cfg)]) == 4
     assert "dt_cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "classify", "cy-solve"])
+@pytest.mark.parametrize("field,value", [
+    ("N", "16"), ("n", True), ("psi_times", "abc"), ("psi_times", [1.0, "x"]),
+    ("t_max", "1.5"), ("seed", 1.5), ("run_psi_family", 1), ("log_h", 3),
+    ("phi0", [{"mode": [1.5, 0], "amp": 0.01}]), ("A0", [[["1", 0.0]]]),
+])
+def test_mistyped_field_exits_4_naming_it(tmp_path, capsys, command, field, value):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(tiny_scenario(**{field: value}).to_json())
+    assert main([command, "--config", str(cfg)]) == 4
+    assert field in capsys.readouterr().err
+
+
+def test_t_max_override_keeps_mistyped_psi_times_for_validation(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(tiny_scenario(psi_times="abc").to_json())
+    assert main(["run", "--config", str(cfg), "--t-max", "1"]) == 4
+    assert "psi_times" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "classify", "cy-solve"])
+def test_grid_beyond_point_budget_exits_4_at_once(tmp_path, capsys, command):
+    # n=2, N=512 would be about 6.9e10 grid points
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(tiny_scenario(n=2, N=512, A0=[[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+                                 Ainf=[[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+                                 phi0=[], log_h=[]).to_json())
+    start = time.perf_counter()
+    assert main([command, "--config", str(cfg)]) == 4
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert "N=512" in err and "grid budget" in err
+
+
+def test_presets_and_largest_benchmark_grid_fit_the_budget():
+    for sc in PRESETS.values():
+        validate(sc)
+    assert 24 ** 4 <= MAX_GRID_POINTS
+    validate(tiny_scenario(n=2, N=24, A0=[[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+                           Ainf=[[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+                           phi0=[], log_h=[]))
+
+
+FIELDS = sorted(Scenario.__dataclass_fields__)
+# small JSON values, non-finite floats included (Python's json reads NaN and
+# Infinity); nothing here is large enough to build a grid from
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+def _validates_or_is_rejected(data):
+    try:
+        validate(Scenario.from_json(json.dumps(data)))
+    except InvalidScenarioError:
+        pass
+
+
+def _paths(obj, prefix=()):
+    """Every key/index path into a nested JSON value."""
+    yield prefix
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    for k, v in items:
+        yield from _paths(v, prefix + (k,))
+
+
+REQUIRED = ("name", "n", "N", "A0", "Ainf")
+
+
+def _objects_near(preset):
+    """JSON objects whose every field is the preset's value or arbitrary JSON,
+    so that checks behind the first few fields are reached too."""
+    base = json.loads(PRESETS[preset].to_json())
+    return st.fixed_dictionaries(
+        {k: st.just(base[k]) | JSON_VALUES for k in REQUIRED},
+        optional={k: st.just(base.get(k)) | JSON_VALUES
+                  for k in FIELDS + ["bogus"] if k not in REQUIRED})
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES | st.sampled_from(sorted(PRESETS)).flatmap(_objects_near))
+def test_arbitrary_json_objects_validate_or_are_rejected(data):
+    _validates_or_is_rejected(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(PRESETS)), st.data())
+def test_perturbed_presets_validate_or_are_rejected(preset, draw):
+    data = json.loads(PRESETS[preset].to_json())
+    path = draw.draw(st.sampled_from(list(_paths(data))[1:]))
+    parent = data
+    for k in path[:-1]:
+        parent = parent[k]
+    if draw.draw(st.booleans()):
+        parent[path[-1]] = draw.draw(JSON_VALUES)
+    elif isinstance(parent, dict):
+        del parent[path[-1]]
+    else:
+        parent.pop(path[-1])
+    _validates_or_is_rejected(data)
 
 
 def test_run_tiny_scenario_and_report(tmp_path, capsys):
