@@ -42,8 +42,9 @@ from .grid import ScalarField, forward, inverse, tables
 
 SUP_TOL_FACTOR = 1e-10
 LINEAR_RTOL = 1e-8
-# largest forcing term: the linear tolerance of a Newton step is the relative
-# residual, capped here and floored at LINEAR_RTOL
+# largest forcing term: the linear tolerance of the first Newton step is the
+# relative residual, that of the later ones the Eisenstat-Walker choice 1;
+# all are capped here and floored at LINEAR_RTOL
 MAX_FORCING = 0.1
 MAX_NEWTON_ITER = 100
 MAX_HALVINGS = 30
@@ -132,6 +133,21 @@ class _FrameOperators:
         ell[self.kernel] = 1.0
         self.ell = ell
         self.matvecs = 0
+        # argument and result of the latest matvec: lgmres ends by applying
+        # J to the solution it returns, which gives the linear residual free
+        self.last = (None, None)
+
+    def applied_to(self, x):
+        """J x if the latest matvec was applied to x as it is now, else None.
+
+        Valid right after lgmres returns x, before any other matvec; lgmres
+        leaves that result unmodified.  The stored pair is released.
+        """
+        v, out = self.last
+        self.last = (None, None)
+        if v is None or not np.array_equal(v, x):
+            return None
+        return out
 
     def operators(self, comps, det):
         """Jacobian J and preconditioner M at the frame metric comps.
@@ -152,7 +168,9 @@ class _FrameOperators:
             hs = hessian_components(grid, vh, buf=self.product, stencil=self.stencil)
             out = trace_pair_components(adj, hs, 1.0)
             out -= out.mean()
-            return out.ravel()
+            out = out.ravel()
+            self.last = (v, out)
+            return out
 
         def precond(v):
             vh = forward(grid, v.reshape(grid.shape))
@@ -171,10 +189,18 @@ def solve_cy(problem: EllipticProblem, U0: ScalarField | None = None,
              sup_tol: float | None = None, max_iter: int = MAX_NEWTON_ITER):
     """Solve the prescribed-determinant equation by damped inexact Newton iteration.
 
-    Each Newton system is solved by lgmres to the relative tolerance
-    max(LINEAR_RTOL, min(MAX_FORCING, residual / scale)), so early steps are
-    not oversolved and the last ones are solved as tightly as LINEAR_RTOL
-    (Dembo, Eisenstat and Steihaug 1982).
+    Each Newton system is solved inexactly by lgmres (Dembo, Eisenstat and
+    Steihaug 1982).  The first to the relative tolerance residual / scale;
+    every later one to the safeguarded Eisenstat-Walker choice 1 (SISC 1996),
+    |‖F_k‖ - ‖F_{k-1} + J_{k-1} s_{k-1}‖| / ‖F_{k-1}‖ in the 2-norm of the
+    linear systems, kept at least eta_{k-1}^((1+sqrt 5)/2) when that exceeds 0.1:
+    the tolerance is tight when the last linear model predicted the new
+    residual well, i.e. where the problem is nearly linear.  Every forcing
+    term is capped at MAX_FORCING and floored at LINEAR_RTOL and at the
+    value that leaves a linear residual of half the Newton tolerance, so
+    early steps are not oversolved and the last ones are solved no tighter
+    than needed.  J s comes from lgmres's own final residual check, so the
+    forcing costs no Jacobian application.
 
     Returns (U, NewtonReport) with mean(U) = 0 and sup-norm residual below
     sup_tol (default 1e-10 c mean(h)).  Raises NewtonConvergenceError when
@@ -207,13 +233,18 @@ def solve_cy(problem: EllipticProblem, U0: ScalarField | None = None,
     ops = _FrameOperators(grid, A, root_inv)
     npts = grid.num_points
 
+    forcing = res_norm / scale
     for it in range(max_iter):
         if res_norm <= tol:
             report.converged = True
             break
         J, M = ops.operators(comps, det)
         rhs = -(res - res.mean()).ravel()
-        rtol = max(LINEAR_RTOL, min(MAX_FORCING, res_norm / scale))
+        rhs_norm = float(np.linalg.norm(rhs))
+        if rhs_norm > 0.0:
+            # a linear residual of half the Newton tolerance is as good as solved
+            forcing = max(forcing, 0.5 * tol / rhs_norm)
+        rtol = max(LINEAR_RTOL, min(MAX_FORCING, forcing))
         matvecs_before = ops.matvecs
         # a maxiter return still carries the best iterate; the line search
         # below decides whether the direction is usable
@@ -225,6 +256,13 @@ def solve_cy(problem: EllipticProblem, U0: ScalarField | None = None,
             delta = np.zeros(npts)
         report.linear_rtols.append(rtol)
         report.matvecs.append(ops.matvecs - matvecs_before)
+        # the linear model's residual J delta - rhs, kept as the two numbers
+        # that with rhs_norm give its norm once the line search picks s
+        J_delta = ops.applied_to(delta)
+        model = None
+        if J_delta is not None and rhs_norm > 0.0:
+            J_delta -= rhs
+            model = (float(np.linalg.norm(J_delta)), float(J_delta @ rhs))
         delta = delta.reshape(grid.shape)
         delta -= delta.mean()
 
@@ -241,6 +279,20 @@ def solve_cy(problem: EllipticProblem, U0: ScalarField | None = None,
             res_t = det_t - target
             res_t_norm = float(np.abs(res_t).max())
             if res_t_norm < res_norm:
+                if model is None:
+                    forcing = res_t_norm / scale
+                else:
+                    # ‖s (J delta - rhs) + (s - 1) rhs‖
+                    r1, r1_rhs = model
+                    linear = r1 if s == 1.0 else math.sqrt(max(
+                        0.0, (s * r1) ** 2 + 2.0 * s * (s - 1.0) * r1_rhs
+                        + ((s - 1.0) * rhs_norm) ** 2))
+                    new_norm = float(np.linalg.norm(res_t - res_t.mean()))
+                    forcing = abs(new_norm - linear) / rhs_norm
+                    # safeguard: the previous term to the golden-ratio power
+                    floor = rtol ** (0.5 * (1.0 + math.sqrt(5.0)))
+                    if floor > 0.1:
+                        forcing = max(forcing, floor)
                 U, comps, det, res, res_norm = trial, comps_t, det_t, res_t, res_t_norm
                 accepted = True
                 break

@@ -16,9 +16,18 @@ matrix A_t).  With the factor disabled the step is textbook explicit RK4.
 The integrating factor is what makes long collapsed runs affordable: the
 stiffness of the mean metric grows like e^t while the mean-relative metric
 variation stays small, so the exact exponential absorbs the stiff part and
-the step size is set by accuracy caps, not by the degenerating eigenvalue.
+the step size is set by the local error, not by the degenerating eigenvalue.
 Integrating the full potential keeps the damped directions centered on their
 true (fiber-flat) equilibrium instead of zero.
+
+Step sizes come from an embedded order-3 estimate of each step's local
+error, (dt/10)(k4 - k5) with k5 the (Lawson-frame) RHS at the new point.
+run_flow evaluates that RHS anyway to record the step and to seed the next
+one's first stage, so the estimate costs no RHS evaluation.  A step is
+accepted when the sup bound of the estimate over the lockstep flows is at
+most STEP_TOL, and the next dt is scaled by 0.9 (STEP_TOL / err)^(1/4),
+clipped to [0.2, 5]; dt_cap, the finite-time window, the measured-variation
+guard and the event grid bound it as well.
 """
 
 from __future__ import annotations
@@ -58,6 +67,9 @@ MAX_HALVINGS = 20
 # frozen-coefficient bound e^{-z} |R4(rho z)| <= 1 holds for rho < 0.68;
 # 0.5 leaves margin for stage coupling.
 IF_FREE_VARIATION = 0.5
+# Local error allowed per accepted step: the sup bound of the embedded
+# estimate, over all lockstep flows, at the monitors' inequality tolerance.
+STEP_TOL = monitors.TOL_INEQ
 
 
 class SingularityStopError(Exception):
@@ -180,6 +192,7 @@ class _Workspace:
         self.k1 = np.empty(spec, dtype=np.complex128)
         self.E1 = np.empty(spec)  # Lawson integrating factors
         self.E2 = np.empty(spec)
+        self.err = np.empty(spec)  # moduli of the embedded error estimate
         self.times = {}  # stage time -> FlowProblem._stage_constants
 
 
@@ -243,13 +256,20 @@ def _eval_flow(problem: FlowProblem, p_hat: np.ndarray, t: float, r: int,
 
 
 def _lawson_rk4(problem: FlowProblem, y: np.ndarray, t: float, dt: float, r: int,
-                comparison: bool, use_if: bool, F0: np.ndarray | None = None) -> np.ndarray:
+                comparison: bool, use_if: bool, F0: np.ndarray | None = None) -> tuple:
     """One Lawson (integrating factor) RK4 step; plain RK4 when use_if is False.
+
+    Returns (y1, d).  y1 is the new state.  d = k4 + ell y1 is the part of
+    the embedded error estimate this step knows: with F1 the RHS at
+    (y1, t + dt), k5 = F1 - ell y1 and the estimate is
+    (dt/10)(k4 - k5) = (dt/10)(d - F1).  The embedded weights
+    (1/6, 1/3, 1/3, 1/15, 1/10) are order 3; in the Lawson frame stages 4
+    and 5 carry the same factor e^{-dt ell}, which cancels on the way back.
 
     F0 optionally supplies the already-evaluated RHS at (y, t) so the first
     stage costs nothing on the run hot path; it is only read.  The stage
     combinations run in place in the problem's workspace and in the stage
-    RHS arrays; the returned state is the (fresh) stage-2 RHS array.
+    RHS arrays; y1 and d are the (fresh) stage-2 and stage-4 RHS arrays.
     """
     ws = problem.workspace
     if use_if:
@@ -288,7 +308,7 @@ def _lawson_rk4(problem: FlowProblem, y: np.ndarray, t: float, dt: float, r: int
         k2 += k4
         k2 *= dt / 6.0
         k2 += y
-        return k2
+        return k2, k4
     # z = E2 (y + h k1)
     np.multiply(h, k1, out=z)
     np.add(y, z, out=z)
@@ -311,15 +331,38 @@ def _lawson_rk4(problem: FlowProblem, y: np.ndarray, t: float, dt: float, r: int
     k2 += k4
     k2 *= dt / 6.0
     k2 += np.multiply(E1, y, out=tmp)
-    return k2
+    k4 += np.multiply(ell, k2, out=tmp)
+    return k2, k4
+
+
+def _sup_bound(problem: FlowProblem, coeffs: np.ndarray) -> float:
+    """Upper bound of the sup norm of the field with rfft coefficients coeffs.
+
+    The l1 norm of the full spectrum over N**(2n); the half spectrum stands
+    for its conjugate too, except on the self-conjugate planes (last index 0
+    and N/2).  No transform is needed.
+    """
+    a = np.abs(coeffs, out=problem.workspace.err)
+    total = 2.0 * float(a.sum()) - float(a[..., 0].sum()) - float(a[..., -1].sum())
+    return total / problem.grid.num_points
+
+
+def _embedded_error(problem: FlowProblem, d: np.ndarray, F1: np.ndarray,
+                    dt: float) -> float:
+    """Sup bound of the estimate (dt/10)(d - F1) of one step (see _lawson_rk4).
+
+    d is consumed.
+    """
+    d -= F1
+    return 0.1 * dt * _sup_bound(problem, d)
 
 
 def _attempt_step(problem, states, t, dt, use_if, max_halvings=MAX_HALVINGS):
     """Advance all lockstep flows by a common dt, halving on positivity loss.
 
     states: list of (p_hat, r, comparison[, F0]).  Returns (new_list,
-    dt_used, halvings).  Raises SingularityStopError after max_halvings
-    failures.
+    dt_used, halvings), new_list holding one (y1, d) pair of _lawson_rk4 per
+    flow.  Raises SingularityStopError after max_halvings failures.
     """
     halvings = 0
     while True:
@@ -436,7 +479,7 @@ def step_rk4(state, dt: float, problem: FlowProblem,
         problem, [(p_hat, r, comparison)], state.t, dt, use_integrating_factor
     )
     C3 = getattr(state, "C3", 0.0)
-    return _build_state(kind, problem, state.t + dt_used, new[0], C3, dt_used, r)
+    return _build_state(kind, problem, state.t + dt_used, new[0][0], C3, dt_used, r)
 
 
 def rhs_mskrf(u: ScalarField, t: float, problem: FlowProblem) -> ScalarField:
@@ -507,9 +550,6 @@ class RunOptions:
     run_comparison: bool = False
     use_integrating_factor: bool = True
     dt_cap: float = 0.02
-    dt_floor_ramp: float = 5e-4
-    ramp_slope: float = 0.05
-    growth: float = 1.3
     snap_dt: float = 0.1
     uhat_snap_dt: float = 0.5
     S_list: tuple = (1.0, 3.0, 5.0)
@@ -532,6 +572,7 @@ class RunResult:
     halvings: int
     wall_time: float
     columns: list
+    step_control: dict
 
 
 def _w_ring_lookup(ring, t_query):
@@ -610,11 +651,16 @@ def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
     yw = problem.phi0_hat.copy() if run_w else None
     t = 0.0
     dt_last = 0.0
-    dt_target = 0.0
+    dt_err = math.inf  # the error controller's proposal; the first step takes the cap
     prev_combo = None
     violations = {}
     steps = 0
     halvings_total = 0
+    rejections = 0
+    max_err = 0.0
+    # which bound set each accepted dt ("positivity": halved on positivity loss)
+    limits = dict.fromkeys(
+        ("error", "dt_cap", "finite_window", "stability", "event", "positivity"), 0)
     status = "completed"
     stop_reason = "reached t_max"
     w_ring = []
@@ -708,37 +754,43 @@ def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
         return rho
 
     def propose_dt():
-        # growth is tracked against the unclamped proposal (dt_target), so
-        # landing exactly on a snapshot event does not reset the ramp
-        dt = options.dt_cap
-        dt = min(dt, max(options.dt_floor_ramp, options.ramp_slope * t))
+        """The largest dt every bound allows, and the name of the bound that set it."""
+        bounds = [(options.dt_cap, "dt_cap"), (dt_err, "error")]
         if regime == Regime.FINITE_TIME:
-            dt = min(dt, 0.05 * max(T - t, 1e-6))
+            bounds.append((0.05 * max(T - t, 1e-6), "finite_window"))
         if options.use_integrating_factor:
             # the mean-relative variation drifts slowly; re-measure every few steps
             if steps - rho_cache[0] >= 5:
                 rho_cache[0] = steps
                 rho_cache[1] = measured_rho()
-            rho = rho_cache[1]
-            excess = rho - IF_FREE_VARIATION
+            excess = rho_cache[1] - IF_FREE_VARIATION
             if excess > 0.0:
                 lam_bar_A = 1.0 / float(np.linalg.eigvalsh(problem.A_t(t)).min())
-                dt = min(dt, 2.2 / (lam_bar_A * excess * qn2))
+                bounds.append((2.2 / (lam_bar_A * excess * qn2), "stability"))
         else:
             lam = lambda_min_components(ev.comps, ev.det)
             lam_bar = float((1.0 / lam).max())
             if run_w:
                 lamw = lambda_min_components(evw.comps, evw.det)
                 lam_bar = max(lam_bar, float((1.0 / lamw).max()))
-            dt = min(dt, STABILITY_SAFETY / (lam_bar * qn2))
-        if dt_target > 0.0:
-            dt = min(dt, options.growth * dt_target)
-        dt_take = dt
+            bounds.append((STABILITY_SAFETY / (lam_bar * qn2), "stability"))
+        dt, limit = min(bounds, key=lambda b: b[0])
         for e in events:
             if e > t + 1e-12:
-                dt_take = min(dt, e - t)
+                if e - t < dt:
+                    # a step that only lands on the event up to round-off
+                    # is still set by the bound above
+                    if e - t < dt * (1.0 - 1e-9):
+                        limit = "event"
+                    dt = e - t
                 break
-        return max(dt_take, 1e-12), max(dt, 1e-12)
+        return max(dt, 1e-12), limit
+
+    def dt_ratio(err):
+        """The next dt over this one: 0.9 (STEP_TOL / err)^(1/4), clipped to [0.2, 5]."""
+        if err == 0.0:
+            return 5.0
+        return min(5.0, max(0.2, 0.9 * (STEP_TOL / err) ** 0.25))
 
     try:
         while True:
@@ -770,30 +822,60 @@ def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
                 status = "singularity-stop"
                 stop_reason = f"finite-time approach window at t={t:.6f} (T={T:.6f})"
                 break
-            dt, dt_prop = propose_dt()
+            dt, limit = propose_dt()
+            # the evaluations at t stay alive until a step is accepted (a
+            # retry starts from F_hat, a stop reports their fields), next to
+            # those at the new point; their metric arrays are consumed by now
+            ev.comps = ev.det = None
             states = [(y, r, False, ev.F_hat)]
             if run_w:
+                evw.comps = evw.det = None
                 states.append((yw, r, True, evw.F_hat))
-            new, dt_used, halv = _attempt_step(
-                problem, states, t, dt, options.use_integrating_factor
-            )
-            halvings_total += halv
-            dt_target = dt_used if halv else dt_prop
-            if halv:
-                rho_cache[0] = -10  # force re-measurement after a rejection
-            y = new[0]
-            if run_w:
-                yw = new[1]
-            t_new = t + dt_used
-            for e in events:
-                if abs(t_new - e) < 1e-11:
-                    t_new = e
+            # error rejections redo the step at a smaller dt, as many times
+            # as positivity loss may halve it
+            for _ in range(MAX_HALVINGS + 1):
+                new, dt_used, halv = _attempt_step(
+                    problem, states, t, dt, options.use_integrating_factor
+                )
+                halvings_total += halv
+                if halv:
+                    rho_cache[0] = -10  # force re-measurement after a positivity halving
+                t_new = t + dt_used
+                for e in events:
+                    if abs(t_new - e) < 1e-11:
+                        t_new = e
+                        break
+                # the full evaluations at the new point record the step, seed
+                # the next one's first stage and complete the error estimate
+                ev_new = _eval_flow(problem, new[0][0], t_new, r, False, full=True)
+                err = _embedded_error(problem, new[0][1], ev_new.F_hat, dt_used)
+                if run_w:
+                    evw_new = _eval_flow(problem, new[1][0], t_new, r, True, full=True)
+                    err = max(err, _embedded_error(problem, new[1][1], evw_new.F_hat,
+                                                   dt_used))
+                if err <= STEP_TOL:
                     break
+                rejections += 1
+                dt = dt_used * dt_ratio(err)
+                limit = "error"
+            else:
+                raise FlowBreakdownError(
+                    f"step size control failed at t={t:.6f}: local error {err:.3e} "
+                    f"after {MAX_HALVINGS} rejections")
+            limits["positivity" if halv else limit] += 1
+            max_err = max(max_err, err)
+            dt_err = dt_used * dt_ratio(err)
+            y = new[0][0]
+            ev = ev_new
+            if run_w:
+                yw = new[1][0]
+                evw = evw_new
             t = t_new
             dt_last = dt_used
             steps += 1
-            ev = _eval_flow(problem, y, t, r, False, full=True)
-            evw = _eval_flow(problem, yw, t, r, True, full=True) if run_w else None
+            # the previous state, its RHS and the consumed estimates are
+            # garbage now; release them before the next record
+            del new, states
     except SingularityStopError as stop:
         status = "singularity-stop"
         stop_reason = str(stop)
@@ -839,4 +921,11 @@ def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
         halvings=halvings_total,
         wall_time=time.perf_counter() - t_start,
         columns=columns,
+        step_control={
+            "accepted": steps,
+            "rejections": rejections,
+            "limits": limits,
+            "max_error": max_err,
+            "tol": STEP_TOL,
+        },
     )

@@ -127,9 +127,10 @@ def save_run(out_dir, scenario, result, regime_reports=None, extra_constants=Non
                     for c in rep.checks
                 ],
             }
+    record = {"constants": constants, "reports": reports_json,
+              "step_control": result.step_control}
     with open(os.path.join(out_dir, "constants.json"), "w", encoding="utf-8") as fh:
-        json.dump({"constants": constants, "reports": reports_json}, fh, indent=2,
-                  sort_keys=True, default=str)
+        json.dump(record, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
 
     fields = [(name, f) for name, f in result.final.items()]
@@ -171,6 +172,15 @@ def render_report(run_dir, out_dir=None) -> list:
         lines.append("measured constants:")
         for k in sorted(data.get("constants", {})):
             lines.append(f"  {k} = {data['constants'][k]}")
+        control = data.get("step_control")
+        if control:
+            lines.append("step control:")
+            lines.append(f"  accepted = {control['accepted']}")
+            lines.append(f"  error rejections = {control['rejections']}")
+            lines.append(f"  largest accepted error = {control['max_error']:.6g}"
+                         f" (tol {control['tol']:.6g})")
+            lines.append("  dt set by: " + ", ".join(
+                f"{k} {v}" for k, v in sorted(control["limits"].items())))
         for name in sorted(data.get("reports", {})):
             rep = data["reports"][name]
             lines.append(f"report {name}: {rep['status']}")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -182,15 +184,47 @@ def test_newton_report_records_forcing_and_matvecs(monkeypatch):
     form = KahlerForm(np.array([[1.2, 0.1j], [-0.1j, 1.0]]), g.zeros())
     h = ScalarField(g, np.exp(synthesize(g, [((1, 0, 0, 0), 0.1), ((0, 1, 1, 0), 0.05)]).values))
     prob = EllipticProblem.compatible(form, VolumeDensity(h))
+    _, plain = solve_cy(prob)
+
+    # record every Newton system and apply its J once more to the solution
+    systems = []
+    real_lgmres = elliptic.spla.lgmres
+
+    def recording_lgmres(J, b, **kwargs):
+        x, info = real_lgmres(J, b, **kwargs)
+        systems.append((b.copy(), J.matvec(x).copy()))
+        return x, info
+
+    monkeypatch.setattr(elliptic.spla, "lgmres", recording_lgmres)
+    calls.clear()
     _, rep = solve_cy(prob)
-    assert rep.iterations >= 2
-    assert len(rep.linear_rtols) == len(rep.matvecs) == rep.iterations
+    assert rep.iterations >= 3
+    assert len(rep.linear_rtols) == len(rep.matvecs) == len(systems) == rep.iterations
     assert sum(rep.matvecs) == len(calls)
-    # forcing: the relative residual, capped at MAX_FORCING, floored at LINEAR_RTOL
+    # the forcing reads J s off lgmres's last residual check: an extra
+    # application of J changes nothing
+    assert rep.linear_rtols == plain.linear_rtols
+    assert [m - 1 for m in rep.matvecs] == plain.matvecs
+
+    # forcing: the relative residual first, then the safeguarded
+    # Eisenstat-Walker choice 1; capped at MAX_FORCING, floored at
+    # LINEAR_RTOL and at half the Newton tolerance
+    det_a = float(np.linalg.det(form.A).real)
     unit = prob.c * mean(h)
-    for rtol, res in zip(rep.linear_rtols, rep.residual_history):
-        expected = max(elliptic.LINEAR_RTOL, min(elliptic.MAX_FORCING, res / unit))
-        assert rtol == pytest.approx(expected, rel=1e-12)
+    tol = unit / det_a * elliptic.SUP_TOL_FACTOR
+    eta = plain.residual_history[0] / unit
+    for k, (rtol, (b, jx)) in enumerate(zip(rep.linear_rtols, systems)):
+        if k > 0:
+            b_prev, jx_prev = systems[k - 1]
+            s = rep.damping_history[k - 1]
+            linear = np.linalg.norm(s * jx_prev - b_prev)
+            eta = abs(np.linalg.norm(b) - linear) / np.linalg.norm(b_prev)
+            safeguard = rep.linear_rtols[k - 1] ** ((1.0 + math.sqrt(5.0)) / 2.0)
+            if safeguard > 0.1:
+                eta = max(eta, safeguard)
+        expected = max(elliptic.LINEAR_RTOL,
+                       min(elliptic.MAX_FORCING, max(eta, 0.5 * tol / np.linalg.norm(b))))
+        assert rtol == pytest.approx(expected, rel=1e-9)
 
 
 def _frame_operators_at(n):

@@ -13,8 +13,10 @@ from mkrf.flow import (
     RunOptions,
     SingularityStopError,
     _attempt_step,
+    _embedded_error,
     _eval_flow,
     _lawson_rk4,
+    _sup_bound,
     initial_comparison_state,
     initial_flow_state,
     initial_scaled_state,
@@ -422,7 +424,7 @@ def test_lawson_step_matches_allocating_reference(use_if, comparison, with_f0):
     y = prob.phi0_hat.copy()
     t, dt, r = 0.3, 0.01, prob.scaled_r
     F0 = _eval_flow(prob, y, t, r, comparison).F_hat if with_f0 else None
-    got = _lawson_rk4(prob, y, t, dt, r, comparison, use_if, F0=F0)
+    got, _ = _lawson_rk4(prob, y, t, dt, r, comparison, use_if, F0=F0)
     want = reference_lawson_rk4(prob, y, t, dt, r, comparison, use_if)
     assert np.array_equal(got, want)
 
@@ -501,3 +503,131 @@ def test_nan_state_run_ends_as_breakdown_exit_3(tmp_path, monkeypatch):
     assert constants["status"] == "breakdown"
     assert constants["halvings"] == 0
     assert constants["steps"] == 2
+
+
+# --- embedded error estimate and step control -----------------------------------
+
+
+def reference_embedded_error(prob, y, t, dt, r, comparison, use_if):
+    """y1 minus the embedded solution with weights (1/6, 1/3, 1/3, 1/15, 1/10),
+    both mapped back from the Lawson frame; k5 is the stage at y1."""
+    ell = 0.0
+    if use_if:
+        ell = prob.laplace_symbol(t + 0.5 * dt)
+        if comparison:
+            ell = ell - 1.0
+    E2 = np.exp((0.5 * dt) * ell)
+    E1 = E2 * E2
+
+    def N(z, tau):
+        return reference_rhs(prob, z, tau, r, comparison) - ell * z
+
+    k1 = N(y, t)
+    k2 = N(E2 * (y + (0.5 * dt) * k1), t + 0.5 * dt)
+    k3 = N(E2 * y + (0.5 * dt) * k2, t + 0.5 * dt)
+    k4 = N(E1 * y + dt * (E2 * k3), t + dt)
+    y1 = reference_lawson_rk4(prob, y, t, dt, r, comparison, use_if)
+    k5 = N(y1, t + dt)
+    y_hat = E1 * y + dt * (E1 * k1 / 6.0 + E2 * (k2 + k3) / 3.0 + k4 / 15.0 + k5 / 10.0)
+    return y1 - y_hat
+
+
+@pytest.mark.parametrize("use_if", [False, True])
+@pytest.mark.parametrize("comparison", [False, True])
+def test_embedded_estimate_matches_reference(use_if, comparison):
+    # the step itself is unchanged: test_lawson_step_matches_allocating_reference
+    prob = collapsed_problem()
+    y = prob.phi0_hat.copy()
+    t, dt, r = 0.3, 0.01, prob.scaled_r
+    F0 = _eval_flow(prob, y, t, r, comparison).F_hat
+    y1, d = _lawson_rk4(prob, y, t, dt, r, comparison, use_if, F0=F0)
+    F1 = _eval_flow(prob, y1, t + dt, r, comparison).F_hat
+    want = reference_embedded_error(prob, y, t, dt, r, comparison, use_if)
+    got = 0.1 * dt * (d - F1)
+    # the reference subtracts two states: round-off on their scale
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(y1).max()
+    assert _embedded_error(prob, d, F1, dt) == pytest.approx(
+        _sup_bound(prob, want), rel=1e-9)
+
+
+@pytest.mark.parametrize("use_if", [False, True])
+def test_embedded_estimate_is_third_order(use_if):
+    # local error of an order-3 embedding: once dt |ell| is small, halving dt
+    # divides it by ~2^4 (at larger dt the Lawson estimate shows the usual
+    # stiff order reduction)
+    prob = collapsed_problem()
+    y = prob.phi0_hat.copy()
+    r = prob.scaled_r
+    errs = []
+    for dt in (1.25e-3, 6.25e-4):
+        F0 = _eval_flow(prob, y, 0.0, r, False).F_hat
+        y1, d = _lawson_rk4(prob, y, 0.0, dt, r, False, use_if, F0=F0)
+        errs.append(_embedded_error(prob, d, _eval_flow(prob, y1, dt, r, False).F_hat, dt))
+    assert 12.0 < errs[0] / errs[1] < 20.0
+
+
+def test_sup_bound_bounds_the_field_and_is_sharp_for_one_mode():
+    prob = collapsed_problem(N=8)
+    g = prob.grid
+    rng = np.random.default_rng(3)
+    f = rng.standard_normal(g.shape)
+    assert np.abs(f).max() <= _sup_bound(prob, forward(g, f))
+    for mode in ((1, 0, 0, 0), (0, 0, 0, 2), (1, 2, 3, 1)):
+        c = forward(g, synthesize(g, [(mode, 0.3)]).values)
+        assert _sup_bound(prob, c) == pytest.approx(0.3, rel=1e-12)
+
+
+def test_accepted_step_costs_three_stages_and_one_full_eval_per_flow(monkeypatch):
+    # the embedded estimate reuses the full evaluation at the new point
+    calls = {True: 0, False: 0}
+    real_eval = mkrf.flow._eval_flow
+
+    def counting_eval(*args, **kwargs):
+        calls[bool(kwargs.get("full", False))] += 1
+        return real_eval(*args, **kwargs)
+
+    monkeypatch.setattr(mkrf.flow, "_eval_flow", counting_eval)
+    prob = collapsed_problem()
+    res = run_flow(prob, RunOptions(t_max=1.0, run_comparison=True, dt_cap=0.05))
+    assert res.status == "completed"
+    assert res.halvings == 0 and res.step_control["rejections"] == 0
+    flows = 2
+    assert calls[False] == 3 * flows * res.steps
+    # one for the normalization constant, one per flow at t = 0
+    assert calls[True] == 1 + flows * (res.steps + 1)
+    assert res.step_control["accepted"] == res.steps
+    assert sum(res.step_control["limits"].values()) == res.steps
+    assert 0.0 < res.step_control["max_error"] <= mkrf.flow.STEP_TOL
+
+
+def test_tiny_step_tol_rejects_retries_and_completes(monkeypatch):
+    steps = []
+    real_step = mkrf.flow._lawson_rk4
+
+    def counting_step(*args, **kwargs):
+        steps.append(1)
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(mkrf.flow, "_lawson_rk4", counting_step)
+    monkeypatch.setattr(mkrf.flow, "STEP_TOL", 1e-11)
+    prob = collapsed_problem()
+    res = run_flow(prob, RunOptions(t_max=0.3, run_comparison=True, dt_cap=0.05))
+    control = res.step_control
+    assert res.status == "completed"
+    assert res.series["t"][-1] == pytest.approx(0.3)
+    assert control["rejections"] > 0
+    assert control["limits"]["error"] > 0
+    assert control["max_error"] <= 1e-11
+    # every attempt steps both flows; a rejected one records no row
+    assert len(steps) == 2 * (res.steps + control["rejections"])
+    assert len(res.series["t"]) == res.steps + 1
+
+
+def test_repeated_short_collapsed_runs_write_identical_series(tmp_path):
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["run", "--preset", "collapsed", "--t-max", "0.5", "--out", str(out)]) == 0
+    assert (outs[0] / "series.csv").read_bytes() == (outs[1] / "series.csv").read_bytes()
+    control = json.loads((outs[0] / "constants.json").read_text())["step_control"]
+    assert control["accepted"] == len((outs[0] / "series.csv").read_text().splitlines()) - 2
+    assert "step control:" in (outs[0] / "summary.txt").read_text()

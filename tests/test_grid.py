@@ -250,3 +250,88 @@ def test_hessian_stencil_argument(n):
     assert np.array_equal(hessian_components(g, c, stencil=stack), plain)
     buf = np.empty(stack.shape, dtype=np.complex128)
     assert np.array_equal(hessian_components(g, c, buf=buf, stencil=2.0 * stack), 2.0 * plain)
+
+
+# --- spectral identities on arbitrary (non-band-limited) grid input ----------
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
+
+from mkrf.geometry import det_components, metric_components  # noqa: E402
+
+ROUGH_N = 8
+
+
+def rough_fields(n):
+    """Arbitrary grid values: spikes, steps and noise, far from band-limited."""
+    shape = GridSpec(n, ROUGH_N).shape
+    values = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+    return st.tuples(arrays(np.float64, shape, elements=values),
+                     st.floats(1e-3, 10.0))
+
+
+def hermitian_matrices(n):
+    diag = st.lists(st.floats(0.05, 3.0), min_size=n, max_size=n)
+    off = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+    return st.tuples(diag, off).map(lambda d: _hermitian(n, *d))
+
+
+def _hermitian(n, diag, off):
+    A = np.diag(np.asarray(diag, dtype=np.complex128))
+    if n == 2:
+        A[0, 1] = complex(*off)
+        A[1, 0] = np.conj(A[0, 1])
+    return A
+
+
+def full_spectrum_hessian(grid, f):
+    """The Hessian components by a complex FFT over the whole spectrum, with
+    the same Nyquist-zeroed derivative factors: no half-spectrum symmetry is
+    assumed, so the imaginary part shows whether the symbols are consistent."""
+    n, N = grid.n, grid.N
+    k = np.fft.fftfreq(N) * N
+    k[N // 2] = 0.0
+    ks = np.meshgrid(*([k] * (2 * n)), indexing="ij")
+    pi2 = np.pi ** 2
+    syms = [-pi2 * (ks[2 * j] ** 2 + ks[2 * j + 1] ** 2) for j in range(n)]
+    if n == 2:
+        syms.append(-pi2 * (ks[0] * ks[2] + ks[1] * ks[3]))
+        syms.append(-pi2 * (ks[0] * ks[3] - ks[1] * ks[2]))
+    fh = np.fft.fftn(f)
+    return np.stack([np.fft.ifftn(s * fh) for s in syms])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mass_conservation_on_rough_grids(n, data):
+    values, amp = data.draw(rough_fields(n))
+    A = data.draw(hermitian_matrices(n))
+    grid = GridSpec(n, ROUGH_N)
+    f = amp * values
+    hs = hessian_components(grid, forward(grid, f))
+    comps = metric_components(A, hs, n, grid.shape)
+    det = det_components(comps)
+    scale = (1.0 + max(float(np.abs(c).max()) for c in comps)) ** n
+    assert abs(float(np.mean(det)) - float(np.linalg.det(A).real)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_hessian_hermitian_real_and_finite_on_rough_grids(n, data):
+    values, amp = data.draw(rough_fields(n))
+    grid = GridSpec(n, ROUGH_N)
+    f = amp * values
+    hs = hessian_components(grid, forward(grid, f))
+    assert hs.dtype == np.float64
+    assert np.isfinite(hs).all()
+    full = full_spectrum_hessian(grid, f)
+    scale = max(1.0, float(np.abs(full).max()))
+    assert np.abs(full.imag).max() <= 1e-13 * scale
+    assert np.abs(full.real - hs).max() <= 1e-13 * scale
+    H = complex_hessian(ScalarField(grid, f))
+    assert H.hermitian_defect() <= 1e-13 * scale
+    for j in range(n):
+        assert np.abs(H.entries[j, j].imag).max() == 0.0
