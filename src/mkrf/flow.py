@@ -20,18 +20,28 @@ the step size is set by the local error, not by the degenerating eigenvalue.
 Integrating the full potential keeps the damped directions centered on their
 true (fiber-flat) equilibrium instead of zero.
 
+The spatially constant class forcing c(t) = log det(A_t) + r t of the u/v
+flows is integrated exactly: the RK stages see the RHS minus c(t), and each
+step adds the integral of c over the step to the mean mode, which no other
+term feeds back into (the Hessian ignores it, and its Lawson factor is 1).
+Before a finite singular time T, det(A_t) vanishes like T - t, so c is
+log-singular there; in sigma = log(T - s) the integrand is analytic and
+Gauss-Legendre quadrature is exact to round-off.  The comparison flow damps
+its mean mode and keeps the (smooth) forcing in its RHS.
+
 Step sizes come from an embedded order-3 estimate of each step's local
 error, (dt/10)(k4 - k5) with k5 the (Lawson-frame) RHS at the new point.
 run_flow evaluates that RHS anyway to record the step and to seed the next
 one's first stage, so the estimate costs no RHS evaluation.  A step is
 accepted when the sup bound of the estimate over the lockstep flows is at
 most STEP_TOL, and the next dt is scaled by 0.9 (STEP_TOL / err)^(1/4),
-clipped to [0.2, 5]; dt_cap, the finite-time window, the measured-variation
-guard and the event grid bound it as well.
+clipped to [0.2, 5]; dt_cap, the measured-variation guard and the event
+grid bound it as well.  A finite-time run ends at T - stop_margin.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -70,6 +80,9 @@ IF_FREE_VARIATION = 0.5
 # Local error allowed per accepted step: the sup bound of the embedded
 # estimate, over all lockstep flows, at the monitors' inequality tolerance.
 STEP_TOL = monitors.TOL_INEQ
+# Gauss-Legendre order of the class-forcing integral over one step; its
+# integrand is analytic in the integration variable, so this leaves round-off.
+FORCING_NODES = 24
 
 
 class SingularityStopError(Exception):
@@ -159,7 +172,8 @@ class FlowProblem:
         return self.tables.laplacian_symbol(inv)
 
     def _stage_constants(self, t: float) -> tuple:
-        """(A_t, positivity floor, e^{-t}) at t, computed once per stage time.
+        """(A_t, positivity floor, e^{-t}, log det(A_t)) at t, computed once
+        per stage time.
 
         The lockstep flows and the RK stages of one step revisit the same
         few times, so the last few are kept.
@@ -169,7 +183,11 @@ class FlowProblem:
         if c is None:
             if len(times) >= 4:
                 del times[next(iter(times))]
-            c = times[t] = (self.A_t(t), self.positivity_floor(t), math.exp(-t))
+            A = self.A_t(t)
+            det = float(np.linalg.det(A).real)
+            # past T no metric passes the positivity test, so -inf is unused
+            log_det = math.log(det) if det > 0.0 else -math.inf
+            c = times[t] = (A, self.positivity_floor(t), math.exp(-t), log_det)
         return c
 
 
@@ -209,7 +227,9 @@ def _eval_flow(problem: FlowProblem, p_hat: np.ndarray, t: float, r: int,
                comparison: bool, full: bool = False) -> EvalResult:
     """Evaluate the full-potential RHS in spectral form, checking positivity.
 
-    p_hat is the spectral full potential.  full=True additionally
+    p_hat is the spectral full potential.  For the u/v flows F_hat leaves
+    out the class forcing c(t) = log det(A_t) + r t, which _lawson_rk4
+    integrates exactly; rhs_phys keeps it.  full=True additionally
     materializes the physical RHS, the metric components, the density, and
     the physical potential for monitoring.  Every array in the result is
     owned by it; the problem's workspace only holds temporaries.  A
@@ -218,7 +238,7 @@ def _eval_flow(problem: FlowProblem, p_hat: np.ndarray, t: float, r: int,
     """
     grid = problem.grid
     ws = problem.workspace
-    A, floor, decay = problem._stage_constants(t)
+    A, floor, decay, log_det = problem._stage_constants(t)
     hs = hessian_components(grid, p_hat, ws.prod)
     comps = metric_components(A, hs, grid.n, grid.shape, out=hs)
     det = det_components(comps, out=None if full else ws.det, work=ws.work)
@@ -246,6 +266,9 @@ def _eval_flow(problem: FlowProblem, p_hat: np.ndarray, t: float, r: int,
     if r:
         rhs += r * t
     F_hat = forward(grid, rhs)
+    if not comparison:
+        # the class forcing is integrated exactly by _lawson_rk4
+        F_hat[(0,) * F_hat.ndim] -= grid.num_points * (log_det + r * t)
     F_hat += np.multiply(decay, problem.drift_hat, out=ws.spec)
     if comparison:
         phi_t = problem.phi_t_hat(t, out=ws.spec, work=ws.spec2)
@@ -308,7 +331,7 @@ def _lawson_rk4(problem: FlowProblem, y: np.ndarray, t: float, dt: float, r: int
         k2 += k4
         k2 *= dt / 6.0
         k2 += y
-        return k2, k4
+        return _add_forcing(problem, k2, t, dt, r, comparison), k4
     # z = E2 (y + h k1)
     np.multiply(h, k1, out=z)
     np.add(y, z, out=z)
@@ -332,7 +355,64 @@ def _lawson_rk4(problem: FlowProblem, y: np.ndarray, t: float, dt: float, r: int
     k2 *= dt / 6.0
     k2 += np.multiply(E1, y, out=tmp)
     k4 += np.multiply(ell, k2, out=tmp)
-    return k2, k4
+    return _add_forcing(problem, k2, t, dt, r, comparison), k4
+
+
+@functools.cache
+def _gauss_legendre() -> tuple:
+    """Nodes and weights of the FORCING_NODES-point Gauss-Legendre rule.
+
+    Newton's method on the Legendre recurrence; numpy's leggauss runs an
+    eigensolver, and the LAPACK code it and np.linalg.det pull in raised
+    the peak RSS of a collapsed run by about 0.9 MiB.
+    """
+    m = FORCING_NODES
+    x = np.cos(np.pi * (np.arange(1, m + 1) - 0.25) / (m + 0.5))
+    for _ in range(10):  # converges quadratically from this guess
+        p0, p1 = np.ones_like(x), x
+        for k in range(2, m + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = m * (x * p1 - p0) / (x * x - 1.0)  # P_m'(x)
+        x = x - p1 / dp
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
+def _forcing_integral(problem: FlowProblem, t: float, dt: float, r: int) -> float:
+    """Integral of the class forcing c(s) = log det(A_s) + r s over [t, t + dt].
+
+    Before a finite singular time T, det(A_s) vanishes like T - s, and in
+    sigma = log(T - s) the integrand c(T - e^sigma) e^sigma is analytic, so
+    Gauss-Legendre there is exact to round-off up to the step that ends
+    just short of T.  With T infinite, c is smooth and the rule runs in s.
+    """
+    x, w = _gauss_legendre()
+    path = problem.path
+    T = path.T
+    if math.isfinite(T):
+        lo, hi = math.log(T - t - dt), math.log(T - t)
+        half = 0.5 * (hi - lo)
+        gap = np.exp(0.5 * (hi + lo) + half * x)  # T - s at the nodes
+        s = T - gap
+        weights = (half * w) * gap
+    else:
+        s = t + (0.5 * dt) * (x + 1.0)
+        weights = (0.5 * dt) * w
+    n = problem.grid.n
+    e = np.exp(-s)
+    # A_s = Ainf + e^{-s} (A0 - Ainf), in components at the nodes
+    comps = tuple(a + e * b for a, b in zip(metric_components(path.Ainf, None, n, ()),
+                                             metric_components(path.A0 - path.Ainf, None, n, ())))
+    c = np.log(det_components(comps)) + r * s
+    return float((weights * c).sum())
+
+
+def _add_forcing(problem: FlowProblem, y1: np.ndarray, t: float, dt: float, r: int,
+                 comparison: bool) -> np.ndarray:
+    """Add the class forcing integrated over the step to the mean mode of a
+    u/v state (the comparison flow keeps it in its RHS); y1 is updated in place."""
+    if not comparison:
+        y1[(0,) * y1.ndim] += problem.grid.num_points * _forcing_integral(problem, t, dt, r)
+    return y1
 
 
 def _sup_bound(problem: FlowProblem, coeffs: np.ndarray) -> float:
@@ -598,8 +678,9 @@ def _w_ring_lookup(ring, t_query):
 def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
     """Integrate from t=0 with adaptive steps, invoking monitors each step.
 
-    Stops at t_max, at the finite-time approach window, or on positivity
-    loss; monitor violations are recorded, never fatal.
+    Stops at t_max (a finite-time run at T - stop_margin at the latest, as a
+    singularity stop) or on positivity loss; monitor violations are
+    recorded, never fatal.
     """
     t_start = time.perf_counter()
     grid = problem.grid
@@ -610,7 +691,7 @@ def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
     T = path.T
     t_max = options.t_max
     if regime == Regime.FINITE_TIME:
-        t_max = min(t_max, T)
+        t_max = min(t_max, T - options.stop_margin)
     C3 = normalization_constant(problem)
     qn2 = (math.pi * grid.N) ** 2 / 2.0
 
@@ -659,8 +740,7 @@ def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
     rejections = 0
     max_err = 0.0
     # which bound set each accepted dt ("positivity": halved on positivity loss)
-    limits = dict.fromkeys(
-        ("error", "dt_cap", "finite_window", "stability", "event", "positivity"), 0)
+    limits = dict.fromkeys(("error", "dt_cap", "stability", "event", "positivity"), 0)
     status = "completed"
     stop_reason = "reached t_max"
     w_ring = []
@@ -756,8 +836,6 @@ def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
     def propose_dt():
         """The largest dt every bound allows, and the name of the bound that set it."""
         bounds = [(options.dt_cap, "dt_cap"), (dt_err, "error")]
-        if regime == Regime.FINITE_TIME:
-            bounds.append((0.05 * max(T - t, 1e-6), "finite_window"))
         if options.use_integrating_factor:
             # the mean-relative variation drifts slowly; re-measure every few steps
             if steps - rho_cache[0] >= 5:
@@ -815,12 +893,6 @@ def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
                 if regime == Regime.FINITE_TIME:
                     status = "singularity-stop"
                     stop_reason = f"finite-time approach window at t={t:.6f} (T={T:.6f})"
-                break
-            if regime == Regime.FINITE_TIME and t >= T - max(
-                10.0 * dt_last, options.stop_margin
-            ):
-                status = "singularity-stop"
-                stop_reason = f"finite-time approach window at t={t:.6f} (T={T:.6f})"
                 break
             dt, limit = propose_dt()
             # the evaluations at t stay alive until a step is accepted (a

@@ -15,6 +15,7 @@ from mkrf.flow import (
     _attempt_step,
     _embedded_error,
     _eval_flow,
+    _forcing_integral,
     _lawson_rk4,
     _sup_bound,
     initial_comparison_state,
@@ -30,6 +31,7 @@ from mkrf.flow import (
 )
 from mkrf.geometry import KahlerForm, VolumeDensity
 from mkrf.grid import GridSpec, ScalarField, forward, hessian_components, synthesize
+from mkrf.scenario import build_problem, load_scenario
 
 
 def flat_problem(n=1, N=32, h_const=1.0):
@@ -308,10 +310,14 @@ def test_run_flow_kahler_completes():
 
 def test_run_flow_finite_time_stops_near_T():
     prob = finite_problem()
-    res = run_flow(prob, RunOptions(t_max=5.0))
+    opts = RunOptions(t_max=5.0)
+    res = run_flow(prob, opts)
     assert res.status == "singularity-stop"
+    assert res.stop_reason.startswith("finite-time approach window")
     T = prob.path.T
-    assert T - res.constants["t_final"] < 5e-3
+    # the run ends on the event T - stop_margin; no window bounds a step
+    assert res.constants["t_final"] == res.series["t"][-1] == T - opts.stop_margin
+    assert "finite_window" not in res.step_control["limits"]
     assert set(res.delta_samples) == {0.2, 0.1, 0.05}
     # volume blow-down: the minimum rate is strongly negative at the stop
     assert res.series["min_ut_hat"][-1] < -5.0
@@ -383,13 +389,25 @@ def reference_rhs(prob, p_hat, t, r, comparison):
     if r:
         rhs = rhs + r * t
     w = math.exp(-t)
-    F = forward(g, rhs) + w * prob.drift_hat
+    F = forward(g, rhs)
+    if not comparison:
+        # the u/v stages leave out the class forcing; the step integrates it
+        F[(0,) * F.ndim] -= g.num_points * (math.log(prob.class_det(t)) + r * t)
+    F = F + w * prob.drift_hat
     if comparison:
         F = F - (p_hat - (w * prob.phi0_hat + (1.0 - w) * prob.phi_inf_hat))
     return F
 
 
 def reference_lawson_rk4(prob, y, t, dt, r, comparison, use_if):
+    y1 = reference_lawson_stages(prob, y, t, dt, r, comparison, use_if)
+    if not comparison:
+        y1[(0,) * y1.ndim] += prob.grid.num_points * _forcing_integral(prob, t, dt, r)
+    return y1
+
+
+def reference_lawson_stages(prob, y, t, dt, r, comparison, use_if):
+    """The step without the class forcing of the u/v mean mode."""
     if not use_if:
         def N(z, tau):
             return reference_rhs(prob, z, tau, r, comparison)
@@ -529,6 +547,9 @@ def reference_embedded_error(prob, y, t, dt, r, comparison, use_if):
     y1 = reference_lawson_rk4(prob, y, t, dt, r, comparison, use_if)
     k5 = N(y1, t + dt)
     y_hat = E1 * y + dt * (E1 * k1 / 6.0 + E2 * (k2 + k3) / 3.0 + k4 / 15.0 + k5 / 10.0)
+    if not comparison:
+        # both solutions carry the exactly integrated class forcing
+        y_hat[(0,) * y_hat.ndim] += prob.grid.num_points * _forcing_integral(prob, t, dt, r)
     return y1 - y_hat
 
 
@@ -631,3 +652,60 @@ def test_repeated_short_collapsed_runs_write_identical_series(tmp_path):
     control = json.loads((outs[0] / "constants.json").read_text())["step_control"]
     assert control["accepted"] == len((outs[0] / "series.csv").read_text().splitlines()) - 2
     assert "step control:" in (outs[0] / "summary.txt").read_text()
+
+
+# --- exact class forcing ----------------------------------------------------------
+
+
+def forcing_case(case):
+    """(problem, t, dt, r) of one step."""
+    stop_margin = RunOptions(t_max=1.0).stop_margin
+    if case.startswith("before-T"):
+        prob = finite_problem()
+        dt = float(case.split("-")[-1])
+        return prob, prob.path.T - stop_margin - dt, dt, 0
+    if case == "t0":
+        return finite_problem(), 0.0, 0.1, 0
+    if case == "collapsed":
+        # with A0 = I the forcing of diag(1, 0) vanishes identically
+        g = GridSpec(2, 8)
+        A0 = np.array([[1.2, 0.3 + 0.1j], [0.3 - 0.1j, 0.9]])
+        prob = FlowProblem(
+            KahlerForm(A0, g.zeros()),
+            KahlerForm(np.diag([1.0, 0.0]).astype(complex), g.zeros()),
+            VolumeDensity(ScalarField(g, np.ones(g.shape))),
+        )
+        assert prob.scaled_r == 1
+        return prob, 2.0, 0.05, prob.scaled_r
+    g = GridSpec(1, 16)
+    A = np.array([[1.5]], dtype=complex)
+    prob = FlowProblem(KahlerForm(A, g.zeros()), KahlerForm(A, g.zeros()),
+                       VolumeDensity(ScalarField(g, np.ones(g.shape))))
+    return prob, 0.7, 0.02, 0
+
+
+@pytest.mark.parametrize("case", ["before-T-0.02", "before-T-0.05", "t0", "collapsed",
+                                  "equal-n1"])
+def test_forcing_integral_matches_adaptive_quadrature(case):
+    from scipy.integrate import quad
+
+    prob, t, dt, r = forcing_case(case)
+
+    def c(s):
+        return math.log(np.linalg.det(prob.A_t(s)).real) + r * s
+
+    want, _ = quad(c, t, t + dt, epsabs=0.0, epsrel=2e-14, limit=200)
+    got = _forcing_integral(prob, t, dt, r)
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_finite_time_preset_mean_mode_converges_in_dt_cap():
+    # the log-singular class forcing is invisible to the embedded estimate;
+    # integrated by the RK stages it leaves ~5e-4 between these two caps
+    sc = load_scenario("finite-time", None)
+    prob = build_problem(sc)
+    means = [
+        float(run_flow(prob, RunOptions(t_max=sc.t_max, dt_cap=cap)).final["u_hat"].values.mean())
+        for cap in (0.02, 0.01)
+    ]
+    assert abs(means[0] - means[1]) <= 1e-7
