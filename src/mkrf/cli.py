@@ -97,6 +97,11 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
+def _newton_work(rep) -> dict:
+    """How hard one Newton solve worked: iterations and Jacobian applications."""
+    return {"iterations": rep.iterations, "matvecs": list(rep.matvecs)}
+
+
 def cmd_run(args) -> int:
     try:
         sc = _load(args)
@@ -136,6 +141,9 @@ def cmd_run(args) -> int:
                 return EXIT_BREAKDOWN
             sups = [float(np.abs(p.values).max()) for p in psis]
             extra_constants["psi_sup"] = sups
+            extra_constants["psi_newton"] = [
+                dict(_newton_work(r), t=t) for t, r in zip(sc.psi_times, psi_reports)
+            ]
             half = max(1, len(sups) // 2)
             trend_margin = max(sups[:half]) + 0.1 - max(sups[half:] or sups[:half])
             rep.checks.append(monitors.MonitorResult("psi_non_trending", trend_margin, 0.0))
@@ -164,6 +172,7 @@ def cmd_run(args) -> int:
         reports["convergence"] = rep
         failures += [c.name for c in rep.checks if not c.passed]
         extra_constants["newton_residual"] = newton_rep.final_residual
+        extra_constants["newton_reference"] = _newton_work(newton_rep)
         extra_fields.append(("U_reference", U))
 
     if args.out:
@@ -200,7 +209,8 @@ def cmd_cy_solve(args) -> int:
         print(f"solver failed: {e}", file=sys.stderr)
         return EXIT_BREAKDOWN
     print(
-        f"converged in {rep.iterations} iterations, residual {rep.final_residual:.3e}"
+        f"converged in {rep.iterations} iterations, residual {rep.final_residual:.3e},"
+        f" matvecs {sum(rep.matvecs)}"
     )
     if args.out:
         os.makedirs(args.out, exist_ok=True)

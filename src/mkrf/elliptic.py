@@ -7,10 +7,13 @@ solve_cy finds the mean-zero potential U with
 which is discretely solvable because the grid mean of the determinant equals
 det(A) for any periodic potential.  Newton linear systems are solved
 inexactly, to a tolerance proportional to the current residual, by a
-preconditioned Krylov iteration: the constant-coefficient Laplacian of the
-mean metric is inverted exactly in Fourier space and used as the
-preconditioner, and steps are damped by halving until the sup-norm residual
-decreases.
+preconditioned Krylov iteration, and steps are damped by halving until the
+sup-norm residual decreases.  The preconditioner divides its input by the
+fixed density weight w = (target / mean target)^((n-1)/n) and then inverts
+the constant-coefficient Laplacian of the mean metric exactly in Fourier
+space; there is no weight at n=1 or for a constant density.  The Jacobian
+applied to the zero vector, which lgmres's zero start asks for in every
+system, is answered without a transform and not counted.
 
 solve_psi_family reuses the same solver along a collapsed pencil, producing
 the per-time reference potentials whose uniform bounds the collapsed-regime
@@ -110,6 +113,22 @@ def _frame_state(problem: EllipticProblem, root_inv: np.ndarray, U: np.ndarray):
     return fr, det_components(fr)
 
 
+def _precond_weight(target: np.ndarray, n: int):
+    """Pointwise weight w of the Krylov preconditioner, or None for w = 1.
+
+    J v = tr(adj(g) R H[v] R) and adj(g) ~ det(g)^((n-1)/n) I for a nearly
+    isotropic frame metric g, with det g = target at the solution, so J is
+    close to w L0 for the frame Laplacian L0 of the mean metric and
+    w = (target / mean target)^((n-1)/n).  The preconditioner is
+    L0^{-1} (v / w), a fast constant-coefficient solve scaled pointwise
+    (Concus and Golub 1973).  No weight at n=1, where J = L0 exactly, or for
+    a constant target.
+    """
+    if n == 1 or np.ptp(target) == 0.0:
+        return None
+    return (target / target.mean()) ** ((n - 1) / n)
+
+
 class _FrameOperators:
     """Newton linear systems of one solve, in the A-orthonormal frame.
 
@@ -119,7 +138,7 @@ class _FrameOperators:
     one batched inverse transform and one pointwise pairing.
     """
 
-    def __init__(self, grid, A: np.ndarray, root_inv: np.ndarray):
+    def __init__(self, grid, A: np.ndarray, root_inv: np.ndarray, weight=None):
         tab = tables(grid.n, grid.N)
         self.grid = grid
         self.stencil = np.stack(congruence_components(root_inv, tuple(tab._stack)))
@@ -127,11 +146,12 @@ class _FrameOperators:
         # exact inverse of the mean-metric Laplacian as the spectral
         # preconditioner; modes with vanishing symbol (the constant and the
         # pure-Nyquist modes the spectral Hessian annihilates) are the discrete
-        # gauge kernel and are projected out
-        ell = np.broadcast_to(tab.laplacian_symbol(np.linalg.inv(A)), tab.rshape).copy()
+        # gauge kernel and are projected out by a zero in the inverse symbol
+        ell = np.broadcast_to(tab.laplacian_symbol(np.linalg.inv(A)), tab.rshape)
         self.kernel = ell == 0.0
-        ell[self.kernel] = 1.0
-        self.ell = ell
+        self.inv_ell = np.divide(1.0, ell, out=np.zeros(tab.rshape), where=~self.kernel)
+        # pointwise scaling of the preconditioner's input (see _precond_weight)
+        self.inv_weight = None if weight is None else 1.0 / weight
         self.matvecs = 0
         # argument and result of the latest matvec: lgmres ends by applying
         # J to the solution it returns, which gives the linear residual free
@@ -163,19 +183,25 @@ class _FrameOperators:
         adj = comps if grid.n == 2 else (1.0,)
 
         def matvec(v):
-            self.matvecs += 1
-            vh = forward(grid, v.reshape(grid.shape))
-            hs = hessian_components(grid, vh, buf=self.product, stencil=self.stencil)
-            out = trace_pair_components(adj, hs, 1.0)
-            out -= out.mean()
-            out = out.ravel()
+            # lgmres opens every system with J applied to its zero start
+            if not v.any():
+                out = np.zeros(npts)
+            else:
+                self.matvecs += 1
+                vh = forward(grid, v.reshape(grid.shape))
+                hs = hessian_components(grid, vh, buf=self.product, stencil=self.stencil)
+                out = trace_pair_components(adj, hs, 1.0)
+                out -= out.mean()
+                out = out.ravel()
             self.last = (v, out)
             return out
 
         def precond(v):
-            vh = forward(grid, v.reshape(grid.shape))
-            vh /= self.ell
-            vh[self.kernel] = 0.0
+            v = v.reshape(grid.shape)
+            if self.inv_weight is not None:
+                v = v * self.inv_weight
+            vh = forward(grid, v)
+            vh *= self.inv_ell
             out = inverse(grid, vh)
             out /= mean_det
             return out.ravel()
@@ -230,7 +256,7 @@ def solve_cy(problem: EllipticProblem, U0: ScalarField | None = None,
     res_norm = float(np.abs(res).max())
     report.residual_history.append(res_norm * det_A)
 
-    ops = _FrameOperators(grid, A, root_inv)
+    ops = _FrameOperators(grid, A, root_inv, _precond_weight(target, grid.n))
     npts = grid.num_points
 
     forcing = res_norm / scale
@@ -263,6 +289,9 @@ def solve_cy(problem: EllipticProblem, U0: ScalarField | None = None,
         if J_delta is not None and rhs_norm > 0.0:
             J_delta -= rhs
             model = (float(np.linalg.norm(J_delta)), float(J_delta @ rhs))
+        # the next Krylov basis is the solve's memory peak: hold no stale
+        # full-grid arrays through it
+        del J_delta
         delta = delta.reshape(grid.shape)
         delta -= delta.mean()
 
@@ -297,6 +326,7 @@ def solve_cy(problem: EllipticProblem, U0: ScalarField | None = None,
                 accepted = True
                 break
             s *= 0.5
+        del delta
         report.damping_history.append(s if accepted else 0.0)
         report.iterations = it + 1
         report.residual_history.append(res_norm * det_A)

@@ -169,9 +169,18 @@ def render_report(run_dir, out_dir=None) -> list:
     if os.path.exists(const_path):
         with open(const_path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        constants = data.get("constants", {})
+        solves = ([("reference", constants.pop("newton_reference"))]
+                  if "newton_reference" in constants else [])
+        solves += [(f"psi t={s['t']:g}", s) for s in constants.pop("psi_newton", [])]
         lines.append("measured constants:")
-        for k in sorted(data.get("constants", {})):
-            lines.append(f"  {k} = {data['constants'][k]}")
+        for k in sorted(constants):
+            lines.append(f"  {k} = {constants[k]}")
+        if solves:
+            lines.append("newton solves:")
+            for label, s in solves:
+                lines.append(f"  {label}: {s['iterations']} iterations,"
+                             f" {sum(s['matvecs'])} matvecs {s['matvecs']}")
         control = data.get("step_control")
         if control:
             lines.append("step control:")

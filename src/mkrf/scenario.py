@@ -56,7 +56,6 @@ class Scenario:
     run_comparison_flow: bool = False
     run_psi_family: bool = False
     psi_times: list = field(default_factory=lambda: [0.0, 5.0, 10.0, 15.0, 20.0])
-    monitors: list | None = None
     seed: int = 0
     dt_cap: float = 0.02
     use_integrating_factor: bool = True

@@ -168,6 +168,14 @@ def test_solve_cy_reports_nonconvergence():
     assert exc.value.report.final_residual > 0.0
 
 
+def varying_density_problem():
+    # at N=8 this density has content the grid cannot resolve
+    g = GridSpec(2, 16)
+    form = KahlerForm(np.array([[1.2, 0.1j], [-0.1j, 1.0]]), g.zeros())
+    h = ScalarField(g, np.exp(synthesize(g, [((1, 0, 0, 0), 0.1), ((0, 1, 1, 0), 0.05)]).values))
+    return EllipticProblem.compatible(form, VolumeDensity(h))
+
+
 def test_newton_report_records_forcing_and_matvecs(monkeypatch):
     import mkrf.elliptic as elliptic
 
@@ -179,11 +187,8 @@ def test_newton_report_records_forcing_and_matvecs(monkeypatch):
         return pairing(*args, **kwargs)
 
     monkeypatch.setattr(elliptic, "trace_pair_components", counted)
-    # at N=8 this density has content the grid cannot resolve
-    g = GridSpec(2, 16)
-    form = KahlerForm(np.array([[1.2, 0.1j], [-0.1j, 1.0]]), g.zeros())
-    h = ScalarField(g, np.exp(synthesize(g, [((1, 0, 0, 0), 0.1), ((0, 1, 1, 0), 0.05)]).values))
-    prob = EllipticProblem.compatible(form, VolumeDensity(h))
+    prob = varying_density_problem()
+    form, h = prob.form, prob.omega.h
     _, plain = solve_cy(prob)
 
     # record every Newton system and apply its J once more to the solution
@@ -278,3 +283,110 @@ def test_operator_outputs_are_fresh_arrays(n):
         second = op.matvec(v2)
         assert not np.shares_memory(first, second)
         assert np.array_equal(first, kept)
+
+
+def test_matvec_skips_the_zero_vector(monkeypatch):
+    # lgmres opens every system with J applied to its zero start
+    import mkrf.elliptic as elliptic
+
+    g, _, comps, det, ops = _frame_operators_at(2)
+    J, _ = ops.operators(comps, det)
+    calls = []
+
+    def counting(name):
+        real = getattr(elliptic, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapped
+
+    for name in ("hessian_components", "forward"):
+        monkeypatch.setattr(elliptic, name, counting(name))
+    zero = np.zeros(g.num_points)
+    outs = [J.matvec(zero), J.matvec(zero)]
+    for out in outs:
+        assert out.shape == (g.num_points,)
+        assert not out.any()
+        assert not np.shares_memory(out, zero)
+    assert not np.shares_memory(*outs)
+    assert calls == [] and ops.matvecs == 0
+    J.matvec(np.random.default_rng(5).standard_normal(g.num_points))
+    assert calls == ["forward", "hessian_components"] and ops.matvecs == 1
+
+
+def _weight_spy(monkeypatch, weight_one=False):
+    """Record every preconditioner weight solve_cy builds; with weight_one,
+    replace it by 1."""
+    import mkrf.elliptic as elliptic
+
+    real = elliptic._precond_weight
+    built = []
+
+    def spy(target, n):
+        w = None if weight_one else real(target, n)
+        built.append(w)
+        return w
+
+    monkeypatch.setattr(elliptic, "_precond_weight", spy)
+    return built
+
+
+def test_density_weight_saves_matvecs(monkeypatch):
+    # a strongly varying density: late Newton systems, where det g is close
+    # to the target, dominate the Krylov work
+    g = GridSpec(2, 20)
+    form = KahlerForm(np.array([[1.0, 0.2 + 0.1j], [0.2 - 0.1j, 0.8]]),
+                      synthesize(g, [((1, 0, 0, 1), 0.01)]))
+    h = ScalarField(g, np.exp(synthesize(g, [((1, 0, 0, 0), 0.3), ((0, 1, 1, 0), 0.25),
+                                             ((0, 0, 2, 1), 0.2), ((1, 1, 0, 0), 0.2)]).values))
+    prob = EllipticProblem.compatible(form, VolumeDensity(h))
+    tol = 1e-10 * prob.c * mean(h)
+    built = _weight_spy(monkeypatch)
+    U, weighted = solve_cy(prob)
+    assert len(built) == 1 and built[0] is not None
+    _weight_spy(monkeypatch, weight_one=True)
+    U1, unit = solve_cy(prob)
+    assert weighted.final_residual <= tol and unit.final_residual <= tol
+    assert weighted.iterations <= unit.iterations
+    assert sum(weighted.matvecs) < sum(unit.matvecs)
+    assert np.abs(U.values - U1.values).max() < 1e-10
+
+
+def test_density_weight_on_a_mild_density(monkeypatch):
+    # near h = const the unweighted preconditioner is already close to exact,
+    # and the first Newton step, taken at det g = 1, is better without the
+    # weight: the weighted solve may need one Newton iteration more
+    prob = varying_density_problem()
+    tol = 1e-10 * prob.c * mean(prob.omega.h)
+    _, weighted = solve_cy(prob)
+    _weight_spy(monkeypatch, weight_one=True)
+    _, unit = solve_cy(prob)
+    assert weighted.final_residual <= tol and unit.final_residual <= tol
+    assert weighted.iterations <= unit.iterations + 1
+
+
+def test_psi_family_bit_identical_without_weight(monkeypatch):
+    # the collapsed psi problems have constant density: no weight applies
+    fp = collapsed_flow_problem(N=16)
+    times = [0.0, 2.0, 5.0, 8.0]
+    built = _weight_spy(monkeypatch)
+    psis, reps = solve_psi_family(fp, times)
+    assert built and all(w is None for w in built)
+    _weight_spy(monkeypatch, weight_one=True)
+    psis1, reps1 = solve_psi_family(fp, times)
+    assert [r.iterations for r in reps] == [r.iterations for r in reps1]
+    assert [r.matvecs for r in reps] == [r.matvecs for r in reps1]
+    for a, b in zip(psis, psis1):
+        assert np.array_equal(a.values, b.values)
+
+
+def test_no_weight_at_n1(monkeypatch):
+    # at n=1 the Jacobian is the mean-metric Laplacian itself
+    g = GridSpec(1, 32)
+    h = ScalarField(g, np.exp(synthesize(g, [((1, 0), 0.12), ((0, 2), 0.05)]).values))
+    prob = EllipticProblem.compatible(KahlerForm(np.array([[1.7]]), g.zeros()), VolumeDensity(h))
+    built = _weight_spy(monkeypatch)
+    _, rep = solve_cy(prob)
+    assert rep.converged
+    assert len(built) == 1 and built[0] is None

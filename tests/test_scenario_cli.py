@@ -58,6 +58,13 @@ def test_scenario_validation_errors():
                                        "A0": [], "Ainf": [], "bogus": 1}))
 
 
+def test_removed_monitors_key_is_unknown(tmp_path, capsys):
+    cfg = tmp_path / "old.json"
+    cfg.write_text(json.dumps(dict(json.loads(tiny_scenario().to_json()), monitors=None)))
+    assert main(["run", "--config", str(cfg)]) == 4
+    assert "monitors" in capsys.readouterr().err
+
+
 def test_presets_classify_to_named_regimes(capsys):
     assert main(["classify", "--preset", "kahler-limit"]) == 0
     assert capsys.readouterr().out.strip() == "T=inf regime=KAHLER_LIMIT"
@@ -231,6 +238,12 @@ def test_run_tiny_scenario_and_report(tmp_path, capsys):
     names = [n for n, _ in fields]
     assert "u_hat" in names and "ut_hat" in names and "U_reference" in names
 
+    # the reference Newton solve says how hard it worked
+    ref = json.loads((out / "constants.json").read_text())["constants"]["newton_reference"]
+    assert ref["iterations"] >= 1 and len(ref["matvecs"]) == ref["iterations"]
+    assert (f"  reference: {ref['iterations']} iterations, {sum(ref['matvecs'])} matvecs"
+            in (out / "summary.txt").read_text())
+
     # report is idempotent
     before = {p.name: p.read_bytes() for p in svgs}
     assert main(["report", str(out)]) == 0
@@ -253,6 +266,7 @@ def test_cy_solve_cli(tmp_path, capsys):
     rep = json.loads((out / "newton_report.json").read_text())
     assert rep["converged"]
     assert rep["final_residual"] <= 1e-10
+    assert capsys.readouterr().out.strip().endswith(f", matvecs {sum(rep['matvecs'])}")
 
 
 def test_cy_solve_rejects_degenerate_target(capsys):
@@ -312,6 +326,11 @@ def test_cli_collapsed_run_with_psi_family(tmp_path):
     assert data["constants"]["status"] == "completed"
     assert "psi_sup" in data["constants"]
     assert len(data["constants"]["psi_sup"]) == 3  # psi times trimmed to t_max
+    newton = data["constants"]["psi_newton"]
+    assert [e["t"] for e in newton] == [0.0, 5.0, 10.0]
+    assert all(len(e["matvecs"]) == e["iterations"] for e in newton)
+    summary = (out / "summary.txt").read_text()
+    assert all(f"  psi t={e['t']:g}: {e['iterations']} iterations" in summary for e in newton)
     rep = data["reports"]["collapsed"]
     assert rep["status"] == "ok"
     names = [f[0] for f in __import__("mkrf.grid", fromlist=["read_snapshot"])
