@@ -30,23 +30,12 @@ from .grid import (
 )
 from .elliptic import EllipticProblem, NewtonReport, solve_cy, solve_psi_family
 from .flow import (
-    ComparisonFlowState,
     FlowProblem,
-    FlowState,
     RunOptions,
     RunResult,
-    ScaledFlowState,
     SingularityStopError,
-    initial_comparison_state,
-    initial_flow_state,
-    initial_scaled_state,
     normalization_constant,
-    rhs_comparison,
-    rhs_mskrf,
-    rhs_scaled,
     run_flow,
-    stable_dt,
-    step_rk4,
 )
 from .monitors import (
     MonitorReport,

@@ -23,7 +23,7 @@ from .elliptic import (
     solve_psi_family,
 )
 from .flow import run_flow
-from .geometry import Regime, compute_T
+from .geometry import KahlerForm, Regime, compute_T
 from .grid import write_snapshot
 from .report import render_report, save_run
 from .scenario import (
@@ -49,7 +49,6 @@ def _add_scenario_args(p):
     p.add_argument("--t-max", type=float, default=None, help="override t_max")
     p.add_argument("--grid", type=int, default=None, metavar="N",
                    help="override points per axis")
-    p.add_argument("--seed", type=int, default=None, metavar="U64", help="override seed")
 
 
 def _load(args) -> Scenario:
@@ -62,8 +61,6 @@ def _load(args) -> Scenario:
                             if not (is_finite_number(t) and t > sc.t_max)]
     if getattr(args, "grid", None) is not None:
         sc.N = args.grid
-    if getattr(args, "seed", None) is not None:
-        sc.seed = args.seed
     return sc
 
 
@@ -102,6 +99,65 @@ def _newton_work(rep) -> dict:
     return {"iterations": rep.iterations, "matvecs": list(rep.matvecs)}
 
 
+def _limit_problem(problem) -> EllipticProblem:
+    """The Monge-Ampere equation of the limit class Ainf with the run's density."""
+    return EllipticProblem.compatible(
+        KahlerForm(problem.path.Ainf, problem.form_inf.phi), problem.omega
+    )
+
+
+def verdict(scenario: Scenario, problem, result):
+    """Judge a finished run by its regime.
+
+    Finite-time runs get the blow-down report.  Collapsed runs get the
+    collapsed report plus, when the scenario asks for it, the psi family
+    and its psi_non_trending check.  Kahler-limit runs are compared with
+    the reference Newton solve of the limit equation.  Returns (reports,
+    failures, extra_constants, extra_fields): failures names every failed
+    check, the run's monitor violations included.  A failed Newton solve
+    raises NewtonConvergenceError or ValueError.
+    """
+    regime = problem.path.regime
+    reports = {}
+    extra_constants = {}
+    extra_fields = []
+    if regime == Regime.FINITE_TIME:
+        reports["finite_time"] = monitors.check_finite_time(
+            result.series, problem.path.T, problem.grid.n, regime.value)
+    if regime == Regime.COLLAPSED:
+        rep = monitors.check_collapsed(result.series, problem.grid.n,
+                                       problem.path.r, scenario.t_max, result.C3)
+        reports["collapsed"] = rep
+        if scenario.run_psi_family and scenario.psi_times:
+            psis, psi_reports = solve_psi_family(problem, scenario.psi_times)
+            sups = [float(np.abs(p.values).max()) for p in psis]
+            extra_constants["psi_sup"] = sups
+            extra_constants["psi_newton"] = [
+                dict(_newton_work(r), t=t) for t, r in zip(scenario.psi_times, psi_reports)
+            ]
+            half = max(1, len(sups) // 2)
+            trend_margin = max(sups[:half]) + 0.1 - max(sups[half:] or sups[:half])
+            rep.checks.append(monitors.MonitorResult("psi_non_trending", trend_margin, 0.0))
+            rep.recompute_status()
+            extra_fields += [
+                (f"psi_t{t:g}", p) for t, p in zip(scenario.psi_times, psis)
+            ]
+    if regime == Regime.KAHLER_LIMIT:
+        U, newton_rep = solve_cy(_limit_problem(problem))
+        gaps = [
+            monitors.convergence_gap(arr, U.values) for _, arr in result.uhat_snaps
+        ]
+        ts = [t for t, _ in result.uhat_snaps]
+        reports["convergence"] = monitors.check_convergence(ts, gaps)
+        extra_constants["newton_residual"] = newton_rep.final_residual
+        extra_constants["newton_reference"] = _newton_work(newton_rep)
+        extra_fields.append(("U_reference", U))
+    failures = list(result.violations)
+    for rep in reports.values():
+        failures += [c.name for c in rep.checks if not c.passed]
+    return reports, failures, extra_constants, extra_fields
+
+
 def cmd_run(args) -> int:
     try:
         sc = _load(args)
@@ -111,11 +167,6 @@ def cmd_run(args) -> int:
         return EXIT_INVALID
     opts = run_options(sc)
     result = run_flow(problem, opts)
-    regime = problem.path.regime
-    failures = list(result.violations)
-    reports = {}
-    extra_constants = {}
-    extra_fields = []
 
     if result.status == "breakdown":
         print(f"breakdown: {result.stop_reason}", file=sys.stderr)
@@ -123,57 +174,13 @@ def cmd_run(args) -> int:
             save_run(args.out, sc, result)
         return EXIT_BREAKDOWN
 
-    if regime == Regime.FINITE_TIME:
-        rep = monitors.check_finite_time(result.series, problem.path.T,
-                                         problem.grid.n, regime.value)
-        reports["finite_time"] = rep
-        failures += [c.name for c in rep.checks if not c.passed]
-    if regime == Regime.COLLAPSED:
-        rep = monitors.check_collapsed(result.series, problem.grid.n,
-                                       problem.path.r, sc.t_max, result.C3)
-        reports["collapsed"] = rep
-        failures += [c.name for c in rep.checks if not c.passed]
-        if sc.run_psi_family and sc.psi_times:
-            try:
-                psis, psi_reports = solve_psi_family(problem, sc.psi_times)
-            except (NewtonConvergenceError, ValueError) as e:
-                print(f"psi family failed: {e}", file=sys.stderr)
-                return EXIT_BREAKDOWN
-            sups = [float(np.abs(p.values).max()) for p in psis]
-            extra_constants["psi_sup"] = sups
-            extra_constants["psi_newton"] = [
-                dict(_newton_work(r), t=t) for t, r in zip(sc.psi_times, psi_reports)
-            ]
-            half = max(1, len(sups) // 2)
-            trend_margin = max(sups[:half]) + 0.1 - max(sups[half:] or sups[:half])
-            rep.checks.append(monitors.MonitorResult("psi_non_trending", trend_margin, 0.0))
-            rep.recompute_status()
-            if trend_margin < 0:
-                failures.append("psi_non_trending")
-            extra_fields += [
-                (f"psi_t{t:g}", p) for t, p in zip(sc.psi_times, psis)
-            ]
-    if regime == Regime.KAHLER_LIMIT:
-        from .geometry import KahlerForm
-
-        eprob = EllipticProblem.compatible(
-            KahlerForm(problem.path.Ainf, problem.form_inf.phi), problem.omega
-        )
-        try:
-            U, newton_rep = solve_cy(eprob)
-        except (NewtonConvergenceError, ValueError) as e:
-            print(f"reference elliptic solve failed: {e}", file=sys.stderr)
-            return EXIT_BREAKDOWN
-        gaps = [
-            monitors.convergence_gap(arr, U.values) for _, arr in result.uhat_snaps
-        ]
-        ts = [t for t, _ in result.uhat_snaps]
-        rep = monitors.check_convergence(ts, gaps)
-        reports["convergence"] = rep
-        failures += [c.name for c in rep.checks if not c.passed]
-        extra_constants["newton_residual"] = newton_rep.final_residual
-        extra_constants["newton_reference"] = _newton_work(newton_rep)
-        extra_fields.append(("U_reference", U))
+    try:
+        reports, failures, extra_constants, extra_fields = verdict(sc, problem, result)
+    except (NewtonConvergenceError, ValueError) as e:
+        what = ("psi family" if problem.path.regime == Regime.COLLAPSED
+                else "reference elliptic solve")
+        print(f"{what} failed: {e}", file=sys.stderr)
+        return EXIT_BREAKDOWN
 
     if args.out:
         save_run(args.out, sc, result, reports, extra_constants, extra_fields)
@@ -196,15 +203,11 @@ def cmd_cy_solve(args) -> int:
     except InvalidScenarioError as e:
         print(f"invalid config: {e}", file=sys.stderr)
         return EXIT_INVALID
-    from .geometry import KahlerForm
-
-    A = problem.path.Ainf
-    if float(np.linalg.eigvalsh(A).min()) <= 0:
+    if float(np.linalg.eigvalsh(problem.path.Ainf).min()) <= 0:
         print("invalid config: target class is not positive definite", file=sys.stderr)
         return EXIT_INVALID
-    eprob = EllipticProblem.compatible(KahlerForm(A, problem.form_inf.phi), problem.omega)
     try:
-        U, rep = solve_cy(eprob)
+        U, rep = solve_cy(_limit_problem(problem))
     except NewtonConvergenceError as e:
         print(f"solver failed: {e}", file=sys.stderr)
         return EXIT_BREAKDOWN

@@ -36,7 +36,7 @@ one's first stage, so the estimate costs no RHS evaluation.  A step is
 accepted when the sup bound of the estimate over the lockstep flows is at
 most STEP_TOL, and the next dt is scaled by 0.9 (STEP_TOL / err)^(1/4),
 clipped to [0.2, 5]; dt_cap, the measured-variation guard and the event
-grid bound it as well.  A finite-time run ends at T - stop_margin.
+grid bound it as well.  A finite-time run ends at T - STOP_MARGIN.
 """
 
 from __future__ import annotations
@@ -57,10 +57,8 @@ from .geometry import (
     SingularMetricError,
     VolumeDensity,
     check_positive_components,
-    components_from_hermitian,
     congruence_components,
     det_components,
-    hermitian_from_components,
     inverse_components,
     lambda_min_components,
     matrix_sqrt_hermitian,
@@ -83,6 +81,12 @@ STEP_TOL = monitors.TOL_INEQ
 # Gauss-Legendre order of the class-forcing integral over one step; its
 # integrand is analytic in the integration variable, so this leaves round-off.
 FORCING_NODES = 24
+# Event grid and comparison-flow snapshot cadence; the Kahler-limit
+# convergence monitor reads a potential snapshot every UHAT_SNAP_DT.
+SNAP_DT = 0.1
+UHAT_SNAP_DT = 0.5
+# A finite-time run stops this far short of T, as a singularity stop.
+STOP_MARGIN = 1e-3
 
 
 class SingularityStopError(Exception):
@@ -162,10 +166,6 @@ class FlowProblem:
     def phi_t_phys(self, t: float) -> np.ndarray:
         w = math.exp(-t)
         return w * self.phi0_phys + (1.0 - w) * self.phi_inf_phys
-
-    def embed(self, field_values: np.ndarray, t: float) -> np.ndarray:
-        """Spectral full potential phi_t + field."""
-        return forward(self.grid, field_values) + self.phi_t_hat(t)
 
     def laplace_symbol(self, t: float) -> np.ndarray:
         inv = np.linalg.inv(self.A_t(t))
@@ -460,140 +460,14 @@ def _attempt_step(problem, states, t, dt, use_if, max_halvings=MAX_HALVINGS):
             dt *= 0.5
 
 
-# ---------------------------------------------------------------------------
-# Public states and single-step operations
-
-
-@dataclass
-class FlowState:
-    """Raw potential flow state at time t."""
-
-    t: float
-    u: ScalarField
-    u_dot: ScalarField
-    metric: object
-    C3: float
-    dt_last: float = 0.0
-
-
-@dataclass
-class ScaledFlowState:
-    """Scaled potential flow state (v = u + r t^2 / 2)."""
-
-    t: float
-    v: ScalarField
-    v_dot: ScalarField
-    metric: object
-    r: int
-    C3: float
-    dt_last: float = 0.0
-
-
-@dataclass
-class ComparisonFlowState:
-    """Normalized auxiliary flow state (the w flow)."""
-
-    t: float
-    w: ScalarField
-    w_dot: ScalarField
-    metric: object
-    dt_last: float = 0.0
-
-
-def _state_params(state):
-    if isinstance(state, FlowState):
-        return "u", 0, False
-    if isinstance(state, ScaledFlowState):
-        return "v", state.r, False
-    if isinstance(state, ComparisonFlowState):
-        return "w", None, True
-    raise TypeError(f"not a flow state: {type(state)!r}")
-
-
-def _build_state(kind, problem, t, p_hat, C3, dt_last, r):
-    res = _eval_flow(problem, p_hat, t, r, kind == "w", full=True)
-    grid = problem.grid
-    field_vals = res.pot_phys - problem.phi_t_phys(t)
-    pot = ScalarField(grid, field_vals)
-    metric = hermitian_from_components(grid, res.comps)
-    rhs = res.rhs_phys if kind != "w" else res.rhs_phys - field_vals
-    dot = ScalarField(grid, rhs)
-    if kind == "u":
-        return FlowState(t, pot, dot, metric, C3, dt_last)
-    if kind == "v":
-        return ScaledFlowState(t, pot, dot, metric, r, C3, dt_last)
-    return ComparisonFlowState(t, pot, dot, metric, dt_last)
-
-
-def initial_flow_state(problem: FlowProblem) -> FlowState:
-    C3 = normalization_constant(problem)
-    return _build_state("u", problem, 0.0, problem.phi0_hat.copy(), C3, 0.0, 0)
-
-
-def initial_scaled_state(problem: FlowProblem) -> ScaledFlowState:
-    C3 = normalization_constant(problem)
-    return _build_state("v", problem, 0.0, problem.phi0_hat.copy(), C3, 0.0,
-                        problem.scaled_r)
-
-
-def initial_comparison_state(problem: FlowProblem) -> ComparisonFlowState:
-    return _build_state("w", problem, 0.0, problem.phi0_hat.copy(), 0.0, 0.0,
-                        problem.scaled_r)
-
-
-def step_rk4(state, dt: float, problem: FlowProblem,
-             use_integrating_factor: bool = False):
-    """Advance one state by dt with the 4-stage step.
-
-    On mid-stage positivity loss the step is retried with halved dt (up to 20
-    times) before raising SingularityStopError.  The returned state carries
-    the dt actually used in dt_last, with the rate field and the metric
-    refreshed from the RHS at the new time.
-    """
-    kind, r, comparison = _state_params(state)
-    pot = state.u if kind == "u" else state.v if kind == "v" else state.w
-    if kind == "w":
-        r = problem.scaled_r
-    p_hat = problem.embed(pot.values, state.t)
-    new, dt_used, _ = _attempt_step(
-        problem, [(p_hat, r, comparison)], state.t, dt, use_integrating_factor
-    )
-    C3 = getattr(state, "C3", 0.0)
-    return _build_state(kind, problem, state.t + dt_used, new[0][0], C3, dt_used, r)
-
-
-def rhs_mskrf(u: ScalarField, t: float, problem: FlowProblem) -> ScalarField:
-    """RHS of the raw potential flow: log of the flow volume ratio at (t, u)."""
-    res = _eval_flow(problem, problem.embed(u.values, t), t, 0, False, full=True)
-    return ScalarField(problem.grid, res.rhs_phys)
-
-
-def rhs_scaled(v: ScalarField, t: float, problem: FlowProblem) -> ScalarField:
-    """RHS of the scaled flow: raw RHS plus r t (r = generic fibre dimension)."""
-    res = _eval_flow(problem, problem.embed(v.values, t), t, problem.scaled_r,
-                     False, full=True)
-    return ScalarField(problem.grid, res.rhs_phys)
-
-
-def rhs_comparison(w: ScalarField, t: float, problem: FlowProblem) -> ScalarField:
-    """RHS of the normalized auxiliary flow: scaled RHS at w, minus w."""
-    res = _eval_flow(problem, problem.embed(w.values, t), t, problem.scaled_r,
-                     False, full=True)
-    return ScalarField(problem.grid, res.rhs_phys - w.values)
-
-
-def stable_dt(state) -> float:
-    """Parabolic stability bound for the plain explicit step.
+def _rk4_stable_dt(grid: GridSpec, comps, det=None) -> float:
+    """Parabolic stability bound of the plain explicit step on one metric.
 
     dt = sigma / (lambda_bar (pi N)^2 / 2) with lambda_bar the largest
-    pointwise eigenvalue of the inverse metric and sigma = 0.8.
+    pointwise eigenvalue of the inverse metric and sigma = STABILITY_SAFETY.
     """
-    metric = state.metric
-    grid = metric.grid
-    comps = components_from_hermitian(metric)
-    lam = lambda_min_components(comps)
-    lam_bar = float((1.0 / lam).max())
-    return STABILITY_SAFETY / (lam_bar * (math.pi * grid.N) ** 2 / 2.0)
+    lam_bar = float((1.0 / lambda_min_components(comps, det)).max())
+    return STABILITY_SAFETY / (lam_bar * ((math.pi * grid.N) ** 2 / 2.0))
 
 
 def normalization_constant(problem: FlowProblem) -> float:
@@ -630,11 +504,6 @@ class RunOptions:
     run_comparison: bool = False
     use_integrating_factor: bool = True
     dt_cap: float = 0.02
-    snap_dt: float = 0.1
-    uhat_snap_dt: float = 0.5
-    S_list: tuple = (1.0, 3.0, 5.0)
-    stop_margin: float = 1e-3
-    collect_uhat_snaps: bool = False
 
 
 @dataclass
@@ -646,7 +515,6 @@ class RunResult:
     violations: list
     final: dict
     uhat_snaps: list
-    delta_samples: dict
     C3: float
     steps: int
     halvings: int
@@ -678,7 +546,7 @@ def _w_ring_lookup(ring, t_query):
 def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
     """Integrate from t=0 with adaptive steps, invoking monitors each step.
 
-    Stops at t_max (a finite-time run at T - stop_margin at the latest, as a
+    Stops at t_max (a finite-time run at T - STOP_MARGIN at the latest, as a
     singularity stop) or on positivity loss; monitor violations are
     recorded, never fatal.
     """
@@ -691,13 +559,13 @@ def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
     T = path.T
     t_max = options.t_max
     if regime == Regime.FINITE_TIME:
-        t_max = min(t_max, T - options.stop_margin)
+        t_max = min(t_max, T - STOP_MARGIN)
     C3 = normalization_constant(problem)
     qn2 = (math.pi * grid.N) ** 2 / 2.0
 
     run_w = options.run_comparison and regime == Regime.COLLAPSED
     # only the Kahler-limit convergence monitor consumes potential snapshots
-    collect_snaps = options.collect_uhat_snaps and regime == Regime.KAHLER_LIMIT
+    collect_snaps = regime == Regime.KAHLER_LIMIT
 
     columns = [
         "t", "dt", "min_u_hat", "max_u_hat", "min_ut_hat", "max_ut_hat",
@@ -711,18 +579,17 @@ def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
         columns += ["min_v", "max_v", "min_vt", "max_vt"]
     if run_w:
         columns += ["min_w", "max_w", "min_wt", "max_wt", "margin_appendix_w"]
-        columns += [f"min_q_s{S:g}" for S in options.S_list]
+        columns += [f"min_q_s{S:g}" for S in monitors.S_LIST]
     series = {c: [] for c in columns}
 
     # event grid: snapshot cadence plus finite-time sample times
-    deltas = (0.2, 0.1, 0.05)
     events = set()
     k = 1
-    while k * options.snap_dt < t_max + 1e-9:
-        events.add(round(k * options.snap_dt, 10))
+    while k * SNAP_DT < t_max + 1e-9:
+        events.add(round(k * SNAP_DT, 10))
         k += 1
     if regime == Regime.FINITE_TIME:
-        for d in deltas:
+        for d in monitors.FINITE_TIME_DELTAS:
             if T - d > 0:
                 events.add(T - d)
     events.add(t_max)
@@ -745,7 +612,6 @@ def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
     stop_reason = "reached t_max"
     w_ring = []
     uhat_snaps = []
-    delta_samples = {}
     ev = _eval_flow(problem, y, t, r, False, full=True)
     evw = _eval_flow(problem, yw, t, r, True, full=True) if run_w else None
 
@@ -800,7 +666,7 @@ def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
             row["max_wt"] = float(w_dot.max())
             Q = np.expm1(t) * w_dot - w_phys - (n - r) * t - r * math.exp(t)
             row["margin_appendix_w"] = -r - float(Q.max())
-            for S in options.S_list:
+            for S in monitors.S_LIST:
                 wpast = _w_ring_lookup(w_ring, t - S)
                 if wpast is None:
                     row[f"min_q_s{S:g}"] = math.nan
@@ -846,12 +712,8 @@ def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
                 lam_bar_A = 1.0 / float(np.linalg.eigvalsh(problem.A_t(t)).min())
                 bounds.append((2.2 / (lam_bar_A * excess * qn2), "stability"))
         else:
-            lam = lambda_min_components(ev.comps, ev.det)
-            lam_bar = float((1.0 / lam).max())
-            if run_w:
-                lamw = lambda_min_components(evw.comps, evw.det)
-                lam_bar = max(lam_bar, float((1.0 / lamw).max()))
-            bounds.append((STABILITY_SAFETY / (lam_bar * qn2), "stability"))
+            bounds.append((min(_rk4_stable_dt(grid, e.comps, e.det)
+                               for e in ((ev, evw) if run_w else (ev,))), "stability"))
         dt, limit = min(bounds, key=lambda b: b[0])
         for e in events:
             if e > t + 1e-12:
@@ -873,21 +735,16 @@ def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
     try:
         while True:
             u_hat_arr, w_arr = record(dt_last)
-            if run_w and (abs(t / options.snap_dt - round(t / options.snap_dt)) < 1e-9
-                          or t == 0.0):
+            if run_w and (abs(t / SNAP_DT - round(t / SNAP_DT)) < 1e-9 or t == 0.0):
                 w_ring.append((t, w_arr.copy()))
-                horizon = max(options.S_list) + 2 * options.snap_dt
+                horizon = max(monitors.S_LIST) + 2 * SNAP_DT
                 while w_ring and w_ring[0][0] < t - horizon:
                     w_ring.pop(0)
             if collect_snaps and (
                 t == 0.0
-                or abs(t / options.uhat_snap_dt - round(t / options.uhat_snap_dt)) < 1e-9
+                or abs(t / UHAT_SNAP_DT - round(t / UHAT_SNAP_DT)) < 1e-9
             ):
                 uhat_snaps.append((t, u_hat_arr.copy()))
-            if regime == Regime.FINITE_TIME:
-                for d in deltas:
-                    if abs(t - (T - d)) < 1e-9:
-                        delta_samples[d] = (t, series["min_ut_hat"][-1])
             if t >= t_max - 1e-12:
                 status, stop_reason = "completed", "reached t_max"
                 if regime == Regime.FINITE_TIME:
@@ -987,7 +844,6 @@ def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
         violations=sorted(violations),
         final=final,
         uhat_snaps=uhat_snaps,
-        delta_samples=delta_samples,
         C3=C3,
         steps=steps,
         halvings=halvings_total,

@@ -22,8 +22,8 @@ from .grid import (
     ScalarField,
     complex_hessian,
     forward,
+    hermitian_from_components,
     hessian_components,
-    mean,
 )
 
 # Pointwise metrics below this smallest-eigenvalue threshold count as singular;
@@ -167,19 +167,6 @@ def components_from_hermitian(H: HermitianField):
     )
 
 
-def hermitian_from_components(grid: GridSpec, comps) -> HermitianField:
-    n = grid.n
-    entries = np.zeros((n, n) + grid.shape, dtype=np.complex128)
-    if n == 1:
-        entries[0, 0] = comps[0]
-    else:
-        entries[0, 0] = comps[0]
-        entries[1, 1] = comps[1]
-        entries[0, 1] = comps[2] + 1j * comps[3]
-        entries[1, 0] = comps[2] - 1j * comps[3]
-    return HermitianField(grid, entries)
-
-
 def matrix_sqrt_hermitian(A: np.ndarray) -> np.ndarray:
     """Principal square root of a positive definite 1x1 or 2x2 Hermitian matrix."""
     if A.shape == (1, 1):
@@ -267,13 +254,6 @@ class VolumeDensity:
     @property
     def grid(self) -> GridSpec:
         return self.h.grid
-
-    @property
-    def log_h(self) -> np.ndarray:
-        return np.log(self.h.values)
-
-    def mean(self) -> float:
-        return mean(self.h)
 
 
 @dataclass

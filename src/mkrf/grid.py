@@ -228,6 +228,12 @@ def complex_hessian(f: ScalarField) -> HermitianField:
         raise ValueError("complex_hessian: input field has non-finite values")
     grid = f.grid
     comps = hessian_components(grid, forward(grid, f.values))
+    return hermitian_from_components(grid, comps)
+
+
+def hermitian_from_components(grid: GridSpec, comps) -> HermitianField:
+    """The Hermitian field of component arrays: (g11,) for n=1;
+    (g11, g22, Re g12, Im g12) for n=2."""
     n = grid.n
     entries = np.zeros((n, n) + grid.shape, dtype=np.complex128)
     if n == 1:

@@ -16,6 +16,10 @@ import numpy as np
 TOL_SUP = 1e-8       # sup bounds on the normalized potential and its rate
 TOL_INEQ = 1e-6      # pointwise evolution inequalities
 TOL_EXACT = 1e-9
+# Damping windows S of the collapsed-regime rate bounds and distances T - t
+# of the finite-time blow-down samples; run_flow records the series they read.
+S_LIST = (1.0, 3.0, 5.0)
+FINITE_TIME_DELTAS = (0.2, 0.1, 0.05)
 
 
 @dataclass
@@ -152,17 +156,15 @@ def check_finite_time(series: dict, T: float, n: int, regime: str) -> RegimeRepo
     checks = []
     constants = {}
 
-    deltas = (0.2, 0.1, 0.05)
     m = {}
-    for d in deltas:
-        target = T - d
-        hits = [v for t, v in zip(ts, series["min_ut_hat"]) if abs(t - target) < 1e-9]
-        if not hits:
+    for t, v in zip(ts, series["min_ut_hat"]):
+        for d in FINITE_TIME_DELTAS:
+            if d not in m and abs(t - (T - d)) < 1e-9:
+                m[d] = v
+    for d in FINITE_TIME_DELTAS:
+        if d not in m:
             return RegimeReport("not applicable", constants={"missing_delta": d})
-    for d in deltas:
-        target = T - d
-        m[d] = next(v for t, v in zip(ts, series["min_ut_hat"]) if abs(t - target) < 1e-9)
-    constants.update({f"m_delta_{d}": m[d] for d in deltas})
+    constants.update({f"m_delta_{d}": m[d] for d in FINITE_TIME_DELTAS})
     checks.append(MonitorResult("blowdown_strict_02_01", m[0.2] - m[0.1], 0.0))
     checks.append(MonitorResult("blowdown_strict_01_005", m[0.1] - m[0.05], 0.0))
     checks.append(MonitorResult("blowdown_total_drop", m[0.2] - 1.0 - m[0.05], 0.0))
@@ -187,7 +189,6 @@ def check_collapsed(
     r: int,
     t_max: float,
     C3: float,
-    S_list=(1.0, 3.0, 5.0),
 ) -> RegimeReport:
     """Linear growth of the scaled potential, the S-damped rate bounds with
     measured constants, comparison-flow boundedness, and the auxiliary-flow
@@ -216,7 +217,7 @@ def check_collapsed(
     # (b) measured C(S) making the S-damped bounds on dv/dt hold over the run
     min_vt = np.asarray(series["min_vt"])
     max_vt = np.asarray(series["max_vt"])
-    for S in S_list:
+    for S in S_LIST:
         lo_gap = -min_vt - (A / (1.0 - math.exp(-S))) * ts
         hi_gap = max_vt - (A / (math.exp(S) - 1.0)) * ts
         cS = max(float(lo_gap.max()), float(hi_gap.max()), 0.0)

@@ -56,7 +56,6 @@ class Scenario:
     run_comparison_flow: bool = False
     run_psi_family: bool = False
     psi_times: list = field(default_factory=lambda: [0.0, 5.0, 10.0, 15.0, 20.0])
-    seed: int = 0
     dt_cap: float = 0.02
     use_integrating_factor: bool = True
 
@@ -160,8 +159,6 @@ def validate(scenario: Scenario) -> None:
             " (N**(2n))")
     if not is_finite_number(s.t_max) or not (0.0 < s.t_max <= 200.0):
         raise InvalidScenarioError(f"t_max must be a number in (0, 200], got {s.t_max!r}")
-    if not _is_int(s.seed) or not (0 <= s.seed < 2**64):
-        raise InvalidScenarioError(f"seed must be an integer in the u64 range, got {s.seed!r}")
     for key in ("run_comparison_flow", "run_psi_family", "use_integrating_factor"):
         if not isinstance(getattr(s, key), bool):
             raise InvalidScenarioError(f"{key} must be true or false, got {getattr(s, key)!r}")
@@ -209,7 +206,6 @@ def run_options(scenario: Scenario) -> RunOptions:
         run_comparison=scenario.run_comparison_flow,
         use_integrating_factor=scenario.use_integrating_factor,
         dt_cap=scenario.dt_cap,
-        collect_uhat_snaps=True,
     )
 
 

@@ -1,16 +1,15 @@
-import numpy as np
 import pytest
 
-from mkrf.elliptic import EllipticProblem, solve_cy, solve_psi_family
+from mkrf.cli import verdict
 from mkrf.flow import run_flow
-from mkrf.geometry import KahlerForm
 from mkrf.scenario import build_problem, load_scenario, run_options
 
 _cache = {}
 
 
 def preset_run(name, grid_override=None):
-    """Run a preset once per session; acceptance criteria share the result."""
+    """Run a preset once per session and judge it as `mkrf run` does;
+    acceptance criteria share the result."""
     key = (name, grid_override)
     if key not in _cache:
         sc = load_scenario(name, None)
@@ -18,20 +17,9 @@ def preset_run(name, grid_override=None):
             sc.N = grid_override
         problem = build_problem(sc)
         result = run_flow(problem, run_options(sc))
-        entry = {"scenario": sc, "problem": problem, "result": result}
-        if name == "kahler-limit":
-            eprob = EllipticProblem.compatible(
-                KahlerForm(problem.path.Ainf, problem.form_inf.phi), problem.omega
-            )
-            entry["U"], entry["newton_report"] = solve_cy(eprob)
-            entry["eprob"] = eprob
-        if name == "collapsed":
-            psis, reps = solve_psi_family(problem, sc.psi_times)
-            entry["psi_times"] = sc.psi_times
-            entry["psis"] = psis
-            entry["psi_reports"] = reps
-            entry["psi_sups"] = [float(np.abs(p.values).max()) for p in psis]
-        _cache[key] = entry
+        reports, _, constants, fields = verdict(sc, problem, result)
+        _cache[key] = {"scenario": sc, "problem": problem, "result": result,
+                       "reports": reports, "constants": constants, "fields": dict(fields)}
     return _cache[key]
 
 

@@ -8,6 +8,7 @@ import pytest
 import mkrf.flow
 from mkrf.cli import main
 from mkrf.flow import (
+    STOP_MARGIN,
     FlowBreakdownError,
     FlowProblem,
     RunOptions,
@@ -17,20 +18,14 @@ from mkrf.flow import (
     _eval_flow,
     _forcing_integral,
     _lawson_rk4,
+    _rk4_stable_dt,
     _sup_bound,
-    initial_comparison_state,
-    initial_flow_state,
-    initial_scaled_state,
     normalization_constant,
-    rhs_comparison,
-    rhs_mskrf,
-    rhs_scaled,
     run_flow,
-    stable_dt,
-    step_rk4,
 )
-from mkrf.geometry import KahlerForm, VolumeDensity
-from mkrf.grid import GridSpec, ScalarField, forward, hessian_components, synthesize
+from mkrf.geometry import KahlerForm, SingularMetricError, VolumeDensity
+from mkrf.grid import GridSpec, ScalarField, forward, hessian_components, inverse, synthesize
+from mkrf.monitors import check_finite_time
 from mkrf.scenario import build_problem, load_scenario
 
 
@@ -63,13 +58,49 @@ def finite_problem(N=8):
     )
 
 
+def embed(prob, field, t):
+    """The spectral full potential phi_t + field, the state run_flow integrates."""
+    return forward(prob.grid, field.values) + prob.phi_t_hat(t)
+
+
+def potential(prob, y, t):
+    """The physical field of the spectral full potential y at t."""
+    return inverse(prob.grid, y) - prob.phi_t_phys(t)
+
+
+def rhs(prob, field, t, r=0):
+    """Physical RHS of the raw (r = 0) or scaled flow at field."""
+    return _eval_flow(prob, embed(prob, field, t), t, r, False, full=True).rhs_phys
+
+
+def step(prob, y, t, dt, use_if, r=0, comparison=False):
+    """One step of a single flow as run_flow takes it: (y1, dt used)."""
+    new, dt_used, _ = _attempt_step(prob, [(y, r, comparison)], t, dt, use_if)
+    return new[0][0], dt_used
+
+
+def stable_dt0(prob):
+    """The plain-RK4 stability bound on the initial metric."""
+    ev = _eval_flow(prob, prob.phi0_hat.copy(), 0.0, 0, False, full=True)
+    return _rk4_stable_dt(prob.grid, ev.comps, ev.det)
+
+
+def density_problem(amp):
+    """Flat n=1 N=16 classes against the density h = e^{amp cos(2 pi x)}."""
+    g = GridSpec(1, 16)
+    return FlowProblem(
+        KahlerForm(np.eye(1), g.zeros()),
+        KahlerForm(np.eye(1), g.zeros()),
+        VolumeDensity(ScalarField(g, np.exp(synthesize(g, [((1, 0), amp)]).values))),
+    )
+
+
 # --- RHS evaluations ---------------------------------------------------------
 
 
 def test_rhs_flat_stationary():
     prob = flat_problem()
-    r = rhs_mskrf(prob.grid.zeros(), 0.7, prob)
-    assert np.abs(r.values).max() < 1e-14
+    assert np.abs(rhs(prob, prob.grid.zeros(), 0.7)).max() < 1e-14
 
 
 def test_rhs_n1_log_formula():
@@ -77,10 +108,9 @@ def test_rhs_n1_log_formula():
     g = prob.grid
     eps = 0.01
     u = synthesize(g, [((1, 0), eps)])
-    r = rhs_mskrf(u, 0.3, prob)
     x = g.axis_coordinate(0)
     expected = np.log(1.0 - eps * np.pi**2 * np.cos(2 * np.pi * x)) + np.zeros(g.shape)
-    assert np.abs(r.values - expected).max() < 1e-13
+    assert np.abs(rhs(prob, u, 0.3) - expected).max() < 1e-13
 
 
 def test_rhs_freezes_at_large_time():
@@ -100,8 +130,8 @@ def test_rhs_freezes_at_large_time():
         VolumeDensity(ScalarField(g, h)),
     )
     u = synthesize(g, [((2, 0), 0.004)])
-    d20 = np.abs(rhs_mskrf(u, 20.0, prob).values - rhs_mskrf(u, 20.0, frozen).values).max()
-    d40 = np.abs(rhs_mskrf(u, 40.0, prob).values - rhs_mskrf(u, 40.0, frozen).values).max()
+    d20 = np.abs(rhs(prob, u, 20.0) - rhs(frozen, u, 20.0)).max()
+    d40 = np.abs(rhs(prob, u, 40.0) - rhs(frozen, u, 40.0)).max()
     assert d20 < 100.0 * math.exp(-20.0)
     assert d40 < 1e-12
 
@@ -111,13 +141,13 @@ def test_rhs_scaled_identity():
     g = prob.grid
     v = synthesize(g, [((0, 0, 1, 0), 0.01)])
     t = 1.7
-    diff = rhs_scaled(v, t, prob).values - rhs_mskrf(v, t, prob).values
+    diff = rhs(prob, v, t, prob.scaled_r) - rhs(prob, v, t)
     assert np.abs(diff - prob.scaled_r * t).max() < 1e-12
 
     flat = flat_problem(n=2, N=8)
     assert flat.scaled_r == 0
     v2 = synthesize(flat.grid, [((1, 0, 0, 0), 0.01)])
-    assert np.array_equal(rhs_scaled(v2, 0.5, flat).values, rhs_mskrf(v2, 0.5, flat).values)
+    assert np.array_equal(rhs(flat, v2, 0.5, flat.scaled_r), rhs(flat, v2, 0.5))
 
 
 def test_rhs_scaled_initial_value_collapsed():
@@ -126,30 +156,33 @@ def test_rhs_scaled_initial_value_collapsed():
     from mkrf.geometry import ma_density
 
     direct = np.log(ma_density(prob.form0, g.zeros()).values)  # h == 1
-    r = rhs_scaled(g.zeros(), 0.0, prob)
-    assert np.abs(r.values - direct).max() < 1e-12
+    assert np.abs(rhs(prob, g.zeros(), 0.0, prob.scaled_r) - direct).max() < 1e-12
 
 
 def test_rhs_comparison_identities():
+    # the comparison flow integrates phi_t + w with dw/dt = scaled RHS - w
     prob = collapsed_problem()
     g = prob.grid
     w = synthesize(g, [((1, 0, 0, 0), 0.01)])
     t = 2.0
-    expect = rhs_scaled(w, t, prob).values - w.values
-    assert np.abs(rhs_comparison(w, t, prob).values - expect).max() < 1e-14
+    r = prob.scaled_r
+    F = _eval_flow(prob, embed(prob, w, t), t, r, True).F_hat
+    w_dot = inverse(g, F - math.exp(-t) * prob.drift_hat)
+    assert np.abs(w_dot - (rhs(prob, w, t, r) - w.values)).max() < 1e-14
 
     flat = flat_problem(n=2, N=8)
-    z = rhs_comparison(flat.grid.zeros(), 0.0, flat)
-    assert np.abs(z.values).max() < 1e-14
+    z = _eval_flow(flat, embed(flat, flat.grid.zeros(), 0.0), 0.0, 0, True).F_hat
+    assert np.abs(inverse(flat.grid, z)).max() < 1e-14
 
 
 def test_rhs_comparison_stationary_in_t_for_flat_fiber():
     # a base-direction potential sees a t-independent RHS once e^{-t} decays
     prob = collapsed_problem(phi_modes=[((1, 0, 0, 0), 0.02)])
     g = prob.grid
+    r = prob.scaled_r
     w = synthesize(g, [((1, 0, 0, 0), 0.01), ((0, 2, 0, 0), 0.005)])
-    a = rhs_comparison(w, 30.0, prob).values
-    b = rhs_comparison(w, 40.0, prob).values
+    a = rhs(prob, w, 30.0, r) - w.values
+    b = rhs(prob, w, 40.0, r) - w.values
     assert np.abs(a - b).max() < 1e-3
 
 
@@ -159,29 +192,23 @@ def test_rhs_comparison_stationary_in_t_for_flat_fiber():
 @pytest.mark.parametrize("use_if", [False, True])
 def test_step_rk4_stationary(use_if):
     prob = flat_problem()
-    st = initial_flow_state(prob)
-    st2 = step_rk4(st, 1e-3, prob, use_integrating_factor=use_if)
-    assert np.abs(st2.u.values).max() < 1e-14
-    assert np.abs(st2.u_dot.values).max() < 1e-14
+    dt = 1e-3
+    y1, _ = step(prob, prob.phi0_hat.copy(), 0.0, dt, use_if)
+    assert np.abs(potential(prob, y1, dt)).max() < 1e-14
+    assert np.abs(_eval_flow(prob, y1, dt, 0, False, full=True).rhs_phys).max() < 1e-14
 
 
 @pytest.mark.parametrize("use_if", [False, True])
 def test_step_rk4_richardson(use_if):
-    g = GridSpec(1, 16)
-    prob = FlowProblem(
-        KahlerForm(np.eye(1), g.zeros()),
-        KahlerForm(np.eye(1), g.zeros()),
-        VolumeDensity(ScalarField(g, np.exp(synthesize(g, [((1, 0), 0.1)]).values))),
-    )
-    u0 = synthesize(g, [((1, 0), 0.01), ((0, 1), 0.005)])
-    st = initial_flow_state(prob)
-    st = type(st)(0.0, u0, st.u_dot, st.metric, st.C3, 0.0)
+    prob = density_problem(0.1)
+    g = prob.grid
+    y = embed(prob, synthesize(g, [((1, 0), 0.01), ((0, 1), 0.005)]), 0.0)
     errs = []
     for dt in (2e-3, 1e-3):
-        one = step_rk4(st, dt, prob, use_integrating_factor=use_if)
-        half = step_rk4(st, dt / 2, prob, use_integrating_factor=use_if)
-        half = step_rk4(half, dt / 2, prob, use_integrating_factor=use_if)
-        errs.append(np.abs(one.u.values - half.u.values).max())
+        one, _ = step(prob, y, 0.0, dt, use_if)
+        half, _ = step(prob, y, 0.0, dt / 2, use_if)
+        half, _ = step(prob, half, dt / 2, dt / 2, use_if)
+        errs.append(np.abs(inverse(g, one) - inverse(g, half)).max())
     ratio = errs[0] / errs[1]
     assert 20.0 < ratio < 45.0
 
@@ -189,26 +216,16 @@ def test_step_rk4_richardson(use_if):
 def test_step_rk4_retry_path():
     # steep prescribed volume drives the metric toward positivity loss within
     # one large explicit step, forcing the halving retry
-    g = GridSpec(1, 16)
-    prob = FlowProblem(
-        KahlerForm(np.eye(1), g.zeros()),
-        KahlerForm(np.eye(1), g.zeros()),
-        VolumeDensity(ScalarField(g, np.exp(synthesize(g, [((1, 0), 5.0)]).values))),
-    )
-    st = initial_flow_state(prob)
+    prob = density_problem(5.0)
     dt_req = 0.5
-    st2 = step_rk4(st, dt_req, prob, use_integrating_factor=False)
-    assert st2.dt_last < dt_req
-    assert st2.t == pytest.approx(st2.dt_last)
+    _, dt_used, halvings = _attempt_step(prob, [(prob.phi0_hat.copy(), 0, False)],
+                                         0.0, dt_req, False)
+    assert halvings > 0
+    assert dt_used == dt_req * 0.5 ** halvings
 
 
 def test_attempt_step_singularity_stop():
-    g = GridSpec(1, 16)
-    prob = FlowProblem(
-        KahlerForm(np.eye(1), g.zeros()),
-        KahlerForm(np.eye(1), g.zeros()),
-        VolumeDensity(ScalarField(g, np.exp(synthesize(g, [((1, 0), 5.0)]).values))),
-    )
+    prob = density_problem(5.0)
     y = prob.phi0_hat.copy()
     with pytest.raises(SingularityStopError):
         _attempt_step(prob, [(y, 0, False)], 0.0, 0.5, False, max_halvings=1)
@@ -216,9 +233,8 @@ def test_attempt_step_singularity_stop():
 
 def test_stable_dt_examples():
     prob = flat_problem(n=1, N=32)
-    st = initial_flow_state(prob)
     expected = 0.8 * 2.0 / (math.pi * 32) ** 2
-    assert stable_dt(st) == pytest.approx(expected, rel=1e-12)
+    assert stable_dt0(prob) == pytest.approx(expected, rel=1e-12)
 
     # metric scaled by 4 scales dt by 4; lambda_bar doubled halves dt
     g = GridSpec(1, 32)
@@ -227,36 +243,33 @@ def test_stable_dt_examples():
         KahlerForm(4.0 * np.eye(1), g.zeros()),
         VolumeDensity(ScalarField(g, np.ones(g.shape))),
     )
-    assert stable_dt(initial_flow_state(big)) == pytest.approx(4.0 * expected, rel=1e-12)
+    assert stable_dt0(big) == pytest.approx(4.0 * expected, rel=1e-12)
     half = FlowProblem(
         KahlerForm(0.5 * np.eye(1), g.zeros()),
         KahlerForm(0.5 * np.eye(1), g.zeros()),
         VolumeDensity(ScalarField(g, np.ones(g.shape))),
     )
-    assert stable_dt(initial_flow_state(half)) == pytest.approx(0.5 * expected, rel=1e-12)
+    assert stable_dt0(half) == pytest.approx(0.5 * expected, rel=1e-12)
 
 
 def test_stable_dt_empirical_sweep():
     # plain RK4 at the bound damps a near-Nyquist mode; well above it, the
     # mode grows
-    g = GridSpec(1, 16)
     prob = flat_problem(n=1, N=16)
-    u0 = synthesize(g, [((7, 7), 1e-8)])
-    st0 = initial_flow_state(prob)
-    dt_ref = stable_dt(st0)
-
-    from mkrf.geometry import SingularMetricError
+    u0 = synthesize(prob.grid, [((7, 7), 1e-8)])
+    dt_ref = stable_dt0(prob)
 
     def amplitude_after(dt, steps=200):
-        st = type(st0)(0.0, u0, st0.u_dot, st0.metric, st0.C3, 0.0)
+        y, t = embed(prob, u0, 0.0), 0.0
         for _ in range(steps):
             try:
-                st = step_rk4(st, dt, prob, use_integrating_factor=False)
+                y, dt_used = step(prob, y, t, dt, False)
             except (SingularityStopError, SingularMetricError):
                 return math.inf
-            if not np.isfinite(st.u.values).all():
+            t += dt_used
+            if not np.isfinite(y).all():
                 return math.inf
-        return float(np.abs(st.u.values).max())
+        return float(np.abs(potential(prob, y, t)).max())
 
     a0 = float(np.abs(u0.values).max())
     assert amplitude_after(dt_ref) < a0  # decays inside the bound
@@ -273,27 +286,35 @@ def test_normalization_constant_cases():
 def test_scaled_raw_lockstep_consistency():
     # v - u - (r/2) t^2 vanishes when both flows run from the same data
     prob = collapsed_problem()
-    su = initial_flow_state(prob)
-    sv = initial_scaled_state(prob)
     r = prob.scaled_r
-    dt = 2e-3
+    yu, yv = prob.phi0_hat.copy(), prob.phi0_hat.copy()
+    t, dt = 0.0, 2e-3
     for _ in range(40):
-        su = step_rk4(su, dt, prob, use_integrating_factor=True)
-        sv = step_rk4(sv, dt, prob, use_integrating_factor=True)
-    assert su.t == pytest.approx(sv.t)
-    drift = sv.v.values - su.u.values - 0.5 * r * sv.t**2
+        new, dt_used, _ = _attempt_step(prob, [(yu, 0, False), (yv, r, False)], t, dt, True)
+        (yu, _), (yv, _) = new
+        t += dt_used
+    assert t == pytest.approx(40 * dt)
+    drift = inverse(prob.grid, yv) - inverse(prob.grid, yu) - 0.5 * r * t**2
     assert np.abs(drift).max() < 1e-10
     # metrics agree pointwise (the rescaling shifts only the potential)
-    assert np.abs(sv.metric.entries - su.metric.entries).max() < 1e-10
+    eu = _eval_flow(prob, yu, t, 0, False, full=True)
+    ev = _eval_flow(prob, yv, t, r, False, full=True)
+    assert max(np.abs(a - b).max() for a, b in zip(eu.comps, ev.comps)) < 1e-10
 
 
 def test_comparison_state_roundtrip():
+    # the rate of a comparison step's state equals the RHS rebuilt from its
+    # physical field
     prob = collapsed_problem()
-    sw = initial_comparison_state(prob)
-    assert np.abs(sw.w.values).max() < 1e-14
-    sw = step_rk4(sw, 1e-3, prob, use_integrating_factor=True)
-    expect = rhs_comparison(sw.w, sw.t, prob)
-    assert np.abs(sw.w_dot.values - expect.values).max() < 1e-12
+    r = prob.scaled_r
+    y = prob.phi0_hat.copy()
+    assert np.abs(potential(prob, y, 0.0)).max() < 1e-14
+    dt = 1e-3
+    y1, _ = step(prob, y, 0.0, dt, True, r, comparison=True)
+    w = potential(prob, y1, dt)
+    w_dot = _eval_flow(prob, y1, dt, r, True, full=True).rhs_phys - w
+    expect = rhs(prob, ScalarField(prob.grid, w), dt, r) - w
+    assert np.abs(w_dot - expect).max() < 1e-12
 
 
 # --- runs --------------------------------------------------------------------
@@ -308,17 +329,31 @@ def test_run_flow_kahler_completes():
     assert min(res.series["margin_conservation"]) > -1e-8
 
 
+def test_run_flow_plain_rk4_steps_at_the_stability_bound():
+    # with the integrating factor off the explicit stability bound sets every
+    # step but the last, which lands on t_max
+    prob = density_problem(0.1)
+    res = run_flow(prob, RunOptions(t_max=0.05, use_integrating_factor=False))
+    assert res.status == "completed"
+    assert res.steps == 81
+    assert res.step_control["limits"]["stability"] == 80
+    assert res.step_control["limits"]["event"] == 1
+    # the metric starts flat, so the first step is the largest
+    assert max(res.series["dt"]) == res.series["dt"][1] == stable_dt0(prob)
+
+
 def test_run_flow_finite_time_stops_near_T():
     prob = finite_problem()
-    opts = RunOptions(t_max=5.0)
-    res = run_flow(prob, opts)
+    res = run_flow(prob, RunOptions(t_max=5.0))
     assert res.status == "singularity-stop"
     assert res.stop_reason.startswith("finite-time approach window")
     T = prob.path.T
-    # the run ends on the event T - stop_margin; no window bounds a step
-    assert res.constants["t_final"] == res.series["t"][-1] == T - opts.stop_margin
+    # the run ends on the event T - STOP_MARGIN; no window bounds a step
+    assert res.constants["t_final"] == res.series["t"][-1] == T - STOP_MARGIN
     assert "finite_window" not in res.step_control["limits"]
-    assert set(res.delta_samples) == {0.2, 0.1, 0.05}
+    # the blow-down samples at T - 0.2, T - 0.1 and T - 0.05 are rows
+    consts = check_finite_time(res.series, T, 2, "FINITE_TIME").constants
+    assert all(f"m_delta_{d}" in consts for d in (0.2, 0.1, 0.05))
     # volume blow-down: the minimum rate is strongly negative at the stop
     assert res.series["min_ut_hat"][-1] < -5.0
 
@@ -360,7 +395,7 @@ def test_run_flow_u_dot_matches_rhs():
     r = prob.scaled_r
     v_final = ScalarField(prob.grid,
                           res.final["u_hat"].values + 0.5 * r * t * t + res.C3 * t)
-    expect = rhs_scaled(v_final, t, prob).values - (r * t + res.C3)
+    expect = rhs(prob, v_final, t, r) - (r * t + res.C3)
     assert np.abs(res.final["ut_hat"].values - expect).max() < 1e-12
 
 
@@ -659,11 +694,10 @@ def test_repeated_short_collapsed_runs_write_identical_series(tmp_path):
 
 def forcing_case(case):
     """(problem, t, dt, r) of one step."""
-    stop_margin = RunOptions(t_max=1.0).stop_margin
     if case.startswith("before-T"):
         prob = finite_problem()
         dt = float(case.split("-")[-1])
-        return prob, prob.path.T - stop_margin - dt, dt, 0
+        return prob, prob.path.T - STOP_MARGIN - dt, dt, 0
     if case == "t0":
         return finite_problem(), 0.0, 0.1, 0
     if case == "collapsed":

@@ -35,7 +35,7 @@ def tiny_scenario(**over):
 
 
 def test_scenario_roundtrip_exact():
-    sc = tiny_scenario(t_max=1.2345678901234567, seed=12345678901234567)
+    sc = tiny_scenario(t_max=1.2345678901234567, dt_cap=12345678901234567)
     text = sc.to_json()
     sc2 = Scenario.from_json(text)
     assert sc2 == sc
@@ -59,10 +59,12 @@ def test_scenario_validation_errors():
 
 
 def test_removed_monitors_key_is_unknown(tmp_path, capsys):
-    cfg = tmp_path / "old.json"
-    cfg.write_text(json.dumps(dict(json.loads(tiny_scenario().to_json()), monitors=None)))
-    assert main(["run", "--config", str(cfg)]) == 4
-    assert "monitors" in capsys.readouterr().err
+    # monitors and seed were read by nothing and are gone
+    for key, value in (("monitors", None), ("seed", 0)):
+        cfg = tmp_path / "old.json"
+        cfg.write_text(json.dumps(dict(json.loads(tiny_scenario().to_json()), **{key: value})))
+        assert main(["run", "--config", str(cfg)]) == 4
+        assert key in capsys.readouterr().err
 
 
 def test_presets_classify_to_named_regimes(capsys):
@@ -112,7 +114,7 @@ def test_run_rejects_nonpositive_dt_cap_exit_4(tmp_path, capsys, dt_cap):
 @pytest.mark.parametrize("command", ["run", "classify", "cy-solve"])
 @pytest.mark.parametrize("field,value", [
     ("N", "16"), ("n", True), ("psi_times", "abc"), ("psi_times", [1.0, "x"]),
-    ("t_max", "1.5"), ("seed", 1.5), ("run_psi_family", 1), ("log_h", 3),
+    ("t_max", "1.5"), ("dt_cap", True), ("run_psi_family", 1), ("log_h", 3),
     ("phi0", [{"mode": [1.5, 0], "amp": 0.01}]), ("A0", [[["1", 0.0]]]),
 ])
 def test_mistyped_field_exits_4_naming_it(tmp_path, capsys, command, field, value):
