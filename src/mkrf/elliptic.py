@@ -212,7 +212,7 @@ class _FrameOperators:
 
 
 def solve_cy(problem: EllipticProblem, U0: ScalarField | None = None,
-             sup_tol: float | None = None, max_iter: int = MAX_NEWTON_ITER):
+             max_iter: int = MAX_NEWTON_ITER):
     """Solve the prescribed-determinant equation by damped inexact Newton iteration.
 
     Each Newton system is solved inexactly by lgmres (Dembo, Eisenstat and
@@ -229,8 +229,8 @@ def solve_cy(problem: EllipticProblem, U0: ScalarField | None = None,
     forcing costs no Jacobian application.
 
     Returns (U, NewtonReport) with mean(U) = 0 and sup-norm residual below
-    sup_tol (default 1e-10 c mean(h)).  Raises NewtonConvergenceError when
-    the iteration stalls.
+    SUP_TOL_FACTOR c mean(h).  Raises NewtonConvergenceError when the
+    iteration stalls.
     """
     grid = problem.form.grid
     A = problem.form.A
@@ -243,7 +243,7 @@ def solve_cy(problem: EllipticProblem, U0: ScalarField | None = None,
     # all residual arithmetic happens at the unit scale of the A-frame
     target = (problem.c / det_A) * h
     scale = problem.c * float(np.mean(h)) / det_A
-    tol = (scale * SUP_TOL_FACTOR) if sup_tol is None else (sup_tol / det_A)
+    tol = scale * SUP_TOL_FACTOR
 
     report = NewtonReport()
     U = np.zeros(grid.shape) if U0 is None else U0.values.copy()
@@ -365,7 +365,7 @@ def psi_problem(flow_problem, t: float) -> EllipticProblem:
     return EllipticProblem(form, flow_problem.omega, c)
 
 
-def solve_psi_family(flow_problem, times, max_iter: int = MAX_NEWTON_ITER):
+def solve_psi_family(flow_problem, times):
     """Solve the per-time reference equations along a collapsed pencil.
 
     Returns (psis, reports); each solve is warm-started from the previous
@@ -389,7 +389,7 @@ def solve_psi_family(flow_problem, times, max_iter: int = MAX_NEWTON_ITER):
         last_err = None
         for g0 in candidates:
             try:
-                psi, rep = solve_cy(prob, U0=g0, max_iter=max_iter)
+                psi, rep = solve_cy(prob, U0=g0)
                 break
             except SingularMetricError as err:
                 last_err = err

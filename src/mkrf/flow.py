@@ -8,10 +8,10 @@ Three companion flows share one engine:
 
 The integrated variable is the full potential p = phi_t + (u or v or w) in
 spectral form; its evolution adds the explicit drift of phi_t to the flow
-RHS.  The stepper is classical RK4, optionally wrapped in an exact
-integrating factor for the constant-coefficient part of the flow Laplacian
-(the spatial mean of the metric, which on the torus is exactly the pencil
-matrix A_t).  With the factor disabled the step is textbook explicit RK4.
+RHS.  The stepper is classical RK4 wrapped in an exact integrating factor
+for the constant-coefficient part of the flow Laplacian (the spatial mean of
+the metric, which on the torus is exactly the pencil matrix A_t): a Lawson
+RK4 step.
 
 The integrating factor is what makes long collapsed runs affordable: the
 stiffness of the mean metric grows like e^t while the mean-relative metric
@@ -35,8 +35,11 @@ run_flow evaluates that RHS anyway to record the step and to seed the next
 one's first stage, so the estimate costs no RHS evaluation.  A step is
 accepted when the sup bound of the estimate over the lockstep flows is at
 most STEP_TOL, and the next dt is scaled by 0.9 (STEP_TOL / err)^(1/4),
-clipped to [0.2, 5]; dt_cap, the measured-variation guard and the event
-grid bound it as well.  A finite-time run ends at T - STOP_MARGIN.
+clipped to [0.2, 5]; dt_cap and the event grid bound it as well, and a
+step that loses positivity is halved.  No separate stability bound is
+needed: where the non-constant remainder of the Laplacian is stiff, rejected
+steps hold dt at the controller's stability boundary.  A finite-time run
+ends at T - STOP_MARGIN.
 """
 
 from __future__ import annotations
@@ -57,24 +60,14 @@ from .geometry import (
     SingularMetricError,
     VolumeDensity,
     check_positive_components,
-    congruence_components,
     det_components,
-    inverse_components,
     lambda_min_components,
-    matrix_sqrt_hermitian,
     metric_components,
-    spectral_radius_diff,
     trace_pair_components,
 )
 from .grid import GridSpec, ScalarField, forward, hessian_components, inverse, tables
 
-STABILITY_SAFETY = 0.8
 MAX_HALVINGS = 20
-# Mean-relative metric variation the integrating factor absorbs for free;
-# beyond it the remainder is treated as effectively explicit.  The
-# frozen-coefficient bound e^{-z} |R4(rho z)| <= 1 holds for rho < 0.68;
-# 0.5 leaves margin for stage coupling.
-IF_FREE_VARIATION = 0.5
 # Local error allowed per accepted step: the sup bound of the embedded
 # estimate, over all lockstep flows, at the monitors' inequality tolerance.
 STEP_TOL = monitors.TOL_INEQ
@@ -279,8 +272,8 @@ def _eval_flow(problem: FlowProblem, p_hat: np.ndarray, t: float, r: int,
 
 
 def _lawson_rk4(problem: FlowProblem, y: np.ndarray, t: float, dt: float, r: int,
-                comparison: bool, use_if: bool, F0: np.ndarray | None = None) -> tuple:
-    """One Lawson (integrating factor) RK4 step; plain RK4 when use_if is False.
+                comparison: bool, F0: np.ndarray | None = None) -> tuple:
+    """One Lawson (integrating factor) RK4 step.
 
     Returns (y1, d).  y1 is the new state.  d = k4 + ell y1 is the part of
     the embedded error estimate this step knows: with F1 the RHS at
@@ -295,43 +288,25 @@ def _lawson_rk4(problem: FlowProblem, y: np.ndarray, t: float, dt: float, r: int
     RHS arrays; y1 and d are the (fresh) stage-2 and stage-4 RHS arrays.
     """
     ws = problem.workspace
-    if use_if:
-        ell = problem.laplace_symbol(t + 0.5 * dt)
-        if comparison:
-            ell -= 1.0
-        E2 = np.multiply(0.5 * dt, ell, out=ws.E2)
-        np.exp(E2, out=E2)
-        E1 = np.multiply(E2, E2, out=ws.E1)
-    else:
-        ell = None
+    ell = problem.laplace_symbol(t + 0.5 * dt)
+    if comparison:
+        ell -= 1.0
+    E2 = np.multiply(0.5 * dt, ell, out=ws.E2)
+    np.exp(E2, out=E2)
+    E1 = np.multiply(E2, E2, out=ws.E1)
 
     def N(z, tau):
         F = _eval_flow(problem, z, tau, r, comparison).F_hat
-        if ell is not None:
-            F -= np.multiply(ell, z, out=ws.spec)
+        F -= np.multiply(ell, z, out=ws.spec)
         return F
 
     if F0 is None:
         k1 = N(y, t)
-    elif ell is None:
-        k1 = F0
     else:
         k1 = np.subtract(F0, np.multiply(ell, y, out=ws.k1), out=ws.k1)
     h = 0.5 * dt
     z = ws.stage
     tmp = ws.spec
-    if ell is None:
-        k2 = N(np.add(y, np.multiply(h, k1, out=z), out=z), t + h)
-        k3 = N(np.add(y, np.multiply(h, k2, out=z), out=z), t + h)
-        k4 = N(np.add(y, np.multiply(dt, k3, out=z), out=z), t + dt)
-        # y + (dt/6) (k1 + 2 (k2 + k3) + k4)
-        k2 += k3
-        k2 *= 2.0
-        k2 += k1
-        k2 += k4
-        k2 *= dt / 6.0
-        k2 += y
-        return _add_forcing(problem, k2, t, dt, r, comparison), k4
     # z = E2 (y + h k1)
     np.multiply(h, k1, out=z)
     np.add(y, z, out=z)
@@ -437,7 +412,7 @@ def _embedded_error(problem: FlowProblem, d: np.ndarray, F1: np.ndarray,
     return 0.1 * dt * _sup_bound(problem, d)
 
 
-def _attempt_step(problem, states, t, dt, use_if, max_halvings=MAX_HALVINGS):
+def _attempt_step(problem, states, t, dt, max_halvings=MAX_HALVINGS):
     """Advance all lockstep flows by a common dt, halving on positivity loss.
 
     states: list of (p_hat, r, comparison[, F0]).  Returns (new_list,
@@ -448,7 +423,7 @@ def _attempt_step(problem, states, t, dt, use_if, max_halvings=MAX_HALVINGS):
     while True:
         try:
             new = [
-                _lawson_rk4(problem, s[0], t, dt, s[1], s[2], use_if,
+                _lawson_rk4(problem, s[0], t, dt, s[1], s[2],
                             F0=s[3] if len(s) > 3 else None)
                 for s in states
             ]
@@ -458,16 +433,6 @@ def _attempt_step(problem, states, t, dt, use_if, max_halvings=MAX_HALVINGS):
             if halvings > max_halvings:
                 raise SingularityStopError(err) from err
             dt *= 0.5
-
-
-def _rk4_stable_dt(grid: GridSpec, comps, det=None) -> float:
-    """Parabolic stability bound of the plain explicit step on one metric.
-
-    dt = sigma / (lambda_bar (pi N)^2 / 2) with lambda_bar the largest
-    pointwise eigenvalue of the inverse metric and sigma = STABILITY_SAFETY.
-    """
-    lam_bar = float((1.0 / lambda_min_components(comps, det)).max())
-    return STABILITY_SAFETY / (lam_bar * ((math.pi * grid.N) ** 2 / 2.0))
 
 
 def normalization_constant(problem: FlowProblem) -> float:
@@ -502,7 +467,6 @@ def normalization_constant(problem: FlowProblem) -> float:
 class RunOptions:
     t_max: float
     run_comparison: bool = False
-    use_integrating_factor: bool = True
     dt_cap: float = 0.02
 
 
@@ -561,7 +525,6 @@ def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
     if regime == Regime.FINITE_TIME:
         t_max = min(t_max, T - STOP_MARGIN)
     C3 = normalization_constant(problem)
-    qn2 = (math.pi * grid.N) ** 2 / 2.0
 
     run_w = options.run_comparison and regime == Regime.COLLAPSED
     # only the Kahler-limit convergence monitor consumes potential snapshots
@@ -607,7 +570,7 @@ def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
     rejections = 0
     max_err = 0.0
     # which bound set each accepted dt ("positivity": halved on positivity loss)
-    limits = dict.fromkeys(("error", "dt_cap", "stability", "event", "positivity"), 0)
+    limits = dict.fromkeys(("error", "dt_cap", "event", "positivity"), 0)
     status = "completed"
     stop_reason = "reached t_max"
     w_ring = []
@@ -683,38 +646,11 @@ def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
             raise FlowBreakdownError(f"non-finite observables at t={t:.6f}")
         return u_hat, (evw.pot_phys - phi_t) if run_w else None
 
-    rho_cache = [-10, 0.0]  # step index of last estimate, cached value
-
-    def measured_rho():
-        A = problem.A_t(t)
-        M = matrix_sqrt_hermitian(A)
-        zero = np.zeros((n, n), dtype=complex)
-        rho = 0.0
-        for e in (ev, evw) if run_w else (ev,):
-            inv = inverse_components(e.comps, e.det)
-            dev = list(congruence_components(M, inv))
-            dev[0] = dev[0] - 1.0
-            if len(dev) > 1:
-                dev[1] = dev[1] - 1.0
-            rho = max(rho, float(spectral_radius_diff(tuple(dev), zero).max()))
-        return rho
-
     def propose_dt():
         """The largest dt every bound allows, and the name of the bound that set it."""
-        bounds = [(options.dt_cap, "dt_cap"), (dt_err, "error")]
-        if options.use_integrating_factor:
-            # the mean-relative variation drifts slowly; re-measure every few steps
-            if steps - rho_cache[0] >= 5:
-                rho_cache[0] = steps
-                rho_cache[1] = measured_rho()
-            excess = rho_cache[1] - IF_FREE_VARIATION
-            if excess > 0.0:
-                lam_bar_A = 1.0 / float(np.linalg.eigvalsh(problem.A_t(t)).min())
-                bounds.append((2.2 / (lam_bar_A * excess * qn2), "stability"))
-        else:
-            bounds.append((min(_rk4_stable_dt(grid, e.comps, e.det)
-                               for e in ((ev, evw) if run_w else (ev,))), "stability"))
-        dt, limit = min(bounds, key=lambda b: b[0])
+        dt, limit = options.dt_cap, "dt_cap"
+        if dt_err < dt:
+            dt, limit = dt_err, "error"
         for e in events:
             if e > t + 1e-12:
                 if e - t < dt:
@@ -763,12 +699,8 @@ def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
             # error rejections redo the step at a smaller dt, as many times
             # as positivity loss may halve it
             for _ in range(MAX_HALVINGS + 1):
-                new, dt_used, halv = _attempt_step(
-                    problem, states, t, dt, options.use_integrating_factor
-                )
+                new, dt_used, halv = _attempt_step(problem, states, t, dt)
                 halvings_total += halv
-                if halv:
-                    rho_cache[0] = -10  # force re-measurement after a positivity halving
                 t_new = t + dt_used
                 for e in events:
                     if abs(t_new - e) < 1e-11:
@@ -822,7 +754,7 @@ def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
     final["V_proxy"] = ScalarField(grid, final["u_hat"].values + final["ut_hat"].values)
     if regime == Regime.COLLAPSED:
         final["v"] = ScalarField(grid, v_phys.copy())
-    if run_w and evw is not None:
+    if run_w:
         w_phys = evw.pot_phys - phi_t
         final["w"] = ScalarField(grid, w_phys)
         final["w_dot"] = ScalarField(grid, evw.rhs_phys - w_phys)

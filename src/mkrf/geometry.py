@@ -134,28 +134,6 @@ def trace_pair_components(phi_comps, psi_comps, phi_det=None):
     return (f22 * s11 + f11 * s22 - 2.0 * (fp * sp + fq * sq)) / phi_det
 
 
-def inverse_components(comps, det=None):
-    if len(comps) == 1:
-        return (1.0 / comps[0],)
-    g11, g22, p, q = comps
-    if det is None:
-        det = det_components(comps)
-    return (g22 / det, g11 / det, -p / det, -q / det)
-
-
-def spectral_radius_diff(comps_inv, B: np.ndarray):
-    """Pointwise spectral radius of (inverse-metric field minus constant B)."""
-    if len(comps_inv) == 1:
-        return np.abs(comps_inv[0] - B[0, 0].real)
-    d11 = comps_inv[0] - B[0, 0].real
-    d22 = comps_inv[1] - B[1, 1].real
-    dp = comps_inv[2] - B[0, 1].real
-    dq = comps_inv[3] - B[0, 1].imag
-    m = 0.5 * (d11 + d22)
-    s = np.sqrt(0.25 * (d11 - d22) ** 2 + dp * dp + dq * dq)
-    return np.abs(m) + s
-
-
 def components_from_hermitian(H: HermitianField):
     if H.grid.n == 1:
         return (H.entries[0, 0].real.copy(),)

@@ -56,10 +56,6 @@ class GridSpec:
     def num_points(self) -> int:
         return self.N ** (2 * self.n)
 
-    @property
-    def dx(self) -> float:
-        return 1.0 / self.N
-
     def axis_coordinate(self, axis: int) -> np.ndarray:
         """Coordinate array of one real axis, broadcastable over the grid."""
         x = np.arange(self.N) / self.N

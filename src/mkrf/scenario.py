@@ -57,7 +57,6 @@ class Scenario:
     run_psi_family: bool = False
     psi_times: list = field(default_factory=lambda: [0.0, 5.0, 10.0, 15.0, 20.0])
     dt_cap: float = 0.02
-    use_integrating_factor: bool = True
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -159,7 +158,7 @@ def validate(scenario: Scenario) -> None:
             " (N**(2n))")
     if not is_finite_number(s.t_max) or not (0.0 < s.t_max <= 200.0):
         raise InvalidScenarioError(f"t_max must be a number in (0, 200], got {s.t_max!r}")
-    for key in ("run_comparison_flow", "run_psi_family", "use_integrating_factor"):
+    for key in ("run_comparison_flow", "run_psi_family"):
         if not isinstance(getattr(s, key), bool):
             raise InvalidScenarioError(f"{key} must be true or false, got {getattr(s, key)!r}")
     if (not isinstance(s.psi_times, (list, tuple))
@@ -204,7 +203,6 @@ def run_options(scenario: Scenario) -> RunOptions:
     return RunOptions(
         t_max=scenario.t_max,
         run_comparison=scenario.run_comparison_flow,
-        use_integrating_factor=scenario.use_integrating_factor,
         dt_cap=scenario.dt_cap,
     )
 

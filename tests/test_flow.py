@@ -18,12 +18,11 @@ from mkrf.flow import (
     _eval_flow,
     _forcing_integral,
     _lawson_rk4,
-    _rk4_stable_dt,
     _sup_bound,
     normalization_constant,
     run_flow,
 )
-from mkrf.geometry import KahlerForm, SingularMetricError, VolumeDensity
+from mkrf.geometry import KahlerForm, VolumeDensity
 from mkrf.grid import GridSpec, ScalarField, forward, hessian_components, inverse, synthesize
 from mkrf.monitors import check_finite_time
 from mkrf.scenario import build_problem, load_scenario
@@ -73,16 +72,10 @@ def rhs(prob, field, t, r=0):
     return _eval_flow(prob, embed(prob, field, t), t, r, False, full=True).rhs_phys
 
 
-def step(prob, y, t, dt, use_if, r=0, comparison=False):
+def step(prob, y, t, dt, r=0, comparison=False):
     """One step of a single flow as run_flow takes it: (y1, dt used)."""
-    new, dt_used, _ = _attempt_step(prob, [(y, r, comparison)], t, dt, use_if)
+    new, dt_used, _ = _attempt_step(prob, [(y, r, comparison)], t, dt)
     return new[0][0], dt_used
-
-
-def stable_dt0(prob):
-    """The plain-RK4 stability bound on the initial metric."""
-    ev = _eval_flow(prob, prob.phi0_hat.copy(), 0.0, 0, False, full=True)
-    return _rk4_stable_dt(prob.grid, ev.comps, ev.det)
 
 
 def density_problem(amp):
@@ -189,25 +182,23 @@ def test_rhs_comparison_stationary_in_t_for_flat_fiber():
 # --- stepping ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("use_if", [False, True])
-def test_step_rk4_stationary(use_if):
+def test_step_rk4_stationary():
     prob = flat_problem()
     dt = 1e-3
-    y1, _ = step(prob, prob.phi0_hat.copy(), 0.0, dt, use_if)
+    y1, _ = step(prob, prob.phi0_hat.copy(), 0.0, dt)
     assert np.abs(potential(prob, y1, dt)).max() < 1e-14
     assert np.abs(_eval_flow(prob, y1, dt, 0, False, full=True).rhs_phys).max() < 1e-14
 
 
-@pytest.mark.parametrize("use_if", [False, True])
-def test_step_rk4_richardson(use_if):
+def test_step_rk4_richardson():
     prob = density_problem(0.1)
     g = prob.grid
     y = embed(prob, synthesize(g, [((1, 0), 0.01), ((0, 1), 0.005)]), 0.0)
     errs = []
     for dt in (2e-3, 1e-3):
-        one, _ = step(prob, y, 0.0, dt, use_if)
-        half, _ = step(prob, y, 0.0, dt / 2, use_if)
-        half, _ = step(prob, half, dt / 2, dt / 2, use_if)
+        one, _ = step(prob, y, 0.0, dt)
+        half, _ = step(prob, y, 0.0, dt / 2)
+        half, _ = step(prob, half, dt / 2, dt / 2)
         errs.append(np.abs(inverse(g, one) - inverse(g, half)).max())
     ratio = errs[0] / errs[1]
     assert 20.0 < ratio < 45.0
@@ -215,11 +206,11 @@ def test_step_rk4_richardson(use_if):
 
 def test_step_rk4_retry_path():
     # steep prescribed volume drives the metric toward positivity loss within
-    # one large explicit step, forcing the halving retry
+    # one large step, forcing the halving retry
     prob = density_problem(5.0)
     dt_req = 0.5
     _, dt_used, halvings = _attempt_step(prob, [(prob.phi0_hat.copy(), 0, False)],
-                                         0.0, dt_req, False)
+                                         0.0, dt_req)
     assert halvings > 0
     assert dt_used == dt_req * 0.5 ** halvings
 
@@ -228,52 +219,7 @@ def test_attempt_step_singularity_stop():
     prob = density_problem(5.0)
     y = prob.phi0_hat.copy()
     with pytest.raises(SingularityStopError):
-        _attempt_step(prob, [(y, 0, False)], 0.0, 0.5, False, max_halvings=1)
-
-
-def test_stable_dt_examples():
-    prob = flat_problem(n=1, N=32)
-    expected = 0.8 * 2.0 / (math.pi * 32) ** 2
-    assert stable_dt0(prob) == pytest.approx(expected, rel=1e-12)
-
-    # metric scaled by 4 scales dt by 4; lambda_bar doubled halves dt
-    g = GridSpec(1, 32)
-    big = FlowProblem(
-        KahlerForm(4.0 * np.eye(1), g.zeros()),
-        KahlerForm(4.0 * np.eye(1), g.zeros()),
-        VolumeDensity(ScalarField(g, np.ones(g.shape))),
-    )
-    assert stable_dt0(big) == pytest.approx(4.0 * expected, rel=1e-12)
-    half = FlowProblem(
-        KahlerForm(0.5 * np.eye(1), g.zeros()),
-        KahlerForm(0.5 * np.eye(1), g.zeros()),
-        VolumeDensity(ScalarField(g, np.ones(g.shape))),
-    )
-    assert stable_dt0(half) == pytest.approx(0.5 * expected, rel=1e-12)
-
-
-def test_stable_dt_empirical_sweep():
-    # plain RK4 at the bound damps a near-Nyquist mode; well above it, the
-    # mode grows
-    prob = flat_problem(n=1, N=16)
-    u0 = synthesize(prob.grid, [((7, 7), 1e-8)])
-    dt_ref = stable_dt0(prob)
-
-    def amplitude_after(dt, steps=200):
-        y, t = embed(prob, u0, 0.0), 0.0
-        for _ in range(steps):
-            try:
-                y, dt_used = step(prob, y, t, dt, False)
-            except (SingularityStopError, SingularMetricError):
-                return math.inf
-            t += dt_used
-            if not np.isfinite(y).all():
-                return math.inf
-        return float(np.abs(potential(prob, y, t)).max())
-
-    a0 = float(np.abs(u0.values).max())
-    assert amplitude_after(dt_ref) < a0  # decays inside the bound
-    assert amplitude_after(6.0 * dt_ref) > 10.0 * a0  # grows beyond it
+        _attempt_step(prob, [(y, 0, False)], 0.0, 0.5, max_halvings=1)
 
 
 def test_normalization_constant_cases():
@@ -290,7 +236,7 @@ def test_scaled_raw_lockstep_consistency():
     yu, yv = prob.phi0_hat.copy(), prob.phi0_hat.copy()
     t, dt = 0.0, 2e-3
     for _ in range(40):
-        new, dt_used, _ = _attempt_step(prob, [(yu, 0, False), (yv, r, False)], t, dt, True)
+        new, dt_used, _ = _attempt_step(prob, [(yu, 0, False), (yv, r, False)], t, dt)
         (yu, _), (yv, _) = new
         t += dt_used
     assert t == pytest.approx(40 * dt)
@@ -310,7 +256,7 @@ def test_comparison_state_roundtrip():
     y = prob.phi0_hat.copy()
     assert np.abs(potential(prob, y, 0.0)).max() < 1e-14
     dt = 1e-3
-    y1, _ = step(prob, y, 0.0, dt, True, r, comparison=True)
+    y1, _ = step(prob, y, 0.0, dt, r, comparison=True)
     w = potential(prob, y1, dt)
     w_dot = _eval_flow(prob, y1, dt, r, True, full=True).rhs_phys - w
     expect = rhs(prob, ScalarField(prob.grid, w), dt, r) - w
@@ -327,19 +273,6 @@ def test_run_flow_kahler_completes():
     assert res.series["t"][-1] == pytest.approx(2.0)
     assert min(res.series["margin_ut_hat_nonpos"]) > -1e-8
     assert min(res.series["margin_conservation"]) > -1e-8
-
-
-def test_run_flow_plain_rk4_steps_at_the_stability_bound():
-    # with the integrating factor off the explicit stability bound sets every
-    # step but the last, which lands on t_max
-    prob = density_problem(0.1)
-    res = run_flow(prob, RunOptions(t_max=0.05, use_integrating_factor=False))
-    assert res.status == "completed"
-    assert res.steps == 81
-    assert res.step_control["limits"]["stability"] == 80
-    assert res.step_control["limits"]["event"] == 1
-    # the metric starts flat, so the first step is the largest
-    assert max(res.series["dt"]) == res.series["dt"][1] == stable_dt0(prob)
 
 
 def test_run_flow_finite_time_stops_near_T():
@@ -434,24 +367,15 @@ def reference_rhs(prob, p_hat, t, r, comparison):
     return F
 
 
-def reference_lawson_rk4(prob, y, t, dt, r, comparison, use_if):
-    y1 = reference_lawson_stages(prob, y, t, dt, r, comparison, use_if)
+def reference_lawson_rk4(prob, y, t, dt, r, comparison):
+    y1 = reference_lawson_stages(prob, y, t, dt, r, comparison)
     if not comparison:
         y1[(0,) * y1.ndim] += prob.grid.num_points * _forcing_integral(prob, t, dt, r)
     return y1
 
 
-def reference_lawson_stages(prob, y, t, dt, r, comparison, use_if):
+def reference_lawson_stages(prob, y, t, dt, r, comparison):
     """The step without the class forcing of the u/v mean mode."""
-    if not use_if:
-        def N(z, tau):
-            return reference_rhs(prob, z, tau, r, comparison)
-
-        k1 = N(y, t)
-        k2 = N(y + (0.5 * dt) * k1, t + 0.5 * dt)
-        k3 = N(y + (0.5 * dt) * k2, t + 0.5 * dt)
-        k4 = N(y + dt * k3, t + dt)
-        return y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
     ell = prob.laplace_symbol(t + 0.5 * dt)
     if comparison:
         ell = ell - 1.0
@@ -468,17 +392,16 @@ def reference_lawson_stages(prob, y, t, dt, r, comparison, use_if):
     return E1 * y + (dt / 6.0) * (E1 * k1 + 2.0 * (E2 * (k2 + k3)) + k4)
 
 
-@pytest.mark.parametrize("use_if", [False, True])
 @pytest.mark.parametrize("comparison", [False, True])
 @pytest.mark.parametrize("with_f0", [False, True])
-def test_lawson_step_matches_allocating_reference(use_if, comparison, with_f0):
+def test_lawson_step_matches_allocating_reference(comparison, with_f0):
     # the in-place stage arithmetic is bit-identical to the plain expressions
     prob = collapsed_problem()
     y = prob.phi0_hat.copy()
     t, dt, r = 0.3, 0.01, prob.scaled_r
     F0 = _eval_flow(prob, y, t, r, comparison).F_hat if with_f0 else None
-    got, _ = _lawson_rk4(prob, y, t, dt, r, comparison, use_if, F0=F0)
-    want = reference_lawson_rk4(prob, y, t, dt, r, comparison, use_if)
+    got, _ = _lawson_rk4(prob, y, t, dt, r, comparison, F0=F0)
+    want = reference_lawson_rk4(prob, y, t, dt, r, comparison)
     assert np.array_equal(got, want)
 
 
@@ -496,7 +419,7 @@ def test_full_eval_result_owns_its_arrays():
     _eval_flow(prob, y2, 0.3, r, False)
     _eval_flow(prob, y2, 0.3, r, True, full=True)
     states = [(y, r, False, evs[0].F_hat), (y, r, True, evs[1].F_hat)]
-    _attempt_step(prob, states, 0.2, 0.05, True)
+    _attempt_step(prob, states, 0.2, 0.05)
     for ev, saved in zip(evs, before):
         for a, b in zip(arrays(ev), saved):
             assert np.array_equal(a, b)
@@ -511,10 +434,10 @@ def test_lockstep_step_peak_allocation():
     y = prob.phi0_hat.copy()
     states = [(y, r, False, _eval_flow(prob, y, 0.0, r, False).F_hat),
               (y, r, True, _eval_flow(prob, y, 0.0, r, True).F_hat)]
-    _attempt_step(prob, states, 0.0, 0.01, True)
+    _attempt_step(prob, states, 0.0, 0.01)
     tracemalloc.start()
     try:
-        _attempt_step(prob, states, 0.0, 0.01, True)
+        _attempt_step(prob, states, 0.0, 0.01)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -534,7 +457,7 @@ def test_nonfinite_state_is_breakdown_not_singularity(monkeypatch):
 
     monkeypatch.setattr(mkrf.flow, "_eval_flow", counting_eval)
     with pytest.raises(FlowBreakdownError):
-        _attempt_step(prob, [(y, 0, False)], 0.0, 0.01, True)
+        _attempt_step(prob, [(y, 0, False)], 0.0, 0.01)
     assert len(calls) == 1  # no halving retries
 
 
@@ -561,14 +484,12 @@ def test_nan_state_run_ends_as_breakdown_exit_3(tmp_path, monkeypatch):
 # --- embedded error estimate and step control -----------------------------------
 
 
-def reference_embedded_error(prob, y, t, dt, r, comparison, use_if):
+def reference_embedded_error(prob, y, t, dt, r, comparison):
     """y1 minus the embedded solution with weights (1/6, 1/3, 1/3, 1/15, 1/10),
     both mapped back from the Lawson frame; k5 is the stage at y1."""
-    ell = 0.0
-    if use_if:
-        ell = prob.laplace_symbol(t + 0.5 * dt)
-        if comparison:
-            ell = ell - 1.0
+    ell = prob.laplace_symbol(t + 0.5 * dt)
+    if comparison:
+        ell = ell - 1.0
     E2 = np.exp((0.5 * dt) * ell)
     E1 = E2 * E2
 
@@ -579,7 +500,7 @@ def reference_embedded_error(prob, y, t, dt, r, comparison, use_if):
     k2 = N(E2 * (y + (0.5 * dt) * k1), t + 0.5 * dt)
     k3 = N(E2 * y + (0.5 * dt) * k2, t + 0.5 * dt)
     k4 = N(E1 * y + dt * (E2 * k3), t + dt)
-    y1 = reference_lawson_rk4(prob, y, t, dt, r, comparison, use_if)
+    y1 = reference_lawson_rk4(prob, y, t, dt, r, comparison)
     k5 = N(y1, t + dt)
     y_hat = E1 * y + dt * (E1 * k1 / 6.0 + E2 * (k2 + k3) / 3.0 + k4 / 15.0 + k5 / 10.0)
     if not comparison:
@@ -588,17 +509,16 @@ def reference_embedded_error(prob, y, t, dt, r, comparison, use_if):
     return y1 - y_hat
 
 
-@pytest.mark.parametrize("use_if", [False, True])
 @pytest.mark.parametrize("comparison", [False, True])
-def test_embedded_estimate_matches_reference(use_if, comparison):
+def test_embedded_estimate_matches_reference(comparison):
     # the step itself is unchanged: test_lawson_step_matches_allocating_reference
     prob = collapsed_problem()
     y = prob.phi0_hat.copy()
     t, dt, r = 0.3, 0.01, prob.scaled_r
     F0 = _eval_flow(prob, y, t, r, comparison).F_hat
-    y1, d = _lawson_rk4(prob, y, t, dt, r, comparison, use_if, F0=F0)
+    y1, d = _lawson_rk4(prob, y, t, dt, r, comparison, F0=F0)
     F1 = _eval_flow(prob, y1, t + dt, r, comparison).F_hat
-    want = reference_embedded_error(prob, y, t, dt, r, comparison, use_if)
+    want = reference_embedded_error(prob, y, t, dt, r, comparison)
     got = 0.1 * dt * (d - F1)
     # the reference subtracts two states: round-off on their scale
     assert np.abs(got - want).max() <= 1e-14 * np.abs(y1).max()
@@ -606,8 +526,7 @@ def test_embedded_estimate_matches_reference(use_if, comparison):
         _sup_bound(prob, want), rel=1e-9)
 
 
-@pytest.mark.parametrize("use_if", [False, True])
-def test_embedded_estimate_is_third_order(use_if):
+def test_embedded_estimate_is_third_order():
     # local error of an order-3 embedding: once dt |ell| is small, halving dt
     # divides it by ~2^4 (at larger dt the Lawson estimate shows the usual
     # stiff order reduction)
@@ -617,7 +536,7 @@ def test_embedded_estimate_is_third_order(use_if):
     errs = []
     for dt in (1.25e-3, 6.25e-4):
         F0 = _eval_flow(prob, y, 0.0, r, False).F_hat
-        y1, d = _lawson_rk4(prob, y, 0.0, dt, r, False, use_if, F0=F0)
+        y1, d = _lawson_rk4(prob, y, 0.0, dt, r, False, F0=F0)
         errs.append(_embedded_error(prob, d, _eval_flow(prob, y1, dt, r, False).F_hat, dt))
     assert 12.0 < errs[0] / errs[1] < 20.0
 
@@ -677,6 +596,31 @@ def test_tiny_step_tol_rejects_retries_and_completes(monkeypatch):
     # every attempt steps both flows; a rejected one records no row
     assert len(steps) == 2 * (res.steps + control["rejections"])
     assert len(res.series["t"]) == res.steps + 1
+
+
+def test_error_estimate_alone_keeps_a_rough_run_stable():
+    # a rough n=1 potential makes the non-constant part of the Laplacian
+    # stiff; error rejections, not a separate stability bound, hold dt there
+    g = GridSpec(1, 32)
+
+    def rough():
+        return FlowProblem(
+            KahlerForm(np.eye(1), synthesize(g, [((1, 0), 0.09)])),
+            KahlerForm(np.eye(1), g.zeros()),
+            VolumeDensity(ScalarField(g, np.ones(g.shape))),
+        )
+
+    opts = RunOptions(t_max=2.0)
+    res = run_flow(rough(), opts)
+    assert res.status == "completed"
+    assert res.step_control["rejections"] > 0
+    assert res.step_control["max_error"] <= mkrf.flow.STEP_TOL
+    # at dt_cap / 8 the estimate still sets the first steps; dt_cap / 32
+    # is within 5e-8 of dt_cap / 64
+    ref = run_flow(rough(), RunOptions(t_max=2.0, dt_cap=opts.dt_cap / 32))
+    assert ref.status == "completed"
+    err = np.abs(res.final["u_hat"].values - ref.final["u_hat"].values).max()
+    assert err <= mkrf.flow.STEP_TOL
 
 
 def test_repeated_short_collapsed_runs_write_identical_series(tmp_path):

@@ -1,0 +1,60 @@
+"""Every name a module of the package imports is used in that module.
+
+No linter ships with the project; this is the one lint check it keeps.
+``__init__.py`` is left out: its imports are the package's public names.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "mkrf"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def imported_names(tree):
+    """(name, line) of every binding an import statement makes."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def used_names(tree):
+    """Every name the module reads, names inside string annotations included."""
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for ann in annotations(tree):
+        for node in ast.walk(ann):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                expr = ast.parse(node.value, mode="eval")
+                used.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_module_uses_every_name_it_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    used = used_names(tree)
+    unused = [f"{name} (line {line})" for name, line in imported_names(tree)
+              if name not in used]
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_unused_import_is_caught():
+    tree = ast.parse("import math\nfrom os import path, sep\nx: 'path' = sep\n")
+    used = used_names(tree)
+    assert [n for n, _ in imported_names(tree) if n not in used] == ["math"]

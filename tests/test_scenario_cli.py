@@ -59,8 +59,9 @@ def test_scenario_validation_errors():
 
 
 def test_removed_monitors_key_is_unknown(tmp_path, capsys):
-    # monitors and seed were read by nothing and are gone
-    for key, value in (("monitors", None), ("seed", 0)):
+    # monitors and seed were read by nothing and are gone; the plain-RK4
+    # switch went with the plain-RK4 step
+    for key, value in (("monitors", None), ("seed", 0), ("use_integrating_factor", True)):
         cfg = tmp_path / "old.json"
         cfg.write_text(json.dumps(dict(json.loads(tiny_scenario().to_json()), **{key: value})))
         assert main(["run", "--config", str(cfg)]) == 4
