@@ -95,8 +95,10 @@ def cmd_classify(args) -> int:
 
 
 def _newton_work(rep) -> dict:
-    """How hard one Newton solve worked: iterations and Jacobian applications."""
-    return {"iterations": rep.iterations, "matvecs": list(rep.matvecs)}
+    """How hard one Newton solve worked: iterations and Jacobian applications
+    on its grid, where it started, and the coarse solves of a nested start."""
+    return {"iterations": rep.iterations, "matvecs": list(rep.matvecs),
+            "start": rep.start, "coarse_levels": rep.coarse_levels}
 
 
 def _limit_problem(problem) -> EllipticProblem:
@@ -230,6 +232,8 @@ def cmd_cy_solve(args) -> int:
                     "converged": rep.converged,
                     "linear_rtols": rep.linear_rtols,
                     "matvecs": rep.matvecs,
+                    "start": rep.start,
+                    "coarse_levels": rep.coarse_levels,
                 },
                 fh, indent=2, sort_keys=True,
             )

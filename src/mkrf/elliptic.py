@@ -13,7 +13,10 @@ fixed density weight w = (target / mean target)^((n-1)/n) and then inverts
 the constant-coefficient Laplacian of the mean metric exactly in Fourier
 space; there is no weight at n=1 or for a constant density.  The Jacobian
 applied to the zero vector, which lgmres's zero start asks for in every
-system, is answered without a transform and not counted.
+system, is answered without a transform and not counted.  A cold solve
+(no initial guess) on a grid whose half is a grid too starts from the
+interpolated solution of the same equation on the half grid, solved to a
+looser certificate (nested iteration); the fine certificate is unchanged.
 
 solve_psi_family reuses the same solver along a collapsed pencil, producing
 the per-time reference potentials whose uniform bounds the collapsed-regime
@@ -41,7 +44,7 @@ from .geometry import (
     matrix_sqrt_hermitian,
     trace_pair_components,
 )
-from .grid import ScalarField, forward, inverse, tables
+from .grid import GridSpec, ScalarField, forward, inverse, tables
 
 SUP_TOL_FACTOR = 1e-10
 LINEAR_RTOL = 1e-8
@@ -51,6 +54,13 @@ LINEAR_RTOL = 1e-8
 MAX_FORCING = 0.1
 MAX_NEWTON_ITER = 100
 MAX_HALVINGS = 30
+# certificate of the coarse solves of a nested start, relative like
+# SUP_TOL_FACTOR.  The interpolated start's residual cannot fall below the
+# half grid's discretization error (5e-4 of the scale on cy-n24), and at
+# 1e-4 it reaches that floor on every problem swept; tighter coarse solves
+# buy no fine iteration and can stagnate on an under-resolved half grid
+# (see the sweep in CHANGES.md)
+COARSE_TOL_FACTOR = 1e-4
 
 
 class NewtonConvergenceError(Exception):
@@ -89,6 +99,11 @@ class NewtonReport:
     # Jacobian applications it took
     linear_rtols: list = field(default_factory=list)
     matvecs: list = field(default_factory=list)
+    # where the iteration started: "given" (U0), "nested" (the interpolated
+    # half-grid solution) or "zero"; and the coarse solves of a cold start,
+    # coarsest first, as {N, iterations, matvecs, converged}
+    start: str = "zero"
+    coarse_levels: list = field(default_factory=list)
 
 
 def _frame_state(problem: EllipticProblem, root_inv: np.ndarray, U: np.ndarray):
@@ -169,15 +184,15 @@ class _FrameOperators:
             return None
         return out
 
-    def operators(self, comps, det):
-        """Jacobian J and preconditioner M at the frame metric comps.
+    def operators(self, comps, mean_det: float):
+        """Jacobian J and preconditioner M at the frame metric comps, whose
+        determinant has the grid mean mean_det.
 
         Both return a fresh array on every call: lgmres keeps them in its
         Krylov basis.
         """
         grid = self.grid
         npts = grid.num_points
-        mean_det = float(det.mean())
         # det tr(g^{-1} S) = tr(adj(g) S): the pairing with the determinant
         # set to one is the adjugate pairing for n=2; for n=1 adj(g) = 1
         adj = comps if grid.n == 2 else (1.0,)
@@ -228,34 +243,148 @@ def solve_cy(problem: EllipticProblem, U0: ScalarField | None = None,
     than needed.  J s comes from lgmres's own final residual check, so the
     forcing costs no Jacobian application.
 
+    Without U0 the iteration starts from the interpolated solution on the
+    half grid (_nested_start) where the grid has one and the interpolant is
+    admissible, else from zero; the report's coarse_levels records the
+    coarse solves.  An explicit U0 is used as given, less its mean, and is
+    not modified.
+
     Returns (U, NewtonReport) with mean(U) = 0 and sup-norm residual below
     SUP_TOL_FACTOR c mean(h).  Raises NewtonConvergenceError when the
     iteration stalls.
     """
+    if np.linalg.eigvalsh(problem.form.A).min() <= POSITIVITY_EPS:
+        raise ValueError("reference class must be positive definite for the elliptic solve")
+    if U0 is not None:
+        U = U0.values.copy()
+        offset = float(U.mean())
+        U -= offset
+        U, report = _newton(problem, U, SUP_TOL_FACTOR, max_iter)
+        report.gauge_offset = offset
+        report.start = "given"
+    else:
+        levels = []
+        U, report = _cold_newton(problem, SUP_TOL_FACTOR, max_iter, levels)
+        report.coarse_levels = levels
+    return ScalarField(problem.form.grid, U), report
+
+
+def _restrict(problem: EllipticProblem) -> EllipticProblem:
+    """The same equation on the half grid.
+
+    The even points of the grid are exactly the points of the half grid, so
+    phi and h are taken there; the compatibility constant is recomputed from
+    the coarse mean of h, which keeps the coarse problem discretely solvable.
+    """
+    grid = problem.form.grid
+    coarse = GridSpec(grid.n, grid.N // 2)
+    even = (slice(None, None, 2),) * (2 * grid.n)
+    phi = ScalarField(coarse, np.ascontiguousarray(problem.form.phi.values[even]))
+    h = ScalarField(coarse, np.ascontiguousarray(problem.omega.h.values[even]))
+    return EllipticProblem.compatible(KahlerForm(problem.form.A, phi), VolumeDensity(h))
+
+
+def _prolong(coarse: ScalarField, fine: GridSpec) -> ScalarField:
+    """Trigonometric interpolation of a field onto a finer grid.
+
+    The rfft spectrum is zero-padded: the coarse Nyquist planes, whose modes
+    the spectral Hessian annihilates and which have no single fine
+    counterpart, are dropped, and the coefficients are scaled by
+    (N_fine / N_coarse)^(2n) for the unnormalized transforms.  A field
+    band-limited below the coarse Nyquist frequency is reproduced exactly.
+    """
+    nc, nf = coarse.grid.N, fine.N
+    half = nc // 2
+    kept_c = np.r_[0:half, half + 1:nc]
+    kept_f = np.r_[0:half, nf - half + 1:nf]
+    naxes = 2 * fine.n
+    coeffs = forward(coarse.grid, coarse.values)
+    padded = np.zeros(tables(fine.n, nf).rshape, dtype=np.complex128)
+    last = np.arange(half)
+    padded[np.ix_(*[kept_f] * (naxes - 1), last)] = coeffs[np.ix_(*[kept_c] * (naxes - 1), last)]
+    padded *= (nf / nc) ** naxes
+    return ScalarField(fine, inverse(fine, padded))
+
+
+def _cold_newton(problem: EllipticProblem, tol_factor: float, max_iter: int, levels: list):
+    """Newton from the nested start, or from zero when there is none or it
+    is inadmissible on this grid; coarse solves are appended to levels."""
+    start = _nested_start(problem, max_iter, levels)
+    if start is not None:
+        try:
+            U, report = _newton(problem, start, tol_factor, max_iter)
+            report.start = "nested"
+            return U, report
+        except SingularMetricError:
+            pass
+    return _newton(problem, np.zeros(problem.form.grid.shape), tol_factor, max_iter)
+
+
+def _nested_start(problem: EllipticProblem, max_iter: int, levels: list):
+    """The half-grid solution interpolated onto the problem's grid, or None.
+
+    Nested iteration (Bank and Rose 1982): when N/2 is itself a valid grid,
+    the restricted problem is solved, recursively from its own half grid,
+    to the looser certificate COARSE_TOL_FACTOR, and its solution is
+    prolonged.  By mesh independence (Allgower, Boehmer, Potra and
+    Rheinboldt 1986) the fine Newton iteration then starts inside its
+    quadratic basin.  Each coarse solve appends {N, iterations, matvecs,
+    converged} to levels, coarsest first; a failed one gives None.
+    """
+    grid = problem.form.grid
+    if grid.N % 4 or grid.N < 16:
+        # N/2 is odd or below GridSpec's least N, 8
+        return None
+    coarse = _restrict(problem)
+
+    def record(report, converged):
+        levels.append({"N": grid.N // 2, "iterations": report.iterations,
+                       "matvecs": list(report.matvecs), "converged": converged})
+
+    try:
+        U, report = _cold_newton(coarse, COARSE_TOL_FACTOR, max_iter, levels)
+    except NewtonConvergenceError as err:
+        record(err.report, False)
+        return None
+    except SingularMetricError:
+        # the coarse data is not a Kahler metric at all
+        record(NewtonReport(), False)
+        return None
+    record(report, True)
+    return _prolong(ScalarField(coarse.form.grid, U), grid).values
+
+
+def _newton(problem: EllipticProblem, U: np.ndarray, tol_factor: float, max_iter: int):
+    """Damped inexact Newton from the mean-zero start U, which is updated in
+    place, to the sup-norm certificate tol_factor * scale.
+
+    Returns (U, NewtonReport).  Raises SingularMetricError when the start is
+    inadmissible and NewtonConvergenceError when the iteration stalls.
+    """
     grid = problem.form.grid
     A = problem.form.A
-    eig = np.linalg.eigvalsh(A)
-    if eig.min() <= POSITIVITY_EPS:
-        raise ValueError("reference class must be positive definite for the elliptic solve")
     det_A = float(np.linalg.det(A).real)
     root_inv = matrix_sqrt_hermitian(np.linalg.inv(A))
     h = problem.omega.h.values
     # all residual arithmetic happens at the unit scale of the A-frame
     target = (problem.c / det_A) * h
     scale = problem.c * float(np.mean(h)) / det_A
-    tol = scale * SUP_TOL_FACTOR
+    tol = scale * tol_factor
 
     report = NewtonReport()
-    U = np.zeros(grid.shape) if U0 is None else U0.values.copy()
-    offset = float(U.mean())
-    U -= offset
-    report.gauge_offset = offset
-
     comps, det = _frame_state(problem, root_inv, U)
     res = det - target
     res_norm = float(np.abs(res).max())
     report.residual_history.append(res_norm * det_A)
 
+    # the Newton right-hand side, the residual less its mean, negated; the
+    # line search overwrites it and state in place: allocated before the
+    # first Krylov basis, these arrays stay below every later one, so the
+    # heap top can be returned after each Krylov solve
+    state = (U, *comps)
+    rhs = np.negative(res.ravel() - res.mean())
+    mean_det = float(det.mean())
+    del det, res
     ops = _FrameOperators(grid, A, root_inv, _precond_weight(target, grid.n))
     npts = grid.num_points
 
@@ -264,8 +393,7 @@ def solve_cy(problem: EllipticProblem, U0: ScalarField | None = None,
         if res_norm <= tol:
             report.converged = True
             break
-        J, M = ops.operators(comps, det)
-        rhs = -(res - res.mean()).ravel()
+        J, M = ops.operators(comps, mean_det)
         rhs_norm = float(np.linalg.norm(rhs))
         if rhs_norm > 0.0:
             # a linear residual of half the Newton tolerance is as good as solved
@@ -289,52 +417,23 @@ def solve_cy(problem: EllipticProblem, U0: ScalarField | None = None,
         if J_delta is not None and rhs_norm > 0.0:
             J_delta -= rhs
             model = (float(np.linalg.norm(J_delta)), float(J_delta @ rhs))
-        # the next Krylov basis is the solve's memory peak: hold no stale
-        # full-grid arrays through it
-        del J_delta
         delta = delta.reshape(grid.shape)
         delta -= delta.mean()
 
-        s = 1.0
-        accepted = False
-        for _ in range(MAX_HALVINGS):
-            trial = U + s * delta
-            trial -= trial.mean()
-            try:
-                comps_t, det_t = _frame_state(problem, root_inv, trial)
-            except SingularMetricError:
-                s *= 0.5
-                continue
-            res_t = det_t - target
-            res_t_norm = float(np.abs(res_t).max())
-            if res_t_norm < res_norm:
-                if model is None:
-                    forcing = res_t_norm / scale
-                else:
-                    # ‖s (J delta - rhs) + (s - 1) rhs‖
-                    r1, r1_rhs = model
-                    linear = r1 if s == 1.0 else math.sqrt(max(
-                        0.0, (s * r1) ** 2 + 2.0 * s * (s - 1.0) * r1_rhs
-                        + ((s - 1.0) * rhs_norm) ** 2))
-                    new_norm = float(np.linalg.norm(res_t - res_t.mean()))
-                    forcing = abs(new_norm - linear) / rhs_norm
-                    # safeguard: the previous term to the golden-ratio power
-                    floor = rtol ** (0.5 * (1.0 + math.sqrt(5.0)))
-                    if floor > 0.1:
-                        forcing = max(forcing, floor)
-                U, comps, det, res, res_norm = trial, comps_t, det_t, res_t, res_t_norm
-                accepted = True
-                break
-            s *= 0.5
-        del delta
-        report.damping_history.append(s if accepted else 0.0)
+        step = _line_search(problem, root_inv, target, state, rhs, delta, res_norm)
+        # J_delta, lgmres's last allocation, is released only now: until
+        # here it holds the heap top, so the line search's temporaries reuse
+        # the Krylov basis's memory, and freeing it returns all of that
+        del J_delta, delta
         report.iterations = it + 1
-        report.residual_history.append(res_norm * det_A)
-        if not accepted:
+        if step is None:
+            report.damping_history.append(0.0)
+            report.residual_history.append(res_norm * det_A)
             # distinguish a genuine stall from an under-resolved target whose
-            # residual lives in the discrete gauge kernel
+            # residual lives in the discrete gauge kernel (its mean, which
+            # rhs lacks, is round-off: mean det = det A on every grid)
             kernel = ops.kernel
-            res_hat = np.abs(forward(grid, res)) / npts
+            res_hat = np.abs(forward(grid, rhs.reshape(grid.shape))) / npts
             kern = float(res_hat[kernel].max()) if kernel.any() else 0.0
             report.message = f"line search failed at iteration {it}"
             if kern > 0.25 * res_norm:
@@ -343,12 +442,57 @@ def solve_cy(problem: EllipticProblem, U0: ScalarField | None = None,
                     " refine the grid)"
                 )
             break
+        s, res_t_norm, mean_det = step
+        if model is None:
+            forcing = res_t_norm / scale
+        else:
+            # ‖s (J delta - rhs) + (s - 1) rhs‖
+            r1, r1_rhs = model
+            linear = r1 if s == 1.0 else math.sqrt(max(
+                0.0, (s * r1) ** 2 + 2.0 * s * (s - 1.0) * r1_rhs
+                + ((s - 1.0) * rhs_norm) ** 2))
+            new_norm = float(np.linalg.norm(rhs))
+            forcing = abs(new_norm - linear) / rhs_norm
+            # safeguard: the previous term to the golden-ratio power
+            floor = rtol ** (0.5 * (1.0 + math.sqrt(5.0)))
+            if floor > 0.1:
+                forcing = max(forcing, floor)
+        res_norm = res_t_norm
+        report.damping_history.append(s)
+        report.residual_history.append(res_norm * det_A)
     report.final_residual = res_norm * det_A
     if not report.converged and res_norm <= tol:
         report.converged = True
     if not report.converged:
         raise NewtonConvergenceError(report)
-    return ScalarField(grid, U), report
+    return U, report
+
+
+def _line_search(problem: EllipticProblem, root_inv, target, state, rhs, delta, res_norm):
+    """Damped step: halve s until U + s delta is admissible and lowers the
+    sup-norm residual.  The accepted step overwrites state = (U, *comps)
+    and rhs, the negated residual less its mean, in place.  Returns
+    (s, residual, mean det) or None after MAX_HALVINGS halvings.
+    """
+    U = state[0]
+    s = 1.0
+    for _ in range(MAX_HALVINGS):
+        trial = U + s * delta
+        trial -= trial.mean()
+        try:
+            comps, det = _frame_state(problem, root_inv, trial)
+        except SingularMetricError:
+            s *= 0.5
+            continue
+        res = det - target
+        trial_norm = float(np.abs(res).max())
+        if trial_norm < res_norm:
+            for cur, new in zip(state, (trial, *comps)):
+                cur[...] = new
+            np.negative(res.ravel() - res.mean(), out=rhs)
+            return s, trial_norm, float(det.mean())
+        s *= 0.5
+    return None
 
 
 def psi_problem(flow_problem, t: float) -> EllipticProblem:

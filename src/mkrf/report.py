@@ -179,8 +179,13 @@ def render_report(run_dir, out_dir=None) -> list:
         if solves:
             lines.append("newton solves:")
             for label, s in solves:
+                start = f", start {s['start']}" if "start" in s else ""
                 lines.append(f"  {label}: {s['iterations']} iterations,"
-                             f" {sum(s['matvecs'])} matvecs {s['matvecs']}")
+                             f" {sum(s['matvecs'])} matvecs {s['matvecs']}{start}")
+                for c in s.get("coarse_levels", []):
+                    failed = "" if c["converged"] else ", failed"
+                    lines.append(f"    coarse N={c['N']}: {c['iterations']} iterations,"
+                                 f" {sum(c['matvecs'])} matvecs {c['matvecs']}{failed}")
         control = data.get("step_control")
         if control:
             lines.append("step control:")

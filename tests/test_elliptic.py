@@ -189,7 +189,9 @@ def test_newton_report_records_forcing_and_matvecs(monkeypatch):
     monkeypatch.setattr(elliptic, "trace_pair_components", counted)
     prob = varying_density_problem()
     form, h = prob.form, prob.omega.h
-    _, plain = solve_cy(prob)
+    # a single-level solve: the explicit zero start runs no coarse level
+    zero = form.grid.zeros()
+    _, plain = solve_cy(prob, U0=zero)
 
     # record every Newton system and apply its J once more to the solution
     systems = []
@@ -202,7 +204,7 @@ def test_newton_report_records_forcing_and_matvecs(monkeypatch):
 
     monkeypatch.setattr(elliptic.spla, "lgmres", recording_lgmres)
     calls.clear()
-    _, rep = solve_cy(prob)
+    _, rep = solve_cy(prob, U0=zero)
     assert rep.iterations >= 3
     assert len(rep.linear_rtols) == len(rep.matvecs) == len(systems) == rep.iterations
     assert sum(rep.matvecs) == len(calls)
@@ -258,7 +260,7 @@ def test_folded_matvec_matches_frame_congruence(n):
     from mkrf.grid import forward
 
     g, root_inv, comps, det, ops = _frame_operators_at(n)
-    J, _ = ops.operators(comps, det)
+    J, _ = ops.operators(comps, float(det.mean()))
     rng = np.random.default_rng(7)
     for _ in range(3):
         v = rng.standard_normal(g.num_points)
@@ -274,7 +276,7 @@ def test_folded_matvec_matches_frame_congruence(n):
 def test_operator_outputs_are_fresh_arrays(n):
     # lgmres keeps every returned vector in its Krylov basis
     g, _, comps, det, ops = _frame_operators_at(n)
-    J, M = ops.operators(comps, det)
+    J, M = ops.operators(comps, float(det.mean()))
     rng = np.random.default_rng(3)
     v1, v2 = rng.standard_normal((2, g.num_points))
     for op in (J, M):
@@ -290,7 +292,7 @@ def test_matvec_skips_the_zero_vector(monkeypatch):
     import mkrf.elliptic as elliptic
 
     g, _, comps, det, ops = _frame_operators_at(2)
-    J, _ = ops.operators(comps, det)
+    J, _ = ops.operators(comps, float(det.mean()))
     calls = []
 
     def counting(name):
@@ -343,10 +345,10 @@ def test_density_weight_saves_matvecs(monkeypatch):
     prob = EllipticProblem.compatible(form, VolumeDensity(h))
     tol = 1e-10 * prob.c * mean(h)
     built = _weight_spy(monkeypatch)
-    U, weighted = solve_cy(prob)
+    U, weighted = solve_cy(prob, U0=g.zeros())
     assert len(built) == 1 and built[0] is not None
     _weight_spy(monkeypatch, weight_one=True)
-    U1, unit = solve_cy(prob)
+    U1, unit = solve_cy(prob, U0=g.zeros())
     assert weighted.final_residual <= tol and unit.final_residual <= tol
     assert weighted.iterations <= unit.iterations
     assert sum(weighted.matvecs) < sum(unit.matvecs)
@@ -387,6 +389,186 @@ def test_no_weight_at_n1(monkeypatch):
     h = ScalarField(g, np.exp(synthesize(g, [((1, 0), 0.12), ((0, 2), 0.05)]).values))
     prob = EllipticProblem.compatible(KahlerForm(np.array([[1.7]]), g.zeros()), VolumeDensity(h))
     built = _weight_spy(monkeypatch)
-    _, rep = solve_cy(prob)
+    _, rep = solve_cy(prob, U0=g.zeros())
     assert rep.converged
     assert len(built) == 1 and built[0] is None
+
+
+# nested iteration: cold solves start from the interpolated half-grid solution
+
+def _band_limited_modes(n, N):
+    """Cosine terms below the Nyquist frequency of the N grid, with phases."""
+    top = N // 2 - 1
+    if n == 1:
+        return [((1, 0), 0.3), ((0, top), 0.2, 0.7), ((top, -2), 0.1, 1.3)]
+    return [((1, 0, 0, 0), 0.3), ((0, top, 1, 0), 0.2, 0.7),
+            ((2, -1, top, -top), 0.1, 1.3), ((0, 0, 0, top), 0.05, 2.1)]
+
+
+@pytest.mark.parametrize("n,N", [(1, 16), (2, 16), (2, 24)])
+def test_prolongation_reproduces_band_limited_fields(n, N):
+    from mkrf.elliptic import _prolong
+
+    fine, coarse = GridSpec(n, N), GridSpec(n, N // 2)
+    modes = _band_limited_modes(n, N // 2)
+    got = _prolong(synthesize(coarse, modes), fine)
+    want = synthesize(fine, modes)
+    assert got.grid == fine
+    assert np.abs(got.values - want.values).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n,N", [(1, 16), (2, 20)])
+def test_restriction_is_the_coarse_synthesis(n, N):
+    # the even points of the fine grid are the coarse grid's points, so the
+    # restricted problem is bit for bit the one built on the coarse grid
+    from mkrf.elliptic import _restrict
+
+    fine, coarse = GridSpec(n, N), GridSpec(n, N // 2)
+    phi_modes = _band_limited_modes(n, N)[:2]
+    h_modes = [(m, 0.1 * a) for m, a, *_ in _band_limited_modes(n, N)[1:]]
+    even = (slice(None, None, 2),) * (2 * n)
+    assert np.array_equal(synthesize(fine, phi_modes).values[even],
+                          synthesize(coarse, phi_modes).values)
+    A = np.eye(n) * 1.3
+
+    def problem(g):
+        h = ScalarField(g, np.exp(synthesize(g, h_modes).values))
+        return EllipticProblem.compatible(KahlerForm(A, synthesize(g, phi_modes)),
+                                          VolumeDensity(h))
+
+    got, want = _restrict(problem(fine)), problem(coarse)
+    assert got.form.grid == coarse
+    assert np.array_equal(got.form.phi.values, want.form.phi.values)
+    assert np.array_equal(got.omega.h.values, want.omega.h.values)
+    assert got.c == want.c
+
+
+def nested_problem(N):
+    # three density modes: the zero start needs five Newton iterations
+    g = GridSpec(2, N)
+    form = KahlerForm(np.array([[1.2, 0.1j], [-0.1j, 1.0]]),
+                      synthesize(g, [((1, 0, 0, 1), 0.01)]))
+    h = ScalarField(g, np.exp(synthesize(g, [((1, 0, 0, 0), 0.2), ((0, 1, 1, 0), 0.15),
+                                             ((0, 0, 1, 1), 0.1, 0.5)]).values))
+    return EllipticProblem.compatible(form, VolumeDensity(h))
+
+
+@pytest.mark.parametrize("N", [16, 20])
+def test_nested_start_matches_the_zero_start(N):
+    prob = nested_problem(N)
+    tol = 1e-10 * prob.c * mean(prob.omega.h)
+    U, nested = solve_cy(prob)
+    Z, zero = solve_cy(prob, U0=prob.form.grid.zeros())
+    assert nested.start == "nested" and zero.start == "given"
+    assert [(c["N"], c["converged"]) for c in nested.coarse_levels] == [(N // 2, True)]
+    assert nested.final_residual <= tol and zero.final_residual <= tol
+    assert np.abs(U.values - Z.values).max() < 1e-10
+    assert nested.iterations < zero.iterations
+    # the report keeps its fine-level meaning
+    assert len(nested.matvecs) == len(nested.linear_rtols) == nested.iterations
+    assert len(nested.residual_history) == nested.iterations + 1
+
+
+@pytest.mark.parametrize("N,levels", [(64, [8, 16, 32]), (40, [10, 20]), (20, [10]),
+                                      (12, []), (10, [])])
+def test_nested_start_halves_down_to_the_smallest_grid(N, levels):
+    # a half grid exists while N/2 is even and at least 8; the density is
+    # band-limited, so every grid here resolves it
+    g = GridSpec(1, N)
+    h = ScalarField(g, 1.0 + synthesize(g, [((1, 0), 0.12), ((0, 2), 0.05)]).values)
+    prob = EllipticProblem.compatible(KahlerForm(np.array([[1.7]]), g.zeros()),
+                                      VolumeDensity(h))
+    _, rep = solve_cy(prob)
+    assert [c["N"] for c in rep.coarse_levels] == levels
+    assert all(c["converged"] for c in rep.coarse_levels)
+    assert rep.start == ("nested" if levels else "zero")
+
+
+def _coarse_newton_fails(monkeypatch, exc):
+    """Make every Newton solve below N=16 raise exc()."""
+    import mkrf.elliptic as elliptic
+
+    real = elliptic._newton
+
+    def failing(problem, U, tol_factor, max_iter):
+        if problem.form.grid.N < 16:
+            raise exc()
+        return real(problem, U, tol_factor, max_iter)
+
+    monkeypatch.setattr(elliptic, "_newton", failing)
+
+
+@pytest.mark.parametrize("failure", ["convergence", "singular"])
+def test_coarse_failure_falls_back_to_the_zero_start(monkeypatch, failure):
+    from mkrf.elliptic import NewtonConvergenceError, NewtonReport
+    from mkrf.geometry import SingularMetricError
+
+    prob = nested_problem(16)
+    Z, zero = solve_cy(prob, U0=prob.form.grid.zeros())
+    exc = ((lambda: NewtonConvergenceError(NewtonReport(iterations=3, matvecs=[1, 2, 3])))
+           if failure == "convergence" else (lambda: SingularMetricError(-1.0, (0, 0, 0, 0))))
+    _coarse_newton_fails(monkeypatch, exc)
+    U, rep = solve_cy(prob)
+    assert rep.start == "zero"
+    iters, matvecs = (3, [1, 2, 3]) if failure == "convergence" else (0, [])
+    assert rep.coarse_levels == [{"N": 8, "iterations": iters, "matvecs": matvecs,
+                                  "converged": False}]
+    assert np.array_equal(U.values, Z.values)
+    assert rep.matvecs == zero.matvecs
+
+
+def test_inadmissible_interpolant_falls_back_to_the_zero_start(monkeypatch):
+    import mkrf.elliptic as elliptic
+
+    prob = nested_problem(16)
+    g = prob.form.grid
+    Z, _ = solve_cy(prob, U0=g.zeros())
+    # a potential whose Hessian overwhelms the class: not a Kahler metric
+    monkeypatch.setattr(elliptic, "_prolong",
+                        lambda coarse, fine: synthesize(fine, [((1, 0, 0, 0), 1.0)]))
+    U, rep = solve_cy(prob)
+    assert rep.start == "zero"
+    assert rep.coarse_levels[0]["converged"]
+    assert np.array_equal(U.values, Z.values)
+
+
+def test_fine_failure_propagates(monkeypatch):
+    import mkrf.elliptic as elliptic
+    from mkrf.elliptic import NewtonConvergenceError
+
+    prob = nested_problem(16)
+    real = elliptic._newton
+    grids = []
+
+    def spy(problem, U, tol_factor, max_iter):
+        grids.append(problem.form.grid.N)
+        return real(problem, U, tol_factor, max_iter)
+
+    monkeypatch.setattr(elliptic, "_newton", spy)
+    with pytest.raises(NewtonConvergenceError) as exc:
+        solve_cy(prob, max_iter=1)
+    # the coarse level fails too and the zero start is tried once
+    assert grids == [8, 16]
+    assert exc.value.report.iterations == 1
+    grids.clear()
+    # a coarse level that converges, then a fine level that cannot
+    monkeypatch.setattr(elliptic, "SUP_TOL_FACTOR", 0.0)
+    with pytest.raises(NewtonConvergenceError):
+        solve_cy(prob)
+    assert grids == [8, 16]
+
+
+def test_explicit_start_runs_no_coarse_level(monkeypatch):
+    import mkrf.elliptic as elliptic
+
+    prob = nested_problem(16)
+    g = prob.form.grid
+    restricted = []
+    monkeypatch.setattr(elliptic, "_restrict", lambda p: restricted.append(p))
+    U0 = synthesize(g, [((0, 0, 1, 0), 0.002)])
+    kept = U0.values.copy()
+    U, rep = solve_cy(prob, U0=U0)
+    assert restricted == []
+    assert rep.start == "given" and rep.coarse_levels == []
+    assert np.array_equal(U0.values, kept)
+    assert rep.converged

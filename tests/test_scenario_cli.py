@@ -246,6 +246,11 @@ def test_run_tiny_scenario_and_report(tmp_path, capsys):
     assert ref["iterations"] >= 1 and len(ref["matvecs"]) == ref["iterations"]
     assert (f"  reference: {ref['iterations']} iterations, {sum(ref['matvecs'])} matvecs"
             in (out / "summary.txt").read_text())
+    # N=16 starts from the solution on its N=8 half grid
+    assert ref["start"] == "nested" and [c["N"] for c in ref["coarse_levels"]] == [8]
+    coarse = ref["coarse_levels"][0]
+    assert (f"    coarse N=8: {coarse['iterations']} iterations, {sum(coarse['matvecs'])} matvecs"
+            in (out / "summary.txt").read_text())
 
     # report is idempotent
     before = {p.name: p.read_bytes() for p in svgs}
@@ -269,6 +274,10 @@ def test_cy_solve_cli(tmp_path, capsys):
     rep = json.loads((out / "newton_report.json").read_text())
     assert rep["converged"]
     assert rep["final_residual"] <= 1e-10
+    assert len(rep["matvecs"]) == rep["iterations"]
+    assert rep["start"] == "nested"
+    assert [(c["N"], c["converged"]) for c in rep["coarse_levels"]] == [(8, True)]
+    # the summary line counts the fine level's Jacobian applications
     assert capsys.readouterr().out.strip().endswith(f", matvecs {sum(rep['matvecs'])}")
 
 
@@ -332,6 +341,9 @@ def test_cli_collapsed_run_with_psi_family(tmp_path):
     newton = data["constants"]["psi_newton"]
     assert [e["t"] for e in newton] == [0.0, 5.0, 10.0]
     assert all(len(e["matvecs"]) == e["iterations"] for e in newton)
+    # N=8 has no half grid
+    assert newton[0]["start"] == "zero"
+    assert all(e["coarse_levels"] == [] for e in newton)
     summary = (out / "summary.txt").read_text()
     assert all(f"  psi t={e['t']:g}: {e['iterations']} iterations" in summary for e in newton)
     rep = data["reports"]["collapsed"]
