@@ -95,9 +95,11 @@ def cmd_classify(args) -> int:
 
 
 def _newton_work(rep) -> dict:
-    """How hard one Newton solve worked: iterations and Jacobian applications
-    on its grid, where it started, and the coarse solves of a nested start."""
+    """How hard one Newton solve worked: iterations, Jacobian applications
+    and reached linear residuals on its grid, where it started, and the
+    coarse solves of a nested start."""
     return {"iterations": rep.iterations, "matvecs": list(rep.matvecs),
+            "linear_residuals": list(rep.linear_residuals),
             "start": rep.start, "coarse_levels": rep.coarse_levels}
 
 
@@ -231,6 +233,7 @@ def cmd_cy_solve(args) -> int:
                     "gauge_offset": rep.gauge_offset,
                     "converged": rep.converged,
                     "linear_rtols": rep.linear_rtols,
+                    "linear_residuals": rep.linear_residuals,
                     "matvecs": rep.matvecs,
                     "start": rep.start,
                     "coarse_levels": rep.coarse_levels,

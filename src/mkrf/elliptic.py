@@ -6,17 +6,21 @@ solve_cy finds the mean-zero potential U with
 
 which is discretely solvable because the grid mean of the determinant equals
 det(A) for any periodic potential.  Newton linear systems are solved
-inexactly, to a tolerance proportional to the current residual, by a
+inexactly, to a tolerance proportional to the current residual, by a right
 preconditioned Krylov iteration, and steps are damped by halving until the
 sup-norm residual decreases.  The preconditioner divides its input by the
 fixed density weight w = (target / mean target)^((n-1)/n) and then inverts
 the constant-coefficient Laplacian of the mean metric exactly in Fourier
-space; there is no weight at n=1 or for a constant density.  The Jacobian
-applied to the zero vector, which lgmres's zero start asks for in every
-system, is answered without a transform and not counted.  A cold solve
-(no initial guess) on a grid whose half is a grid too starts from the
-interpolated solution of the same equation on the half grid, solved to a
-looser certificate (nested iteration); the fine certificate is unchanged.
+space; there is no weight at n=1 or for a constant density.  Its Fourier
+symbol is folded into the Jacobian's stencil, so lgmres iterates on the
+preconditioned operator at the cost of one Jacobian application, and the
+Newton step is lifted from the Krylov solution once per system; a Krylov
+solve whose restart cycles stop reducing the residual ends early.  The
+operator applied to the zero vector, which lgmres's zero start asks for in
+every system, is answered without a transform and not counted.  A cold
+solve (no initial guess) on a grid whose half is a grid too starts from
+the interpolated solution of the same equation on the half grid, solved to
+a looser certificate (nested iteration); the fine certificate is unchanged.
 
 solve_psi_family reuses the same solver along a collapsed pencil, producing
 the per-time reference potentials whose uniform bounds the collapsed-regime
@@ -61,6 +65,19 @@ MAX_HALVINGS = 30
 # buy no fine iteration and can stagnate on an under-resolved half grid
 # (see the sweep in CHANGES.md)
 COARSE_TOL_FACTOR = 1e-4
+# a restart cycle of lgmres that leaves more than this share of the linear
+# residual it started from ends the Krylov solve: the rest of the
+# right-hand side lies outside the reach of the Jacobian (on an
+# under-resolved density), and further cycles only repeat the work
+STAGNATION_RATIO = 0.9
+
+
+class _Stagnated(Exception):
+    """Ends an lgmres solve from its callback, carrying the iterate."""
+
+    def __init__(self, y):
+        self.y = y
+        super().__init__("Krylov solve stagnated")
 
 
 class NewtonConvergenceError(Exception):
@@ -99,6 +116,10 @@ class NewtonReport:
     # Jacobian applications it took
     linear_rtols: list = field(default_factory=list)
     matvecs: list = field(default_factory=list)
+    # per Newton iteration: the relative linear residual
+    # ‖J delta - rhs‖ / ‖rhs‖ lgmres reached, read off its last residual
+    # check; None where lgmres stopped at maxiter without one
+    linear_residuals: list = field(default_factory=list)
     # where the iteration started: "given" (U0), "nested" (the interpolated
     # half-grid solution) or "zero"; and the coarse solves of a cold start,
     # coarsest first, as {N, iterations, matvecs, converged}
@@ -145,19 +166,24 @@ def _precond_weight(target: np.ndarray, n: int):
 
 
 class _FrameOperators:
-    """Newton linear systems of one solve, in the A-orthonormal frame.
+    """Newton linear systems of one solve, in the A-orthonormal frame, right
+    preconditioned.
 
-    The frame congruence R H[v] R with R = A^{-1/2} is a constant linear map
-    of the Hessian symbols, so it is folded into the stencil once per solve:
-    a Jacobian application is one forward transform, one stencil product,
-    one batched inverse transform and one pointwise pairing.
+    The preconditioner P = L0^{-1} (. / w) / mean_det approximates J^{-1}.
+    lgmres solves K y = rhs for K = J P, and the Newton step is the lifted
+    delta = P y, so lgmres's residual ‖rhs - K y‖ is the true linear
+    residual ‖rhs - J delta‖ (Saad, Iterative Methods for Sparse Linear
+    Systems, 2nd ed., section 9.3).  The frame congruence R H[v] R with
+    R = A^{-1/2} and the Laplacian inverse are constant linear maps of the
+    Hessian symbols, so both are folded into the stencil once per solve: an
+    application of K is one pointwise weighting, one forward transform, one
+    stencil product, one batched inverse transform and one pairing, and a
+    lift is one forward and one inverse transform.
     """
 
     def __init__(self, grid, A: np.ndarray, root_inv: np.ndarray, weight=None):
         tab = tables(grid.n, grid.N)
         self.grid = grid
-        self.stencil = np.stack(congruence_components(root_inv, tuple(tab._stack)))
-        self.product = np.empty(self.stencil.shape, dtype=np.complex128)
         # exact inverse of the mean-metric Laplacian as the spectral
         # preconditioner; modes with vanishing symbol (the constant and the
         # pure-Nyquist modes the spectral Hessian annihilates) are the discrete
@@ -165,30 +191,43 @@ class _FrameOperators:
         ell = np.broadcast_to(tab.laplacian_symbol(np.linalg.inv(A)), tab.rshape)
         self.kernel = ell == 0.0
         self.inv_ell = np.divide(1.0, ell, out=np.zeros(tab.rshape), where=~self.kernel)
-        # pointwise scaling of the preconditioner's input (see _precond_weight)
+        # K's symbols: the frame Hessian stencil times the inverse symbol
+        self.stencil = np.stack(congruence_components(root_inv, tuple(tab._stack)))
+        self.stencil *= self.inv_ell
+        self.product = np.empty(self.stencil.shape, dtype=np.complex128)
+        # pointwise scaling of the preconditioner's input (see _precond_weight),
+        # applied into a buffer of its own
         self.inv_weight = None if weight is None else 1.0 / weight
+        self.weighted = None if weight is None else np.empty(grid.shape)
         self.matvecs = 0
         # argument and result of the latest matvec: lgmres ends by applying
-        # J to the solution it returns, which gives the linear residual free
+        # K to the solution it returns, which gives the linear residual free
         self.last = (None, None)
 
-    def applied_to(self, x):
-        """J x if the latest matvec was applied to x as it is now, else None.
+    def applied_to(self, y):
+        """K y, which is J delta for delta = lift(y), if the latest matvec
+        was applied to y as it is now, else None.
 
-        Valid right after lgmres returns x, before any other matvec; lgmres
+        Valid right after lgmres returns y, before any other matvec; lgmres
         leaves that result unmodified.  The stored pair is released.
         """
         v, out = self.last
         self.last = (None, None)
-        if v is None or not np.array_equal(v, x):
+        if v is None or not np.array_equal(v, y):
             return None
         return out
 
-    def operators(self, comps, mean_det: float):
-        """Jacobian J and preconditioner M at the frame metric comps, whose
-        determinant has the grid mean mean_det.
+    def _weighted_spectrum(self, y):
+        v = y.reshape(self.grid.shape)
+        if self.inv_weight is not None:
+            v = np.multiply(v, self.inv_weight, out=self.weighted)
+        return forward(self.grid, v)
 
-        Both return a fresh array on every call: lgmres keeps them in its
+    def operator(self, comps, mean_det: float):
+        """K = J P at the frame metric comps, whose determinant has the grid
+        mean mean_det.
+
+        It returns a fresh array on every call: lgmres keeps them in its
         Krylov basis.
         """
         grid = self.grid
@@ -197,33 +236,54 @@ class _FrameOperators:
         # set to one is the adjugate pairing for n=2; for n=1 adj(g) = 1
         adj = comps if grid.n == 2 else (1.0,)
 
-        def matvec(v):
-            # lgmres opens every system with J applied to its zero start
-            if not v.any():
+        def matvec(y):
+            # lgmres opens every system with K applied to its zero start
+            if not y.any():
                 out = np.zeros(npts)
             else:
                 self.matvecs += 1
-                vh = forward(grid, v.reshape(grid.shape))
-                hs = hessian_components(grid, vh, buf=self.product, stencil=self.stencil)
-                out = trace_pair_components(adj, hs, 1.0)
-                out -= out.mean()
+                hs = hessian_components(grid, self._weighted_spectrum(y),
+                                        buf=self.product, stencil=self.stencil)
+                pair = trace_pair_components(adj, hs, 1.0, overwrite_psi=True)
+                out = np.subtract(pair, pair.mean())
+                out /= mean_det
                 out = out.ravel()
-            self.last = (v, out)
+            self.last = (y, out)
             return out
 
-        def precond(v):
-            v = v.reshape(grid.shape)
-            if self.inv_weight is not None:
-                v = v * self.inv_weight
-            vh = forward(grid, v)
-            vh *= self.inv_ell
-            out = inverse(grid, vh)
-            out /= mean_det
-            return out.ravel()
+        return spla.LinearOperator((npts, npts), matvec=matvec, dtype=np.float64)
 
-        J = spla.LinearOperator((npts, npts), matvec=matvec, dtype=np.float64)
-        M = spla.LinearOperator((npts, npts), matvec=precond, dtype=np.float64)
-        return J, M
+    def solve(self, comps, mean_det: float, rhs, rtol: float):
+        """lgmres on K y = rhs, with K the operator at comps and mean_det, to
+        the relative tolerance rtol; returns y.
+
+        A maxiter return carries the best iterate.  Each restart cycle opens
+        with K applied to the current iterate, so the callback reads the
+        true linear residual off that application and stops the solve once
+        a cycle removed less than 1 - STAGNATION_RATIO of it.
+        """
+        norms = []
+
+        def progress(y):
+            r = float(np.linalg.norm(self.last[1] - rhs))
+            if norms and r > STAGNATION_RATIO * norms[-1]:
+                raise _Stagnated(y)
+            norms.append(r)
+
+        try:
+            y, _ = spla.lgmres(self.operator(comps, mean_det), rhs, rtol=rtol, atol=0.0,
+                               maxiter=12, inner_m=30, callback=progress)
+        except _Stagnated as stop:
+            y = stop.y
+        return y
+
+    def lift(self, y, mean_det: float):
+        """The Newton step delta = P y of a solution y of K y = rhs."""
+        yh = self._weighted_spectrum(y)
+        yh *= self.inv_ell
+        delta = inverse(self.grid, yh)
+        delta /= mean_det
+        return delta
 
 
 def solve_cy(problem: EllipticProblem, U0: ScalarField | None = None,
@@ -393,37 +453,35 @@ def _newton(problem: EllipticProblem, U: np.ndarray, tol_factor: float, max_iter
         if res_norm <= tol:
             report.converged = True
             break
-        J, M = ops.operators(comps, mean_det)
         rhs_norm = float(np.linalg.norm(rhs))
         if rhs_norm > 0.0:
             # a linear residual of half the Newton tolerance is as good as solved
             forcing = max(forcing, 0.5 * tol / rhs_norm)
         rtol = max(LINEAR_RTOL, min(MAX_FORCING, forcing))
         matvecs_before = ops.matvecs
-        # a maxiter return still carries the best iterate; the line search
-        # below decides whether the direction is usable
-        try:
-            delta, _ = spla.lgmres(J, rhs, M=M, rtol=rtol, atol=0.0,
-                                   maxiter=12, inner_m=30)
-        except RuntimeError:
-            # residual entirely inside the preconditioner kernel
-            delta = np.zeros(npts)
+        # the line search below decides whether the direction is usable
+        y = ops.solve(comps, mean_det, rhs, rtol)
         report.linear_rtols.append(rtol)
         report.matvecs.append(ops.matvecs - matvecs_before)
         # the linear model's residual J delta - rhs, kept as the two numbers
         # that with rhs_norm give its norm once the line search picks s
-        J_delta = ops.applied_to(delta)
+        J_delta = ops.applied_to(y)
         model = None
         if J_delta is not None and rhs_norm > 0.0:
             J_delta -= rhs
             model = (float(np.linalg.norm(J_delta)), float(J_delta @ rhs))
-        delta = delta.reshape(grid.shape)
+            report.linear_residuals.append(model[0] / rhs_norm)
+        else:
+            report.linear_residuals.append(None)
+        delta = ops.lift(y, mean_det)
+        del y
         delta -= delta.mean()
 
         step = _line_search(problem, root_inv, target, state, rhs, delta, res_norm)
         # J_delta, lgmres's last allocation, is released only now: until
-        # here it holds the heap top, so the line search's temporaries reuse
-        # the Krylov basis's memory, and freeing it returns all of that
+        # here it holds the heap top, so the lift's and the line search's
+        # temporaries reuse the Krylov basis's memory, and freeing it
+        # returns all of that
         del J_delta, delta
         report.iterations = it + 1
         if step is None:
@@ -512,8 +570,11 @@ def psi_problem(flow_problem, t: float) -> EllipticProblem:
 def solve_psi_family(flow_problem, times):
     """Solve the per-time reference equations along a collapsed pencil.
 
-    Returns (psis, reports); each solve is warm-started from the previous
-    time.  Raises ValueError for non-collapsed paths and
+    Returns (psis, reports); every solve starts cold, from its half-grid
+    solution where there is one: psi(t_prev) is no admissible start on the
+    collapsed pencils tried, and where it is, the nested start needs fewer
+    fine Newton iterations.
+    Raises ValueError for non-collapsed paths or an inadmissible start and
     NewtonConvergenceError (carrying the failing time in the message) on a
     per-time failure.
     """
@@ -521,29 +582,14 @@ def solve_psi_family(flow_problem, times):
         raise ValueError("psi family requires a collapsed class path")
     psis = []
     reports = []
-    guess = None
     for t in times:
-        prob = psi_problem(flow_problem, t)
-        # warm starts can lose admissibility as the pencil degenerates;
-        # back off toward the always-admissible zero guess
-        candidates = [guess] if guess is not None else [None]
-        if guess is not None:
-            candidates += [ScalarField(guess.grid, s * guess.values) for s in (0.5, 0.25)]
-            candidates.append(None)
-        last_err = None
-        for g0 in candidates:
-            try:
-                psi, rep = solve_cy(prob, U0=g0)
-                break
-            except SingularMetricError as err:
-                last_err = err
-                continue
-            except NewtonConvergenceError as err:
-                err.report.message += f" (psi solve at t={t:g})"
-                raise
-        else:
-            raise ValueError(f"no admissible initial guess for psi solve at t={t:g}: {last_err}")
+        try:
+            psi, rep = solve_cy(psi_problem(flow_problem, t))
+        except NewtonConvergenceError as err:
+            err.report.message += f" (psi solve at t={t:g})"
+            raise
+        except SingularMetricError as err:
+            raise ValueError(f"no admissible start for psi solve at t={t:g}: {err}") from err
         psis.append(psi)
         reports.append(rep)
-        guess = psi
     return psis, reports

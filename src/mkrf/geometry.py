@@ -123,15 +123,31 @@ def lambda_min_components(comps, det=None):
     return np.where(det > 0.0, safe, m - s)
 
 
-def trace_pair_components(phi_comps, psi_comps, phi_det=None):
-    """Pointwise trace of psi against the inverse of phi."""
+def trace_pair_components(phi_comps, psi_comps, phi_det=None, overwrite_psi=False):
+    """Pointwise trace of psi against the inverse of phi.
+
+    With overwrite_psi the arrays of psi_comps (e.g. the rows of a
+    hessian_components stack) are the workspace: the result, computed in
+    the same operation order and so bit-identical, is written into
+    psi_comps[0] and returned, and the other rows are clobbered.
+    """
     if len(phi_comps) == 1:
-        return psi_comps[0] / phi_comps[0]
+        out = psi_comps[0] if overwrite_psi else None
+        return np.divide(psi_comps[0], phi_comps[0], out=out)
     f11, f22, fp, fq = phi_comps
     s11, s22, sp, sq = psi_comps
     if phi_det is None:
         phi_det = det_components(phi_comps)
-    return (f22 * s11 + f11 * s22 - 2.0 * (fp * sp + fq * sq)) / phi_det
+    if not overwrite_psi:
+        return (f22 * s11 + f11 * s22 - 2.0 * (fp * sp + fq * sq)) / phi_det
+    out = np.multiply(f22, s11, out=s11)
+    out += np.multiply(f11, s22, out=s22)
+    cross = np.multiply(fp, sp, out=sp)
+    cross += np.multiply(fq, sq, out=sq)
+    cross *= 2.0
+    out -= cross
+    out /= phi_det
+    return out
 
 
 def components_from_hermitian(H: HermitianField):

@@ -182,6 +182,9 @@ def render_report(run_dir, out_dir=None) -> list:
                 start = f", start {s['start']}" if "start" in s else ""
                 lines.append(f"  {label}: {s['iterations']} iterations,"
                              f" {sum(s['matvecs'])} matvecs {s['matvecs']}{start}")
+                if s.get("linear_residuals"):
+                    lines.append("    linear residuals: " + " ".join(
+                        "-" if r is None else f"{r:.2e}" for r in s["linear_residuals"]))
                 for c in s.get("coarse_levels", []):
                     failed = "" if c["converged"] else ", failed"
                     lines.append(f"    coarse N={c['N']}: {c['iterations']} iterations,"

@@ -142,6 +142,18 @@ def test_psi_family_bounds_and_rates():
         assert rep.final_residual <= 1e-10 * scale
 
 
+def test_psi_family_solves_every_time_cold():
+    from mkrf.elliptic import psi_problem
+
+    fp = collapsed_flow_problem(N=16)
+    times = [0.0, 2.0, 5.0]
+    psis, reps = solve_psi_family(fp, times)
+    assert [r.start for r in reps] == ["nested"] * len(times)
+    for t, psi in zip(times, psis):
+        alone, _ = solve_cy(psi_problem(fp, t))
+        assert np.array_equal(psi.values, alone.values)
+
+
 def test_psi_family_requires_collapsed():
     g = GridSpec(2, 8)
     fp = FlowProblem(
@@ -193,14 +205,16 @@ def test_newton_report_records_forcing_and_matvecs(monkeypatch):
     zero = form.grid.zeros()
     _, plain = solve_cy(prob, U0=zero)
 
-    # record every Newton system and apply its J once more to the solution
+    # record every Newton system and apply its operator once more to the
+    # Krylov solution y: K y is J delta for the Newton step delta
     systems = []
     real_lgmres = elliptic.spla.lgmres
 
-    def recording_lgmres(J, b, **kwargs):
-        x, info = real_lgmres(J, b, **kwargs)
-        systems.append((b.copy(), J.matvec(x).copy()))
-        return x, info
+    def recording_lgmres(K, b, **kwargs):
+        assert "M" not in kwargs
+        y, info = real_lgmres(K, b, **kwargs)
+        systems.append((b.copy(), K.matvec(y).copy()))
+        return y, info
 
     monkeypatch.setattr(elliptic.spla, "lgmres", recording_lgmres)
     calls.clear()
@@ -209,9 +223,13 @@ def test_newton_report_records_forcing_and_matvecs(monkeypatch):
     assert len(rep.linear_rtols) == len(rep.matvecs) == len(systems) == rep.iterations
     assert sum(rep.matvecs) == len(calls)
     # the forcing reads J s off lgmres's last residual check: an extra
-    # application of J changes nothing
+    # application of K changes nothing
     assert rep.linear_rtols == plain.linear_rtols
     assert [m - 1 for m in rep.matvecs] == plain.matvecs
+    # the relative linear residual each system reached, from the same check
+    assert rep.linear_residuals == plain.linear_residuals
+    for reached, (b, jx) in zip(plain.linear_residuals, systems):
+        assert reached == pytest.approx(np.linalg.norm(jx - b) / np.linalg.norm(b), rel=1e-12)
 
     # forcing: the relative residual first, then the safeguarded
     # Eisenstat-Walker choice 1; capped at MAX_FORCING, floored at
@@ -234,7 +252,7 @@ def test_newton_report_records_forcing_and_matvecs(monkeypatch):
         assert rtol == pytest.approx(expected, rel=1e-9)
 
 
-def _frame_operators_at(n):
+def _frame_operators_at(n, weighted=False):
     from mkrf.elliptic import _FrameOperators, _frame_state
     from mkrf.geometry import matrix_sqrt_hermitian
 
@@ -249,53 +267,73 @@ def _frame_operators_at(n):
     root_inv = matrix_sqrt_hermitian(np.linalg.inv(prob.form.A))
     U = synthesize(g, [((0,) * (2 * n - 1) + (1,), 0.005, 1.1)]).values
     comps, det = _frame_state(prob, root_inv, U)
-    return g, root_inv, comps, det, _FrameOperators(g, prob.form.A, root_inv)
+    weight = (np.exp(synthesize(g, [((1,) + (0,) * (2 * n - 1), 0.2, 0.5)]).values)
+              if weighted else None)
+    ops = _FrameOperators(g, prob.form.A, root_inv, weight)
+    return g, root_inv, comps, det, weight, ops
+
+
+def _reference_preconditioner(g, A, weight, mean_det, v):
+    """The preconditioner as a separate operator: the exact inverse of the
+    mean-metric Laplacian of v / w, zero on its kernel, over mean_det."""
+    from mkrf.grid import forward, inverse, tables
+
+    ell = np.broadcast_to(tables(g.n, g.N).laplacian_symbol(np.linalg.inv(A)),
+                          tables(g.n, g.N).rshape)
+    inv_ell = np.divide(1.0, ell, out=np.zeros(ell.shape), where=ell != 0.0)
+    v = v.reshape(g.shape) if weight is None else v.reshape(g.shape) / weight
+    return inverse(g, inv_ell * forward(g, v)) / mean_det
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_folded_matvec_matches_frame_congruence(n):
-    # reference: the Jacobian as det * tr(g^{-1} R H[v] R) with the frame
-    # congruence applied to the Hessian fields
+    # reference: the preconditioner applied first, then the Jacobian as
+    # det * tr(g^{-1} R H[v] R) with the frame congruence applied to the
+    # Hessian fields; with and without a density weight
     from mkrf.geometry import congruence_components, hessian_components, trace_pair_components
     from mkrf.grid import forward
 
-    g, root_inv, comps, det, ops = _frame_operators_at(n)
-    J, _ = ops.operators(comps, float(det.mean()))
     rng = np.random.default_rng(7)
-    for _ in range(3):
-        v = rng.standard_normal(g.num_points)
-        hs = congruence_components(root_inv, hessian_components(g, forward(g, v.reshape(g.shape))))
-        ref = det * trace_pair_components(comps, hs, det)
-        ref = (ref - ref.mean()).ravel()
-        got = J.matvec(v)
-        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-    assert ops.matvecs == 3
+    for weighted in (False, True):
+        g, root_inv, comps, det, weight, ops = _frame_operators_at(n, weighted)
+        A = np.linalg.inv(root_inv @ root_inv)
+        mean_det = float(det.mean())
+        K = ops.operator(comps, mean_det)
+        for _ in range(3):
+            v = rng.standard_normal(g.num_points)
+            u = _reference_preconditioner(g, A, weight, mean_det, v)
+            hs = congruence_components(root_inv, hessian_components(g, forward(g, u)))
+            ref = det * trace_pair_components(comps, hs, det)
+            ref = (ref - ref.mean()).ravel()
+            got = K.matvec(v)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+            # the lift is the preconditioner itself
+            assert np.abs(ops.lift(v, mean_det) - u).max() <= 1e-12 * np.abs(u).max()
+        assert ops.matvecs == 3
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_operator_outputs_are_fresh_arrays(n):
     # lgmres keeps every returned vector in its Krylov basis
-    g, _, comps, det, ops = _frame_operators_at(n)
-    J, M = ops.operators(comps, float(det.mean()))
+    g, _, comps, det, _, ops = _frame_operators_at(n, weighted=True)
+    K = ops.operator(comps, float(det.mean()))
     rng = np.random.default_rng(3)
     v1, v2 = rng.standard_normal((2, g.num_points))
-    for op in (J, M):
-        first = op.matvec(v1)
+    for op in (K.matvec, lambda v: ops.lift(v, float(det.mean()))):
+        first = op(v1)
         kept = first.copy()
-        second = op.matvec(v2)
+        second = op(v2)
         assert not np.shares_memory(first, second)
         assert np.array_equal(first, kept)
 
 
-def test_matvec_skips_the_zero_vector(monkeypatch):
-    # lgmres opens every system with J applied to its zero start
+def _counting(monkeypatch, names):
+    """Record, in order, every call elliptic makes to the named functions."""
     import mkrf.elliptic as elliptic
 
-    g, _, comps, det, ops = _frame_operators_at(2)
-    J, _ = ops.operators(comps, float(det.mean()))
     calls = []
 
-    def counting(name):
+    def counted(name):
         real = getattr(elliptic, name)
 
         def wrapped(*args, **kwargs):
@@ -303,18 +341,76 @@ def test_matvec_skips_the_zero_vector(monkeypatch):
             return real(*args, **kwargs)
         return wrapped
 
-    for name in ("hessian_components", "forward"):
-        monkeypatch.setattr(elliptic, name, counting(name))
+    for name in names:
+        monkeypatch.setattr(elliptic, name, counted(name))
+    return calls
+
+
+def test_matvec_skips_the_zero_vector(monkeypatch):
+    # lgmres opens every system with K applied to its zero start
+    g, _, comps, det, _, ops = _frame_operators_at(2)
+    K = ops.operator(comps, float(det.mean()))
+    calls = _counting(monkeypatch, ("hessian_components", "forward"))
     zero = np.zeros(g.num_points)
-    outs = [J.matvec(zero), J.matvec(zero)]
+    outs = [K.matvec(zero), K.matvec(zero)]
     for out in outs:
         assert out.shape == (g.num_points,)
         assert not out.any()
         assert not np.shares_memory(out, zero)
     assert not np.shares_memory(*outs)
     assert calls == [] and ops.matvecs == 0
-    J.matvec(np.random.default_rng(5).standard_normal(g.num_points))
+    K.matvec(np.random.default_rng(5).standard_normal(g.num_points))
     assert calls == ["forward", "hessian_components"] and ops.matvecs == 1
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_one_transform_pair_per_application(monkeypatch, n):
+    # an application of K is one forward and one batched Hessian inverse,
+    # paired once; lifting the Krylov solution is one forward and one inverse
+    g, _, comps, det, _, ops = _frame_operators_at(n, weighted=True)
+    K = ops.operator(comps, float(det.mean()))
+    calls = _counting(monkeypatch, ("forward", "inverse", "hessian_components",
+                                    "trace_pair_components"))
+    v = np.random.default_rng(9).standard_normal(g.num_points)
+    K.matvec(v)
+    assert calls == ["forward", "hessian_components", "trace_pair_components"]
+    calls.clear()
+    ops.lift(v, float(det.mean()))
+    assert calls == ["forward", "inverse"]
+
+
+def test_kernel_right_hand_side_gives_a_zero_step():
+    # a right-hand side whose preconditioned image vanishes (here a
+    # pure-Nyquist mode, which the spectral Hessian annihilates) has no
+    # Krylov direction: the solve stops after one application, with y = 0
+    g, _, comps, det, _, ops = _frame_operators_at(2)
+    mean_det = float(det.mean())
+    idx = np.indices(g.shape)
+    rhs = ((-1.0) ** idx[0]).ravel()
+    assert not ops.lift(rhs, mean_det).any()
+    y = ops.solve(comps, mean_det, rhs, 1e-8)
+    assert not y.any() and not ops.lift(y, mean_det).any()
+    assert ops.matvecs == 1
+
+
+def test_stagnating_krylov_solve_stops_after_one_cycle():
+    # on a target the grid cannot resolve, part of every late right-hand
+    # side is out of the Jacobian's reach; a restart cycle that makes no
+    # progress ends the Krylov solve instead of running all twelve
+    from mkrf.elliptic import NewtonConvergenceError
+
+    g = GridSpec(2, 8)
+    form = KahlerForm(np.eye(2), g.zeros())
+    h = ScalarField(g, np.exp(synthesize(g, [((0, 0, 1, 0), 0.2), ((1, 0, 0, 1), 0.15)]).values))
+    with pytest.raises(NewtonConvergenceError) as exc:
+        solve_cy(EllipticProblem.compatible(form, VolumeDensity(h)))
+    rep = exc.value.report
+    inner_m = 30
+    assert max(rep.matvecs) > inner_m
+    assert all(m <= 2 * (inner_m + 1) for m in rep.matvecs)
+    # the stopping cycle opened with K applied to the iterate, which gives
+    # its linear residual
+    assert all(r is not None for r in rep.linear_residuals)
 
 
 def _weight_spy(monkeypatch, weight_one=False):

@@ -114,6 +114,26 @@ def test_trace_pair_matches_dense_oracle():
     assert np.abs(tp.values - expected).max() < 1e-10 * max(1.0, np.abs(expected).max())
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("with_det", [False, True])
+def test_trace_pair_in_place_is_bit_identical(n, with_det):
+    # the in-place form consumes a hessian_components-shaped stack and keeps
+    # the operation order of the allocating one
+    from mkrf.geometry import det_components, trace_pair_components
+
+    rng = np.random.default_rng(11)
+    shape = GridSpec(n, 8).shape
+    phi = 0.1 * rng.standard_normal((n * n,) + shape)
+    phi[:n] += 1.0
+    phi = tuple(phi)
+    stack = rng.standard_normal((n * n,) + shape)
+    det = det_components(phi) if with_det else None
+    want = trace_pair_components(phi, tuple(stack.copy()), det)
+    got = trace_pair_components(phi, stack, det, overwrite_psi=True)
+    assert np.array_equal(got, want)
+    assert np.shares_memory(got, stack[0])
+
+
 def test_trace_pair_rejects_singular():
     grid = GridSpec(2, 8)
     n = grid.n

@@ -246,6 +246,10 @@ def test_run_tiny_scenario_and_report(tmp_path, capsys):
     assert ref["iterations"] >= 1 and len(ref["matvecs"]) == ref["iterations"]
     assert (f"  reference: {ref['iterations']} iterations, {sum(ref['matvecs'])} matvecs"
             in (out / "summary.txt").read_text())
+    # with the relative linear residual each Newton system reached
+    assert len(ref["linear_residuals"]) == ref["iterations"]
+    assert ("    linear residuals: " + " ".join(f"{r:.2e}" for r in ref["linear_residuals"])
+            in (out / "summary.txt").read_text())
     # N=16 starts from the solution on its N=8 half grid
     assert ref["start"] == "nested" and [c["N"] for c in ref["coarse_levels"]] == [8]
     coarse = ref["coarse_levels"][0]
@@ -275,6 +279,8 @@ def test_cy_solve_cli(tmp_path, capsys):
     assert rep["converged"]
     assert rep["final_residual"] <= 1e-10
     assert len(rep["matvecs"]) == rep["iterations"]
+    assert len(rep["linear_residuals"]) == rep["iterations"]
+    assert all(r <= rtol for r, rtol in zip(rep["linear_residuals"], rep["linear_rtols"]))
     assert rep["start"] == "nested"
     assert [(c["N"], c["converged"]) for c in rep["coarse_levels"]] == [(8, True)]
     # the summary line counts the fine level's Jacobian applications
@@ -341,8 +347,9 @@ def test_cli_collapsed_run_with_psi_family(tmp_path):
     newton = data["constants"]["psi_newton"]
     assert [e["t"] for e in newton] == [0.0, 5.0, 10.0]
     assert all(len(e["matvecs"]) == e["iterations"] for e in newton)
-    # N=8 has no half grid
-    assert newton[0]["start"] == "zero"
+    assert all(len(e["linear_residuals"]) == e["iterations"] for e in newton)
+    # every psi solve starts cold, and N=8 has no half grid
+    assert all(e["start"] == "zero" for e in newton)
     assert all(e["coarse_levels"] == [] for e in newton)
     summary = (out / "summary.txt").read_text()
     assert all(f"  psi t={e['t']:g}: {e['iterations']} iterations" in summary for e in newton)
