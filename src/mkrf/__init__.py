@@ -20,7 +20,6 @@ from .geometry import (
 )
 from .grid import (
     GridSpec,
-    HermitianField,
     ScalarField,
     complex_hessian,
     mean,

@@ -23,7 +23,7 @@ from .elliptic import (
     solve_psi_family,
 )
 from .flow import run_flow
-from .geometry import KahlerForm, Regime, compute_T
+from .geometry import KahlerForm, Regime, SingularMetricError, compute_T
 from .grid import write_snapshot
 from .report import render_report, save_run
 from .scenario import (
@@ -110,6 +110,14 @@ def _limit_problem(problem) -> EllipticProblem:
     )
 
 
+def _inadmissible_limit(err: SingularMetricError) -> int:
+    """Exit for a limit form Ainf + H[phi_inf] that is not a metric: the
+    limit equation's Newton solve has no admissible start."""
+    print(f"invalid config: phi_inf: the limit form Ainf + H[phi_inf] is not positive"
+          f" ({err})", file=sys.stderr)
+    return EXIT_INVALID
+
+
 def verdict(scenario: Scenario, problem, result):
     """Judge a finished run by its regime.
 
@@ -119,7 +127,8 @@ def verdict(scenario: Scenario, problem, result):
     the reference Newton solve of the limit equation.  Returns (reports,
     failures, extra_constants, extra_fields): failures names every failed
     check, the run's monitor violations included.  A failed Newton solve
-    raises NewtonConvergenceError or ValueError.
+    raises NewtonConvergenceError or ValueError, a limit form that is not a
+    metric SingularMetricError.
     """
     regime = problem.path.regime
     reports = {}
@@ -127,10 +136,10 @@ def verdict(scenario: Scenario, problem, result):
     extra_fields = []
     if regime == Regime.FINITE_TIME:
         reports["finite_time"] = monitors.check_finite_time(
-            result.series, problem.path.T, problem.grid.n, regime.value)
+            result.series, problem.path.T, regime.value)
     if regime == Regime.COLLAPSED:
-        rep = monitors.check_collapsed(result.series, problem.grid.n,
-                                       problem.path.r, scenario.t_max, result.C3)
+        rep = monitors.check_collapsed(result.series, problem.path.r, scenario.t_max,
+                                       result.constants["C3"])
         reports["collapsed"] = rep
         if scenario.run_psi_family and scenario.psi_times:
             psis, psi_reports = solve_psi_family(problem, scenario.psi_times)
@@ -185,13 +194,15 @@ def cmd_run(args) -> int:
                 else "reference elliptic solve")
         print(f"{what} failed: {e}", file=sys.stderr)
         return EXIT_BREAKDOWN
+    except SingularMetricError as e:
+        return _inadmissible_limit(e)
 
     if args.out:
         save_run(args.out, sc, result, reports, extra_constants, extra_fields)
         render_report(args.out)
 
     print(
-        f"status={result.status} steps={result.steps} t_final="
+        f"status={result.status} steps={result.constants['steps']} t_final="
         f"{result.constants['t_final']:.6f} wall={result.wall_time:.1f}s"
     )
     if failures:
@@ -215,6 +226,8 @@ def cmd_cy_solve(args) -> int:
     except NewtonConvergenceError as e:
         print(f"solver failed: {e}", file=sys.stderr)
         return EXIT_BREAKDOWN
+    except SingularMetricError as e:
+        return _inadmissible_limit(e)
     print(
         f"converged in {rep.iterations} iterations, residual {rep.final_residual:.3e},"
         f" matvecs {sum(rep.matvecs)}"

@@ -139,7 +139,7 @@ def _frame_state(problem: EllipticProblem, root_inv: np.ndarray, U: np.ndarray):
     grid = problem.form.grid
     n = grid.n
     pot = problem.form.phi.values + U
-    hs = hessian_components(grid, forward(grid, pot))
+    hs = hessian_components(grid, forward(pot))
     fr = list(congruence_components(root_inv, hs))
     fr[0] = 1.0 + fr[0]
     if n == 2:
@@ -221,7 +221,7 @@ class _FrameOperators:
         v = y.reshape(self.grid.shape)
         if self.inv_weight is not None:
             v = np.multiply(v, self.inv_weight, out=self.weighted)
-        return forward(self.grid, v)
+        return forward(v)
 
     def operator(self, comps, mean_det: float):
         """K = J P at the frame metric comps, whose determinant has the grid
@@ -286,8 +286,7 @@ class _FrameOperators:
         return delta
 
 
-def solve_cy(problem: EllipticProblem, U0: ScalarField | None = None,
-             max_iter: int = MAX_NEWTON_ITER):
+def solve_cy(problem: EllipticProblem, U0: ScalarField | None = None):
     """Solve the prescribed-determinant equation by damped inexact Newton iteration.
 
     Each Newton system is solved inexactly by lgmres (Dembo, Eisenstat and
@@ -319,12 +318,12 @@ def solve_cy(problem: EllipticProblem, U0: ScalarField | None = None,
         U = U0.values.copy()
         offset = float(U.mean())
         U -= offset
-        U, report = _newton(problem, U, SUP_TOL_FACTOR, max_iter)
+        U, report = _newton(problem, U, SUP_TOL_FACTOR)
         report.gauge_offset = offset
         report.start = "given"
     else:
         levels = []
-        U, report = _cold_newton(problem, SUP_TOL_FACTOR, max_iter, levels)
+        U, report = _cold_newton(problem, SUP_TOL_FACTOR, levels)
         report.coarse_levels = levels
     return ScalarField(problem.form.grid, U), report
 
@@ -358,7 +357,7 @@ def _prolong(coarse: ScalarField, fine: GridSpec) -> ScalarField:
     kept_c = np.r_[0:half, half + 1:nc]
     kept_f = np.r_[0:half, nf - half + 1:nf]
     naxes = 2 * fine.n
-    coeffs = forward(coarse.grid, coarse.values)
+    coeffs = forward(coarse.values)
     padded = np.zeros(tables(fine.n, nf).rshape, dtype=np.complex128)
     last = np.arange(half)
     padded[np.ix_(*[kept_f] * (naxes - 1), last)] = coeffs[np.ix_(*[kept_c] * (naxes - 1), last)]
@@ -366,21 +365,21 @@ def _prolong(coarse: ScalarField, fine: GridSpec) -> ScalarField:
     return ScalarField(fine, inverse(fine, padded))
 
 
-def _cold_newton(problem: EllipticProblem, tol_factor: float, max_iter: int, levels: list):
+def _cold_newton(problem: EllipticProblem, tol_factor: float, levels: list):
     """Newton from the nested start, or from zero when there is none or it
     is inadmissible on this grid; coarse solves are appended to levels."""
-    start = _nested_start(problem, max_iter, levels)
+    start = _nested_start(problem, levels)
     if start is not None:
         try:
-            U, report = _newton(problem, start, tol_factor, max_iter)
+            U, report = _newton(problem, start, tol_factor)
             report.start = "nested"
             return U, report
         except SingularMetricError:
             pass
-    return _newton(problem, np.zeros(problem.form.grid.shape), tol_factor, max_iter)
+    return _newton(problem, np.zeros(problem.form.grid.shape), tol_factor)
 
 
-def _nested_start(problem: EllipticProblem, max_iter: int, levels: list):
+def _nested_start(problem: EllipticProblem, levels: list):
     """The half-grid solution interpolated onto the problem's grid, or None.
 
     Nested iteration (Bank and Rose 1982): when N/2 is itself a valid grid,
@@ -402,7 +401,7 @@ def _nested_start(problem: EllipticProblem, max_iter: int, levels: list):
                        "matvecs": list(report.matvecs), "converged": converged})
 
     try:
-        U, report = _cold_newton(coarse, COARSE_TOL_FACTOR, max_iter, levels)
+        U, report = _cold_newton(coarse, COARSE_TOL_FACTOR, levels)
     except NewtonConvergenceError as err:
         record(err.report, False)
         return None
@@ -414,7 +413,7 @@ def _nested_start(problem: EllipticProblem, max_iter: int, levels: list):
     return _prolong(ScalarField(coarse.form.grid, U), grid).values
 
 
-def _newton(problem: EllipticProblem, U: np.ndarray, tol_factor: float, max_iter: int):
+def _newton(problem: EllipticProblem, U: np.ndarray, tol_factor: float):
     """Damped inexact Newton from the mean-zero start U, which is updated in
     place, to the sup-norm certificate tol_factor * scale.
 
@@ -449,7 +448,7 @@ def _newton(problem: EllipticProblem, U: np.ndarray, tol_factor: float, max_iter
     npts = grid.num_points
 
     forcing = res_norm / scale
-    for it in range(max_iter):
+    for it in range(MAX_NEWTON_ITER):
         if res_norm <= tol:
             report.converged = True
             break
@@ -491,7 +490,7 @@ def _newton(problem: EllipticProblem, U: np.ndarray, tol_factor: float, max_iter
             # residual lives in the discrete gauge kernel (its mean, which
             # rhs lacks, is round-off: mean det = det A on every grid)
             kernel = ops.kernel
-            res_hat = np.abs(forward(grid, rhs.reshape(grid.shape))) / npts
+            res_hat = np.abs(forward(rhs.reshape(grid.shape))) / npts
             kern = float(res_hat[kernel].max()) if kernel.any() else 0.0
             report.message = f"line search failed at iteration {it}"
             if kern > 0.25 * res_norm:
@@ -560,11 +559,8 @@ def psi_problem(flow_problem, t: float) -> EllipticProblem:
     exactly, leaving det(A_t + H[phi_t + psi]) = det(A_t) h / mean(h).
     """
     grid = flow_problem.grid
-    w = math.exp(-t)
-    phi_t = inverse(grid, w * flow_problem.phi0_hat + (1.0 - w) * flow_problem.phi_inf_hat)
-    form = KahlerForm(flow_problem.A_t(t), ScalarField(grid, phi_t))
-    c = float(np.linalg.det(form.A).real) / flow_problem.mean_h
-    return EllipticProblem(form, flow_problem.omega, c)
+    phi_t = ScalarField(grid, inverse(grid, flow_problem.phi_t_hat(t)))
+    return EllipticProblem.compatible(KahlerForm(flow_problem.A_t(t), phi_t), flow_problem.omega)
 
 
 def solve_psi_family(flow_problem, times):

@@ -60,6 +60,7 @@ from .geometry import (
     SingularMetricError,
     VolumeDensity,
     check_positive_components,
+    constant_components,
     det_components,
     lambda_min_components,
     metric_components,
@@ -117,8 +118,8 @@ class FlowProblem:
         self.tables = tables(self.grid.n, self.grid.N)
         self.phi0_phys = form0.phi.values.copy()
         self.phi_inf_phys = form_inf.phi.values.copy()
-        self.phi0_hat = forward(self.grid, self.phi0_phys)
-        self.phi_inf_hat = forward(self.grid, self.phi_inf_phys)
+        self.phi0_hat = forward(self.phi0_phys)
+        self.phi_inf_hat = forward(self.phi_inf_phys)
         self.drift_hat = self.phi_inf_hat - self.phi0_hat  # d/dt phi_t = e^{-t} drift
         self.log_h = np.log(omega.h.values)
         self.mean_h = float(np.mean(omega.h.values))
@@ -258,7 +259,7 @@ def _eval_flow(problem: FlowProblem, p_hat: np.ndarray, t: float, r: int,
     rhs -= problem.log_h
     if r:
         rhs += r * t
-    F_hat = forward(grid, rhs)
+    F_hat = forward(rhs)
     if not comparison:
         # the class forcing is integrated exactly by _lawson_rk4
         F_hat[(0,) * F_hat.ndim] -= grid.num_points * (log_det + r * t)
@@ -375,8 +376,8 @@ def _forcing_integral(problem: FlowProblem, t: float, dt: float, r: int) -> floa
     n = problem.grid.n
     e = np.exp(-s)
     # A_s = Ainf + e^{-s} (A0 - Ainf), in components at the nodes
-    comps = tuple(a + e * b for a, b in zip(metric_components(path.Ainf, None, n, ()),
-                                             metric_components(path.A0 - path.Ainf, None, n, ())))
+    comps = tuple(a + e * b for a, b in zip(constant_components(path.Ainf, n),
+                                             constant_components(path.A0 - path.Ainf, n)))
     c = np.log(det_components(comps)) + r * s
     return float((weights * c).sum())
 
@@ -446,7 +447,7 @@ def normalization_constant(problem: FlowProblem) -> float:
     res = _eval_flow(problem, problem.phi0_hat.copy(), 0.0, 0, False, full=True)
     udot0 = res.rhs_phys
     lap = trace_pair_components(
-        res.comps, hessian_components(grid, forward(grid, udot0)), res.det
+        res.comps, hessian_components(grid, forward(udot0)), res.det
     )
     diff_comps = metric_components(
         problem.path.A0 - problem.path.Ainf,
@@ -479,9 +480,6 @@ class RunResult:
     violations: list
     final: dict
     uhat_snaps: list
-    C3: float
-    steps: int
-    halvings: int
     wall_time: float
     columns: list
     step_control: dict
@@ -776,9 +774,6 @@ def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
         violations=sorted(violations),
         final=final,
         uhat_snaps=uhat_snaps,
-        C3=C3,
-        steps=steps,
-        halvings=halvings_total,
         wall_time=time.perf_counter() - t_start,
         columns=columns,
         step_control={

@@ -16,15 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .grid import (
-    GridSpec,
-    HermitianField,
-    ScalarField,
-    complex_hessian,
-    forward,
-    hermitian_from_components,
-    hessian_components,
-)
+from .grid import GridSpec, ScalarField, complex_hessian, forward, hessian_components
 
 # Pointwise metrics below this smallest-eigenvalue threshold count as singular;
 # it separates genuine degeneration from round-off.
@@ -65,26 +57,29 @@ def check_hermitian(A: np.ndarray, what: str = "matrix") -> None:
 
 
 # ---------------------------------------------------------------------------
-# Component-array representation of Hermitian matrix fields.
-#
+# Hermitian matrix fields are real component arrays, as a tuple or as the
+# stack hessian_components returns:
 # n=1: (g11,); n=2: (g11, g22, p12, q12) with entry01 = p12 + i q12.
-# This keeps the flow and solver hot loops on plain real arrays.
+
+
+def constant_components(A: np.ndarray, n: int) -> tuple:
+    """The components of a constant Hermitian matrix, as scalars."""
+    if n == 1:
+        return (A[0, 0].real,)
+    return (A[0, 0].real, A[1, 1].real, A[0, 1].real, A[0, 1].imag)
 
 
 def metric_components(A: np.ndarray, hess_stack: np.ndarray | None, n: int, shape,
                       out: np.ndarray | None = None):
-    """Component arrays of A + H, H given as a hessian_components stack.
+    """Component arrays of A + H, H given as a hessian_components stack
+    (None for H = 0).
 
     out, a stack shaped like hess_stack (it may be hess_stack itself),
     receives the components, which are then returned as views into it.
     """
+    consts = constant_components(A, n)
     if hess_stack is None:
-        if n == 1:
-            return (np.full(shape, A[0, 0].real),)
-        z = np.zeros(shape)
-        return (A[0, 0].real + z, A[1, 1].real + z, A[0, 1].real + z, A[0, 1].imag + z)
-    consts = (A[0, 0].real,) if n == 1 else (
-        A[0, 0].real, A[1, 1].real, A[0, 1].real, A[0, 1].imag)
+        return tuple(c + np.zeros(shape) for c in consts)
     return tuple(
         np.add(c, hess_stack[i], out=None if out is None else out[i])
         for i, c in enumerate(consts)
@@ -150,17 +145,6 @@ def trace_pair_components(phi_comps, psi_comps, phi_det=None, overwrite_psi=Fals
     return out
 
 
-def components_from_hermitian(H: HermitianField):
-    if H.grid.n == 1:
-        return (H.entries[0, 0].real.copy(),)
-    return (
-        H.entries[0, 0].real.copy(),
-        H.entries[1, 1].real.copy(),
-        H.entries[0, 1].real.copy(),
-        H.entries[0, 1].imag.copy(),
-    )
-
-
 def matrix_sqrt_hermitian(A: np.ndarray) -> np.ndarray:
     """Principal square root of a positive definite 1x1 or 2x2 Hermitian matrix."""
     if A.shape == (1, 1):
@@ -222,17 +206,14 @@ class KahlerForm:
     def grid(self) -> GridSpec:
         return self.phi.grid
 
-    def metric_componentwise(self, extra: ScalarField | None = None):
+    def metric(self, extra: ScalarField | None = None):
         """Component arrays of A + H[phi] (+ H[extra])."""
         vals = self.phi.values if extra is None else self.phi.values + extra.values
         if np.any(vals):
-            hs = hessian_components(self.grid, forward(self.grid, vals))
+            hs = hessian_components(self.grid, forward(vals))
         else:
             hs = None
         return metric_components(self.A, hs, self.grid.n, self.grid.shape)
-
-    def metric(self, extra: ScalarField | None = None) -> HermitianField:
-        return hermitian_from_components(self.grid, self.metric_componentwise(extra))
 
 
 @dataclass
@@ -278,24 +259,25 @@ def ma_density(form: KahlerForm, u: ScalarField) -> ScalarField:
     """det(A + H[phi] + H[u]) pointwise; raises SingularMetricError on positivity loss."""
     if u.grid != form.grid:
         raise ValueError("grid mismatch")
-    comps = form.metric_componentwise(u)
+    comps = form.metric(u)
     check_positive_components(comps)
     return ScalarField(form.grid, det_components(comps))
 
 
-def trace_pair(Phi: HermitianField, Psi: HermitianField) -> ScalarField:
-    """Pointwise trace of Psi with respect to (the inverse of) the positive field Phi."""
-    if Phi.grid != Psi.grid:
-        raise ValueError("grid mismatch")
-    pc = components_from_hermitian(Phi)
-    check_positive_components(pc)
-    sc = components_from_hermitian(Psi)
-    return ScalarField(Phi.grid, trace_pair_components(pc, sc))
+def trace_pair(phi_comps, psi_comps) -> np.ndarray:
+    """Pointwise trace of psi with respect to (the inverse of) the positive
+    field phi, both given as component tuples or stacks."""
+    shapes = {np.shape(c) for c in (*phi_comps, *psi_comps)}
+    if len(phi_comps) != len(psi_comps) or len(shapes) != 1:
+        raise ValueError("shape mismatch")
+    check_positive_components(phi_comps)
+    return trace_pair_components(phi_comps, psi_comps)
 
 
-def flow_laplacian(metric: HermitianField, f: ScalarField) -> ScalarField:
-    """Laplacian of f with respect to the flow metric: trace of H[f] against metric."""
-    return trace_pair(metric, complex_hessian(f))
+def flow_laplacian(metric, f: ScalarField) -> ScalarField:
+    """Laplacian of f with respect to the flow metric (component tuple or
+    stack): trace of H[f] against the metric."""
+    return ScalarField(f.grid, trace_pair(metric, complex_hessian(f)))
 
 
 def class_volume(A: np.ndarray) -> float:

@@ -85,32 +85,6 @@ class ScalarField:
         return ScalarField(self.grid, self.values.copy())
 
 
-@dataclass
-class HermitianField:
-    """Pointwise Hermitian n x n matrix field.
-
-    entries[j, k] is the grid-shaped array of the (j, k) matrix entry;
-    entries[j, k] == conj(entries[k, j]) pointwise.
-    """
-
-    grid: GridSpec
-    entries: np.ndarray  # complex, shape (n, n) + grid.shape
-
-    def __post_init__(self):
-        n = self.grid.n
-        self.entries = np.asarray(self.entries, dtype=np.complex128)
-        if self.entries.shape != (n, n) + self.grid.shape:
-            raise ValueError("entries shape does not match (n, n) + grid shape")
-
-    def hermitian_defect(self) -> float:
-        n = self.grid.n
-        d = 0.0
-        for j in range(n):
-            for k in range(n):
-                d = max(d, float(np.abs(self.entries[j, k] - np.conj(self.entries[k, j])).max()))
-        return d
-
-
 class SpectralTables:
     """Cached Fourier symbols for one grid.
 
@@ -184,7 +158,7 @@ def tables(n: int, N: int) -> SpectralTables:
     return SpectralTables(GridSpec(n, N))
 
 
-def forward(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+def forward(values: np.ndarray) -> np.ndarray:
     return sfft.rfftn(values, workers=fft_workers())
 
 
@@ -214,32 +188,15 @@ def hessian_components(grid: GridSpec, coeffs: np.ndarray,
     )
 
 
-def complex_hessian(f: ScalarField) -> HermitianField:
-    """Pointwise complex Hessian H[f]_{jk} = d/dz_j d/dzbar_k f.
+def complex_hessian(f: ScalarField) -> np.ndarray:
+    """Pointwise complex Hessian H[f]_{jk} = d/dz_j d/dzbar_k f as the
+    hessian_components stack.
 
-    Spectral differentiation; the result is Hermitian and every diagonal
-    entry has zero torus average.
+    Spectral differentiation; every diagonal component has zero torus average.
     """
     if not np.all(np.isfinite(f.values)):
         raise ValueError("complex_hessian: input field has non-finite values")
-    grid = f.grid
-    comps = hessian_components(grid, forward(grid, f.values))
-    return hermitian_from_components(grid, comps)
-
-
-def hermitian_from_components(grid: GridSpec, comps) -> HermitianField:
-    """The Hermitian field of component arrays: (g11,) for n=1;
-    (g11, g22, Re g12, Im g12) for n=2."""
-    n = grid.n
-    entries = np.zeros((n, n) + grid.shape, dtype=np.complex128)
-    if n == 1:
-        entries[0, 0] = comps[0]
-    else:
-        entries[0, 0] = comps[0]
-        entries[1, 1] = comps[1]
-        entries[0, 1] = comps[2] + 1j * comps[3]
-        entries[1, 0] = comps[2] - 1j * comps[3]
-    return HermitianField(grid, entries)
+    return hessian_components(f.grid, forward(f.values))
 
 
 def mean(f: ScalarField) -> float:

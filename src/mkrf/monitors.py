@@ -147,7 +147,7 @@ def _series_window(ts, values, lo, hi):
     return out
 
 
-def check_finite_time(series: dict, T: float, n: int, regime: str) -> RegimeReport:
+def check_finite_time(series: dict, T: float, regime: str) -> RegimeReport:
     """Volume blow-down trend, bounded weak-limit potential, and the
     integrated volume sandwich for a finite-time run."""
     if regime != "FINITE_TIME":
@@ -183,13 +183,7 @@ def check_finite_time(series: dict, T: float, n: int, regime: str) -> RegimeRepo
     return RegimeReport("ok", checks, constants).recompute_status()
 
 
-def check_collapsed(
-    series: dict,
-    n: int,
-    r: int,
-    t_max: float,
-    C3: float,
-) -> RegimeReport:
+def check_collapsed(series: dict, r: int, t_max: float, C3: float) -> RegimeReport:
     """Linear growth of the scaled potential, the S-damped rate bounds with
     measured constants, comparison-flow boundedness, and the auxiliary-flow
     proof quantity for a collapsed run."""

@@ -149,30 +149,29 @@ def test_criterion_07_trace_inequalities():
         S = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
         def make(Rm):
+            """Components of the pointwise Rm^H Rm + 0.5 I."""
             entries = np.zeros(shape, dtype=np.complex128)
             for j in range(n):
                 for k in range(n):
                     for m in range(n):
                         entries[j, k] += np.conj(Rm[m, j]) * Rm[m, k]
                 entries[j, j] += 0.5 * (j == j)
-            from mkrf.grid import HermitianField
+            if n == 1:
+                return entries[0, 0].real[None]
+            return np.stack([entries[0, 0].real, entries[1, 1].real,
+                             entries[0, 1].real, entries[0, 1].imag])
 
-            return HermitianField(grid, entries)
+        def det(comps):
+            if n == 1:
+                return comps[0]
+            # g11 g22 - |g12|^2 with numpy's complex modulus of g12
+            return comps[0] * comps[1] - np.abs(comps[2] + 1j * comps[3]) ** 2
 
         alpha, beta = make(R), make(S)
-        t_ab = trace_pair(alpha, beta).values
-        t_ba = trace_pair(beta, alpha).values
+        t_ab = trace_pair(alpha, beta)
+        t_ba = trace_pair(beta, alpha)
         cs_margin = float((t_ab * t_ba - n * n).min())
-        det_a = np.ones(grid.shape)
-        det_b = np.ones(grid.shape)
-        if n == 2:
-            det_a = (alpha.entries[0, 0] * alpha.entries[1, 1]
-                     - np.abs(alpha.entries[0, 1]) ** 2).real
-            det_b = (beta.entries[0, 0] * beta.entries[1, 1]
-                     - np.abs(beta.entries[0, 1]) ** 2).real
-        else:
-            det_a = alpha.entries[0, 0].real
-            det_b = beta.entries[0, 0].real
+        det_a, det_b = det(alpha), det(beta)
         elem_margin = float((t_ab ** (n - 1) * det_a / det_b - t_ba).min())
         ok &= cs_margin > -1e-12 and elem_margin > -1e-12
         detail.append(f"n={n}: CS={cs_margin:.2e} elem={elem_margin:.2e}")
@@ -185,7 +184,7 @@ def test_criterion_08_linearization():
     u = synthesize(grid, [((0, 0, 1, 0), 0.01)])
     delta = synthesize(grid, [((1, 0, 1, 0), 0.008), ((0, 1, 0, 0), 0.005)])
     base = ma_density(form, u)
-    lin = trace_pair(form.metric(u), complex_hessian(delta)).values
+    lin = trace_pair(form.metric(u), complex_hessian(delta))
     predicted = base.values * lin
     det_err = {}
     log_err = {}

@@ -89,7 +89,7 @@ def test_newton_operator_matches_directional_derivative():
     U = synthesize(g, [((0, 0, 1, 0), 0.01)])
     delta = synthesize(g, [((0, 1, 1, 0), 0.006)])
     base = ma_density(form, U)
-    predicted = base.values * trace_pair(form.metric(U), complex_hessian(delta)).values
+    predicted = base.values * trace_pair(form.metric(U), complex_hessian(delta))
     eps = 1e-5
     up = ma_density(form, ScalarField(g, U.values + eps * delta.values)).values
     dn = ma_density(form, ScalarField(g, U.values - eps * delta.values)).values
@@ -165,7 +165,8 @@ def test_psi_family_requires_collapsed():
         solve_psi_family(fp, [0.0, 1.0])
 
 
-def test_solve_cy_reports_nonconvergence():
+def test_solve_cy_reports_nonconvergence(monkeypatch):
+    import mkrf.elliptic as elliptic
     from mkrf.elliptic import NewtonConvergenceError
 
     # n=2 is genuinely nonlinear, so a single Newton iteration cannot reach
@@ -174,8 +175,9 @@ def test_solve_cy_reports_nonconvergence():
     form = KahlerForm(np.eye(2), g.zeros())
     h = ScalarField(g, np.exp(synthesize(g, [((1, 0, 0, 0), 0.3), ((0, 0, 1, 0), 0.2)]).values))
     prob = EllipticProblem.compatible(form, VolumeDensity(h))
+    monkeypatch.setattr(elliptic, "MAX_NEWTON_ITER", 1)
     with pytest.raises(NewtonConvergenceError) as exc:
-        solve_cy(prob, max_iter=1)
+        solve_cy(prob)
     assert exc.value.report.iterations <= 1
     assert exc.value.report.final_residual > 0.0
 
@@ -282,7 +284,7 @@ def _reference_preconditioner(g, A, weight, mean_det, v):
                           tables(g.n, g.N).rshape)
     inv_ell = np.divide(1.0, ell, out=np.zeros(ell.shape), where=ell != 0.0)
     v = v.reshape(g.shape) if weight is None else v.reshape(g.shape) / weight
-    return inverse(g, inv_ell * forward(g, v)) / mean_det
+    return inverse(g, inv_ell * forward(v)) / mean_det
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -302,7 +304,7 @@ def test_folded_matvec_matches_frame_congruence(n):
         for _ in range(3):
             v = rng.standard_normal(g.num_points)
             u = _reference_preconditioner(g, A, weight, mean_det, v)
-            hs = congruence_components(root_inv, hessian_components(g, forward(g, u)))
+            hs = congruence_components(root_inv, hessian_components(g, forward(u)))
             ref = det * trace_pair_components(comps, hs, det)
             ref = (ref - ref.mean()).ravel()
             got = K.matvec(v)
@@ -586,10 +588,10 @@ def _coarse_newton_fails(monkeypatch, exc):
 
     real = elliptic._newton
 
-    def failing(problem, U, tol_factor, max_iter):
+    def failing(problem, U, tol_factor):
         if problem.form.grid.N < 16:
             raise exc()
-        return real(problem, U, tol_factor, max_iter)
+        return real(problem, U, tol_factor)
 
     monkeypatch.setattr(elliptic, "_newton", failing)
 
@@ -636,13 +638,14 @@ def test_fine_failure_propagates(monkeypatch):
     real = elliptic._newton
     grids = []
 
-    def spy(problem, U, tol_factor, max_iter):
+    def spy(problem, U, tol_factor):
         grids.append(problem.form.grid.N)
-        return real(problem, U, tol_factor, max_iter)
+        return real(problem, U, tol_factor)
 
     monkeypatch.setattr(elliptic, "_newton", spy)
-    with pytest.raises(NewtonConvergenceError) as exc:
-        solve_cy(prob, max_iter=1)
+    with monkeypatch.context() as m, pytest.raises(NewtonConvergenceError) as exc:
+        m.setattr(elliptic, "MAX_NEWTON_ITER", 1)
+        solve_cy(prob)
     # the coarse level fails too and the zero start is tried once
     assert grids == [8, 16]
     assert exc.value.report.iterations == 1

@@ -59,7 +59,7 @@ def finite_problem(N=8):
 
 def embed(prob, field, t):
     """The spectral full potential phi_t + field, the state run_flow integrates."""
-    return forward(prob.grid, field.values) + prob.phi_t_hat(t)
+    return forward(field.values) + prob.phi_t_hat(t)
 
 
 def potential(prob, y, t):
@@ -285,7 +285,7 @@ def test_run_flow_finite_time_stops_near_T():
     assert res.constants["t_final"] == res.series["t"][-1] == T - STOP_MARGIN
     assert "finite_window" not in res.step_control["limits"]
     # the blow-down samples at T - 0.2, T - 0.1 and T - 0.05 are rows
-    consts = check_finite_time(res.series, T, 2, "FINITE_TIME").constants
+    consts = check_finite_time(res.series, T, "FINITE_TIME").constants
     assert all(f"m_delta_{d}" in consts for d in (0.2, 0.1, 0.05))
     # volume blow-down: the minimum rate is strongly negative at the stop
     assert res.series["min_ut_hat"][-1] < -5.0
@@ -326,9 +326,9 @@ def test_run_flow_u_dot_matches_rhs():
     res = run_flow(prob, RunOptions(t_max=1.0, run_comparison=False, dt_cap=0.05))
     t = res.constants["t_final"]
     r = prob.scaled_r
-    v_final = ScalarField(prob.grid,
-                          res.final["u_hat"].values + 0.5 * r * t * t + res.C3 * t)
-    expect = rhs(prob, v_final, t, r) - (r * t + res.C3)
+    C3 = res.constants["C3"]
+    v_final = ScalarField(prob.grid, res.final["u_hat"].values + 0.5 * r * t * t + C3 * t)
+    expect = rhs(prob, v_final, t, r) - (r * t + C3)
     assert np.abs(res.final["ut_hat"].values - expect).max() < 1e-12
 
 
@@ -357,7 +357,7 @@ def reference_rhs(prob, p_hat, t, r, comparison):
     if r:
         rhs = rhs + r * t
     w = math.exp(-t)
-    F = forward(g, rhs)
+    F = forward(rhs)
     if not comparison:
         # the u/v stages leave out the class forcing; the step integrates it
         F[(0,) * F.ndim] -= g.num_points * (math.log(prob.class_det(t)) + r * t)
@@ -546,9 +546,9 @@ def test_sup_bound_bounds_the_field_and_is_sharp_for_one_mode():
     g = prob.grid
     rng = np.random.default_rng(3)
     f = rng.standard_normal(g.shape)
-    assert np.abs(f).max() <= _sup_bound(prob, forward(g, f))
+    assert np.abs(f).max() <= _sup_bound(prob, forward(f))
     for mode in ((1, 0, 0, 0), (0, 0, 0, 2), (1, 2, 3, 1)):
-        c = forward(g, synthesize(g, [(mode, 0.3)]).values)
+        c = forward(synthesize(g, [(mode, 0.3)]).values)
         assert _sup_bound(prob, c) == pytest.approx(0.3, rel=1e-12)
 
 
@@ -565,13 +565,13 @@ def test_accepted_step_costs_three_stages_and_one_full_eval_per_flow(monkeypatch
     prob = collapsed_problem()
     res = run_flow(prob, RunOptions(t_max=1.0, run_comparison=True, dt_cap=0.05))
     assert res.status == "completed"
-    assert res.halvings == 0 and res.step_control["rejections"] == 0
+    assert res.constants["halvings"] == 0 and res.step_control["rejections"] == 0
     flows = 2
-    assert calls[False] == 3 * flows * res.steps
+    assert calls[False] == 3 * flows * res.constants["steps"]
     # one for the normalization constant, one per flow at t = 0
-    assert calls[True] == 1 + flows * (res.steps + 1)
-    assert res.step_control["accepted"] == res.steps
-    assert sum(res.step_control["limits"].values()) == res.steps
+    assert calls[True] == 1 + flows * (res.constants["steps"] + 1)
+    assert res.step_control["accepted"] == res.constants["steps"]
+    assert sum(res.step_control["limits"].values()) == res.constants["steps"]
     assert 0.0 < res.step_control["max_error"] <= mkrf.flow.STEP_TOL
 
 
@@ -594,8 +594,8 @@ def test_tiny_step_tol_rejects_retries_and_completes(monkeypatch):
     assert control["limits"]["error"] > 0
     assert control["max_error"] <= 1e-11
     # every attempt steps both flows; a rejected one records no row
-    assert len(steps) == 2 * (res.steps + control["rejections"])
-    assert len(res.series["t"]) == res.steps + 1
+    assert len(steps) == 2 * (res.constants["steps"] + control["rejections"])
+    assert len(res.series["t"]) == res.constants["steps"] + 1
 
 
 def test_error_estimate_alone_keeps_a_rough_run_stable():

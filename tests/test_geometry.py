@@ -13,7 +13,7 @@ from mkrf.geometry import (
     ma_density,
     trace_pair,
 )
-from mkrf.grid import GridSpec, HermitianField, ScalarField, mean, synthesize
+from mkrf.grid import GridSpec, ScalarField, mean, synthesize
 
 
 def identity_form(grid):
@@ -21,7 +21,8 @@ def identity_form(grid):
 
 
 def random_positive_hermitian_field(rng, grid, shift=0.5):
-    """Pointwise R^H R + shift*I, positive definite by construction."""
+    """Components of the pointwise R^H R + shift*I, positive definite by
+    construction."""
     n = grid.n
     R = rng.standard_normal((n, n) + grid.shape) + 1j * rng.standard_normal((n, n) + grid.shape)
     entries = np.zeros((n, n) + grid.shape, dtype=np.complex128)
@@ -31,15 +32,21 @@ def random_positive_hermitian_field(rng, grid, shift=0.5):
                 entries[j, k] += np.conj(R[m, j]) * R[m, k]
     for j in range(n):
         entries[j, j] += shift
-    return HermitianField(grid, entries)
+    if n == 1:
+        return entries[0, 0].real[None]
+    return np.stack([entries[0, 0].real, entries[1, 1].real,
+                     entries[0, 1].real, entries[0, 1].imag])
 
 
-def pointwise_matrices(H):
-    """Rearrange a HermitianField into an (..., n, n) stack for numpy oracles."""
-    n = H.grid.n
-    return np.stack(
-        [np.stack([H.entries[j, k] for k in range(n)], axis=-1) for j in range(n)], axis=-2
-    )
+def pointwise_matrices(comps):
+    """Rearrange a component tuple or stack into an (..., n, n) stack of
+    Hermitian matrices for numpy oracles."""
+    if len(comps) == 1:
+        return np.asarray(comps[0], dtype=np.complex128)[..., None, None]
+    g11, g22, p, q = comps
+    off = p + 1j * q
+    return np.stack([np.stack([g11 + 0j, off], axis=-1),
+                     np.stack([np.conj(off), g22 + 0j], axis=-1)], axis=-2)
 
 
 # --- ma_density -------------------------------------------------------------
@@ -94,12 +101,12 @@ def test_trace_pair_identity_cases():
     grid = GridSpec(2, 8)
     eye = identity_form(grid).metric()
     tp = trace_pair(eye, eye)
-    assert np.abs(tp.values - 2.0).max() < 1e-14
+    assert np.abs(tp - 2.0).max() < 1e-14
 
     rng = np.random.default_rng(3)
     P = random_positive_hermitian_field(rng, grid)
     tp2 = trace_pair(P, P)
-    assert np.abs(tp2.values - 2.0).max() < 1e-11
+    assert np.abs(tp2 - 2.0).max() < 1e-11
 
 
 def test_trace_pair_matches_dense_oracle():
@@ -111,7 +118,7 @@ def test_trace_pair_matches_dense_oracle():
     Pm = pointwise_matrices(P)
     Qm = pointwise_matrices(Q)
     expected = np.trace(np.linalg.inv(Pm) @ Qm, axis1=-2, axis2=-1).real
-    assert np.abs(tp.values - expected).max() < 1e-10 * max(1.0, np.abs(expected).max())
+    assert np.abs(tp - expected).max() < 1e-10 * max(1.0, np.abs(expected).max())
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -136,14 +143,21 @@ def test_trace_pair_in_place_is_bit_identical(n, with_det):
 
 def test_trace_pair_rejects_singular():
     grid = GridSpec(2, 8)
-    n = grid.n
-    entries = np.zeros((n, n) + grid.shape, dtype=np.complex128)
-    entries[0, 0] = 1.0
-    entries[1, 1] = 0.0  # singular everywhere
-    singular = HermitianField(grid, entries)
+    singular = np.zeros((4,) + grid.shape)
+    singular[0] = 1.0  # g22 = 0: singular everywhere
     eye = identity_form(grid).metric()
     with pytest.raises(SingularMetricError):
         trace_pair(singular, eye)
+
+
+def test_trace_pair_rejects_shape_mismatch():
+    eye8 = identity_form(GridSpec(2, 8)).metric()
+    with pytest.raises(ValueError, match="shape mismatch"):
+        trace_pair(eye8, identity_form(GridSpec(2, 16)).metric())
+    with pytest.raises(ValueError, match="shape mismatch"):
+        trace_pair(eye8, eye8[:1])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        flow_laplacian(eye8, GridSpec(2, 16).zeros())
 
 
 # --- flow_laplacian ---------------------------------------------------------
@@ -265,8 +279,8 @@ def test_trace_inequalities_random_pairs(n):
     grid = GridSpec(n, 8)  # n=2 gives 4096 points, over 1000 random pairs
     alpha = random_positive_hermitian_field(rng, grid)
     beta = random_positive_hermitian_field(rng, grid)
-    t_ab = trace_pair(alpha, beta).values
-    t_ba = trace_pair(beta, alpha).values
+    t_ab = trace_pair(alpha, beta)
+    t_ba = trace_pair(beta, alpha)
     assert (t_ab * t_ba - n * n).min() > -1e-12
 
     Am = pointwise_matrices(alpha)
@@ -310,7 +324,7 @@ def test_ma_linearization_directional_derivative():
 
     base = ma_density(form, u)
     metric = form.metric(u)
-    lin = trace_pair(metric, complex_hessian(delta)).values
+    lin = trace_pair(metric, complex_hessian(delta))
     predicted_det = base.values * lin
 
     # det is polynomial of degree n in the potential, so for n <= 2 centered

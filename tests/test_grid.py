@@ -40,6 +40,16 @@ def trig_hessian_oracle(grid, modes):
     return H
 
 
+def oracle_components(H):
+    """The real components (H11,) or (H11, H22, Re H12, Im H12) of an oracle
+    (n, n) + grid entry array, after checking that it is Hermitian."""
+    n = H.shape[0]
+    assert all(np.array_equal(H[j, k], np.conj(H[k, j])) for j in range(n) for k in range(n))
+    if n == 1:
+        return H[0, 0].real[None]
+    return np.stack([H[0, 0].real, H[1, 1].real, H[0, 1].real, H[0, 1].imag])
+
+
 def random_modes(rng, grid, count, max_mode=3):
     modes = []
     for _ in range(count):
@@ -65,7 +75,8 @@ def test_gridspec_validation():
 def test_hessian_zero():
     grid = GridSpec(2, 8)
     H = complex_hessian(grid.zeros())
-    assert np.abs(H.entries).max() == 0.0
+    assert H.shape == (4,) + grid.shape
+    assert np.abs(H).max() == 0.0
 
 
 def test_hessian_n1_cosine():
@@ -75,13 +86,13 @@ def test_hessian_n1_cosine():
     H = complex_hessian(f)
     x = grid.axis_coordinate(0)
     expected = -eps * np.pi**2 * np.cos(2 * np.pi * x) + 0.0 * grid.axis_coordinate(1)
-    assert np.abs(H.entries[0, 0].real - expected).max() < 1e-12
-    assert np.abs(H.entries[0, 0].imag).max() < 1e-12
+    assert H.dtype == np.float64 and H.shape == (1,) + grid.shape
+    assert np.abs(H[0] - expected).max() < 1e-12
 
 
 def test_hessian_n2_cos_cos():
     # f = cos(2 pi x1) cos(2 pi y2): diagonal entries -pi^2 cos cos, off-diagonal
-    # i pi^2 sin sin.
+    # entry H12 = i pi^2 sin sin, so Re H12 = 0 and Im H12 = pi^2 sin sin.
     grid = GridSpec(2, 8)
     x1 = grid.axis_coordinate(0)
     y2 = grid.axis_coordinate(3)
@@ -89,10 +100,10 @@ def test_hessian_n2_cos_cos():
     H = complex_hessian(f)
     cc = np.cos(2 * np.pi * x1) * np.cos(2 * np.pi * y2) + np.zeros(grid.shape)
     ss = np.sin(2 * np.pi * x1) * np.sin(2 * np.pi * y2) + np.zeros(grid.shape)
-    assert np.abs(H.entries[0, 0] - (-np.pi**2 * cc)).max() < 1e-11
-    assert np.abs(H.entries[1, 1] - (-np.pi**2 * cc)).max() < 1e-11
-    assert np.abs(H.entries[0, 1] - 1j * np.pi**2 * ss).max() < 1e-11
-    assert np.abs(H.entries[1, 0] + 1j * np.pi**2 * ss).max() < 1e-11
+    assert np.abs(H[0] - (-np.pi**2 * cc)).max() < 1e-11
+    assert np.abs(H[1] - (-np.pi**2 * cc)).max() < 1e-11
+    assert np.abs(H[2]).max() < 1e-11
+    assert np.abs(H[3] - np.pi**2 * ss).max() < 1e-11
 
 
 @pytest.mark.parametrize("n,N", [(1, 16), (1, 32), (2, 8), (2, 16)])
@@ -103,14 +114,14 @@ def test_hessian_matches_trig_oracle(n, N):
     f = synthesize(grid, modes)
     H = complex_hessian(f)
     expected = trig_hessian_oracle(grid, modes)
-    assert np.abs(H.entries - expected).max() < 1e-10
+    assert np.abs(H - oracle_components(expected)).max() < 1e-10
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_hessian_buffer_matches_allocating_call(n):
     rng = np.random.default_rng(40 + n)
     grid = GridSpec(n, 16)
-    coeffs = forward(grid, rng.standard_normal(grid.shape))
+    coeffs = forward(rng.standard_normal(grid.shape))
     want = hessian_components(grid, coeffs)
     buf = np.full((want.shape[0],) + coeffs.shape, np.nan, dtype=np.complex128)
     got = hessian_components(grid, coeffs, buf)
@@ -119,13 +130,16 @@ def test_hessian_buffer_matches_allocating_call(n):
 
 
 def test_hessian_hermitian_for_rough_input():
-    # Even white noise must produce an exactly Hermitian (to round-off) result.
+    # Even white noise must produce a Hermitian result: the real components
+    # agree with a full-spectrum transform whose output is real to round-off.
     rng = np.random.default_rng(7)
     grid = GridSpec(2, 8)
     f = ScalarField(grid, rng.standard_normal(grid.shape))
     H = complex_hessian(f)
-    assert H.hermitian_defect() < 1e-12 * max(1.0, np.abs(H.entries).max())
-    assert np.abs(H.entries[0, 0].imag).max() < 1e-10
+    full = full_spectrum_hessian(grid, f.values)
+    scale = max(1.0, np.abs(H).max())
+    assert np.abs(full.imag).max() < 1e-12 * scale
+    assert np.abs(full.real - H).max() < 1e-12 * scale
 
 
 def test_hessian_diagonal_zero_mean():
@@ -134,7 +148,7 @@ def test_hessian_diagonal_zero_mean():
     f = ScalarField(grid, rng.standard_normal(grid.shape))
     H = complex_hessian(f)
     for j in range(2):
-        assert abs(np.mean(H.entries[j, j].real)) < 1e-12 * max(1.0, np.abs(H.entries).max())
+        assert abs(np.mean(H[j])) < 1e-12 * max(1.0, np.abs(H).max())
 
 
 def test_hessian_rejects_nonfinite():
@@ -165,17 +179,17 @@ def test_mean_matches_refined_quadrature():
 
 def test_mean_trace_of_hessian_vanishes():
     # Integration by parts on the torus: the average of tr(M H[f]) is zero for
-    # any constant matrix M.
+    # any constant Hermitian matrix M.
     rng = np.random.default_rng(5)
     grid = GridSpec(2, 8)
     f = ScalarField(grid, rng.standard_normal(grid.shape))
-    H = complex_hessian(f)
+    h11, h22, p, q = complex_hessian(f)
     R = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     M = R + R.conj().T
-    tr = sum(M[j, k] * H.entries[k, j] for j in range(2) for k in range(2))
-    scale = max(1.0, np.abs(H.entries).max())
-    assert abs(np.mean(tr.real)) < 1e-12 * scale
-    assert np.abs(tr.imag).max() < 1e-10 * scale
+    # M01 H10 + M10 H01 = 2 Re(M01 conj(H01)) with H01 = p + i q
+    tr = M[0, 0].real * h11 + M[1, 1].real * h22 + 2.0 * (M[0, 1].real * p + M[0, 1].imag * q)
+    scale = max(1.0, np.abs(h11).max(), np.abs(h22).max(), np.abs(p).max(), np.abs(q).max())
+    assert abs(np.mean(tr)) < 1e-12 * scale
 
 
 def test_snapshot_roundtrip_bit_exact(tmp_path):
@@ -232,9 +246,9 @@ def test_fft_thread_cap_does_not_change_results(monkeypatch):
     grid = GridSpec(2, 16)
     f = ScalarField(grid, rng.standard_normal(grid.shape))
     monkeypatch.delenv("MKRF_THREADS", raising=False)
-    base = complex_hessian(f).entries.copy()
+    base = complex_hessian(f)
     monkeypatch.setenv("MKRF_THREADS", "2")
-    threaded = complex_hessian(f).entries
+    threaded = complex_hessian(f)
     assert base.tobytes() == threaded.tobytes()
 
 
@@ -244,7 +258,7 @@ def test_hessian_stencil_argument(n):
 
     g = GridSpec(n, 8)
     rng = np.random.default_rng(11)
-    c = forward(g, rng.standard_normal(g.shape))
+    c = forward(rng.standard_normal(g.shape))
     plain = hessian_components(g, c)
     stack = tables(n, 8)._stack
     assert np.array_equal(hessian_components(g, c, stencil=stack), plain)
@@ -310,7 +324,7 @@ def test_mass_conservation_on_rough_grids(n, data):
     A = data.draw(hermitian_matrices(n))
     grid = GridSpec(n, ROUGH_N)
     f = amp * values
-    hs = hessian_components(grid, forward(grid, f))
+    hs = hessian_components(grid, forward(f))
     comps = metric_components(A, hs, n, grid.shape)
     det = det_components(comps)
     scale = (1.0 + max(float(np.abs(c).max()) for c in comps)) ** n
@@ -324,14 +338,11 @@ def test_hessian_hermitian_real_and_finite_on_rough_grids(n, data):
     values, amp = data.draw(rough_fields(n))
     grid = GridSpec(n, ROUGH_N)
     f = amp * values
-    hs = hessian_components(grid, forward(grid, f))
+    hs = hessian_components(grid, forward(f))
     assert hs.dtype == np.float64
     assert np.isfinite(hs).all()
     full = full_spectrum_hessian(grid, f)
     scale = max(1.0, float(np.abs(full).max()))
     assert np.abs(full.imag).max() <= 1e-13 * scale
     assert np.abs(full.real - hs).max() <= 1e-13 * scale
-    H = complex_hessian(ScalarField(grid, f))
-    assert H.hermitian_defect() <= 1e-13 * scale
-    for j in range(n):
-        assert np.abs(H.entries[j, j].imag).max() == 0.0
+    assert np.array_equal(complex_hessian(ScalarField(grid, f)), hs)

@@ -1,7 +1,9 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every parameter of its functions is read.
 
-No linter ships with the project; this is the one lint check it keeps.
-``__init__.py`` is left out: its imports are the package's public names.
+No linter ships with the project; these are the lint checks it keeps.
+``__init__.py`` is left out of the import check: its imports are the
+package's public names.
 """
 
 import ast
@@ -58,3 +60,41 @@ def test_unused_import_is_caught():
     tree = ast.parse("import math\nfrom os import path, sep\nx: 'path' = sep\n")
     used = used_names(tree)
     assert [n for n, _ in imported_names(tree) if n not in used] == ["math"]
+
+
+def unread_parameters(tree):
+    """(function, parameter, line) of every parameter, self and cls aside,
+    that its function's body never reads."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+        params += [p for p in (args.vararg, args.kwarg) if p is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for p in params:
+            if p.arg not in ("self", "cls") and p.arg not in read:
+                yield getattr(node, "name", "<lambda>"), p.arg, node.lineno
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_module_reads_every_parameter(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    unread = [f"{fn}({arg}) (line {line})" for fn, arg, line in unread_parameters(tree)]
+    assert not unread, f"{path.name} has parameters it never reads: {unread}"
+
+
+def test_unread_parameter_is_caught():
+    tree = ast.parse(
+        "class C:\n"
+        "    def m(self, a, b=1, *rest, c, **kw):\n"
+        "        a = b\n"
+        "        def inner():\n"
+        "            return rest, c\n"
+        "        return inner\n"
+        "f = lambda x, y: x\n"
+    )
+    assert [(fn, arg) for fn, arg, _ in unread_parameters(tree)] == [
+        ("m", "a"), ("m", "kw"), ("<lambda>", "y")]

@@ -102,13 +102,13 @@ def test_conservation_and_positivity_margins():
 
 
 def test_finite_time_gating():
-    rep = check_finite_time({"t": [0.0]}, math.inf, 1, "KAHLER_LIMIT")
+    rep = check_finite_time({"t": [0.0]}, math.inf, "KAHLER_LIMIT")
     assert rep.status == "not applicable"
 
 
 def test_collapsed_rejects_r_zero():
     with pytest.raises(ValueError):
-        check_collapsed({"t": [0.0]}, 2, 0, 30.0, 0.0)
+        check_collapsed({"t": [0.0]}, 0, 30.0, 0.0)
 
 
 def test_convergence_report():
@@ -169,12 +169,12 @@ def test_offline_reevaluation_roundtrip(tmp_path):
         VolumeDensity(ScalarField(g, np.ones(g.shape))),
     )
     res = run_flow(prob, RunOptions(t_max=12.0, run_comparison=True, dt_cap=0.05))
-    rep_live = check_collapsed(res.series, 2, 1, 12.0, res.C3)
+    rep_live = check_collapsed(res.series, 1, 12.0, res.constants["C3"])
 
     path = tmp_path / "series.csv"
     write_csv(res.columns, res.series, path)
     _, series_back = read_csv(path)
-    rep_offline = check_collapsed(series_back, 2, 1, 12.0, res.C3)
+    rep_offline = check_collapsed(series_back, 1, 12.0, res.constants["C3"])
 
     assert rep_offline.constants == rep_live.constants
     assert [(c.name, c.margin) for c in rep_offline.checks] == [
@@ -197,13 +197,13 @@ def test_collapsed_checks_catch_doctored_series():
         VolumeDensity(ScalarField(g, np.ones(g.shape))),
     )
     res = run_flow(prob, RunOptions(t_max=12.0, run_comparison=True, dt_cap=0.05))
-    good = check_collapsed(res.series, 2, 1, 12.0, res.C3)
+    good = check_collapsed(res.series, 1, 12.0, res.constants["C3"])
     assert good.status == "ok"
 
     doctored = {k: list(v) for k, v in res.series.items()}
     doctored["max_w"] = [
         w + (0.5 if t > 6.0 else 0.0) for t, w in zip(doctored["t"], doctored["max_w"])
     ]
-    bad = check_collapsed(doctored, 2, 1, 12.0, res.C3)
+    bad = check_collapsed(doctored, 1, 12.0, res.constants["C3"])
     assert bad.status == "violations"
     assert any(c.name == "w_non_trending" and not c.passed for c in bad.checks)

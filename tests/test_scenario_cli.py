@@ -292,6 +292,20 @@ def test_cy_solve_rejects_degenerate_target(capsys):
     assert "positive definite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["cy-solve", "run"])
+def test_limit_form_that_is_no_metric_exits_4_naming_phi_inf(tmp_path, capsys, command):
+    # Ainf + H[phi_inf] has lambda_min -3.9 at the origin: the limit
+    # equation's Newton solve has no admissible start
+    eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(tiny_scenario(n=2, N=8, A0=eye, Ainf=eye, phi0=[], log_h=[],
+                                 phi_inf=[{"mode": [1, 0, 0, 0], "amp": 0.5}],
+                                 t_max=0.5).to_json())
+    assert main([command, "--config", str(cfg)]) == 4
+    err = capsys.readouterr().err
+    assert "phi_inf" in err and "lambda_min=-3.935e+00" in err
+
+
 def test_run_overrides(tmp_path):
     cfg = tmp_path / "tiny.json"
     cfg.write_text(tiny_scenario().to_json())
