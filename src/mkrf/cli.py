@@ -16,20 +16,17 @@ import sys
 import numpy as np
 
 from . import monitors
-from .elliptic import (
-    EllipticProblem,
-    NewtonConvergenceError,
-    solve_cy,
-    solve_psi_family,
-)
+from .elliptic import NewtonConvergenceError, solve_cy, solve_psi_family
 from .flow import run_flow
-from .geometry import KahlerForm, Regime, SingularMetricError, compute_T
+from .geometry import Regime, SingularMetricError, check_positive_components, compute_T
 from .grid import write_snapshot
 from .report import render_report, save_run
 from .scenario import (
     InvalidScenarioError,
     Scenario,
+    build_limit_problem,
     build_problem,
+    check_initial_form,
     is_finite_number,
     load_scenario,
     matrix_from_rows,
@@ -103,13 +100,6 @@ def _newton_work(rep) -> dict:
             "start": rep.start, "coarse_levels": rep.coarse_levels}
 
 
-def _limit_problem(problem) -> EllipticProblem:
-    """The Monge-Ampere equation of the limit class Ainf with the run's density."""
-    return EllipticProblem.compatible(
-        KahlerForm(problem.path.Ainf, problem.form_inf.phi), problem.omega
-    )
-
-
 def _inadmissible_limit(err: SingularMetricError) -> int:
     """Exit for a limit form Ainf + H[phi_inf] that is not a metric: the
     limit equation's Newton solve has no admissible start."""
@@ -156,7 +146,7 @@ def verdict(scenario: Scenario, problem, result):
                 (f"psi_t{t:g}", p) for t, p in zip(scenario.psi_times, psis)
             ]
     if regime == Regime.KAHLER_LIMIT:
-        U, newton_rep = solve_cy(_limit_problem(problem))
+        U, newton_rep = solve_cy(build_limit_problem(scenario))
         gaps = [
             monitors.convergence_gap(arr, U.values) for _, arr in result.uhat_snaps
         ]
@@ -175,9 +165,15 @@ def cmd_run(args) -> int:
     try:
         sc = _load(args)
         problem = build_problem(sc)
+        if problem.path.regime == Regime.KAHLER_LIMIT:
+            # the reference solve after the flow needs a limit form that is
+            # a metric (congruence into the Newton frame keeps positivity)
+            check_positive_components(build_limit_problem(sc).form.metric())
     except InvalidScenarioError as e:
         print(f"invalid config: {e}", file=sys.stderr)
         return EXIT_INVALID
+    except SingularMetricError as e:
+        return _inadmissible_limit(e)
     opts = run_options(sc)
     result = run_flow(problem, opts)
 
@@ -214,15 +210,16 @@ def cmd_run(args) -> int:
 def cmd_cy_solve(args) -> int:
     try:
         sc = _load(args)
-        problem = build_problem(sc)
+        problem = build_limit_problem(sc)
+        check_initial_form(sc)
     except InvalidScenarioError as e:
         print(f"invalid config: {e}", file=sys.stderr)
         return EXIT_INVALID
-    if float(np.linalg.eigvalsh(problem.path.Ainf).min()) <= 0:
+    if float(np.linalg.eigvalsh(problem.form.A).min()) <= 0:
         print("invalid config: target class is not positive definite", file=sys.stderr)
         return EXIT_INVALID
     try:
-        U, rep = solve_cy(_limit_problem(problem))
+        U, rep = solve_cy(problem)
     except NewtonConvergenceError as e:
         print(f"solver failed: {e}", file=sys.stderr)
         return EXIT_BREAKDOWN

@@ -127,19 +127,35 @@ class NewtonReport:
     coarse_levels: list = field(default_factory=list)
 
 
-def _frame_state(problem: EllipticProblem, root_inv: np.ndarray, U: np.ndarray):
+def _hessian_rows(grid, coeffs: np.ndarray, stencil: np.ndarray, row_buf: np.ndarray):
+    """The rows of hessian_components(grid, coeffs, stencil=stencil), made
+    on demand and in order, one inverse transform each.
+
+    row_buf, a one-row complex array shaped (1,) + coeffs.shape, receives
+    each row's stencil product, so no step holds more than one row of the
+    product or of the transform.  Each row equals the batched one bit for
+    bit.
+    """
+    for c in range(len(stencil)):
+        yield hessian_components(grid, coeffs, buf=row_buf, stencil=stencil[c:c + 1])[0]
+
+
+def _frame_state(problem: EllipticProblem, root_inv: np.ndarray, U: np.ndarray,
+                 row_buf: np.ndarray):
     """Metric in the A-orthonormal frame: I + A^{-1/2} H[phi+U] A^{-1/2}.
 
     Working in this frame keeps the residual at unit scale even when the
     class matrix is nearly degenerate, because the frame rescaling of the
     Hessian components is an exact floating-point multiplication while the
     Hessian noise itself is proportional to the (small) degenerate-direction
-    spectral mass.
+    spectral mass.  The Hessian rows are made one at a time through the
+    one-row product buffer row_buf.
     """
     grid = problem.form.grid
     n = grid.n
-    pot = problem.form.phi.values + U
-    hs = hessian_components(grid, forward(pot))
+    coeffs = forward(problem.form.phi.values + U)
+    hs = tuple(_hessian_rows(grid, coeffs, tables(n, grid.N)._stack, row_buf))
+    del coeffs
     fr = list(congruence_components(root_inv, hs))
     fr[0] = 1.0 + fr[0]
     if n == 2:
@@ -177,11 +193,14 @@ class _FrameOperators:
     R = A^{-1/2} and the Laplacian inverse are constant linear maps of the
     Hessian symbols, so both are folded into the stencil once per solve: an
     application of K is one pointwise weighting, one forward transform, one
-    stencil product, one batched inverse transform and one pairing, and a
-    lift is one forward and one inverse transform.
+    stencil product and one inverse transform per Hessian row, and one
+    pairing that consumes the rows as they are made; a lift is one forward
+    and one inverse transform.  row_buf is the solve's one-row product
+    buffer (see _hessian_rows), shared with its frame states.
     """
 
-    def __init__(self, grid, A: np.ndarray, root_inv: np.ndarray, weight=None):
+    def __init__(self, grid, A: np.ndarray, root_inv: np.ndarray, row_buf: np.ndarray,
+                 weight=None):
         tab = tables(grid.n, grid.N)
         self.grid = grid
         # exact inverse of the mean-metric Laplacian as the spectral
@@ -194,7 +213,7 @@ class _FrameOperators:
         # K's symbols: the frame Hessian stencil times the inverse symbol
         self.stencil = np.stack(congruence_components(root_inv, tuple(tab._stack)))
         self.stencil *= self.inv_ell
-        self.product = np.empty(self.stencil.shape, dtype=np.complex128)
+        self.row_buf = row_buf
         # pointwise scaling of the preconditioner's input (see _precond_weight),
         # applied into a buffer of its own
         self.inv_weight = None if weight is None else 1.0 / weight
@@ -227,8 +246,8 @@ class _FrameOperators:
         """K = J P at the frame metric comps, whose determinant has the grid
         mean mean_det.
 
-        It returns a fresh array on every call: lgmres keeps them in its
-        Krylov basis.
+        It returns a fresh array on every call, the first Hessian row
+        overwritten by the pairing: lgmres keeps them in its Krylov basis.
         """
         grid = self.grid
         npts = grid.num_points
@@ -242,10 +261,10 @@ class _FrameOperators:
                 out = np.zeros(npts)
             else:
                 self.matvecs += 1
-                hs = hessian_components(grid, self._weighted_spectrum(y),
-                                        buf=self.product, stencil=self.stencil)
-                pair = trace_pair_components(adj, hs, 1.0, overwrite_psi=True)
-                out = np.subtract(pair, pair.mean())
+                rows = _hessian_rows(grid, self._weighted_spectrum(y), self.stencil,
+                                     self.row_buf)
+                out = trace_pair_components(adj, rows, 1.0, overwrite_psi=True)
+                out -= out.mean()
                 out /= mean_det
                 out = out.ravel()
             self.last = (y, out)
@@ -431,7 +450,9 @@ def _newton(problem: EllipticProblem, U: np.ndarray, tol_factor: float):
     tol = scale * tol_factor
 
     report = NewtonReport()
-    comps, det = _frame_state(problem, root_inv, U)
+    # the one-row product buffer of every Hessian transform in this solve
+    row_buf = np.empty((1,) + tables(grid.n, grid.N).rshape, dtype=np.complex128)
+    comps, det = _frame_state(problem, root_inv, U, row_buf)
     res = det - target
     res_norm = float(np.abs(res).max())
     report.residual_history.append(res_norm * det_A)
@@ -444,7 +465,7 @@ def _newton(problem: EllipticProblem, U: np.ndarray, tol_factor: float):
     rhs = np.negative(res.ravel() - res.mean())
     mean_det = float(det.mean())
     del det, res
-    ops = _FrameOperators(grid, A, root_inv, _precond_weight(target, grid.n))
+    ops = _FrameOperators(grid, A, root_inv, row_buf, _precond_weight(target, grid.n))
     npts = grid.num_points
 
     forcing = res_norm / scale
@@ -476,7 +497,8 @@ def _newton(problem: EllipticProblem, U: np.ndarray, tol_factor: float):
         del y
         delta -= delta.mean()
 
-        step = _line_search(problem, root_inv, target, state, rhs, delta, res_norm)
+        step = _line_search(problem, root_inv, row_buf, target, state, rhs, delta,
+                            res_norm)
         # J_delta, lgmres's last allocation, is released only now: until
         # here it holds the heap top, so the lift's and the line search's
         # temporaries reuse the Krylov basis's memory, and freeing it
@@ -525,7 +547,8 @@ def _newton(problem: EllipticProblem, U: np.ndarray, tol_factor: float):
     return U, report
 
 
-def _line_search(problem: EllipticProblem, root_inv, target, state, rhs, delta, res_norm):
+def _line_search(problem: EllipticProblem, root_inv, row_buf, target, state, rhs, delta,
+                 res_norm):
     """Damped step: halve s until U + s delta is admissible and lowers the
     sup-norm residual.  The accepted step overwrites state = (U, *comps)
     and rhs, the negated residual less its mean, in place.  Returns
@@ -537,7 +560,7 @@ def _line_search(problem: EllipticProblem, root_inv, target, state, rhs, delta, 
         trial = U + s * delta
         trial -= trial.mean()
         try:
-            comps, det = _frame_state(problem, root_inv, trial)
+            comps, det = _frame_state(problem, root_inv, trial, row_buf)
         except SingularMetricError:
             s *= 0.5
             continue

@@ -123,21 +123,29 @@ def trace_pair_components(phi_comps, psi_comps, phi_det=None, overwrite_psi=Fals
 
     With overwrite_psi the arrays of psi_comps (e.g. the rows of a
     hessian_components stack) are the workspace: the result, computed in
-    the same operation order and so bit-identical, is written into
-    psi_comps[0] and returned, and the other rows are clobbered.
+    the same operation order and so bit-identical, is written into the
+    first row and returned, and the other rows are clobbered.  The rows are
+    then read strictly in order, so psi_comps may be an iterator that makes
+    each row on demand; at most three of them are live at once.
     """
+    rows = iter(psi_comps)
     if len(phi_comps) == 1:
-        out = psi_comps[0] if overwrite_psi else None
-        return np.divide(psi_comps[0], phi_comps[0], out=out)
+        s11 = next(rows)
+        return np.divide(s11, phi_comps[0], out=s11 if overwrite_psi else None)
     f11, f22, fp, fq = phi_comps
-    s11, s22, sp, sq = psi_comps
     if phi_det is None:
         phi_det = det_components(phi_comps)
     if not overwrite_psi:
+        s11, s22, sp, sq = rows
         return (f22 * s11 + f11 * s22 - 2.0 * (fp * sp + fq * sq)) / phi_det
+    s11 = next(rows)
     out = np.multiply(f22, s11, out=s11)
+    s22 = next(rows)
     out += np.multiply(f11, s22, out=s22)
+    del s22
+    sp = next(rows)
     cross = np.multiply(fp, sp, out=sp)
+    sq = next(rows)
     cross += np.multiply(fq, sq, out=sq)
     cross *= 2.0
     out -= cross

@@ -208,7 +208,9 @@ def synthesize(grid: GridSpec, modes) -> ScalarField:
     """Build a field from a list of (mode_vector, amplitude[, phase]) cosine terms.
 
     Each term contributes amp * cos(2 pi m . x + phase) with m an integer
-    vector over the 2n real axes.
+    vector over the 2n real axes.  A term's argument and cosine are built
+    only over the axes where m is non-zero and added into the grid by
+    broadcasting, with the operations of the full-grid formula.
     """
     vals = np.zeros(grid.shape)
     for term in modes:
@@ -220,7 +222,7 @@ def synthesize(grid: GridSpec, modes) -> ScalarField:
         mvec = tuple(int(m) for m in mvec)
         if len(mvec) != 2 * grid.n:
             raise ValueError(f"mode vector {mvec} must have {2 * grid.n} components")
-        arg = np.zeros(grid.shape)
+        arg = np.zeros((1,) * (2 * grid.n))
         for axis, m in enumerate(mvec):
             if m != 0:
                 arg = arg + (2.0 * np.pi * m) * grid.axis_coordinate(axis)

@@ -12,8 +12,15 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .elliptic import EllipticProblem
 from .flow import FlowProblem, RunOptions
-from .geometry import KahlerForm, VolumeDensity, check_hermitian
+from .geometry import (
+    KahlerForm,
+    SingularMetricError,
+    VolumeDensity,
+    check_hermitian,
+    check_positive_components,
+)
 from .grid import GridSpec, ScalarField, synthesize
 
 
@@ -181,21 +188,53 @@ def validate(scenario: Scenario) -> None:
                 raise InvalidScenarioError(f"psi_times: {t} outside [0, t_max]")
 
 
+def _form(s: Scenario, grid: GridSpec, A_key: str, phi_key: str) -> KahlerForm:
+    """The scenario's class A_key with the potential phi_key."""
+    A = matrix_from_rows(getattr(s, A_key), s.n, A_key)
+    return KahlerForm(A, synthesize(grid, _parse_modes(getattr(s, phi_key), s.n, phi_key)))
+
+
+def _density(s: Scenario, grid: GridSpec) -> VolumeDensity:
+    log_h = synthesize(grid, _parse_modes(s.log_h, s.n, "log_h"))
+    return VolumeDensity(ScalarField(grid, np.exp(log_h.values)))
+
+
 def build_problem(scenario: Scenario) -> FlowProblem:
     """Assemble the flow problem; admissibility of the initial metric is
     checked during construction."""
     validate(scenario)
     s = scenario
     grid = GridSpec(s.n, s.N)
-    A0 = matrix_from_rows(s.A0, s.n, "A0")
-    Ainf = matrix_from_rows(s.Ainf, s.n, "Ainf")
-    phi0 = synthesize(grid, _parse_modes(s.phi0, s.n, "phi0"))
-    phi_inf = synthesize(grid, _parse_modes(s.phi_inf, s.n, "phi_inf"))
-    log_h = synthesize(grid, _parse_modes(s.log_h, s.n, "log_h"))
-    omega = VolumeDensity(ScalarField(grid, np.exp(log_h.values)))
+    form0 = _form(s, grid, "A0", "phi0")
+    form_inf = _form(s, grid, "Ainf", "phi_inf")
+    omega = _density(s, grid)
     try:
-        return FlowProblem(KahlerForm(A0, phi0), KahlerForm(Ainf, phi_inf), omega)
+        return FlowProblem(form0, form_inf, omega)
     except Exception as e:
+        raise InvalidScenarioError(f"inadmissible scenario: {e}") from e
+
+
+def build_limit_problem(scenario: Scenario) -> EllipticProblem:
+    """The limit equation det(Ainf + H[phi_inf] + H[U]) = c h of a scenario,
+    with the density h = exp(log_h) of its flow problem; builds nothing else.
+
+    Ainf is not checked here: solve_cy rejects a class that is not positive
+    definite, and its Newton solve a limit form that is not a metric.
+    """
+    validate(scenario)
+    grid = GridSpec(scenario.n, scenario.N)
+    return EllipticProblem.compatible(_form(scenario, grid, "Ainf", "phi_inf"),
+                                      _density(scenario, grid))
+
+
+def check_initial_form(scenario: Scenario) -> None:
+    """Raise InvalidScenarioError unless A0 + H[phi0] is a metric, the check
+    build_problem makes; it needs no transform when phi0 is empty."""
+    validate(scenario)
+    form0 = _form(scenario, GridSpec(scenario.n, scenario.N), "A0", "phi0")
+    try:
+        check_positive_components(form0.metric(), t=0.0)
+    except SingularMetricError as e:
         raise InvalidScenarioError(f"inadmissible scenario: {e}") from e
 
 

@@ -6,7 +6,6 @@ import math
 import numpy as np
 
 from mkrf import monitors
-from mkrf.cli import _limit_problem
 from mkrf.elliptic import solve_cy
 from mkrf.flow import run_flow
 from mkrf.geometry import (
@@ -26,7 +25,7 @@ from mkrf.grid import (
     write_snapshot,
 )
 from mkrf.report import write_csv
-from mkrf.scenario import build_problem, load_scenario, run_options
+from mkrf.scenario import build_limit_problem, build_problem, load_scenario, run_options
 
 RUNTIME_BUDGET_S = 120.0
 
@@ -88,7 +87,7 @@ def test_criterion_04_kahler_limit_convergence(kahler_run):
     ok = final_gap <= 1e-4
     ok &= residual <= 1e-10
     # the reference is the same solution from another starting guess
-    U2, _ = solve_cy(_limit_problem(kahler_run["problem"]),
+    U2, _ = solve_cy(build_limit_problem(kahler_run["scenario"]),
                      U0=synthesize(U.grid, [((2, 0), 0.01), ((0, 1), 0.02)]))
     double_gap = float(np.abs(U.values - U2.values).max())
     ok &= double_gap <= 1e-8

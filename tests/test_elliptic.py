@@ -254,11 +254,12 @@ def test_newton_report_records_forcing_and_matvecs(monkeypatch):
         assert rtol == pytest.approx(expected, rel=1e-9)
 
 
-def _frame_operators_at(n, weighted=False):
+def _frame_operators_at(n, weighted=False, N=8):
     from mkrf.elliptic import _FrameOperators, _frame_state
     from mkrf.geometry import matrix_sqrt_hermitian
+    from mkrf.grid import tables
 
-    g = GridSpec(n, 8)
+    g = GridSpec(n, N)
     if n == 1:
         A = np.array([[1.7]])
         phi = synthesize(g, [((1, 0), 0.01), ((0, 2), 0.004, 0.3)])
@@ -268,10 +269,11 @@ def _frame_operators_at(n, weighted=False):
     prob = EllipticProblem.compatible(KahlerForm(A, phi), ones_density(g))
     root_inv = matrix_sqrt_hermitian(np.linalg.inv(prob.form.A))
     U = synthesize(g, [((0,) * (2 * n - 1) + (1,), 0.005, 1.1)]).values
-    comps, det = _frame_state(prob, root_inv, U)
+    row_buf = np.empty((1,) + tables(n, N).rshape, dtype=np.complex128)
+    comps, det = _frame_state(prob, root_inv, U, row_buf)
     weight = (np.exp(synthesize(g, [((1,) + (0,) * (2 * n - 1), 0.2, 0.5)]).values)
               if weighted else None)
-    ops = _FrameOperators(g, prob.form.A, root_inv, weight)
+    ops = _FrameOperators(g, prob.form.A, root_inv, row_buf, weight)
     return g, root_inv, comps, det, weight, ops
 
 
@@ -362,24 +364,46 @@ def test_matvec_skips_the_zero_vector(monkeypatch):
     assert not np.shares_memory(*outs)
     assert calls == [] and ops.matvecs == 0
     K.matvec(np.random.default_rng(5).standard_normal(g.num_points))
-    assert calls == ["forward", "hessian_components"] and ops.matvecs == 1
+    assert calls == ["forward"] + ["hessian_components"] * 4 and ops.matvecs == 1
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_one_transform_pair_per_application(monkeypatch, n):
-    # an application of K is one forward and one batched Hessian inverse,
-    # paired once; lifting the Krylov solution is one forward and one inverse
+    # an application of K is one forward transform and one one-row Hessian
+    # inverse per component, made on demand inside its one pairing; lifting
+    # the Krylov solution is one forward and one inverse
     g, _, comps, det, _, ops = _frame_operators_at(n, weighted=True)
     K = ops.operator(comps, float(det.mean()))
     calls = _counting(monkeypatch, ("forward", "inverse", "hessian_components",
                                     "trace_pair_components"))
     v = np.random.default_rng(9).standard_normal(g.num_points)
     K.matvec(v)
-    assert calls == ["forward", "hessian_components", "trace_pair_components"]
+    assert calls == ["forward", "trace_pair_components"] + ["hessian_components"] * n * n
     calls.clear()
     ops.lift(v, float(det.mean()))
     assert calls == ["forward", "inverse"]
 
+
+def test_application_holds_one_hessian_row_at_a_time():
+    # an application of K keeps the weighted spectrum, the result, the cross
+    # term and the row in flight (about 4.1 real fields); a four-row Hessian
+    # block (about 5.1) would show here.  pocketfft's own temporaries are not
+    # traced, so this guards numpy allocations only
+    import tracemalloc
+
+    g, _, comps, det, _, ops = _frame_operators_at(2, weighted=True, N=16)
+    K = ops.operator(comps, float(det.mean()))
+    v = np.random.default_rng(21).standard_normal(g.num_points)
+    field_bytes = 8 * g.num_points
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = K.matvec(v)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (g.num_points,) and ops.matvecs == 1
+    assert peak < 4.5 * field_bytes, peak / field_bytes
 
 def test_kernel_right_hand_side_gives_a_zero_step():
     # a right-hand side whose preconditioned image vanishes (here a

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -139,6 +140,35 @@ def test_trace_pair_in_place_is_bit_identical(n, with_det):
     got = trace_pair_components(phi, stack, det, overwrite_psi=True)
     assert np.array_equal(got, want)
     assert np.shares_memory(got, stack[0])
+
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_trace_pair_reads_an_iterator_of_rows_in_order(n):
+    # the elliptic layer feeds the pairing Hessian rows made on demand; at
+    # most three may be live, and the result is the stacked call's
+    from mkrf.geometry import trace_pair_components
+
+    rng = np.random.default_rng(12 + n)
+    shape = GridSpec(n, 8).shape
+    phi = 0.1 * rng.standard_normal((n * n,) + shape)
+    phi[:n] += 1.0
+    phi = tuple(phi)
+    stack = rng.standard_normal((n * n,) + shape)
+    want = trace_pair_components(phi, stack.copy(), 1.0, overwrite_psi=True)
+    made = []
+
+    def rows():
+        for k in range(len(stack)):
+            # with the row about to be made, at most three are live
+            assert sum(ref() is not None for ref in made) <= 2
+            row = [stack[k].copy()]
+            made.append(weakref.ref(row[0]))
+            yield row.pop()
+
+    got = trace_pair_components(phi, rows(), 1.0, overwrite_psi=True)
+    assert len(made) == n * n and made[0]() is got
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_trace_pair_rejects_singular():

@@ -266,6 +266,56 @@ def test_hessian_stencil_argument(n):
     assert np.array_equal(hessian_components(g, c, buf=buf, stencil=2.0 * stack), 2.0 * plain)
 
 
+
+@pytest.mark.parametrize("n,N", [(1, 8), (1, 64), (2, 8), (2, 12), (2, 16), (2, 24)])
+def test_one_row_hessians_equal_the_batched_rows_bit_for_bit(n, N):
+    # the elliptic layer transforms one Hessian row at a time through a
+    # one-row product buffer; its rows must be the batched call's
+    from mkrf.grid import tables
+
+    g = GridSpec(n, N)
+    c = forward(np.random.default_rng(N + n).standard_normal(g.shape))
+    stack = tables(n, N)._stack
+    batched = hessian_components(g, c)
+    buf = np.empty((1,) + c.shape, dtype=np.complex128)
+    for k in range(len(stack)):
+        row = hessian_components(g, c, buf=buf, stencil=stack[k:k + 1])
+        assert row.shape == (1,) + g.shape
+        assert np.array_equal(row[0].view(np.uint64), batched[k].view(np.uint64))
+
+
+def full_grid_synthesis(grid, modes):
+    """synthesize's formula with every term built over the whole grid."""
+    vals = np.zeros(grid.shape)
+    for mvec, amp, phase in modes:
+        arg = np.zeros(grid.shape)
+        for axis, m in enumerate(mvec):
+            if m != 0:
+                arg = arg + (2.0 * np.pi * m) * grid.axis_coordinate(axis)
+        vals += amp * np.cos(arg + phase)
+    return vals
+
+
+def test_synthesize_is_bit_identical_to_the_full_grid_formula():
+    rng = np.random.default_rng(300)
+    for trial in range(300):
+        n = int(rng.integers(1, 3))
+        grid = GridSpec(n, int(rng.choice([8, 12, 16, 24] if n == 2 else [8, 12, 16, 24, 64])))
+        modes = []
+        for _ in range(int(rng.integers(0, 5))):
+            # mostly zero entries, negative ones and repeated terms included
+            mvec = tuple(int(m) for m in rng.choice([-2, -1, 0, 0, 0, 1, 3], size=2 * n))
+            amp = float(rng.uniform(-0.5, 0.5))
+            phase = float(rng.uniform(-4.0, 4.0)) if rng.random() < 0.5 else 0.0
+            modes.append((mvec, amp, phase))
+            if rng.random() < 0.2:
+                modes.append(modes[-1])
+        got = synthesize(grid, [t if t[2] else t[:2] for t in modes]).values
+        want = full_grid_synthesis(grid, modes)
+        assert got.shape == grid.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (trial, modes)
+
+
 # --- spectral identities on arbitrary (non-band-limited) grid input ----------
 
 from hypothesis import given, settings  # noqa: E402

@@ -292,10 +292,43 @@ def test_cy_solve_rejects_degenerate_target(capsys):
     assert "positive definite" in capsys.readouterr().err
 
 
+def test_cy_solve_builds_no_flow_problem(tmp_path, monkeypatch):
+    # the limit equation reads only Ainf, phi_inf and log_h
+    import mkrf.flow
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("cy-solve built a FlowProblem")
+
+    monkeypatch.setattr(mkrf.flow.FlowProblem, "__init__", refuse)
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(tiny_scenario().to_json())
+    out = tmp_path / "cy"
+    assert main(["cy-solve", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "cy_solution.mkrf").exists()
+
+
+def test_cy_solve_with_an_initial_form_that_is_no_metric_exits_4(tmp_path, capsys):
+    # A0 + H[phi0] has lambda_min 1 - pi^2 / 2 < 0: the scenario is
+    # inadmissible for cy-solve as for run, although the solve never reads phi0
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(tiny_scenario(phi0=[{"mode": [1, 0], "amp": 0.5}]).to_json())
+    assert main(["cy-solve", "--config", str(cfg)]) == 4
+    err = capsys.readouterr().err
+    assert "inadmissible scenario" in err and "lambda_min" in err
+
+
 @pytest.mark.parametrize("command", ["cy-solve", "run"])
-def test_limit_form_that_is_no_metric_exits_4_naming_phi_inf(tmp_path, capsys, command):
+def test_limit_form_that_is_no_metric_exits_4_naming_phi_inf(tmp_path, capsys, monkeypatch,
+                                                           command):
     # Ainf + H[phi_inf] has lambda_min -3.9 at the origin: the limit
-    # equation's Newton solve has no admissible start
+    # equation's Newton solve has no admissible start, and run finds that
+    # out at set-up, before it integrates the flow
+    import mkrf.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the flow ran")
+
+    monkeypatch.setattr(mkrf.cli, "run_flow", refuse)
     eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
     cfg = tmp_path / "bad.json"
     cfg.write_text(tiny_scenario(n=2, N=8, A0=eye, Ainf=eye, phi0=[], log_h=[],
