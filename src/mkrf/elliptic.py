@@ -11,16 +11,23 @@ preconditioned Krylov iteration, and steps are damped by halving until the
 sup-norm residual decreases.  The preconditioner divides its input by the
 fixed density weight w = (target / mean target)^((n-1)/n) and then inverts
 the constant-coefficient Laplacian of the mean metric exactly in Fourier
-space; there is no weight at n=1 or for a constant density.  Its Fourier
-symbol is folded into the Jacobian's stencil, so lgmres iterates on the
-preconditioned operator at the cost of one Jacobian application, and the
-Newton step is lifted from the Krylov solution once per system; a Krylov
-solve whose restart cycles stop reducing the residual ends early.  The
-operator applied to the zero vector, which lgmres's zero start asks for in
-every system, is answered without a transform and not counted.  A cold
-solve (no initial guess) on a grid whose half is a grid too starts from
-the interpolated solution of the same equation on the half grid, solved to
-a looser certificate (nested iteration); the fine certificate is unchanged.
+space; there is no weight at n=1 or for a constant density.  lgmres
+iterates on the preconditioned operator K = J P, and the Newton step is
+lifted from the Krylov solution once per system; both start from the same
+preconditioned spectrum of their input.  Every Hessian of a solve, in the
+frame states and in the applications of K, is made directly in the
+A-orthonormal frame from one frame stencil, the frame congruence of the
+Hessian symbols built once per solve.  lgmres runs one restart cycle per
+call, and K y is kept current from its augmentation vectors, so no
+application of K checks the iterate it returns: that value decides
+convergence, ends a Krylov solve whose restart cycles stop reducing the
+residual, and feeds the forcing.  The operator applied to the zero vector,
+which lgmres's zero start asks for in every system, is answered without a
+transform and not counted.  One exact componentwise test, shared with the
+flow, decides positivity of every frame state.  A cold solve (no initial
+guess) on a grid whose half is a grid too starts from the interpolated
+solution of the same equation on the half grid, solved to a looser
+certificate (nested iteration); the fine certificate is unchanged.
 
 solve_psi_family reuses the same solver along a collapsed pencil, producing
 the per-time reference potentials whose uniform bounds the collapsed-regime
@@ -70,14 +77,8 @@ COARSE_TOL_FACTOR = 1e-4
 # right-hand side lies outside the reach of the Jacobian (on an
 # under-resolved density), and further cycles only repeat the work
 STAGNATION_RATIO = 0.9
-
-
-class _Stagnated(Exception):
-    """Ends an lgmres solve from its callback, carrying the iterate."""
-
-    def __init__(self, y):
-        self.y = y
-        super().__init__("Krylov solve stagnated")
+# restart cycles of one Krylov solve, each of at most 30 Krylov iterations
+MAX_KRYLOV_CYCLES = 12
 
 
 class NewtonConvergenceError(Exception):
@@ -117,8 +118,8 @@ class NewtonReport:
     linear_rtols: list = field(default_factory=list)
     matvecs: list = field(default_factory=list)
     # per Newton iteration: the relative linear residual
-    # ‖J delta - rhs‖ / ‖rhs‖ lgmres reached, read off its last residual
-    # check; None where lgmres stopped at maxiter without one
+    # ‖J delta - rhs‖ / ‖rhs‖ the Krylov solve reached, from the K y it
+    # keeps current; None for a zero right-hand side
     linear_residuals: list = field(default_factory=list)
     # where the iteration started: "given" (U0), "nested" (the interpolated
     # half-grid solution) or "zero"; and the coarse solves of a cold start,
@@ -140,29 +141,40 @@ def _hessian_rows(grid, coeffs: np.ndarray, stencil: np.ndarray, row_buf: np.nda
         yield hessian_components(grid, coeffs, buf=row_buf, stencil=stencil[c:c + 1])[0]
 
 
-def _frame_state(problem: EllipticProblem, root_inv: np.ndarray, U: np.ndarray,
+def _frame_stencil(grid, A: np.ndarray) -> np.ndarray:
+    """Symbols of the Hessian in the A-orthonormal frame: the congruence
+    R S R, R = A^{-1/2}, of the tables' symbol stack S, as a real stack of
+    the same shape.
+
+    The congruence is a constant linear map of the Hessian components, so
+    the rows of hessian_components with this stencil are the components of
+    A^{-1/2} H A^{-1/2}, with no congruence on grid fields.
+    """
+    root_inv = matrix_sqrt_hermitian(np.linalg.inv(A))
+    return np.stack(congruence_components(root_inv, tuple(tables(grid.n, grid.N)._stack)))
+
+
+def _frame_state(problem: EllipticProblem, stencil: np.ndarray, U: np.ndarray,
                  row_buf: np.ndarray):
-    """Metric in the A-orthonormal frame: I + A^{-1/2} H[phi+U] A^{-1/2}.
+    """Metric in the A-orthonormal frame, I + A^{-1/2} H[phi+U] A^{-1/2}, and
+    its determinant.
 
     Working in this frame keeps the residual at unit scale even when the
-    class matrix is nearly degenerate, because the frame rescaling of the
-    Hessian components is an exact floating-point multiplication while the
-    Hessian noise itself is proportional to the (small) degenerate-direction
-    spectral mass.  The Hessian rows are made one at a time through the
-    one-row product buffer row_buf.
+    class matrix is nearly degenerate: the frame rescaling is applied to the
+    Hessian symbols (stencil, the solve's _frame_stencil), and the transform
+    noise of each row is proportional to that row's own spectral mass.  The
+    rows are made one at a time through the one-row product buffer row_buf.
+    Raises SingularMetricError unless the frame metric is positive.
     """
     grid = problem.form.grid
-    n = grid.n
     coeffs = forward(problem.form.phi.values + U)
-    hs = tuple(_hessian_rows(grid, coeffs, tables(n, grid.N)._stack, row_buf))
+    fr = tuple(_hessian_rows(grid, coeffs, stencil, row_buf))
     del coeffs
-    fr = list(congruence_components(root_inv, hs))
-    fr[0] = 1.0 + fr[0]
-    if n == 2:
-        fr[1] = 1.0 + fr[1]
-    fr = tuple(fr)
-    check_positive_components(fr)
-    return fr, det_components(fr)
+    for diagonal in fr[:grid.n]:
+        diagonal += 1.0
+    det = det_components(fr)
+    check_positive_components(fr, det=det)
+    return fr, det
 
 
 def _precond_weight(target: np.ndarray, n: int):
@@ -189,17 +201,16 @@ class _FrameOperators:
     lgmres solves K y = rhs for K = J P, and the Newton step is the lifted
     delta = P y, so lgmres's residual ‖rhs - K y‖ is the true linear
     residual ‖rhs - J delta‖ (Saad, Iterative Methods for Sparse Linear
-    Systems, 2nd ed., section 9.3).  The frame congruence R H[v] R with
-    R = A^{-1/2} and the Laplacian inverse are constant linear maps of the
-    Hessian symbols, so both are folded into the stencil once per solve: an
-    application of K is one pointwise weighting, one forward transform, one
-    stencil product and one inverse transform per Hessian row, and one
-    pairing that consumes the rows as they are made; a lift is one forward
-    and one inverse transform.  row_buf is the solve's one-row product
+    Systems, 2nd ed., section 9.3).  An application of K and a lift both
+    start from the preconditioned spectrum forward(y / w) / L0 of their
+    input: an application then makes the frame Hessian rows from it with
+    the solve's frame stencil, one stencil product and one inverse
+    transform per row, consumed by one pairing as they are made; a lift is
+    its one inverse transform.  row_buf is the solve's one-row product
     buffer (see _hessian_rows), shared with its frame states.
     """
 
-    def __init__(self, grid, A: np.ndarray, root_inv: np.ndarray, row_buf: np.ndarray,
+    def __init__(self, grid, A: np.ndarray, stencil: np.ndarray, row_buf: np.ndarray,
                  weight=None):
         tab = tables(grid.n, grid.N)
         self.grid = grid
@@ -210,37 +221,23 @@ class _FrameOperators:
         ell = np.broadcast_to(tab.laplacian_symbol(np.linalg.inv(A)), tab.rshape)
         self.kernel = ell == 0.0
         self.inv_ell = np.divide(1.0, ell, out=np.zeros(tab.rshape), where=~self.kernel)
-        # K's symbols: the frame Hessian stencil times the inverse symbol
-        self.stencil = np.stack(congruence_components(root_inv, tuple(tab._stack)))
-        self.stencil *= self.inv_ell
+        self.stencil = stencil
         self.row_buf = row_buf
         # pointwise scaling of the preconditioner's input (see _precond_weight),
         # applied into a buffer of its own
         self.inv_weight = None if weight is None else 1.0 / weight
         self.weighted = None if weight is None else np.empty(grid.shape)
         self.matvecs = 0
-        # argument and result of the latest matvec: lgmres ends by applying
-        # K to the solution it returns, which gives the linear residual free
-        self.last = (None, None)
 
-    def applied_to(self, y):
-        """K y, which is J delta for delta = lift(y), if the latest matvec
-        was applied to y as it is now, else None.
-
-        Valid right after lgmres returns y, before any other matvec; lgmres
-        leaves that result unmodified.  The stored pair is released.
-        """
-        v, out = self.last
-        self.last = (None, None)
-        if v is None or not np.array_equal(v, y):
-            return None
-        return out
-
-    def _weighted_spectrum(self, y):
+    def _preconditioned_spectrum(self, y):
+        """forward(y / w) times the inverse Laplacian symbol, a fresh array:
+        the spectrum of P y up to the factor 1 / mean_det."""
         v = y.reshape(self.grid.shape)
         if self.inv_weight is not None:
             v = np.multiply(v, self.inv_weight, out=self.weighted)
-        return forward(v)
+        yh = forward(v)
+        yh *= self.inv_ell
+        return yh
 
     def operator(self, comps, mean_det: float):
         """K = J P at the frame metric comps, whose determinant has the grid
@@ -258,49 +255,54 @@ class _FrameOperators:
         def matvec(y):
             # lgmres opens every system with K applied to its zero start
             if not y.any():
-                out = np.zeros(npts)
-            else:
-                self.matvecs += 1
-                rows = _hessian_rows(grid, self._weighted_spectrum(y), self.stencil,
-                                     self.row_buf)
-                out = trace_pair_components(adj, rows, 1.0, overwrite_psi=True)
-                out -= out.mean()
-                out /= mean_det
-                out = out.ravel()
-            self.last = (y, out)
-            return out
+                return np.zeros(npts)
+            self.matvecs += 1
+            rows = _hessian_rows(grid, self._preconditioned_spectrum(y), self.stencil,
+                                 self.row_buf)
+            out = trace_pair_components(adj, rows, 1.0, overwrite_psi=True)
+            out -= out.mean()
+            out /= mean_det
+            return out.ravel()
 
         return spla.LinearOperator((npts, npts), matvec=matvec, dtype=np.float64)
 
     def solve(self, comps, mean_det: float, rhs, rtol: float):
         """lgmres on K y = rhs, with K the operator at comps and mean_det, to
-        the relative tolerance rtol; returns y.
+        the relative tolerance rtol; returns (y, K y).
 
-        A maxiter return carries the best iterate.  Each restart cycle opens
-        with K applied to the current iterate, so the callback reads the
-        true linear residual off that application and stops the solve once
-        a cycle removed less than 1 - STAGNATION_RATIO of it.
+        lgmres runs one restart cycle per call and carries its augmentation
+        pairs (dx/‖dx‖, K dx/‖dx‖) from call to call (Baker, Jessup and
+        Manteuffel, SIMAX 26, 2005), so K y is kept current from the newest
+        pair without an application of K.  That residual ends the solve
+        once it meets rtol, or once a cycle removed less than
+        1 - STAGNATION_RATIO of the residual it started from.  Each cycle
+        after the first opens with lgmres's own true-residual application.
         """
-        norms = []
-
-        def progress(y):
-            r = float(np.linalg.norm(self.last[1] - rhs))
-            if norms and r > STAGNATION_RATIO * norms[-1]:
-                raise _Stagnated(y)
-            norms.append(r)
-
-        try:
-            y, _ = spla.lgmres(self.operator(comps, mean_det), rhs, rtol=rtol, atol=0.0,
-                               maxiter=12, inner_m=30, callback=progress)
-        except _Stagnated as stop:
-            y = stop.y
-        return y
+        K = self.operator(comps, mean_det)
+        rhs_norm = float(np.linalg.norm(rhs))
+        y = None
+        Ky = np.zeros(rhs.shape)
+        outer_v = []
+        res, prev = rhs_norm, math.inf
+        for _ in range(MAX_KRYLOV_CYCLES):
+            if res <= rtol * rhs_norm or res > STAGNATION_RATIO * prev:
+                break
+            newest = outer_v[-1] if outer_v else None
+            y_new, _ = spla.lgmres(K, rhs, x0=y, rtol=rtol, atol=0.0, maxiter=1, inner_m=30,
+                                   outer_v=outer_v)
+            if not outer_v or outer_v[-1] is newest:
+                # no step: the opening residual met rtol, or the cycle broke
+                # down (a right-hand side with no Krylov direction)
+                break
+            dx_norm = float(np.linalg.norm(y_new if y is None else y_new - y))
+            Ky += dx_norm * outer_v[-1][1]
+            y = y_new
+            prev, res = res, float(np.linalg.norm(rhs - Ky))
+        return (np.zeros(rhs.shape) if y is None else y), Ky
 
     def lift(self, y, mean_det: float):
         """The Newton step delta = P y of a solution y of K y = rhs."""
-        yh = self._weighted_spectrum(y)
-        yh *= self.inv_ell
-        delta = inverse(self.grid, yh)
+        delta = inverse(self.grid, self._preconditioned_spectrum(y))
         delta /= mean_det
         return delta
 
@@ -318,8 +320,8 @@ def solve_cy(problem: EllipticProblem, U0: ScalarField | None = None):
     term is capped at MAX_FORCING and floored at LINEAR_RTOL and at the
     value that leaves a linear residual of half the Newton tolerance, so
     early steps are not oversolved and the last ones are solved no tighter
-    than needed.  J s comes from lgmres's own final residual check, so the
-    forcing costs no Jacobian application.
+    than needed.  J s comes from the K y the Krylov solve keeps current, so
+    the forcing costs no Jacobian application.
 
     Without U0 the iteration starts from the interpolated solution on the
     half grid (_nested_start) where the grid has one and the interpolant is
@@ -442,7 +444,7 @@ def _newton(problem: EllipticProblem, U: np.ndarray, tol_factor: float):
     grid = problem.form.grid
     A = problem.form.A
     det_A = float(np.linalg.det(A).real)
-    root_inv = matrix_sqrt_hermitian(np.linalg.inv(A))
+    stencil = _frame_stencil(grid, A)
     h = problem.omega.h.values
     # all residual arithmetic happens at the unit scale of the A-frame
     target = (problem.c / det_A) * h
@@ -452,7 +454,7 @@ def _newton(problem: EllipticProblem, U: np.ndarray, tol_factor: float):
     report = NewtonReport()
     # the one-row product buffer of every Hessian transform in this solve
     row_buf = np.empty((1,) + tables(grid.n, grid.N).rshape, dtype=np.complex128)
-    comps, det = _frame_state(problem, root_inv, U, row_buf)
+    comps, det = _frame_state(problem, stencil, U, row_buf)
     res = det - target
     res_norm = float(np.abs(res).max())
     report.residual_history.append(res_norm * det_A)
@@ -465,7 +467,7 @@ def _newton(problem: EllipticProblem, U: np.ndarray, tol_factor: float):
     rhs = np.negative(res.ravel() - res.mean())
     mean_det = float(det.mean())
     del det, res
-    ops = _FrameOperators(grid, A, root_inv, row_buf, _precond_weight(target, grid.n))
+    ops = _FrameOperators(grid, A, stencil, row_buf, _precond_weight(target, grid.n))
     npts = grid.num_points
 
     forcing = res_norm / scale
@@ -480,30 +482,25 @@ def _newton(problem: EllipticProblem, U: np.ndarray, tol_factor: float):
         rtol = max(LINEAR_RTOL, min(MAX_FORCING, forcing))
         matvecs_before = ops.matvecs
         # the line search below decides whether the direction is usable
-        y = ops.solve(comps, mean_det, rhs, rtol)
+        y, J_delta = ops.solve(comps, mean_det, rhs, rtol)
         report.linear_rtols.append(rtol)
         report.matvecs.append(ops.matvecs - matvecs_before)
         # the linear model's residual J delta - rhs, kept as the two numbers
         # that with rhs_norm give its norm once the line search picks s
-        J_delta = ops.applied_to(y)
         model = None
-        if J_delta is not None and rhs_norm > 0.0:
+        if rhs_norm > 0.0:
             J_delta -= rhs
             model = (float(np.linalg.norm(J_delta)), float(J_delta @ rhs))
             report.linear_residuals.append(model[0] / rhs_norm)
         else:
             report.linear_residuals.append(None)
+        del J_delta
         delta = ops.lift(y, mean_det)
         del y
         delta -= delta.mean()
 
-        step = _line_search(problem, root_inv, row_buf, target, state, rhs, delta,
-                            res_norm)
-        # J_delta, lgmres's last allocation, is released only now: until
-        # here it holds the heap top, so the lift's and the line search's
-        # temporaries reuse the Krylov basis's memory, and freeing it
-        # returns all of that
-        del J_delta, delta
+        step = _line_search(problem, stencil, row_buf, target, state, rhs, delta, res_norm)
+        del delta
         report.iterations = it + 1
         if step is None:
             report.damping_history.append(0.0)
@@ -547,7 +544,7 @@ def _newton(problem: EllipticProblem, U: np.ndarray, tol_factor: float):
     return U, report
 
 
-def _line_search(problem: EllipticProblem, root_inv, row_buf, target, state, rhs, delta,
+def _line_search(problem: EllipticProblem, stencil, row_buf, target, state, rhs, delta,
                  res_norm):
     """Damped step: halve s until U + s delta is admissible and lowers the
     sup-norm residual.  The accepted step overwrites state = (U, *comps)
@@ -560,7 +557,7 @@ def _line_search(problem: EllipticProblem, root_inv, row_buf, target, state, rhs
         trial = U + s * delta
         trial -= trial.mean()
         try:
-            comps, det = _frame_state(problem, root_inv, trial, row_buf)
+            comps, det = _frame_state(problem, stencil, trial, row_buf)
         except SingularMetricError:
             s *= 0.5
             continue

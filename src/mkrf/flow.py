@@ -64,6 +64,8 @@ from .geometry import (
     det_components,
     lambda_min_components,
     metric_components,
+    positive_components,
+    singular_metric_error,
     trace_pair_components,
 )
 from .grid import GridSpec, ScalarField, forward, hessian_components, inverse, tables
@@ -236,25 +238,11 @@ def _eval_flow(problem: FlowProblem, p_hat: np.ndarray, t: float, r: int,
     hs = hessian_components(grid, p_hat, ws.prod)
     comps = metric_components(A, hs, grid.n, grid.shape, out=hs)
     det = det_components(comps, out=None if full else ws.det, work=ws.work)
-    det_min = float(det.min())  # NaN anywhere makes this NaN
-    if not math.isfinite(det_min):
-        raise FlowBreakdownError(f"non-finite state at t={t:.6f}")
-    if grid.n == 1:
-        ok = det_min >= floor and det_min > 0.0
-    else:
-        g11, g22 = comps[0], comps[1]
-        # lambda_min >= floor iff g11 >= floor and det(g - floor I) >= 0
-        ok = det_min > 0.0 and g11.min() >= floor
-        if ok:
-            shifted = np.add(g11, g22, out=ws.work)
-            shifted *= floor
-            np.subtract(det, shifted, out=shifted)
-            shifted += floor * floor
-            ok = shifted.min() >= 0.0
-    if not ok:
-        lam = lambda_min_components(comps, det)
-        loc = np.unravel_index(int(np.argmin(lam)), lam.shape)
-        raise SingularMetricError(float(lam.min()), loc, t)
+    if not positive_components(comps, det, floor, work=ws.work):
+        # a non-finite state fails the test too; NaN anywhere makes the min NaN
+        if not math.isfinite(float(det.min())):
+            raise FlowBreakdownError(f"non-finite state at t={t:.6f}")
+        raise singular_metric_error(comps, det, t)
     rhs = np.log(det, out=None if full else ws.work)
     rhs -= problem.log_h
     if r:

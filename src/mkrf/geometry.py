@@ -185,14 +185,44 @@ def congruence_components(M: np.ndarray, comps):
     return (y11, y22, y12_r, y12_i)
 
 
-def check_positive_components(comps, t: float | None = None):
-    """Raise SingularMetricError where the pointwise smallest eigenvalue dips below threshold."""
-    lam = lambda_min_components(comps)
-    lmin = float(lam.min())
-    if not np.isfinite(lmin) or lmin < POSITIVITY_EPS:
-        loc = np.unravel_index(int(np.argmin(lam)), lam.shape)
-        raise SingularMetricError(lmin, loc, t)
-    return lam
+def positive_components(comps, det, floor: float = POSITIVITY_EPS,
+                        work: np.ndarray | None = None) -> bool:
+    """Whether the smallest eigenvalue is at least floor at every grid point.
+
+    det is det_components(comps).  Decided from the components without an
+    eigenvalue: for n=2, lambda_min >= floor iff g11 >= floor and
+    det(g - floor I) >= 0, and det > 0 is required as well.  Any NaN fails.
+    work, shaped like det, receives the shifted determinant (None to
+    allocate).
+    """
+    det_min = float(det.min())
+    if len(comps) == 1:
+        return det_min >= floor and det_min > 0.0
+    g11, g22 = comps[0], comps[1]
+    if not (det_min > 0.0 and g11.min() >= floor):
+        return False
+    shifted = np.add(g11, g22, out=work)
+    shifted *= floor
+    np.subtract(det, shifted, out=shifted)
+    shifted += floor * floor
+    return bool(shifted.min() >= 0.0)
+
+
+def singular_metric_error(comps, det=None, t: float | None = None) -> SingularMetricError:
+    """The error for a field that failed positive_components: its smallest
+    eigenvalue and the grid point where it sits."""
+    lam = lambda_min_components(comps, det)
+    loc = np.unravel_index(int(np.argmin(lam)), lam.shape)
+    return SingularMetricError(float(lam.min()), loc, t)
+
+
+def check_positive_components(comps, t: float | None = None, det=None):
+    """Raise SingularMetricError where the pointwise smallest eigenvalue dips
+    below POSITIVITY_EPS; det, when given, is det_components(comps)."""
+    if det is None:
+        det = det_components(comps)
+    if not positive_components(comps, det):
+        raise singular_metric_error(comps, det, t)
 
 
 # ---------------------------------------------------------------------------

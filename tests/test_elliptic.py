@@ -210,22 +210,27 @@ def test_newton_report_records_forcing_and_matvecs(monkeypatch):
     # record every Newton system and apply its operator once more to the
     # Krylov solution y: K y is J delta for the Newton step delta
     systems = []
+    real_solve = elliptic._FrameOperators.solve
     real_lgmres = elliptic.spla.lgmres
 
-    def recording_lgmres(K, b, **kwargs):
-        assert "M" not in kwargs
-        y, info = real_lgmres(K, b, **kwargs)
-        systems.append((b.copy(), K.matvec(y).copy()))
-        return y, info
+    def recording_solve(ops, comps, mean_det, rhs, rtol):
+        y, Ky = real_solve(ops, comps, mean_det, rhs, rtol)
+        systems.append((rhs.copy(), ops.operator(comps, mean_det).matvec(y).copy()))
+        return y, Ky
 
-    monkeypatch.setattr(elliptic.spla, "lgmres", recording_lgmres)
+    def unpreconditioned_lgmres(K, b, **kwargs):
+        assert "M" not in kwargs
+        return real_lgmres(K, b, **kwargs)
+
+    monkeypatch.setattr(elliptic._FrameOperators, "solve", recording_solve)
+    monkeypatch.setattr(elliptic.spla, "lgmres", unpreconditioned_lgmres)
     calls.clear()
     _, rep = solve_cy(prob, U0=zero)
     assert rep.iterations >= 3
     assert len(rep.linear_rtols) == len(rep.matvecs) == len(systems) == rep.iterations
     assert sum(rep.matvecs) == len(calls)
-    # the forcing reads J s off lgmres's last residual check: an extra
-    # application of K changes nothing
+    # the forcing reads J s off the K y the Krylov solve keeps current: an
+    # extra application of K changes nothing
     assert rep.linear_rtols == plain.linear_rtols
     assert [m - 1 for m in rep.matvecs] == plain.matvecs
     # the relative linear residual each system reached, from the same check
@@ -255,7 +260,7 @@ def test_newton_report_records_forcing_and_matvecs(monkeypatch):
 
 
 def _frame_operators_at(n, weighted=False, N=8):
-    from mkrf.elliptic import _FrameOperators, _frame_state
+    from mkrf.elliptic import _FrameOperators, _frame_state, _frame_stencil
     from mkrf.geometry import matrix_sqrt_hermitian
     from mkrf.grid import tables
 
@@ -270,10 +275,11 @@ def _frame_operators_at(n, weighted=False, N=8):
     root_inv = matrix_sqrt_hermitian(np.linalg.inv(prob.form.A))
     U = synthesize(g, [((0,) * (2 * n - 1) + (1,), 0.005, 1.1)]).values
     row_buf = np.empty((1,) + tables(n, N).rshape, dtype=np.complex128)
-    comps, det = _frame_state(prob, root_inv, U, row_buf)
+    stencil = _frame_stencil(g, prob.form.A)
+    comps, det = _frame_state(prob, stencil, U, row_buf)
     weight = (np.exp(synthesize(g, [((1,) + (0,) * (2 * n - 1), 0.2, 0.5)]).values)
               if weighted else None)
-    ops = _FrameOperators(g, prob.form.A, root_inv, row_buf, weight)
+    ops = _FrameOperators(g, prob.form.A, stencil, row_buf, weight)
     return g, root_inv, comps, det, weight, ops
 
 
@@ -414,9 +420,169 @@ def test_kernel_right_hand_side_gives_a_zero_step():
     idx = np.indices(g.shape)
     rhs = ((-1.0) ** idx[0]).ravel()
     assert not ops.lift(rhs, mean_det).any()
-    y = ops.solve(comps, mean_det, rhs, 1e-8)
+    y, Ky = ops.solve(comps, mean_det, rhs, 1e-8)
     assert not y.any() and not ops.lift(y, mean_det).any()
+    assert not Ky.any()
     assert ops.matvecs == 1
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("inner_m", [30, 3])
+def test_krylov_solve_keeps_K_y_current(monkeypatch, n, inner_m):
+    # K y is read off lgmres's augmentation vectors, not applied: after one
+    # restart cycle (inner_m = 30) and after several (inner_m = 3 forces
+    # restarts) it equals an explicit application of K to y within round-off
+    import mkrf.elliptic as elliptic
+
+    g, _, comps, det, _, ops = _frame_operators_at(n, weighted=True)
+    mean_det = float(det.mean())
+    K = ops.operator(comps, mean_det)
+    # a right-hand side in the range of K
+    rhs = K.matvec(np.random.default_rng(11).standard_normal(g.num_points))
+    real = elliptic.spla.lgmres
+    maxiters = []
+
+    def restarted(K, b, **kwargs):
+        maxiters.append(kwargs["maxiter"])
+        return real(K, b, **{**kwargs, "inner_m": inner_m})
+
+    monkeypatch.setattr(elliptic.spla, "lgmres", restarted)
+    y, Ky = ops.solve(comps, mean_det, rhs, 1e-10)
+    assert set(maxiters) == {1}
+    assert (len(maxiters) == 1) == (inner_m == 30)
+    assert np.abs(Ky - K.matvec(y)).max() <= 1e-13 * np.abs(rhs).max()
+    assert np.linalg.norm(Ky - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+
+def test_one_cycle_systems_apply_K_once_per_krylov_vector(monkeypatch):
+    # no application checks the returned iterate: a Newton system whose
+    # Krylov solve ends in its first restart cycle applies K exactly once
+    # per vector of its Krylov basis (the zero start's product is free)
+    import sys
+
+    lgmres_module = sys.modules["scipy.sparse.linalg._isolve.lgmres"]
+    real_fgmres = lgmres_module._fgmres
+    dims = []
+
+    def arnoldi(*args, **kwargs):
+        out = real_fgmres(*args, **kwargs)
+        dims.append(len(out[4]))  # the vectors K was applied to
+        return out
+
+    monkeypatch.setattr(lgmres_module, "_fgmres", arnoldi)
+    calls = _counting(monkeypatch, ("trace_pair_components",))
+    prob = varying_density_problem()
+    _, rep = solve_cy(prob, U0=prob.form.grid.zeros())
+    assert rep.converged and rep.iterations >= 3
+    assert len(dims) == rep.iterations
+    assert rep.matvecs == dims
+    assert len(calls) == sum(dims)
+
+
+def _frame_rows_by_congruence(prob, U):
+    """Reference frame metric: the congruence A^{-1/2} H A^{-1/2} applied to
+    the physical Hessian fields, then the identity added."""
+    from mkrf.geometry import congruence_components, hessian_components, matrix_sqrt_hermitian
+    from mkrf.grid import forward
+
+    g = prob.form.grid
+    root_inv = matrix_sqrt_hermitian(np.linalg.inv(prob.form.A))
+    hs = hessian_components(g, forward(prob.form.phi.values + U))
+    fr = list(congruence_components(root_inv, hs))
+    fr[0] = 1.0 + fr[0]
+    if g.n == 2:
+        fr[1] = 1.0 + fr[1]
+    return fr
+
+
+def _frame_state_cases():
+    from mkrf.elliptic import psi_problem
+
+    g1, g2 = GridSpec(1, 16), GridSpec(2, 8)
+    cases = {
+        "n1": (EllipticProblem.compatible(
+            KahlerForm(np.array([[1.7]]), synthesize(g1, [((1, 0), 0.01), ((0, 2), 0.004, 0.3)])),
+            ones_density(g1)), synthesize(g1, [((0, 1), 0.005, 1.1)]).values),
+        "n2": (EllipticProblem.compatible(
+            KahlerForm(np.array([[1.3, 0.2 + 0.15j], [0.2 - 0.15j, 0.9]]),
+                       synthesize(g2, [((1, 0, 0, 0), 0.01), ((0, 1, 1, 0), 0.006, 0.4)])),
+            ones_density(g2)), synthesize(g2, [((0, 0, 0, 1), 0.005, 1.1)]).values),
+        # lambda_min(A) = 8.8e-8, off the coordinate axes
+        "n2-nearly-degenerate": (EllipticProblem.compatible(
+            KahlerForm(np.array([[1.0, 0.3 + 0.2j], [0.3 - 0.2j, 0.13 + 1e-7]]),
+                       synthesize(g2, [((1, 0, 0, 0), 1e-9), ((0, 1, 1, 0), 6e-10, 0.4)])),
+            ones_density(g2)), synthesize(g2, [((0, 0, 1, 1), 5e-10, 1.1)]).values),
+    }
+    # a late collapsed psi time: A_t = diag(1, e^-20), at its solution
+    late = psi_problem(collapsed_flow_problem(N=8), 20.0)
+    cases["psi-t20"] = (late, solve_cy(late)[0].values)
+    return cases
+
+
+@pytest.mark.parametrize("case", ["n1", "n2", "n2-nearly-degenerate", "psi-t20"])
+def test_frame_rows_from_the_frame_stencil_match_the_congruence(case):
+    from mkrf.elliptic import _frame_state, _frame_stencil
+    from mkrf.geometry import det_components
+    from mkrf.grid import tables
+
+    prob, U = _frame_state_cases()[case]
+    g = prob.form.grid
+    row_buf = np.empty((1,) + tables(g.n, g.N).rshape, dtype=np.complex128)
+    kept = U.copy()
+    rows, det = _frame_state(prob, _frame_stencil(g, prob.form.A), U, row_buf)
+    ref = _frame_rows_by_congruence(prob, U)
+    assert np.array_equal(U, kept)
+    assert len(rows) == len(ref) == g.n * g.n
+    for got, want in zip(rows, ref):
+        assert got.shape == g.shape
+        assert np.abs(got - want).max() <= 1e-13
+    assert np.array_equal(det, det_components(rows))
+
+
+def test_failing_frame_state_names_the_smallest_eigenvalue_and_its_point():
+    # the positivity test decides without an eigenvalue field; on failure the
+    # error carries lambda_min and its grid point as the eigenvalue scan did
+    from mkrf.elliptic import _frame_state, _frame_stencil
+    from mkrf.geometry import SingularMetricError, lambda_min_components
+    from mkrf.grid import tables
+
+    prob, _ = _frame_state_cases()["n2"]
+    g = prob.form.grid
+    # every axis varies, so the smallest eigenvalue sits at one grid point
+    U = synthesize(g, [((1, 0, 0, 0), 0.08, 0.3), ((0, 1, 1, 0), 0.02, 1.0),
+                       ((0, 0, 0, 1), 0.01, 0.7), ((1, 1, 0, 1), 0.005, 2.0)]).values
+    row_buf = np.empty((1,) + tables(g.n, g.N).rshape, dtype=np.complex128)
+    with pytest.raises(SingularMetricError) as exc:
+        _frame_state(prob, _frame_stencil(g, prob.form.A), U, row_buf)
+    lam = lambda_min_components(_frame_rows_by_congruence(prob, U))
+    lowest = np.sort(lam.ravel())[:2]
+    assert lowest[0] < 0.0 and lowest[1] - lowest[0] > 1e-6
+    assert exc.value.location == np.unravel_index(int(np.argmin(lam)), lam.shape)
+    assert exc.value.lambda_min == pytest.approx(float(lam.min()), rel=1e-12)
+
+
+def test_under_resolved_density_stops_stagnating_krylov_solves():
+    # the cy-n24 class and density at N = 16, zero phases, cold start: the
+    # N = 8 level cannot resolve the density and fails, and on the fine
+    # grid the last right-hand side is partly out of the Jacobian's reach.
+    # The stagnation exit ends that Krylov solve short of its tolerance
+    # after two restart cycles
+    g = GridSpec(2, 16)
+    form = KahlerForm(np.array([[1.0, 0.2 + 0.1j], [0.2 - 0.1j, 0.8]]),
+                      synthesize(g, [((1, 0, 0, 1), 0.01)]))
+    h = ScalarField(g, np.exp(synthesize(g, [((1, 0, 0, 0), 0.3), ((0, 1, 1, 0), 0.25),
+                                             ((0, 0, 2, 1), 0.2), ((1, 1, 0, 0), 0.2)]).values))
+    prob = EllipticProblem.compatible(form, VolumeDensity(h))
+    U, rep = solve_cy(prob)
+    assert rep.converged
+    assert rep.final_residual <= 1e-10 * prob.c * mean(h)
+    assert [c["converged"] for c in rep.coarse_levels] == [False]
+    assert rep.iterations <= 5
+    assert sum(rep.matvecs) <= 76
+    inner_m = 30
+    stagnated = [m for m, r, rtol in zip(rep.matvecs, rep.linear_residuals, rep.linear_rtols)
+                 if r > rtol]
+    assert stagnated and all(inner_m < m <= 2 * (inner_m + 1) for m in stagnated)
 
 
 def test_stagnating_krylov_solve_stops_after_one_cycle():

@@ -95,6 +95,58 @@ def test_ma_density_positivity_loss_reports_location():
     assert err.lambda_min < 0
 
 
+# --- positivity test ---------------------------------------------------------
+
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
+
+from mkrf.geometry import (  # noqa: E402
+    POSITIVITY_EPS,
+    check_positive_components,
+    det_components,
+    lambda_min_components,
+    positive_components,
+)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_positivity_test_decides_as_the_eigenvalue_scan(n, data):
+    # random Hermitian component fields, shifted so that both outcomes
+    # occur, with lambda_min away from the threshold at every point
+    shape = (3, 5)
+    entries = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+    comps = [data.draw(arrays(np.float64, shape, elements=entries)) for _ in range(n * n)]
+    shift = data.draw(st.floats(-1.0, 3.0))
+    floor = data.draw(st.sampled_from([POSITIVITY_EPS, 1e-3, 0.5]))
+    for diagonal in comps[:n]:
+        diagonal += shift
+    lam = lambda_min_components(comps)
+    assume(float(np.abs(lam - floor).min()) > 1e-9)
+    det = det_components(comps)
+    expected = bool(float(lam.min()) >= floor)
+    assert positive_components(comps, det, floor) == expected
+    assert positive_components(comps, det, floor, work=np.empty(shape)) == expected
+    if floor == POSITIVITY_EPS:
+        if expected:
+            check_positive_components(comps)
+        else:
+            # on failure the eigenvalue scan names lambda_min and its point
+            with pytest.raises(SingularMetricError) as exc:
+                check_positive_components(comps, t=1.5)
+            assert exc.value.lambda_min == float(lam.min())
+            assert exc.value.location == np.unravel_index(int(np.argmin(lam)), shape)
+            assert exc.value.t == 1.5
+
+
+def test_positivity_test_fails_on_nan():
+    for comps in ((np.array([1.0, np.nan]),),
+                  (np.array([1.0, np.nan]), np.ones(2), np.zeros(2), np.zeros(2))):
+        assert not positive_components(comps, det_components(comps))
+
+
 # --- trace_pair -------------------------------------------------------------
 
 
