@@ -24,10 +24,10 @@ convergence, ends a Krylov solve whose restart cycles stop reducing the
 residual, and feeds the forcing.  The operator applied to the zero vector,
 which lgmres's zero start asks for in every system, is answered without a
 transform and not counted.  One exact componentwise test, shared with the
-flow, decides positivity of every frame state.  A cold solve (no initial
-guess) on a grid whose half is a grid too starts from the interpolated
-solution of the same equation on the half grid, solved to a looser
-certificate (nested iteration); the fine certificate is unchanged.
+flow, decides positivity of every frame state.  A solve on a grid whose
+half is a grid too starts from the interpolated solution of the same
+equation on the half grid, solved to a looser certificate (nested
+iteration); the fine certificate is unchanged.
 
 solve_psi_family reuses the same solver along a collapsed pencil, producing
 the per-time reference potentials whose uniform bounds the collapsed-regime
@@ -110,7 +110,6 @@ class NewtonReport:
     final_residual: float = math.inf
     residual_history: list = field(default_factory=list)
     damping_history: list = field(default_factory=list)
-    gauge_offset: float = 0.0
     converged: bool = False
     message: str = ""
     # per Newton iteration: the lgmres relative tolerance and the number of
@@ -121,8 +120,8 @@ class NewtonReport:
     # ‖J delta - rhs‖ / ‖rhs‖ the Krylov solve reached, from the K y it
     # keeps current; None for a zero right-hand side
     linear_residuals: list = field(default_factory=list)
-    # where the iteration started: "given" (U0), "nested" (the interpolated
-    # half-grid solution) or "zero"; and the coarse solves of a cold start,
+    # where the iteration started: "nested" (the interpolated half-grid
+    # solution) or "zero"; and the coarse solves of the nested start,
     # coarsest first, as {N, iterations, matvecs, converged}
     start: str = "zero"
     coarse_levels: list = field(default_factory=list)
@@ -151,7 +150,7 @@ def _frame_stencil(grid, A: np.ndarray) -> np.ndarray:
     A^{-1/2} H A^{-1/2}, with no congruence on grid fields.
     """
     root_inv = matrix_sqrt_hermitian(np.linalg.inv(A))
-    return np.stack(congruence_components(root_inv, tuple(tables(grid.n, grid.N)._stack)))
+    return np.stack(congruence_components(root_inv, tuple(tables(grid.n, grid.N).stack)))
 
 
 def _frame_state(problem: EllipticProblem, stencil: np.ndarray, U: np.ndarray,
@@ -210,8 +209,7 @@ class _FrameOperators:
     buffer (see _hessian_rows), shared with its frame states.
     """
 
-    def __init__(self, grid, A: np.ndarray, stencil: np.ndarray, row_buf: np.ndarray,
-                 weight=None):
+    def __init__(self, grid, A: np.ndarray, stencil: np.ndarray, row_buf: np.ndarray, weight):
         tab = tables(grid.n, grid.N)
         self.grid = grid
         # exact inverse of the mean-metric Laplacian as the spectral
@@ -259,7 +257,7 @@ class _FrameOperators:
             self.matvecs += 1
             rows = _hessian_rows(grid, self._preconditioned_spectrum(y), self.stencil,
                                  self.row_buf)
-            out = trace_pair_components(adj, rows, 1.0, overwrite_psi=True)
+            out = trace_pair_components(adj, rows, 1.0)
             out -= out.mean()
             out /= mean_det
             return out.ravel()
@@ -307,7 +305,7 @@ class _FrameOperators:
         return delta
 
 
-def solve_cy(problem: EllipticProblem, U0: ScalarField | None = None):
+def solve_cy(problem: EllipticProblem):
     """Solve the prescribed-determinant equation by damped inexact Newton iteration.
 
     Each Newton system is solved inexactly by lgmres (Dembo, Eisenstat and
@@ -323,29 +321,22 @@ def solve_cy(problem: EllipticProblem, U0: ScalarField | None = None):
     than needed.  J s comes from the K y the Krylov solve keeps current, so
     the forcing costs no Jacobian application.
 
-    Without U0 the iteration starts from the interpolated solution on the
-    half grid (_nested_start) where the grid has one and the interpolant is
+    The iteration starts from the interpolated solution on the half grid
+    (_nested_start) where the grid has one and the interpolant is
     admissible, else from zero; the report's coarse_levels records the
-    coarse solves.  An explicit U0 is used as given, less its mean, and is
-    not modified.
+    coarse solves.
 
     Returns (U, NewtonReport) with mean(U) = 0 and sup-norm residual below
     SUP_TOL_FACTOR c mean(h).  Raises NewtonConvergenceError when the
     iteration stalls.
     """
-    if np.linalg.eigvalsh(problem.form.A).min() <= POSITIVITY_EPS:
-        raise ValueError("reference class must be positive definite for the elliptic solve")
-    if U0 is not None:
-        U = U0.values.copy()
-        offset = float(U.mean())
-        U -= offset
-        U, report = _newton(problem, U, SUP_TOL_FACTOR)
-        report.gauge_offset = offset
-        report.start = "given"
-    else:
-        levels = []
-        U, report = _cold_newton(problem, SUP_TOL_FACTOR, levels)
-        report.coarse_levels = levels
+    lam = float(np.linalg.eigvalsh(problem.form.A).min())
+    if lam <= POSITIVITY_EPS:
+        raise ValueError(f"class must be positive definite for the elliptic solve"
+                         f" (smallest eigenvalue {lam:.3e} <= {POSITIVITY_EPS:g})")
+    levels = []
+    U, report = _cold_newton(problem, SUP_TOL_FACTOR, levels)
+    report.coarse_levels = levels
     return ScalarField(problem.form.grid, U), report
 
 

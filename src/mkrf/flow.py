@@ -54,12 +54,12 @@ import numpy as np
 from . import monitors
 from .geometry import (
     POSITIVITY_EPS,
-    ClassPath,
     KahlerForm,
     Regime,
     SingularMetricError,
     VolumeDensity,
     check_positive_components,
+    compute_T,
     constant_components,
     det_components,
     lambda_min_components,
@@ -106,17 +106,14 @@ class FlowProblem:
     and the work buffers of its RHS evaluations (one problem runs one flow
     evaluation at a time)."""
 
-    def __init__(self, form0: KahlerForm, form_inf: KahlerForm, omega: VolumeDensity,
-                 path: ClassPath | None = None):
-        from .geometry import compute_T
-
+    def __init__(self, form0: KahlerForm, form_inf: KahlerForm, omega: VolumeDensity):
         self.grid: GridSpec = form0.grid
         if form_inf.grid != self.grid or omega.grid != self.grid:
             raise ValueError("forms and density must share one grid")
         self.form0 = form0
         self.form_inf = form_inf
         self.omega = omega
-        self.path = path if path is not None else compute_T(form0.A, form_inf.A)
+        self.path = compute_T(form0.A, form_inf.A)
         self.tables = tables(self.grid.n, self.grid.N)
         self.phi0_phys = form0.phi.values.copy()
         self.phi_inf_phys = form_inf.phi.values.copy()
@@ -197,7 +194,7 @@ class _Workspace:
 
     def __init__(self, grid: GridSpec, tabs):
         spec = tabs.rshape
-        self.prod = np.empty(tabs._stack.shape, dtype=np.complex128)  # Hessian stencil product
+        self.prod = np.empty(tabs.stack.shape, dtype=np.complex128)  # Hessian stencil product
         self.det = np.empty(grid.shape)
         self.work = np.empty(grid.shape)  # det intermediate, positivity test, log density
         self.spec = np.empty(spec, dtype=np.complex128)  # spectral temporaries
@@ -261,7 +258,7 @@ def _eval_flow(problem: FlowProblem, p_hat: np.ndarray, t: float, r: int,
 
 
 def _lawson_rk4(problem: FlowProblem, y: np.ndarray, t: float, dt: float, r: int,
-                comparison: bool, F0: np.ndarray | None = None) -> tuple:
+                comparison: bool, F0: np.ndarray) -> tuple:
     """One Lawson (integrating factor) RK4 step.
 
     Returns (y1, d).  y1 is the new state.  d = k4 + ell y1 is the part of
@@ -271,10 +268,10 @@ def _lawson_rk4(problem: FlowProblem, y: np.ndarray, t: float, dt: float, r: int
     (1/6, 1/3, 1/3, 1/15, 1/10) are order 3; in the Lawson frame stages 4
     and 5 carry the same factor e^{-dt ell}, which cancels on the way back.
 
-    F0 optionally supplies the already-evaluated RHS at (y, t) so the first
-    stage costs nothing on the run hot path; it is only read.  The stage
-    combinations run in place in the problem's workspace and in the stage
-    RHS arrays; y1 and d are the (fresh) stage-2 and stage-4 RHS arrays.
+    F0 is the already-evaluated RHS at (y, t), so the first stage costs no
+    evaluation; it is only read.  The stage combinations run in place in
+    the problem's workspace and in the stage RHS arrays; y1 and d are the
+    (fresh) stage-2 and stage-4 RHS arrays.
     """
     ws = problem.workspace
     ell = problem.laplace_symbol(t + 0.5 * dt)
@@ -289,10 +286,7 @@ def _lawson_rk4(problem: FlowProblem, y: np.ndarray, t: float, dt: float, r: int
         F -= np.multiply(ell, z, out=ws.spec)
         return F
 
-    if F0 is None:
-        k1 = N(y, t)
-    else:
-        k1 = np.subtract(F0, np.multiply(ell, y, out=ws.k1), out=ws.k1)
+    k1 = np.subtract(F0, np.multiply(ell, y, out=ws.k1), out=ws.k1)
     h = 0.5 * dt
     z = ws.stage
     tmp = ws.spec
@@ -319,7 +313,10 @@ def _lawson_rk4(problem: FlowProblem, y: np.ndarray, t: float, dt: float, r: int
     k2 *= dt / 6.0
     k2 += np.multiply(E1, y, out=tmp)
     k4 += np.multiply(ell, k2, out=tmp)
-    return _add_forcing(problem, k2, t, dt, r, comparison), k4
+    if not comparison:
+        # the class forcing integrated over the step, into the mean mode
+        k2[(0,) * k2.ndim] += problem.grid.num_points * _forcing_integral(problem, t, dt, r)
+    return k2, k4
 
 
 @functools.cache
@@ -370,15 +367,6 @@ def _forcing_integral(problem: FlowProblem, t: float, dt: float, r: int) -> floa
     return float((weights * c).sum())
 
 
-def _add_forcing(problem: FlowProblem, y1: np.ndarray, t: float, dt: float, r: int,
-                 comparison: bool) -> np.ndarray:
-    """Add the class forcing integrated over the step to the mean mode of a
-    u/v state (the comparison flow keeps it in its RHS); y1 is updated in place."""
-    if not comparison:
-        y1[(0,) * y1.ndim] += problem.grid.num_points * _forcing_integral(problem, t, dt, r)
-    return y1
-
-
 def _sup_bound(problem: FlowProblem, coeffs: np.ndarray) -> float:
     """Upper bound of the sup norm of the field with rfft coefficients coeffs.
 
@@ -401,25 +389,23 @@ def _embedded_error(problem: FlowProblem, d: np.ndarray, F1: np.ndarray,
     return 0.1 * dt * _sup_bound(problem, d)
 
 
-def _attempt_step(problem, states, t, dt, max_halvings=MAX_HALVINGS):
+def _attempt_step(problem, states, t, dt):
     """Advance all lockstep flows by a common dt, halving on positivity loss.
 
-    states: list of (p_hat, r, comparison[, F0]).  Returns (new_list,
-    dt_used, halvings), new_list holding one (y1, d) pair of _lawson_rk4 per
-    flow.  Raises SingularityStopError after max_halvings failures.
+    states: list of (p_hat, r, comparison, F0), F0 the RHS at (p_hat, t).
+    Returns (new_list, dt_used, halvings), new_list holding one (y1, d)
+    pair of _lawson_rk4 per flow.  Raises SingularityStopError after
+    MAX_HALVINGS failures.
     """
     halvings = 0
     while True:
         try:
-            new = [
-                _lawson_rk4(problem, s[0], t, dt, s[1], s[2],
-                            F0=s[3] if len(s) > 3 else None)
-                for s in states
-            ]
+            new = [_lawson_rk4(problem, y, t, dt, r, comparison, F0)
+                   for y, r, comparison, F0 in states]
             return new, dt, halvings
         except SingularMetricError as err:
             halvings += 1
-            if halvings > max_halvings:
+            if halvings > MAX_HALVINGS:
                 raise SingularityStopError(err) from err
             dt *= 0.5
 
@@ -544,8 +530,6 @@ def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
     events.add(t_max)
     events = sorted(e for e in events if e > 1e-12)
 
-    y = problem.phi0_hat.copy()
-    yw = problem.phi0_hat.copy() if run_w else None
     t = 0.0
     dt_last = 0.0
     dt_err = math.inf  # the error controller's proposal; the first step takes the cap
@@ -557,20 +541,31 @@ def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
     max_err = 0.0
     # which bound set each accepted dt ("positivity": halved on positivity loss)
     limits = dict.fromkeys(("error", "dt_cap", "event", "positivity"), 0)
-    status = "completed"
-    stop_reason = "reached t_max"
     w_ring = []
     uhat_snaps = []
-    ev = _eval_flow(problem, y, t, r, False, full=True)
-    evw = _eval_flow(problem, yw, t, r, True, full=True) if run_w else None
+    # the lockstep flows by their comparison flag, the u/v flow first; ys
+    # and evs hold each one's spectral state and its full evaluation there
+    flows = (False, True) if run_w else (False,)
+    ys = [problem.phi0_hat.copy() for _ in flows]
+    evs = [_eval_flow(problem, y, t, r, comparison, full=True)
+           for y, comparison in zip(ys, flows)]
+
+    def uv_fields():
+        """phi_t and the u/v flow's v, u_hat and ut_hat at t."""
+        phi_t = problem.phi_t_phys(t)
+        shift = 0.5 * r * t * t + C3 * t
+        v_phys = evs[0].pot_phys - phi_t
+        return phi_t, v_phys, v_phys - shift, evs[0].rhs_phys - (r * t + C3)
+
+    def w_fields(phi_t):
+        """The comparison flow's w and its rate at t."""
+        w_phys = evs[1].pot_phys - phi_t
+        return w_phys, evs[1].rhs_phys - w_phys
 
     def record(dt_used):
         nonlocal prev_combo
-        phi_t = problem.phi_t_phys(t)
-        shift = 0.5 * r * t * t + C3 * t
-        v_phys = ev.pot_phys - phi_t
-        u_hat = v_phys - shift
-        ut_hat = ev.rhs_phys - (r * t + C3)
+        ev = evs[0]
+        phi_t, v_phys, u_hat, ut_hat = uv_fields()
         lam = lambda_min_components(ev.comps, ev.det)
         lam_min = float(lam.min())
         lam_loc = tuple(int(i) for i in np.unravel_index(int(np.argmin(lam)), lam.shape))
@@ -606,9 +601,9 @@ def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
             row["max_v"] = float(v_phys.max())
             row["min_vt"] = float(ev.rhs_phys.min())
             row["max_vt"] = float(ev.rhs_phys.max())
+        w_phys = None
         if run_w:
-            w_phys = evw.pot_phys - phi_t
-            w_dot = evw.rhs_phys - w_phys
+            w_phys, w_dot = w_fields(phi_t)
             row["min_w"] = float(w_phys.min())
             row["max_w"] = float(w_phys.max())
             row["min_wt"] = float(w_dot.min())
@@ -630,7 +625,13 @@ def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
                 violations[res.name] = res.margin
         if not all(math.isfinite(row[c]) or math.isnan(row[c]) for c in columns):
             raise FlowBreakdownError(f"non-finite observables at t={t:.6f}")
-        return u_hat, (evw.pot_phys - phi_t) if run_w else None
+        return u_hat, w_phys
+
+    def evaluate(y1, d, comparison, t_new, dt_used):
+        """One flow's full evaluation at its new state y1 and its step's error;
+        consumes d.  A function, so no loop variable keeps d alive past the step."""
+        ev = _eval_flow(problem, y1, t_new, r, comparison, full=True)
+        return ev, _embedded_error(problem, d, ev.F_hat, dt_used)
 
     def propose_dt():
         """The largest dt every bound allows, and the name of the bound that set it."""
@@ -677,11 +678,10 @@ def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
             # the evaluations at t stay alive until a step is accepted (a
             # retry starts from F_hat, a stop reports their fields), next to
             # those at the new point; their metric arrays are consumed by now
-            ev.comps = ev.det = None
-            states = [(y, r, False, ev.F_hat)]
-            if run_w:
-                evw.comps = evw.det = None
-                states.append((yw, r, True, evw.F_hat))
+            for ev in evs:
+                ev.comps = ev.det = None
+            states = [(y, r, comparison, ev.F_hat)
+                      for y, comparison, ev in zip(ys, flows, evs)]
             # error rejections redo the step at a smaller dt, as many times
             # as positivity loss may halve it
             for _ in range(MAX_HALVINGS + 1):
@@ -693,13 +693,11 @@ def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
                         t_new = e
                         break
                 # the full evaluations at the new point record the step, seed
-                # the next one's first stage and complete the error estimate
-                ev_new = _eval_flow(problem, new[0][0], t_new, r, False, full=True)
-                err = _embedded_error(problem, new[0][1], ev_new.F_hat, dt_used)
-                if run_w:
-                    evw_new = _eval_flow(problem, new[1][0], t_new, r, True, full=True)
-                    err = max(err, _embedded_error(problem, new[1][1], evw_new.F_hat,
-                                                   dt_used))
+                # the next one's first stage and complete the error estimate,
+                # flow by flow
+                evaluated = [evaluate(y1, d, comparison, t_new, dt_used)
+                             for (y1, d), comparison in zip(new, flows)]
+                err = max(e for _, e in evaluated)
                 if err <= STEP_TOL:
                     break
                 rejections += 1
@@ -712,17 +710,15 @@ def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
             limits["positivity" if halv else limit] += 1
             max_err = max(max_err, err)
             dt_err = dt_used * dt_ratio(err)
-            y = new[0][0]
-            ev = ev_new
-            if run_w:
-                yw = new[1][0]
-                evw = evw_new
+            for i in range(len(flows)):
+                ys[i] = new[i][0]
+                evs[i] = evaluated[i][0]
             t = t_new
             dt_last = dt_used
             steps += 1
-            # the previous state, its RHS and the consumed estimates are
-            # garbage now; release them before the next record
-            del new, states
+            # the previous evaluations, states and RHS and the consumed
+            # estimates are garbage now; release them before the next record
+            del ev, new, states
     except SingularityStopError as stop:
         status = "singularity-stop"
         stop_reason = str(stop)
@@ -730,20 +726,18 @@ def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
         status = "breakdown"
         stop_reason = str(bd)
 
-    phi_t = problem.phi_t_phys(t)
-    shift = 0.5 * r * t * t + C3 * t
-    v_phys = ev.pot_phys - phi_t
+    phi_t, v_phys, u_hat, ut_hat = uv_fields()
     final = {
-        "u_hat": ScalarField(grid, v_phys - shift),
-        "ut_hat": ScalarField(grid, ev.rhs_phys - (r * t + C3)),
+        "u_hat": ScalarField(grid, u_hat),
+        "ut_hat": ScalarField(grid, ut_hat),
+        "V_proxy": ScalarField(grid, u_hat + ut_hat),
     }
-    final["V_proxy"] = ScalarField(grid, final["u_hat"].values + final["ut_hat"].values)
     if regime == Regime.COLLAPSED:
-        final["v"] = ScalarField(grid, v_phys.copy())
+        final["v"] = ScalarField(grid, v_phys)
     if run_w:
-        w_phys = evw.pot_phys - phi_t
+        w_phys, w_dot = w_fields(phi_t)
         final["w"] = ScalarField(grid, w_phys)
-        final["w_dot"] = ScalarField(grid, evw.rhs_phys - w_phys)
+        final["w_dot"] = ScalarField(grid, w_dot)
 
     constants = {
         "C3": C3,

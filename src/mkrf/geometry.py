@@ -23,6 +23,8 @@ from .grid import GridSpec, ScalarField, complex_hessian, forward, hessian_compo
 POSITIVITY_EPS = 1e-10
 
 HERMITIAN_TOL = 1e-12
+# width of the bracket compute_T narrows the pencil's boundary parameter to
+BISECTION_TOL = 1e-12
 
 
 class SingularMetricError(Exception):
@@ -51,7 +53,7 @@ def as_matrix(A, n: int) -> np.ndarray:
     return M
 
 
-def check_hermitian(A: np.ndarray, what: str = "matrix") -> None:
+def check_hermitian(A: np.ndarray, what: str) -> None:
     if np.abs(A - A.conj().T).max() > HERMITIAN_TOL * max(1.0, np.abs(A).max()):
         raise ValueError(f"{what} is not Hermitian within tolerance")
 
@@ -103,13 +105,12 @@ def det_components(comps, out: np.ndarray | None = None, work: np.ndarray | None
     return det
 
 
-def lambda_min_components(comps, det=None):
-    """Smallest eigenvalue field, computed in a cancellation-safe form."""
+def lambda_min_components(comps, det):
+    """Smallest eigenvalue field, computed in a cancellation-safe form; det
+    is det_components(comps)."""
     if len(comps) == 1:
         return comps[0]
     g11, g22, p, q = comps
-    if det is None:
-        det = det_components(comps)
     m = 0.5 * (g11 + g22)
     s = np.sqrt(np.maximum(m * m - det, 0.0))
     lam_max = m + s
@@ -118,26 +119,22 @@ def lambda_min_components(comps, det=None):
     return np.where(det > 0.0, safe, m - s)
 
 
-def trace_pair_components(phi_comps, psi_comps, phi_det=None, overwrite_psi=False):
+def trace_pair_components(phi_comps, psi_comps, phi_det=None):
     """Pointwise trace of psi against the inverse of phi.
 
-    With overwrite_psi the arrays of psi_comps (e.g. the rows of a
-    hessian_components stack) are the workspace: the result, computed in
-    the same operation order and so bit-identical, is written into the
-    first row and returned, and the other rows are clobbered.  The rows are
-    then read strictly in order, so psi_comps may be an iterator that makes
-    each row on demand; at most three of them are live at once.
+    The arrays of psi_comps (e.g. the rows of a hessian_components stack)
+    are the workspace: the result is written into the first row and
+    returned, and the other rows are clobbered.  The rows are read strictly
+    in order, so psi_comps may be an iterator that makes each row on demand;
+    at most three of them are live at once.
     """
     rows = iter(psi_comps)
     if len(phi_comps) == 1:
         s11 = next(rows)
-        return np.divide(s11, phi_comps[0], out=s11 if overwrite_psi else None)
+        return np.divide(s11, phi_comps[0], out=s11)
     f11, f22, fp, fq = phi_comps
     if phi_det is None:
         phi_det = det_components(phi_comps)
-    if not overwrite_psi:
-        s11, s22, sp, sq = rows
-        return (f22 * s11 + f11 * s22 - 2.0 * (fp * sp + fq * sq)) / phi_det
     s11 = next(rows)
     out = np.multiply(f22, s11, out=s11)
     s22 = next(rows)
@@ -208,7 +205,7 @@ def positive_components(comps, det, floor: float = POSITIVITY_EPS,
     return bool(shifted.min() >= 0.0)
 
 
-def singular_metric_error(comps, det=None, t: float | None = None) -> SingularMetricError:
+def singular_metric_error(comps, det, t: float | None) -> SingularMetricError:
     """The error for a field that failed positive_components: its smallest
     eigenvalue and the grid point where it sits."""
     lam = lambda_min_components(comps, det)
@@ -304,12 +301,13 @@ def ma_density(form: KahlerForm, u: ScalarField) -> ScalarField:
 
 def trace_pair(phi_comps, psi_comps) -> np.ndarray:
     """Pointwise trace of psi with respect to (the inverse of) the positive
-    field phi, both given as component tuples or stacks."""
+    field phi, both given as component tuples or stacks; psi is copied, so
+    the caller's arrays are left as they are."""
     shapes = {np.shape(c) for c in (*phi_comps, *psi_comps)}
     if len(phi_comps) != len(psi_comps) or len(shapes) != 1:
         raise ValueError("shape mismatch")
     check_positive_components(phi_comps)
-    return trace_pair_components(phi_comps, psi_comps)
+    return trace_pair_components(phi_comps, np.array(psi_comps, dtype=np.float64))
 
 
 def flow_laplacian(metric, f: ScalarField) -> ScalarField:
@@ -325,7 +323,7 @@ def class_volume(A: np.ndarray) -> float:
     return float(np.linalg.det(A).real)
 
 
-def compute_T(A0, Ainf, tol: float = 1e-12) -> ClassPath:
+def compute_T(A0, Ainf) -> ClassPath:
     """Classify the pencil and locate the singular time by bisection.
 
     mu(s) = lambda_min((1-s) Ainf + s A0) is concave on [0, 1] with mu(1) > 0,
@@ -338,8 +336,7 @@ def compute_T(A0, Ainf, tol: float = 1e-12) -> ClassPath:
         raise ValueError("A0 and Ainf must be square matrices of equal size")
     check_hermitian(A0, "A0")
     check_hermitian(Ainf, "Ainf")
-    eig0 = np.linalg.eigvalsh(A0)
-    if eig0.min() <= 0.0:
+    if np.linalg.eigvalsh(A0).min() <= 0.0:
         raise ValueError("A0 must be positive definite")
 
     def mu(s: float) -> float:
@@ -355,7 +352,7 @@ def compute_T(A0, Ainf, tol: float = 1e-12) -> ClassPath:
         return ClassPath(A0, Ainf, math.inf, Regime.COLLAPSED, r=r, s_star=0.0)
 
     lo, hi = 0.0, 1.0
-    while hi - lo > tol:
+    while hi - lo > BISECTION_TOL:
         mid = 0.5 * (lo + hi)
         if mu(mid) > 0.0:
             hi = mid

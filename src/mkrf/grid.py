@@ -99,57 +99,35 @@ class SpectralTables:
         naxes = 2 * n
         self.rshape = (N,) * (naxes - 1) + (N // 2 + 1,)
 
-        def axis_freqs(axis, zero_nyquist):
-            if axis == naxes - 1:
-                k = np.arange(N // 2 + 1, dtype=np.float64)
-                if zero_nyquist:
-                    k[-1] = 0.0
-            else:
-                k = np.fft.fftfreq(N) * N
-                if zero_nyquist:
-                    k[N // 2] = 0.0
-            shape = [1] * naxes
-            shape[axis] = k.size
-            return k.reshape(shape)
+        def axis_freqs(axis):
+            last = axis == naxes - 1  # the half axis of the real transform
+            k = np.arange(N // 2 + 1, dtype=np.float64) if last else np.fft.fftfreq(N) * N
+            k[N // 2] = 0.0  # the Nyquist frequency
+            return k.reshape([k.size if a == axis else 1 for a in range(naxes)])
 
-        kodd = [axis_freqs(a, zero_nyquist=True) for a in range(naxes)]
+        kodd = [axis_freqs(a) for a in range(naxes)]
         pi2 = np.pi ** 2
 
-        # Hessian entry symbols: H[f]_{jk} = d/dz_j d/dzbar_k f.
-        # Diagonal: -pi^2 (kx_j^2 + ky_j^2).  Every factor uses the
-        # Nyquist-zeroed first-derivative frequencies so that the discrete
-        # product identity behind Monge-Ampere mass conservation holds
-        # pointwise in k for arbitrary (not just band-limited) input.
-        self.diag = [
-            -pi2 * (kodd[2 * j] ** 2 + kodd[2 * j + 1] ** 2) for j in range(n)
-        ]
-        self.off_re = {}
-        self.off_im = {}
-        for j in range(n):
-            for k in range(j + 1, n):
-                self.off_re[(j, k)] = -pi2 * (
-                    kodd[2 * j] * kodd[2 * k] + kodd[2 * j + 1] * kodd[2 * k + 1]
-                )
-                self.off_im[(j, k)] = -pi2 * (
-                    kodd[2 * j] * kodd[2 * k + 1] - kodd[2 * j + 1] * kodd[2 * k]
-                )
-
-        # Stacked symbols in the fixed component order used by hessian_components.
-        if n == 1:
-            parts = [self.diag[0]]
-        else:
-            parts = [self.diag[0], self.diag[1], self.off_re[(0, 1)], self.off_im[(0, 1)]]
-        self._stack = np.stack([np.broadcast_to(p, self.rshape) for p in parts])
+        # Hessian entry symbols H[f]_{jk} = d/dz_j d/dzbar_k f, stacked in the
+        # component order of hessian_components: the diagonal
+        # -pi^2 (kx_j^2 + ky_j^2), then Re and Im of the (0, 1) entry.  Every
+        # factor uses the Nyquist-zeroed first-derivative frequencies so that
+        # the discrete product identity behind Monge-Ampere mass conservation
+        # holds pointwise in k for arbitrary (not just band-limited) input.
+        parts = [-pi2 * (kodd[2 * j] ** 2 + kodd[2 * j + 1] ** 2) for j in range(n)]
+        if n == 2:
+            parts.append(-pi2 * (kodd[0] * kodd[2] + kodd[1] * kodd[3]))
+            parts.append(-pi2 * (kodd[0] * kodd[3] - kodd[1] * kodd[2]))
+        self.stack = np.stack([np.broadcast_to(p, self.rshape) for p in parts])
 
     def laplacian_symbol(self, inv_matrix: np.ndarray) -> np.ndarray:
         """Symbol of the constant-coefficient Laplacian tr(B . H[f]) for B = inv_matrix."""
-        n = self.grid.n
-        if n == 1:
-            return inv_matrix[0, 0].real * self.diag[0]
         b = inv_matrix
-        out = b[0, 0].real * self.diag[0] + b[1, 1].real * self.diag[1]
+        if self.grid.n == 1:
+            return b[0, 0].real * self.stack[0]
+        out = b[0, 0].real * self.stack[0] + b[1, 1].real * self.stack[1]
         # B and S are Hermitian: cross terms give 2 Re(B_01 conj(S_01)).
-        out += 2.0 * (b[0, 1].real * self.off_re[(0, 1)] + b[0, 1].imag * self.off_im[(0, 1)])
+        out += 2.0 * (b[0, 1].real * self.stack[2] + b[0, 1].imag * self.stack[3])
         return out
 
 
@@ -180,7 +158,7 @@ def hessian_components(grid: GridSpec, coeffs: np.ndarray,
     symbols of the Hessian seen in another constant frame.
     """
     if stencil is None:
-        stencil = tables(grid.n, grid.N)._stack
+        stencil = tables(grid.n, grid.N).stack
     stack = np.multiply(stencil, coeffs, out=buf)
     naxes = 2 * grid.n
     return sfft.irfftn(

@@ -20,6 +20,8 @@ TOL_EXACT = 1e-9
 # of the finite-time blow-down samples; run_flow records the series they read.
 S_LIST = (1.0, 3.0, 5.0)
 FINITE_TIME_DELTAS = (0.2, 0.1, 0.05)
+FINAL_GAP_TOL = 1e-4  # largest final sup-gap to the Kahler-limit reference
+STABLE_REL, STABLE_FLOOR = 0.2, 0.02  # resolution stability: relative, absolute
 
 
 @dataclass
@@ -129,29 +131,26 @@ def check_core(snap: StepSnapshot, prev_combo_min: float | None = None) -> Monit
 
 @dataclass
 class RegimeReport:
-    status: str  # "ok", "violations", or "not applicable"
     checks: list = field(default_factory=list)
     constants: dict = field(default_factory=dict)
 
     @property
-    def passed(self) -> bool:
-        return self.status != "violations"
-
-    def recompute_status(self):
-        self.status = "ok" if all(c.passed for c in self.checks) else "violations"
-        return self
+    def status(self) -> str:
+        """"ok", "violations", or "not applicable" for a report without checks."""
+        if not self.checks:
+            return "not applicable"
+        return "ok" if all(c.passed for c in self.checks) else "violations"
 
 
 def _series_window(ts, values, lo, hi):
-    out = [v for t, v in zip(ts, values) if lo <= t <= hi and not math.isnan(v)]
-    return out
+    return [v for t, v in zip(ts, values) if lo <= t <= hi and not math.isnan(v)]
 
 
 def check_finite_time(series: dict, T: float, regime: str) -> RegimeReport:
     """Volume blow-down trend, bounded weak-limit potential, and the
     integrated volume sandwich for a finite-time run."""
     if regime != "FINITE_TIME":
-        return RegimeReport("not applicable")
+        return RegimeReport()
     ts = series["t"]
     checks = []
     constants = {}
@@ -163,7 +162,7 @@ def check_finite_time(series: dict, T: float, regime: str) -> RegimeReport:
                 m[d] = v
     for d in FINITE_TIME_DELTAS:
         if d not in m:
-            return RegimeReport("not applicable", constants={"missing_delta": d})
+            return RegimeReport(constants={"missing_delta": d})
     constants.update({f"m_delta_{d}": m[d] for d in FINITE_TIME_DELTAS})
     checks.append(MonitorResult("blowdown_strict_02_01", m[0.2] - m[0.1], 0.0))
     checks.append(MonitorResult("blowdown_strict_01_005", m[0.1] - m[0.05], 0.0))
@@ -180,7 +179,7 @@ def check_finite_time(series: dict, T: float, regime: str) -> RegimeReport:
     vol = min(series["margin_vol_sandwich"])
     checks.append(MonitorResult("vol_sandwich", vol, 0.0))
 
-    return RegimeReport("ok", checks, constants).recompute_status()
+    return RegimeReport(checks, constants)
 
 
 def check_collapsed(series: dict, r: int, t_max: float, C3: float) -> RegimeReport:
@@ -198,7 +197,7 @@ def check_collapsed(series: dict, r: int, t_max: float, C3: float) -> RegimeRepo
     runmax = np.maximum.accumulate(max_v)
     sel = ts >= 5.0
     if sel.sum() < 4:
-        return RegimeReport("not applicable", constants={"reason": "run too short"})
+        return RegimeReport(constants={"reason": "run too short"})
     tw, yw = ts[sel], runmax[sel]
     slope, intercept = np.polyfit(tw, yw, 1)
     A = max(float(slope), 0.0)
@@ -270,7 +269,7 @@ def check_collapsed(series: dict, r: int, t_max: float, C3: float) -> RegimeRepo
     checks.append(MonitorResult("u_window_upper", hi_margin, 0.0))
     checks.append(MonitorResult("u_window_lower", lo_margin, 0.0))
 
-    return RegimeReport("ok", checks, constants).recompute_status()
+    return RegimeReport(checks, constants)
 
 
 def convergence_gap(u_hat: np.ndarray, U: np.ndarray) -> float:
@@ -279,7 +278,7 @@ def convergence_gap(u_hat: np.ndarray, U: np.ndarray) -> float:
     return float(np.abs(diff - diff.mean()).max())
 
 
-def check_convergence(ts, gaps, final_tol: float = 1e-4) -> RegimeReport:
+def check_convergence(ts, gaps) -> RegimeReport:
     """Decreasing sup-gap to the elliptic reference over the final half of a run."""
     checks = []
     constants = {"final_gap": gaps[-1]}
@@ -288,10 +287,10 @@ def check_convergence(ts, gaps, final_tol: float = 1e-4) -> RegimeReport:
     for a, b in zip(half_idx[:-1], half_idx[1:]):
         worst_increase = max(worst_increase, gaps[b] - gaps[a])
     checks.append(MonitorResult("gap_decreasing_final_half", -worst_increase, TOL_EXACT))
-    checks.append(MonitorResult("gap_final", final_tol - gaps[-1], 0.0))
-    return RegimeReport("ok", checks, constants).recompute_status()
+    checks.append(MonitorResult("gap_final", FINAL_GAP_TOL - gaps[-1], 0.0))
+    return RegimeReport(checks, constants)
 
 
-def stable_within(a: float, b: float, rel: float = 0.2, floor: float = 0.02) -> bool:
+def stable_within(a: float, b: float) -> bool:
     """Resolution-stability comparison with an absolute floor for tiny constants."""
-    return abs(a - b) <= rel * max(abs(a), abs(b)) + floor
+    return abs(a - b) <= STABLE_REL * max(abs(a), abs(b)) + STABLE_FLOOR

@@ -13,6 +13,9 @@ import os
 
 from .grid import write_snapshot
 
+# size of every SVG plot, in pixels
+PLOT_WIDTH, PLOT_HEIGHT = 640, 400
+
 
 def format_float(v: float) -> str:
     return repr(float(v))
@@ -44,8 +47,9 @@ def read_csv(path):
     return columns, series
 
 
-def svg_line_plot(xs, ys, title: str, width: int = 640, height: int = 400) -> str:
+def svg_line_plot(xs, ys, title: str) -> str:
     """Minimal deterministic SVG 1.1 line plot (time series)."""
+    width, height = PLOT_WIDTH, PLOT_HEIGHT
     ml, mr, mt, mb = 60, 15, 30, 40
     pw, ph = width - ml - mr, height - mt - mb
     pts = [(x, y) for x, y in zip(xs, ys) if math.isfinite(x) and math.isfinite(y)]
@@ -133,11 +137,8 @@ def save_run(out_dir, scenario, result, regime_reports=None, extra_constants=Non
         json.dump(record, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
 
-    fields = [(name, f) for name, f in result.final.items()]
-    if extra_fields:
-        fields += list(extra_fields)
-    if fields:
-        write_snapshot(fields, os.path.join(out_dir, "final.mkrf"))
+    fields = list(result.final.items()) + list(extra_fields or ())
+    write_snapshot(fields, os.path.join(out_dir, "final.mkrf"))
     return out_dir
 
 

@@ -292,7 +292,7 @@ PRESETS = {
 }
 
 
-def load_scenario(preset: str | None = None, config_path=None) -> Scenario:
+def load_scenario(preset: str | None, config_path) -> Scenario:
     if (preset is None) == (config_path is None):
         raise InvalidScenarioError("exactly one of --preset and --config is required")
     if preset is not None:

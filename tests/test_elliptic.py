@@ -17,6 +17,17 @@ def ones_density(grid):
     return VolumeDensity(ScalarField(grid, np.ones(grid.shape)))
 
 
+def newton_from(prob, U0=None):
+    """A single-level Newton solve from U0 less its mean, or from zero (the
+    start _cold_newton falls back to): (U, report), with no coarse level."""
+    import mkrf.elliptic as elliptic
+
+    g = prob.form.grid
+    U = np.zeros(g.shape) if U0 is None else U0.values - U0.values.mean()
+    U, rep = elliptic._newton(prob, U, elliptic.SUP_TOL_FACTOR)
+    return ScalarField(g, U), rep
+
+
 def test_solve_cy_trivial():
     g = GridSpec(1, 16)
     prob = EllipticProblem.compatible(KahlerForm(np.eye(1), g.zeros()), ones_density(g))
@@ -51,7 +62,7 @@ def test_solve_cy_unique_up_to_gauge():
     h = ScalarField(g, np.exp(synthesize(g, [((1, 0), 0.12), ((0, 2), 0.05)]).values))
     prob = EllipticProblem.compatible(form, VolumeDensity(h))
     U1, _ = solve_cy(prob)
-    U2, _ = solve_cy(prob, U0=synthesize(g, [((2, 0), 0.01), ((0, 1), 0.015)]))
+    U2, _ = newton_from(prob, synthesize(g, [((2, 0), 0.01), ((0, 1), 0.015)]))
     assert np.abs(U1.values - U2.values).max() < 1e-8
 
 
@@ -203,9 +214,8 @@ def test_newton_report_records_forcing_and_matvecs(monkeypatch):
     monkeypatch.setattr(elliptic, "trace_pair_components", counted)
     prob = varying_density_problem()
     form, h = prob.form, prob.omega.h
-    # a single-level solve: the explicit zero start runs no coarse level
-    zero = form.grid.zeros()
-    _, plain = solve_cy(prob, U0=zero)
+    # a single-level solve from zero
+    _, plain = newton_from(prob)
 
     # record every Newton system and apply its operator once more to the
     # Krylov solution y: K y is J delta for the Newton step delta
@@ -225,7 +235,7 @@ def test_newton_report_records_forcing_and_matvecs(monkeypatch):
     monkeypatch.setattr(elliptic._FrameOperators, "solve", recording_solve)
     monkeypatch.setattr(elliptic.spla, "lgmres", unpreconditioned_lgmres)
     calls.clear()
-    _, rep = solve_cy(prob, U0=zero)
+    _, rep = newton_from(prob)
     assert rep.iterations >= 3
     assert len(rep.linear_rtols) == len(rep.matvecs) == len(systems) == rep.iterations
     assert sum(rep.matvecs) == len(calls)
@@ -472,7 +482,7 @@ def test_one_cycle_systems_apply_K_once_per_krylov_vector(monkeypatch):
     monkeypatch.setattr(lgmres_module, "_fgmres", arnoldi)
     calls = _counting(monkeypatch, ("trace_pair_components",))
     prob = varying_density_problem()
-    _, rep = solve_cy(prob, U0=prob.form.grid.zeros())
+    _, rep = newton_from(prob)
     assert rep.converged and rep.iterations >= 3
     assert len(dims) == rep.iterations
     assert rep.matvecs == dims
@@ -543,7 +553,7 @@ def test_failing_frame_state_names_the_smallest_eigenvalue_and_its_point():
     # the positivity test decides without an eigenvalue field; on failure the
     # error carries lambda_min and its grid point as the eigenvalue scan did
     from mkrf.elliptic import _frame_state, _frame_stencil
-    from mkrf.geometry import SingularMetricError, lambda_min_components
+    from mkrf.geometry import SingularMetricError, det_components, lambda_min_components
     from mkrf.grid import tables
 
     prob, _ = _frame_state_cases()["n2"]
@@ -554,7 +564,8 @@ def test_failing_frame_state_names_the_smallest_eigenvalue_and_its_point():
     row_buf = np.empty((1,) + tables(g.n, g.N).rshape, dtype=np.complex128)
     with pytest.raises(SingularMetricError) as exc:
         _frame_state(prob, _frame_stencil(g, prob.form.A), U, row_buf)
-    lam = lambda_min_components(_frame_rows_by_congruence(prob, U))
+    rows = _frame_rows_by_congruence(prob, U)
+    lam = lambda_min_components(rows, det_components(rows))
     lowest = np.sort(lam.ravel())[:2]
     assert lowest[0] < 0.0 and lowest[1] - lowest[0] > 1e-6
     assert exc.value.location == np.unravel_index(int(np.argmin(lam)), lam.shape)
@@ -633,10 +644,10 @@ def test_density_weight_saves_matvecs(monkeypatch):
     prob = EllipticProblem.compatible(form, VolumeDensity(h))
     tol = 1e-10 * prob.c * mean(h)
     built = _weight_spy(monkeypatch)
-    U, weighted = solve_cy(prob, U0=g.zeros())
+    U, weighted = newton_from(prob)
     assert len(built) == 1 and built[0] is not None
     _weight_spy(monkeypatch, weight_one=True)
-    U1, unit = solve_cy(prob, U0=g.zeros())
+    U1, unit = newton_from(prob)
     assert weighted.final_residual <= tol and unit.final_residual <= tol
     assert weighted.iterations <= unit.iterations
     assert sum(weighted.matvecs) < sum(unit.matvecs)
@@ -677,7 +688,7 @@ def test_no_weight_at_n1(monkeypatch):
     h = ScalarField(g, np.exp(synthesize(g, [((1, 0), 0.12), ((0, 2), 0.05)]).values))
     prob = EllipticProblem.compatible(KahlerForm(np.array([[1.7]]), g.zeros()), VolumeDensity(h))
     built = _weight_spy(monkeypatch)
-    _, rep = solve_cy(prob, U0=g.zeros())
+    _, rep = newton_from(prob)
     assert rep.converged
     assert len(built) == 1 and built[0] is None
 
@@ -746,8 +757,8 @@ def test_nested_start_matches_the_zero_start(N):
     prob = nested_problem(N)
     tol = 1e-10 * prob.c * mean(prob.omega.h)
     U, nested = solve_cy(prob)
-    Z, zero = solve_cy(prob, U0=prob.form.grid.zeros())
-    assert nested.start == "nested" and zero.start == "given"
+    Z, zero = newton_from(prob)
+    assert nested.start == "nested" and zero.start == "zero"
     assert [(c["N"], c["converged"]) for c in nested.coarse_levels] == [(N // 2, True)]
     assert nested.final_residual <= tol and zero.final_residual <= tol
     assert np.abs(U.values - Z.values).max() < 1e-10
@@ -792,7 +803,7 @@ def test_coarse_failure_falls_back_to_the_zero_start(monkeypatch, failure):
     from mkrf.geometry import SingularMetricError
 
     prob = nested_problem(16)
-    Z, zero = solve_cy(prob, U0=prob.form.grid.zeros())
+    Z, zero = newton_from(prob)
     exc = ((lambda: NewtonConvergenceError(NewtonReport(iterations=3, matvecs=[1, 2, 3])))
            if failure == "convergence" else (lambda: SingularMetricError(-1.0, (0, 0, 0, 0))))
     _coarse_newton_fails(monkeypatch, exc)
@@ -809,8 +820,7 @@ def test_inadmissible_interpolant_falls_back_to_the_zero_start(monkeypatch):
     import mkrf.elliptic as elliptic
 
     prob = nested_problem(16)
-    g = prob.form.grid
-    Z, _ = solve_cy(prob, U0=g.zeros())
+    Z, _ = newton_from(prob)
     # a potential whose Hessian overwhelms the class: not a Kahler metric
     monkeypatch.setattr(elliptic, "_prolong",
                         lambda coarse, fine: synthesize(fine, [((1, 0, 0, 0), 1.0)]))
@@ -846,18 +856,3 @@ def test_fine_failure_propagates(monkeypatch):
         solve_cy(prob)
     assert grids == [8, 16]
 
-
-def test_explicit_start_runs_no_coarse_level(monkeypatch):
-    import mkrf.elliptic as elliptic
-
-    prob = nested_problem(16)
-    g = prob.form.grid
-    restricted = []
-    monkeypatch.setattr(elliptic, "_restrict", lambda p: restricted.append(p))
-    U0 = synthesize(g, [((0, 0, 1, 0), 0.002)])
-    kept = U0.values.copy()
-    U, rep = solve_cy(prob, U0=U0)
-    assert restricted == []
-    assert rep.start == "given" and rep.coarse_levels == []
-    assert np.array_equal(U0.values, kept)
-    assert rep.converged

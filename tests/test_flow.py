@@ -72,9 +72,16 @@ def rhs(prob, field, t, r=0):
     return _eval_flow(prob, embed(prob, field, t), t, r, False, full=True).rhs_phys
 
 
+def states(prob, t, *flows):
+    """_attempt_step's states for flows given as (y, r, comparison): each
+    with its RHS at t, as run_flow passes them."""
+    return [(y, r, comparison, _eval_flow(prob, y, t, r, comparison).F_hat)
+            for y, r, comparison in flows]
+
+
 def step(prob, y, t, dt, r=0, comparison=False):
     """One step of a single flow as run_flow takes it: (y1, dt used)."""
-    new, dt_used, _ = _attempt_step(prob, [(y, r, comparison)], t, dt)
+    new, dt_used, _ = _attempt_step(prob, states(prob, t, (y, r, comparison)), t, dt)
     return new[0][0], dt_used
 
 
@@ -209,17 +216,18 @@ def test_step_rk4_retry_path():
     # one large step, forcing the halving retry
     prob = density_problem(5.0)
     dt_req = 0.5
-    _, dt_used, halvings = _attempt_step(prob, [(prob.phi0_hat.copy(), 0, False)],
-                                         0.0, dt_req)
+    _, dt_used, halvings = _attempt_step(
+        prob, states(prob, 0.0, (prob.phi0_hat.copy(), 0, False)), 0.0, dt_req)
     assert halvings > 0
     assert dt_used == dt_req * 0.5 ** halvings
 
 
-def test_attempt_step_singularity_stop():
+def test_attempt_step_singularity_stop(monkeypatch):
     prob = density_problem(5.0)
     y = prob.phi0_hat.copy()
+    monkeypatch.setattr(mkrf.flow, "MAX_HALVINGS", 1)
     with pytest.raises(SingularityStopError):
-        _attempt_step(prob, [(y, 0, False)], 0.0, 0.5, max_halvings=1)
+        _attempt_step(prob, states(prob, 0.0, (y, 0, False)), 0.0, 0.5)
 
 
 def test_normalization_constant_cases():
@@ -236,7 +244,8 @@ def test_scaled_raw_lockstep_consistency():
     yu, yv = prob.phi0_hat.copy(), prob.phi0_hat.copy()
     t, dt = 0.0, 2e-3
     for _ in range(40):
-        new, dt_used, _ = _attempt_step(prob, [(yu, 0, False), (yv, r, False)], t, dt)
+        new, dt_used, _ = _attempt_step(prob, states(prob, t, (yu, 0, False), (yv, r, False)),
+                                        t, dt)
         (yu, _), (yv, _) = new
         t += dt_used
     assert t == pytest.approx(40 * dt)
@@ -393,13 +402,12 @@ def reference_lawson_stages(prob, y, t, dt, r, comparison):
 
 
 @pytest.mark.parametrize("comparison", [False, True])
-@pytest.mark.parametrize("with_f0", [False, True])
-def test_lawson_step_matches_allocating_reference(comparison, with_f0):
+def test_lawson_step_matches_allocating_reference(comparison):
     # the in-place stage arithmetic is bit-identical to the plain expressions
     prob = collapsed_problem()
     y = prob.phi0_hat.copy()
     t, dt, r = 0.3, 0.01, prob.scaled_r
-    F0 = _eval_flow(prob, y, t, r, comparison).F_hat if with_f0 else None
+    F0 = _eval_flow(prob, y, t, r, comparison).F_hat
     got, _ = _lawson_rk4(prob, y, t, dt, r, comparison, F0=F0)
     want = reference_lawson_rk4(prob, y, t, dt, r, comparison)
     assert np.array_equal(got, want)
@@ -418,8 +426,7 @@ def test_full_eval_result_owns_its_arrays():
     y2 = y * 1.01
     _eval_flow(prob, y2, 0.3, r, False)
     _eval_flow(prob, y2, 0.3, r, True, full=True)
-    states = [(y, r, False, evs[0].F_hat), (y, r, True, evs[1].F_hat)]
-    _attempt_step(prob, states, 0.2, 0.05)
+    _attempt_step(prob, [(y, r, False, evs[0].F_hat), (y, r, True, evs[1].F_hat)], 0.2, 0.05)
     for ev, saved in zip(evs, before):
         for a, b in zip(arrays(ev), saved):
             assert np.array_equal(a, b)
@@ -432,12 +439,11 @@ def test_lockstep_step_peak_allocation():
     prob = collapsed_problem(N=16)
     r = prob.scaled_r
     y = prob.phi0_hat.copy()
-    states = [(y, r, False, _eval_flow(prob, y, 0.0, r, False).F_hat),
-              (y, r, True, _eval_flow(prob, y, 0.0, r, True).F_hat)]
-    _attempt_step(prob, states, 0.0, 0.01)
+    lockstep = states(prob, 0.0, (y, r, False), (y, r, True))
+    _attempt_step(prob, lockstep, 0.0, 0.01)
     tracemalloc.start()
     try:
-        _attempt_step(prob, states, 0.0, 0.01)
+        _attempt_step(prob, lockstep, 0.0, 0.01)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -447,6 +453,7 @@ def test_lockstep_step_peak_allocation():
 def test_nonfinite_state_is_breakdown_not_singularity(monkeypatch):
     prob = finite_problem()
     y = prob.phi0_hat.copy()
+    flow_states = states(prob, 0.0, (y, 0, False))
     y[1, 0, 0, 0] = np.nan
     calls = []
     real_eval = mkrf.flow._eval_flow
@@ -457,7 +464,7 @@ def test_nonfinite_state_is_breakdown_not_singularity(monkeypatch):
 
     monkeypatch.setattr(mkrf.flow, "_eval_flow", counting_eval)
     with pytest.raises(FlowBreakdownError):
-        _attempt_step(prob, [(y, 0, False)], 0.0, 0.01)
+        _attempt_step(prob, flow_states, 0.0, 0.01)
     assert len(calls) == 1  # no halving retries
 
 

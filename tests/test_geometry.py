@@ -123,9 +123,9 @@ def test_positivity_test_decides_as_the_eigenvalue_scan(n, data):
     floor = data.draw(st.sampled_from([POSITIVITY_EPS, 1e-3, 0.5]))
     for diagonal in comps[:n]:
         diagonal += shift
-    lam = lambda_min_components(comps)
-    assume(float(np.abs(lam - floor).min()) > 1e-9)
     det = det_components(comps)
+    lam = lambda_min_components(comps, det)
+    assume(float(np.abs(lam - floor).min()) > 1e-9)
     expected = bool(float(lam.min()) >= floor)
     assert positive_components(comps, det, floor) == expected
     assert positive_components(comps, det, floor, work=np.empty(shape)) == expected
@@ -177,9 +177,18 @@ def test_trace_pair_matches_dense_oracle():
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("with_det", [False, True])
 def test_trace_pair_in_place_is_bit_identical(n, with_det):
-    # the in-place form consumes a hessian_components-shaped stack and keeps
-    # the operation order of the allocating one
+    # the pairing consumes a hessian_components-shaped stack and keeps the
+    # operation order of the plain formula
     from mkrf.geometry import det_components, trace_pair_components
+
+    def plain(phi, psi, det):
+        if n == 1:
+            return psi[0] / phi[0]
+        f11, f22, fp, fq = phi
+        s11, s22, sp, sq = psi
+        if det is None:
+            det = det_components(phi)
+        return (f22 * s11 + f11 * s22 - 2.0 * (fp * sp + fq * sq)) / det
 
     rng = np.random.default_rng(11)
     shape = GridSpec(n, 8).shape
@@ -188,11 +197,22 @@ def test_trace_pair_in_place_is_bit_identical(n, with_det):
     phi = tuple(phi)
     stack = rng.standard_normal((n * n,) + shape)
     det = det_components(phi) if with_det else None
-    want = trace_pair_components(phi, tuple(stack.copy()), det)
-    got = trace_pair_components(phi, stack, det, overwrite_psi=True)
+    want = plain(phi, stack.copy(), det)
+    got = trace_pair_components(phi, stack, det)
     assert np.array_equal(got, want)
     assert np.shares_memory(got, stack[0])
 
+
+def test_trace_pair_leaves_its_arguments_alone():
+    # the public pairing copies the rows the componentwise one overwrites
+    grid = GridSpec(2, 8)
+    rng = np.random.default_rng(5)
+    phi = 0.1 * rng.standard_normal((4,) + grid.shape)
+    phi[:2] += 1.0
+    psi = rng.standard_normal((4,) + grid.shape)
+    kept = (phi.copy(), psi.copy())
+    trace_pair(phi, psi)
+    assert np.array_equal(phi, kept[0]) and np.array_equal(psi, kept[1])
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -207,7 +227,7 @@ def test_trace_pair_reads_an_iterator_of_rows_in_order(n):
     phi[:n] += 1.0
     phi = tuple(phi)
     stack = rng.standard_normal((n * n,) + shape)
-    want = trace_pair_components(phi, stack.copy(), 1.0, overwrite_psi=True)
+    want = trace_pair_components(phi, stack.copy(), 1.0)
     made = []
 
     def rows():
@@ -218,7 +238,7 @@ def test_trace_pair_reads_an_iterator_of_rows_in_order(n):
             made.append(weakref.ref(row[0]))
             yield row.pop()
 
-    got = trace_pair_components(phi, rows(), 1.0, overwrite_psi=True)
+    got = trace_pair_components(phi, rows(), 1.0)
     assert len(made) == n * n and made[0]() is got
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 

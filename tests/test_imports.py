@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every parameter of its functions is read.
+"""Every name a module of the package imports is used in that module, every
+parameter of its functions is read, and every defaulted parameter is passed
+by some call in the package.
 
 No linter ships with the project; these are the lint checks it keeps.
 ``__init__.py`` is left out of the import check: its imports are the
@@ -7,6 +8,7 @@ package's public names.
 """
 
 import ast
+import math
 from pathlib import Path
 
 import pytest
@@ -98,3 +100,81 @@ def test_unread_parameter_is_caught():
     )
     assert [(fn, arg) for fn, arg, _ in unread_parameters(tree)] == [
         ("m", "a"), ("m", "kw"), ("<lambda>", "y")]
+
+
+def definitions(tree):
+    """(call name, node) of every function and method; a class's
+    ``__init__`` goes by the class name, the name its calls use."""
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield (cls if cls and child.name == "__init__" else child.name), child
+                yield from visit(child, None)
+            else:
+                yield from visit(child, child.name if isinstance(child, ast.ClassDef) else cls)
+    return visit(tree, None)
+
+
+def unpassed_defaults(trees, exempt=()):
+    """(file, function, parameter, line) of every defaulted parameter that no
+    call in the trees passes, by keyword or by position; trees maps file
+    names to parsed modules.
+
+    Calls are matched to definitions by name, and a ``Class(...)`` call is a
+    call of the class's ``__init__``.  A ``*args`` or ``**kwargs`` argument
+    passes every position or keyword.  ``exempt`` names functions whose
+    defaults are left alone.
+    """
+    positions, keywords = {}, {}
+    for call in (n for tree in trees.values() for n in ast.walk(tree)
+                 if isinstance(n, ast.Call)):
+        func = call.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        n_pos = len(call.args)
+        if any(isinstance(a, ast.Starred) for a in call.args):
+            n_pos = math.inf
+        positions[name] = max(positions.get(name, 0), n_pos)
+        keywords.setdefault(name, set()).update(kw.arg for kw in call.keywords)
+    for file, tree in trees.items():
+        for name, node in definitions(tree):
+            if name in exempt:
+                continue
+            args = node.args
+            params = [*args.posonlyargs, *args.args]
+            # a method's calls do not pass self or cls by position
+            bound = 1 if params and params[0].arg in ("self", "cls") else 0
+            first_default = len(params) - len(args.defaults)
+            defaulted = [(i - bound, p) for i, p in enumerate(params) if i >= first_default]
+            defaulted += [(math.inf, p) for p, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            kws = keywords.get(name, set())
+            for i, p in defaulted:
+                # a keyword of None is a ** argument
+                if positions.get(name, 0) <= i and not kws & {p.arg, None}:
+                    yield file, name, p.arg, node.lineno
+
+
+def test_every_default_is_overridden_somewhere():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+             for p in sorted(SRC.glob("*.py"))}
+    # main(argv) is the console entry point; tests pass argv
+    knobs = [f"{fn}({arg}) ({file}, line {line})"
+             for file, fn, arg, line in unpassed_defaults(trees, exempt=("main",))]
+    assert not knobs, f"defaulted parameters no call in src/mkrf passes: {knobs}"
+
+
+def test_unpassed_default_is_caught():
+    tree = ast.parse(
+        "def f(a, b=1, c=2, *, d=3, e=4):\n"
+        "    return a, b, c, d, e\n"
+        "class K:\n"
+        "    def __init__(self, x, y=0):\n"
+        "        self.v = f(x, 5, d=y)\n"
+        "    def m(self, z=None):\n"
+        "        return z\n"
+        "def main(argv=None):\n"
+        "    return K(1).m()\n"
+    )
+    found = unpassed_defaults({"m.py": tree}, exempt=("main",))
+    assert sorted((fn, arg) for _, fn, arg, _ in found) == [
+        ("K", "y"), ("f", "c"), ("f", "e"), ("m", "z")]

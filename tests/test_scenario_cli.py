@@ -292,6 +292,20 @@ def test_cy_solve_rejects_degenerate_target(capsys):
     assert "positive definite" in capsys.readouterr().err
 
 
+def test_cy_solve_rejects_nearly_singular_limit_class(tmp_path, capsys):
+    # an eigenvalue of Ainf above zero but below the positivity threshold:
+    # classify calls the pencil a Kahler limit, cy-solve names the field
+    cfg = tmp_path / "near.json"
+    eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    near = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [5e-11, 0.0]]]
+    cfg.write_text(Scenario(name="near", n=2, N=8, A0=eye, Ainf=near).to_json())
+    assert main(["classify", "--config", str(cfg)]) == 0
+    assert "regime=KAHLER_LIMIT" in capsys.readouterr().out
+    assert main(["cy-solve", "--config", str(cfg)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: Ainf:") and "positive definite" in err
+
+
 def test_cy_solve_builds_no_flow_problem(tmp_path, monkeypatch):
     # the limit equation reads only Ainf, phi_inf and log_h
     import mkrf.flow
