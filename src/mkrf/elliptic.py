@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .geometry import (
     POSITIVITY_EPS,
@@ -244,6 +243,8 @@ class _FrameOperators:
         It returns a fresh array on every call, the first Hessian row
         overwritten by the pairing: lgmres keeps them in its Krylov basis.
         """
+        import scipy.sparse.linalg as spla  # see solve
+
         grid = self.grid
         npts = grid.num_points
         # det tr(g^{-1} S) = tr(adj(g) S): the pairing with the determinant
@@ -275,7 +276,12 @@ class _FrameOperators:
         once it meets rtol, or once a cycle removed less than
         1 - STAGNATION_RATIO of the residual it started from.  Each cycle
         after the first opens with lgmres's own true-residual application.
+
+        scipy.sparse.linalg is imported here, at the first Krylov solve, and
+        not with the module: a run without Newton solves never loads it.
         """
+        import scipy.sparse.linalg as spla
+
         K = self.operator(comps, mean_det)
         rhs_norm = float(np.linalg.norm(rhs))
         y = None

@@ -40,6 +40,15 @@ step that loses positivity is halved.  No separate stability bound is
 needed: where the non-constant remainder of the Laplacian is stiff, rejected
 steps hold dt at the controller's stability boundary.  A finite-time run
 ends at T - STOP_MARGIN.
+
+The collapsed-regime monitors read the comparison flow at lagged times
+through q_S = (1 - e^S) dv/dt(t) + v(t) - w(t - S), S in monitors.S_LIST,
+interpolating linearly between the two snapshots of w that bracket t - S.
+Snapshots fall every SNAP_DT, and the one at s is stored and kept only while
+some lag can still read it from a record time t up to t_max:
+t - S - SNAP_DT < s < t_max - S + SNAP_DT.  The history so spans at most
+the longest lag plus two snapshot intervals, and near t_max it keeps only
+the snapshots around each t_max - S.
 """
 
 from __future__ import annotations
@@ -441,8 +450,8 @@ def normalization_constant(problem: FlowProblem) -> float:
 @dataclass
 class RunOptions:
     t_max: float
-    run_comparison: bool = False
-    dt_cap: float = 0.02
+    run_comparison: bool
+    dt_cap: float
 
 
 @dataclass
@@ -459,8 +468,28 @@ class RunResult:
     step_control: dict
 
 
+def _lag_readable(s: float, t: float, t_max: float) -> bool:
+    """Whether a lag S of monitors.S_LIST can still read the comparison-flow
+    snapshot at s from a record time in [t, t_max].
+
+    A lookup at t - S reads the two snapshots that bracket it, which lie
+    less than SNAP_DT from it, so s is read iff t - S - SNAP_DT < s <
+    t_max - S + SNAP_DT for some S; both ends are widened by the ring's time
+    tolerance, so a query that lands on a snapshot up to round-off still
+    finds its neighbour.
+    """
+    return any(t - S - SNAP_DT - 1e-9 < s < t_max - S + SNAP_DT + 1e-9
+               for S in monitors.S_LIST)
+
+
 def _w_ring_lookup(ring, t_query):
-    """Linear interpolation between stored comparison-flow snapshots."""
+    """Linear interpolation between the two stored comparison-flow snapshots
+    that bracket t_query.
+
+    None when no stored pair brackets it, or when the bracketing pair is
+    more than SNAP_DT apart: a snapshot missing from the history is never
+    interpolated across.
+    """
     if not ring or t_query < ring[0][0] - 1e-9:
         return None
     lo = None
@@ -471,6 +500,8 @@ def _w_ring_lookup(ring, t_query):
             if lo is None:
                 return None
             t0, a0 = lo
+            if ts - t0 > SNAP_DT + 1e-9:
+                return None
             lam = (t_query - t0) / (ts - t0)
             return (1.0 - lam) * a0 + lam * arr
     t0, a0 = lo
@@ -542,6 +573,7 @@ def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
     # which bound set each accepted dt ("positivity": halved on positivity loss)
     limits = dict.fromkeys(("error", "dt_cap", "event", "positivity"), 0)
     w_ring = []
+    lag_snapshots_max = 0
     uhat_snaps = []
     # the lockstep flows by their comparison flag, the u/v flow first; ys
     # and evs hold each one's spectral state and its full evaluation there
@@ -563,7 +595,7 @@ def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
         return w_phys, evs[1].rhs_phys - w_phys
 
     def record(dt_used):
-        nonlocal prev_combo
+        nonlocal prev_combo, lag_snapshots_max
         ev = evs[0]
         phi_t, v_phys, u_hat, ut_hat = uv_fields()
         lam = lambda_min_components(ev.comps, ev.det)
@@ -601,7 +633,6 @@ def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
             row["max_v"] = float(v_phys.max())
             row["min_vt"] = float(ev.rhs_phys.min())
             row["max_vt"] = float(ev.rhs_phys.max())
-        w_phys = None
         if run_w:
             w_phys, w_dot = w_fields(phi_t)
             row["min_w"] = float(w_phys.min())
@@ -610,6 +641,13 @@ def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
             row["max_wt"] = float(w_dot.max())
             Q = np.expm1(t) * w_dot - w_phys - (n - r) * t - r * math.exp(t)
             row["margin_appendix_w"] = -r - float(Q.max())
+            # the lag history holds a w field every SNAP_DT, stored and kept
+            # only while some lag can still read it (_lag_readable); w_phys
+            # is fresh, so the ring holds it uncopied
+            w_ring[:] = [snap for snap in w_ring if _lag_readable(snap[0], t, t_max)]
+            if abs(t / SNAP_DT - round(t / SNAP_DT)) < 1e-9 and _lag_readable(t, t, t_max):
+                w_ring.append((t, w_phys))
+            lag_snapshots_max = max(lag_snapshots_max, len(w_ring))
             for S in monitors.S_LIST:
                 wpast = _w_ring_lookup(w_ring, t - S)
                 if wpast is None:
@@ -625,7 +663,7 @@ def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
                 violations[res.name] = res.margin
         if not all(math.isfinite(row[c]) or math.isnan(row[c]) for c in columns):
             raise FlowBreakdownError(f"non-finite observables at t={t:.6f}")
-        return u_hat, w_phys
+        return u_hat
 
     def evaluate(y1, d, comparison, t_new, dt_used):
         """One flow's full evaluation at its new state y1 and its step's error;
@@ -657,17 +695,12 @@ def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
 
     try:
         while True:
-            u_hat_arr, w_arr = record(dt_last)
-            if run_w and (abs(t / SNAP_DT - round(t / SNAP_DT)) < 1e-9 or t == 0.0):
-                w_ring.append((t, w_arr.copy()))
-                horizon = max(monitors.S_LIST) + 2 * SNAP_DT
-                while w_ring and w_ring[0][0] < t - horizon:
-                    w_ring.pop(0)
+            u_hat_arr = record(dt_last)
             if collect_snaps and (
                 t == 0.0
                 or abs(t / UHAT_SNAP_DT - round(t / UHAT_SNAP_DT)) < 1e-9
             ):
-                uhat_snaps.append((t, u_hat_arr.copy()))
+                uhat_snaps.append((t, u_hat_arr))
             if t >= t_max - 1e-12:
                 status, stop_reason = "completed", "reached t_max"
                 if regime == Regime.FINITE_TIME:
@@ -764,5 +797,6 @@ def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
             "limits": limits,
             "max_error": max_err,
             "tol": STEP_TOL,
+            "lag_snapshots_max": lag_snapshots_max,
         },
     )

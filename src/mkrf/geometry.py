@@ -30,7 +30,7 @@ BISECTION_TOL = 1e-12
 class SingularMetricError(Exception):
     """Positivity loss of a metric at some grid point."""
 
-    def __init__(self, lambda_min: float, location, t: float | None = None):
+    def __init__(self, lambda_min: float, location, t: float | None):
         self.lambda_min = float(lambda_min)
         self.location = tuple(int(i) for i in location)
         self.t = t

@@ -79,7 +79,7 @@ def _argmin_loc(arr: np.ndarray) -> tuple:
     return tuple(int(i) for i in np.unravel_index(int(np.argmin(arr)), arr.shape))
 
 
-def check_core(snap: StepSnapshot, prev_combo_min: float | None = None) -> MonitorReport:
+def check_core(snap: StepSnapshot, prev_combo_min: float | None) -> MonitorReport:
     """Per-step estimates: sign bounds, the exponential-weight inequality,
     the finite-time chain, monotonicity of the combined rate, conservation,
     and metric positivity."""

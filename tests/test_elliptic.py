@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from mkrf.elliptic import (
     EllipticProblem,
@@ -221,7 +222,7 @@ def test_newton_report_records_forcing_and_matvecs(monkeypatch):
     # Krylov solution y: K y is J delta for the Newton step delta
     systems = []
     real_solve = elliptic._FrameOperators.solve
-    real_lgmres = elliptic.spla.lgmres
+    real_lgmres = spla.lgmres
 
     def recording_solve(ops, comps, mean_det, rhs, rtol):
         y, Ky = real_solve(ops, comps, mean_det, rhs, rtol)
@@ -233,7 +234,7 @@ def test_newton_report_records_forcing_and_matvecs(monkeypatch):
         return real_lgmres(K, b, **kwargs)
 
     monkeypatch.setattr(elliptic._FrameOperators, "solve", recording_solve)
-    monkeypatch.setattr(elliptic.spla, "lgmres", unpreconditioned_lgmres)
+    monkeypatch.setattr(spla, "lgmres", unpreconditioned_lgmres)
     calls.clear()
     _, rep = newton_from(prob)
     assert rep.iterations >= 3
@@ -449,14 +450,14 @@ def test_krylov_solve_keeps_K_y_current(monkeypatch, n, inner_m):
     K = ops.operator(comps, mean_det)
     # a right-hand side in the range of K
     rhs = K.matvec(np.random.default_rng(11).standard_normal(g.num_points))
-    real = elliptic.spla.lgmres
+    real = spla.lgmres
     maxiters = []
 
     def restarted(K, b, **kwargs):
         maxiters.append(kwargs["maxiter"])
         return real(K, b, **{**kwargs, "inner_m": inner_m})
 
-    monkeypatch.setattr(elliptic.spla, "lgmres", restarted)
+    monkeypatch.setattr(spla, "lgmres", restarted)
     y, Ky = ops.solve(comps, mean_det, rhs, 1e-10)
     assert set(maxiters) == {1}
     assert (len(maxiters) == 1) == (inner_m == 30)
@@ -805,7 +806,7 @@ def test_coarse_failure_falls_back_to_the_zero_start(monkeypatch, failure):
     prob = nested_problem(16)
     Z, zero = newton_from(prob)
     exc = ((lambda: NewtonConvergenceError(NewtonReport(iterations=3, matvecs=[1, 2, 3])))
-           if failure == "convergence" else (lambda: SingularMetricError(-1.0, (0, 0, 0, 0))))
+           if failure == "convergence" else (lambda: SingularMetricError(-1.0, (0, 0, 0, 0), None)))
     _coarse_newton_fails(monkeypatch, exc)
     U, rep = solve_cy(prob)
     assert rep.start == "zero"

@@ -277,7 +277,7 @@ def test_comparison_state_roundtrip():
 
 def test_run_flow_kahler_completes():
     prob = flat_problem(n=1, N=16, h_const=1.1)
-    res = run_flow(prob, RunOptions(t_max=2.0))
+    res = run_flow(prob, RunOptions(t_max=2.0, run_comparison=False, dt_cap=0.02))
     assert res.status == "completed"
     assert res.series["t"][-1] == pytest.approx(2.0)
     assert min(res.series["margin_ut_hat_nonpos"]) > -1e-8
@@ -286,7 +286,7 @@ def test_run_flow_kahler_completes():
 
 def test_run_flow_finite_time_stops_near_T():
     prob = finite_problem()
-    res = run_flow(prob, RunOptions(t_max=5.0))
+    res = run_flow(prob, RunOptions(t_max=5.0, run_comparison=False, dt_cap=0.02))
     assert res.status == "singularity-stop"
     assert res.stop_reason.startswith("finite-time approach window")
     T = prob.path.T
@@ -311,10 +311,32 @@ def test_run_flow_collapsed_with_comparison():
     assert "w" in res.final and "v" in res.final
 
 
+def test_lag_history_holds_only_readable_snapshots():
+    # a run shorter than the lags' span stores fewer snapshots than the
+    # 53 a full span holds, and every lag still finds both of its brackets
+    res = run_flow(collapsed_problem(), RunOptions(t_max=5.5, run_comparison=True, dt_cap=0.05))
+    assert res.status == "completed"
+    for S in (1, 3, 5):
+        rows = [q for t, q in zip(res.series["t"], res.series[f"min_q_s{S}"]) if t >= S]
+        assert rows and all(math.isfinite(q) for q in rows), S
+    assert res.step_control["lag_snapshots_max"] <= 41
+
+
+def test_lag_lookup_never_interpolates_across_a_gap():
+    ring = [(0.0, np.zeros(2)), (0.1, np.ones(2)), (0.3, np.full(2, 3.0))]
+    assert np.allclose(mkrf.flow._w_ring_lookup(ring, 0.05), 0.5)
+    assert np.array_equal(mkrf.flow._w_ring_lookup(ring, 0.3), ring[2][1])
+    # 0.1 and 0.3 bracket both queries, and 0.2 is missing
+    assert mkrf.flow._w_ring_lookup(ring, 0.1) is None
+    assert mkrf.flow._w_ring_lookup(ring, 0.2) is None
+    assert mkrf.flow._w_ring_lookup(ring, 0.35) is None
+    assert mkrf.flow._w_ring_lookup(ring, -0.05) is None
+
+
 def test_run_flow_is_deterministic():
     prob = flat_problem(n=1, N=16, h_const=1.2)
-    r1 = run_flow(prob, RunOptions(t_max=1.0))
-    r2 = run_flow(prob, RunOptions(t_max=1.0))
+    r1 = run_flow(prob, RunOptions(t_max=1.0, run_comparison=False, dt_cap=0.02))
+    r2 = run_flow(prob, RunOptions(t_max=1.0, run_comparison=False, dt_cap=0.02))
     assert r1.series == r2.series
 
 
@@ -344,7 +366,7 @@ def test_run_flow_u_dot_matches_rhs():
 def test_flat_run_margins_at_machine_precision():
     # stationary flat data: every core margin should sit at round-off
     prob = flat_problem(n=1, N=16)
-    res = run_flow(prob, RunOptions(t_max=0.5))
+    res = run_flow(prob, RunOptions(t_max=0.5, run_comparison=False, dt_cap=0.02))
     for key in ("margin_u_hat_nonpos", "margin_ut_hat_nonpos", "margin_eq7",
                 "margin_conservation"):
         assert min(res.series[key]) >= -1e-12
@@ -617,14 +639,14 @@ def test_error_estimate_alone_keeps_a_rough_run_stable():
             VolumeDensity(ScalarField(g, np.ones(g.shape))),
         )
 
-    opts = RunOptions(t_max=2.0)
+    opts = RunOptions(t_max=2.0, run_comparison=False, dt_cap=0.02)
     res = run_flow(rough(), opts)
     assert res.status == "completed"
     assert res.step_control["rejections"] > 0
     assert res.step_control["max_error"] <= mkrf.flow.STEP_TOL
     # at dt_cap / 8 the estimate still sets the first steps; dt_cap / 32
     # is within 5e-8 of dt_cap / 64
-    ref = run_flow(rough(), RunOptions(t_max=2.0, dt_cap=opts.dt_cap / 32))
+    ref = run_flow(rough(), RunOptions(t_max=2.0, run_comparison=False, dt_cap=opts.dt_cap / 32))
     assert ref.status == "completed"
     err = np.abs(res.final["u_hat"].values - ref.final["u_hat"].values).max()
     assert err <= mkrf.flow.STEP_TOL
@@ -690,7 +712,8 @@ def test_finite_time_preset_mean_mode_converges_in_dt_cap():
     sc = load_scenario("finite-time", None)
     prob = build_problem(sc)
     means = [
-        float(run_flow(prob, RunOptions(t_max=sc.t_max, dt_cap=cap)).final["u_hat"].values.mean())
+        float(run_flow(prob, RunOptions(t_max=sc.t_max, run_comparison=False, dt_cap=cap))
+              .final["u_hat"].values.mean())
         for cap in (0.02, 0.01)
     ]
     assert abs(means[0] - means[1]) <= 1e-7

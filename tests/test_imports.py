@@ -1,14 +1,18 @@
 """Every name a module of the package imports is used in that module, every
 parameter of its functions is read, and every defaulted parameter is passed
-by some call in the package.
+by some call in the package and left to its default by another.
 
 No linter ships with the project; these are the lint checks it keeps.
 ``__init__.py`` is left out of the import check: its imports are the
-package's public names.
+package's public names.  A last check keeps scipy's sparse solvers out of
+the processes that never run a Newton solve.
 """
 
 import ast
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -115,26 +119,36 @@ def definitions(tree):
     return visit(tree, None)
 
 
-def unpassed_defaults(trees, exempt=()):
-    """(file, function, parameter, line) of every defaulted parameter that no
-    call in the trees passes, by keyword or by position; trees maps file
-    names to parsed modules.
+def call_index(trees):
+    """Call name -> [(passed positions, keywords, unpacks)] of every call in
+    the trees; trees maps file names to parsed modules.
 
-    Calls are matched to definitions by name, and a ``Class(...)`` call is a
-    call of the class's ``__init__``.  A ``*args`` or ``**kwargs`` argument
-    passes every position or keyword.  ``exempt`` names functions whose
-    defaults are left alone.
+    The passed positions are those before the first ``*args`` argument;
+    ``unpacks`` is true when the call has a ``*args`` or ``**kwargs``
+    argument, which may pass any parameter.
     """
-    positions, keywords = {}, {}
+    calls = {}
     for call in (n for tree in trees.values() for n in ast.walk(tree)
                  if isinstance(n, ast.Call)):
         func = call.func
         name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        n_pos = len(call.args)
-        if any(isinstance(a, ast.Starred) for a in call.args):
-            n_pos = math.inf
-        positions[name] = max(positions.get(name, 0), n_pos)
-        keywords.setdefault(name, set()).update(kw.arg for kw in call.keywords)
+        starred = [i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)]
+        keywords = {kw.arg for kw in call.keywords if kw.arg is not None}
+        unpacks = bool(starred) or len(keywords) < len(call.keywords)
+        n_pos = starred[0] if starred else len(call.args)
+        calls.setdefault(name, []).append((n_pos, keywords, unpacks))
+    return calls
+
+
+def defaulted_parameters(trees, exempt):
+    """(file, function, position, parameter, line) of every defaulted
+    parameter, its position counted as its calls pass it (math.inf for a
+    keyword-only one).
+
+    Calls are matched to definitions by name, and a ``Class(...)`` call is
+    a call of the class's ``__init__``.  ``exempt`` names functions whose
+    defaults are left alone.
+    """
     for file, tree in trees.items():
         for name, node in definitions(tree):
             if name in exempt:
@@ -144,22 +158,47 @@ def unpassed_defaults(trees, exempt=()):
             # a method's calls do not pass self or cls by position
             bound = 1 if params and params[0].arg in ("self", "cls") else 0
             first_default = len(params) - len(args.defaults)
-            defaulted = [(i - bound, p) for i, p in enumerate(params) if i >= first_default]
-            defaulted += [(math.inf, p) for p, d in zip(args.kwonlyargs, args.kw_defaults)
-                          if d is not None]
-            kws = keywords.get(name, set())
-            for i, p in defaulted:
-                # a keyword of None is a ** argument
-                if positions.get(name, 0) <= i and not kws & {p.arg, None}:
-                    yield file, name, p.arg, node.lineno
+            for i, p in enumerate(params):
+                if i >= first_default:
+                    yield file, name, i - bound, p.arg, node.lineno
+            for p, d in zip(args.kwonlyargs, args.kw_defaults):
+                if d is not None:
+                    yield file, name, math.inf, p.arg, node.lineno
+
+
+def unpassed_defaults(trees, exempt=()):
+    """(file, function, parameter, line) of every defaulted parameter that no
+    call in the trees passes, by keyword or by position (see
+    defaulted_parameters); a call that unpacks arguments may pass it."""
+    calls = call_index(trees)
+    for file, name, i, arg, line in defaulted_parameters(trees, exempt):
+        if not any(unpacks or i < n_pos or arg in kws
+                   for n_pos, kws, unpacks in calls.get(name, ())):
+            yield file, name, arg, line
+
+
+def always_passed_defaults(trees, exempt=()):
+    """(file, function, parameter, line) of every defaulted parameter that
+    every call in the trees passes, so its default is never taken; functions
+    without a call in the trees are left out.  A call that unpacks
+    arguments may leave the parameter to its default."""
+    calls = call_index(trees)
+    for file, name, i, arg, line in defaulted_parameters(trees, exempt):
+        found = calls.get(name, ())
+        if found and all(not unpacks and (i < n_pos or arg in kws)
+                         for n_pos, kws, unpacks in found):
+            yield file, name, arg, line
+
+
+def package_trees():
+    return {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+            for p in sorted(SRC.glob("*.py"))}
 
 
 def test_every_default_is_overridden_somewhere():
-    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
-             for p in sorted(SRC.glob("*.py"))}
     # main(argv) is the console entry point; tests pass argv
     knobs = [f"{fn}({arg}) ({file}, line {line})"
-             for file, fn, arg, line in unpassed_defaults(trees, exempt=("main",))]
+             for file, fn, arg, line in unpassed_defaults(package_trees(), exempt=("main",))]
     assert not knobs, f"defaulted parameters no call in src/mkrf passes: {knobs}"
 
 
@@ -178,3 +217,46 @@ def test_unpassed_default_is_caught():
     found = unpassed_defaults({"m.py": tree}, exempt=("main",))
     assert sorted((fn, arg) for _, fn, arg, _ in found) == [
         ("K", "y"), ("f", "c"), ("f", "e"), ("m", "z")]
+
+
+def test_every_default_is_taken_somewhere():
+    unused = [f"{fn}({arg}) ({file}, line {line})"
+              for file, fn, arg, line in always_passed_defaults(package_trees())]
+    assert not unused, f"defaults no call in src/mkrf takes: {unused}"
+
+
+def test_always_passed_default_is_caught():
+    tree = ast.parse(
+        "def f(a, b=1, c=2, *, d=3):\n"
+        "    return a, b, c, d\n"
+        "def g(x=0):\n"
+        "    return x\n"
+        "def h(y=0):\n"
+        "    return y\n"
+        "class K:\n"
+        "    def __init__(self, z=None):\n"
+        "        self.z = z\n"
+        "f(1, 2, d=4)\n"
+        "f(1, b=3, d=5)\n"
+        "K(z=1)\n"
+        "h(*[1])\n"
+    )
+    found = always_passed_defaults({"m.py": tree})
+    assert sorted((fn, arg) for _, fn, arg, _ in found) == [("K", "z"), ("f", "b"), ("f", "d")]
+
+
+def test_cli_and_a_finite_time_run_leave_scipy_sparse_unloaded(tmp_path):
+    # only a Krylov solve imports scipy.sparse.linalg; a finite-time run has none
+    code = (
+        "import sys\n"
+        "import mkrf.cli\n"
+        "loaded = ['scipy.sparse' in sys.modules]\n"
+        "rc = mkrf.cli.main(['run', '--preset', 'finite-time', '--out', sys.argv[1]])\n"
+        "loaded.append('scipy.sparse' in sys.modules)\n"
+        "print(rc, *loaded)\n"
+    )
+    path = [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "run")], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.stdout.split()[-3:] == ["0", "False", "False"], out.stderr

@@ -29,7 +29,7 @@ def snapshot(u_hat, ut_hat, t=0.5, n=1, regime="KAHLER_LIMIT", T=math.inf,
 def test_core_passes_on_clean_snapshot():
     u = -0.1 * np.ones((4, 4))
     ut = -0.2 * np.ones((4, 4))
-    rep = check_core(snapshot(u, ut))
+    rep = check_core(snapshot(u, ut), None)
     assert rep.passed
     assert set(rep.margins()) == {
         "u_hat_nonpos", "ut_hat_nonpos", "eq7", "conservation", "positivity",
@@ -40,7 +40,7 @@ def test_core_flags_violation_with_location():
     u = -0.1 * np.ones((4, 4))
     u[2, 3] = 1e-3
     ut = -0.2 * np.ones((4, 4))
-    rep = check_core(snapshot(u, ut))
+    rep = check_core(snapshot(u, ut), None)
     bad = {r.name: r for r in rep.failures()}
     assert "u_hat_nonpos" in bad
     assert bad["u_hat_nonpos"].location == (2, 3)
@@ -63,7 +63,7 @@ def test_eq7_margin_matches_independent_recomputation():
     u = -np.abs(rng.standard_normal((8, 8)))
     ut = -np.abs(rng.standard_normal((8, 8)))
     t, n = 0.37, 2
-    rep = check_core(snapshot(u, ut, t=t, n=n, regime="FINITE_TIME", T=0.7))
+    rep = check_core(snapshot(u, ut, t=t, n=n, regime="FINITE_TIME", T=0.7), None)
     # recompute from the raw fields with an independently written expression
     field = u + n * t - (math.exp(t) - 1.0) * ut
     assert rep.margins()["eq7"] == pytest.approx(field.min(), abs=1e-12)
@@ -75,9 +75,9 @@ def test_eq7_margin_matches_independent_recomputation():
 def test_eq8_only_for_finite_time():
     u = -0.1 * np.ones((4, 4))
     ut = -0.2 * np.ones((4, 4))
-    rep = check_core(snapshot(u, ut, regime="KAHLER_LIMIT"))
+    rep = check_core(snapshot(u, ut, regime="KAHLER_LIMIT"), None)
     assert "eq8_chain" not in rep.margins()
-    rep2 = check_core(snapshot(u, ut, regime="FINITE_TIME", T=0.7))
+    rep2 = check_core(snapshot(u, ut, regime="FINITE_TIME", T=0.7), None)
     assert "eq8_chain" in rep2.margins()
 
 
@@ -96,7 +96,7 @@ def test_conservation_and_positivity_margins():
     u = -0.1 * np.ones((2, 2))
     ut = -0.2 * np.ones((2, 2))
     s = snapshot(u, ut, mean_det=1.0 + 5e-9, class_det=1.0)
-    rep = check_core(s)
+    rep = check_core(s, None)
     assert rep.margins()["conservation"] == pytest.approx(-5e-9)
     assert rep.passed  # tolerance 1e-8 * class_det0
 
@@ -169,6 +169,8 @@ def test_offline_reevaluation_roundtrip(tmp_path):
         VolumeDensity(ScalarField(g, np.ones(g.shape))),
     )
     res = run_flow(prob, RunOptions(t_max=12.0, run_comparison=True, dt_cap=0.05))
+    # past the lags' span the history holds at most one span of snapshots
+    assert res.step_control["lag_snapshots_max"] <= 53
     rep_live = check_collapsed(res.series, 1, 12.0, res.constants["C3"])
 
     path = tmp_path / "series.csv"
