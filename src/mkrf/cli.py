@@ -3,6 +3,13 @@
 Exit codes for `run`: 0 completed with all monitors passing, 2 completed
 with monitor violations (listed on stderr), 3 numerical breakdown,
 4 invalid configuration.
+
+`run` and `cy-solve` with --out also write timings.json, the wall seconds
+of the command's phases from its start (imports and argument parsing are
+not counted): setup_s (scenario and problem), core_s (run_flow or
+solve_cy), verdict_s (`run` only: regime reports and reference solves) and
+write_s (the run record or solution files; the report rendered after it is
+not counted).
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ import json
 import math
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -20,7 +28,7 @@ from .elliptic import NewtonConvergenceError, solve_cy, solve_psi_family
 from .flow import run_flow
 from .geometry import Regime, SingularMetricError, check_positive_components, compute_T
 from .grid import write_snapshot
-from .report import render_report, save_run
+from .report import render_report, save_run, write_timings
 from .scenario import (
     InvalidScenarioError,
     Scenario,
@@ -161,6 +169,7 @@ def verdict(scenario: Scenario, problem, result):
 
 
 def cmd_run(args) -> int:
+    start = time.perf_counter()
     try:
         sc = _load(args)
         problem = build_problem(sc)
@@ -174,12 +183,17 @@ def cmd_run(args) -> int:
     except SingularMetricError as e:
         return _inadmissible_limit(e)
     opts = run_options(sc)
+    core_start = time.perf_counter()
     result = run_flow(problem, opts)
+    core_end = time.perf_counter()
+    timings = {"setup_s": core_start - start, "core_s": core_end - core_start}
 
     if result.status == "breakdown":
         print(f"breakdown: {result.stop_reason}", file=sys.stderr)
         if args.out:
             save_run(args.out, sc, result)
+            timings["write_s"] = time.perf_counter() - core_end
+            write_timings(args.out, timings)
         return EXIT_BREAKDOWN
 
     try:
@@ -191,9 +205,13 @@ def cmd_run(args) -> int:
         return EXIT_BREAKDOWN
     except SingularMetricError as e:
         return _inadmissible_limit(e)
+    write_start = time.perf_counter()
+    timings["verdict_s"] = write_start - core_end
 
     if args.out:
         save_run(args.out, sc, result, reports, extra_constants, extra_fields)
+        timings["write_s"] = time.perf_counter() - write_start
+        write_timings(args.out, timings)
         render_report(args.out)
 
     print(
@@ -207,6 +225,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_cy_solve(args) -> int:
+    start = time.perf_counter()
     try:
         sc = _load(args)
         problem = build_limit_problem(sc)
@@ -214,6 +233,7 @@ def cmd_cy_solve(args) -> int:
     except InvalidScenarioError as e:
         print(f"invalid config: {e}", file=sys.stderr)
         return EXIT_INVALID
+    core_start = time.perf_counter()
     try:
         U, rep = solve_cy(problem)
     except ValueError as e:
@@ -225,6 +245,7 @@ def cmd_cy_solve(args) -> int:
         return EXIT_BREAKDOWN
     except SingularMetricError as e:
         return _inadmissible_limit(e)
+    core_end = time.perf_counter()
     print(
         f"converged in {rep.iterations} iterations, residual {rep.final_residual:.3e},"
         f" matvecs {sum(rep.matvecs)}"
@@ -250,6 +271,9 @@ def cmd_cy_solve(args) -> int:
                 fh, indent=2, sort_keys=True,
             )
             fh.write("\n")
+        write_timings(args.out, {"setup_s": core_start - start,
+                                  "core_s": core_end - core_start,
+                                  "write_s": time.perf_counter() - core_end})
     return EXIT_OK
 
 

@@ -5,28 +5,78 @@ and N points per real axis, row-major axis order (x1, y1, x2, y2).  All
 differentiation is spectral (discrete Fourier), so trigonometric polynomials
 below the Nyquist limit are differentiated exactly.  Complex derivatives use
 d/dz_j = (d/dx_j - i d/dy_j)/2.
+
+The transforms call scipy's compiled pocketfft kernel,
+``scipy.fft._pocketfft.pypocketfft``, loaded from its file next to scipy's
+package origin.  ``import scipy.fft`` would run the package's ``__init__``,
+which imports ``scipy.special`` and clones the numpy namespace (with
+``numpy.f2py``, ``numpy.testing``, ``numpy.random``, ...) at about 0.4 s
+per process, while mkrf needs only the real-to-complex pair.  The kernel is
+called with the arguments ``scipy.fft.rfftn`` and ``scipy.fft.irfftn`` pass
+it (axes, last size, norm code, no output array, thread count), so every
+result is bit-equal to theirs;
+``tests/test_grid.py::test_transforms_are_bit_equal_to_scipy_fft`` checks
+that on arbitrary input.  The module is registered in ``sys.modules`` under its
+scipy name, so a later ``import scipy.fft`` shares it.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import os
 import struct
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft as sfft
 
 MAGIC = b"MKRF"
 SNAPSHOT_VERSION = 1
+# scipy's name of its pocketfft extension module
+KERNEL = "scipy.fft._pocketfft.pypocketfft"
 
 
 class SnapshotFormatError(Exception):
     """Raised when a snapshot file cannot be parsed."""
 
 
+def load_kernel(directory: str):
+    """scipy's pocketfft extension module from directory, registered in
+    sys.modules under its scipy name.
+
+    Raises ImportError naming directory and scipy's version when no file of
+    the kernel is there.
+    """
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(directory, "pypocketfft" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        from importlib.metadata import version
+
+        raise ImportError(f"scipy's pocketfft kernel (pypocketfft) is not in {directory}"
+                          f" (scipy {version('scipy')})")
+    spec = importlib.util.spec_from_file_location(KERNEL, path)
+    kernel = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(kernel)
+    sys.modules[KERNEL] = kernel
+    return kernel
+
+
+# find_spec locates scipy without running any of its package code
+_pfft = load_kernel(os.path.join(
+    os.path.dirname(importlib.util.find_spec("scipy").origin), "fft", "_pocketfft"))
+
+
 def fft_workers() -> int:
-    """Thread cap for internal data-parallel FFTs (MKRF_THREADS, default 1)."""
+    """Thread count of every transform (MKRF_THREADS, default 1).
+
+    The value goes to the kernel's nthreads unchecked, and the kernel reads
+    0 as every hardware thread, so the clamp to at least 1 is what keeps
+    "0", negative and unparsable settings single-threaded.
+    """
     try:
         return max(1, int(os.environ.get("MKRF_THREADS", "1")))
     except ValueError:
@@ -136,12 +186,18 @@ def tables(n: int, N: int) -> SpectralTables:
     return SpectralTables(GridSpec(n, N))
 
 
+# pocketfft norm codes: forward unscaled, inverse scaled by 1/N^(2n)
+_NORM_FORWARD, _NORM_INVERSE = 0, 2
+
+
 def forward(values: np.ndarray) -> np.ndarray:
-    return sfft.rfftn(values, workers=fft_workers())
+    """rfftn of a real grid over all its axes."""
+    return _pfft.r2c(values, None, True, _NORM_FORWARD, None, fft_workers())
 
 
 def inverse(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
-    return sfft.irfftn(coeffs, s=grid.shape, workers=fft_workers())
+    """irfftn of rfft coefficients back to a real grid."""
+    return _pfft.c2r(coeffs, None, grid.N, False, _NORM_INVERSE, None, fft_workers())
 
 
 def hessian_components(grid: GridSpec, coeffs: np.ndarray,
@@ -160,10 +216,8 @@ def hessian_components(grid: GridSpec, coeffs: np.ndarray,
     if stencil is None:
         stencil = tables(grid.n, grid.N).stack
     stack = np.multiply(stencil, coeffs, out=buf)
-    naxes = 2 * grid.n
-    return sfft.irfftn(
-        stack, s=grid.shape, axes=tuple(range(1, naxes + 1)), workers=fft_workers()
-    )
+    axes = tuple(range(1, 2 * grid.n + 1))
+    return _pfft.c2r(stack, axes, grid.N, False, _NORM_INVERSE, None, fft_workers())
 
 
 def complex_hessian(f: ScalarField) -> np.ndarray:

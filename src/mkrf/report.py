@@ -15,6 +15,8 @@ from .grid import write_snapshot
 
 # size of every SVG plot, in pixels
 PLOT_WIDTH, PLOT_HEIGHT = 640, 400
+# side file of phase wall times, kept out of the deterministic record
+TIMINGS_FILE = "timings.json"
 
 
 def format_float(v: float) -> str:
@@ -142,10 +144,18 @@ def save_run(out_dir, scenario, result, regime_reports=None, extra_constants=Non
     return out_dir
 
 
+def write_timings(out_dir, timings: dict) -> None:
+    """Write the phase wall times (seconds by phase name) of a command."""
+    with open(os.path.join(out_dir, TIMINGS_FILE), "w", encoding="utf-8") as fh:
+        json.dump(timings, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def render_report(run_dir, out_dir=None) -> list:
     """Emit one SVG per monitored scalar column plus a text summary.
 
-    Pure function of the CSV and constants file; byte-identical on re-run.
+    Pure function of the CSV, the constants file and, when present, the
+    phase timings side file; byte-identical on re-run.
     """
     out_dir = out_dir or run_dir
     csv_path = os.path.join(run_dir, "series.csv")
@@ -205,6 +215,12 @@ def render_report(run_dir, out_dir=None) -> list:
             for c in rep["checks"]:
                 flag = "pass" if c["passed"] else "FAIL"
                 lines.append(f"  [{flag}] {c['name']}: margin={c['margin']:.6g}")
+    timings_path = os.path.join(run_dir, TIMINGS_FILE)
+    if os.path.exists(timings_path):
+        with open(timings_path, "r", encoding="utf-8") as fh:
+            timings = json.load(fh)
+        lines.append("phase wall times:")
+        lines += [f"  {k} = {v:.3f}" for k, v in sorted(timings.items())]
     summary = os.path.join(out_dir, "summary.txt")
     with open(summary, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines))

@@ -396,3 +396,66 @@ def test_hessian_hermitian_real_and_finite_on_rough_grids(n, data):
     assert np.abs(full.imag).max() <= 1e-13 * scale
     assert np.abs(full.real - hs).max() <= 1e-13 * scale
     assert np.array_equal(complex_hessian(ScalarField(grid, f)), hs)
+
+
+# --- the direct binding of scipy's pocketfft kernel --------------------------
+
+import scipy.fft  # noqa: E402
+from hypothesis import Phase  # noqa: E402
+
+from mkrf.grid import fft_workers, inverse, load_kernel, tables  # noqa: E402
+
+
+def finite_grid_values(grid):
+    """Arbitrary finite grid values: hypothesis-chosen floats (zeros, signed
+    zeros, subnormals, large magnitudes) scattered over the grid, small
+    enough that no symbol product overflows."""
+    elements = st.floats(-1e200, 1e200, allow_nan=False, allow_infinity=False)
+    pool = arrays(np.float64, st.integers(1, 64), elements=elements)
+    return st.tuples(pool, st.integers(0, 2**32 - 1)).map(
+        lambda d: np.random.default_rng(d[1]).choice(d[0], size=grid.shape))
+
+
+# a wrong kernel argument fails on every input, so shrinking (minutes on
+# n = 2 grids) would show nothing more than the first failing example
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("n", [1, 2])
+@settings(max_examples=12, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(data=st.data())
+def test_transforms_are_bit_equal_to_scipy_fft(n, threads, data):
+    N = data.draw(st.sampled_from([8, 10, 16, 24]))
+    grid = GridSpec(n, N)
+    values = data.draw(finite_grid_values(grid))
+    axes = tuple(range(1, 2 * n + 1))
+    stack = tables(n, N).stack
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("MKRF_THREADS", threads)
+        workers = int(threads)
+        coeffs = forward(values)
+        assert coeffs.tobytes() == scipy.fft.rfftn(values, workers=workers).tobytes()
+        assert (inverse(grid, coeffs).tobytes()
+                == scipy.fft.irfftn(coeffs, s=grid.shape, workers=workers).tobytes())
+        want = scipy.fft.irfftn(stack * coeffs, s=grid.shape, axes=axes, workers=workers)
+        assert hessian_components(grid, coeffs).tobytes() == want.tobytes()
+        k = data.draw(st.integers(0, len(stack) - 1))
+        buf = np.empty((1,) + coeffs.shape, dtype=np.complex128)
+        row = hessian_components(grid, coeffs, buf=buf, stencil=stack[k:k + 1])
+        assert row.tobytes() == want[k:k + 1].tobytes()
+
+
+@pytest.mark.parametrize("setting,threads", [
+    (None, 1), ("2", 2), ("0", 1), ("-3", 1), ("abc", 1)])
+def test_fft_workers_clamps_the_thread_setting(monkeypatch, setting, threads):
+    # the kernel reads nthreads=0 as every hardware thread: only fft_workers
+    # keeps such settings single-threaded, so no transform runs here
+    if setting is None:
+        monkeypatch.delenv("MKRF_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("MKRF_THREADS", setting)
+    assert fft_workers() == threads
+
+
+def test_missing_kernel_names_the_directory(tmp_path):
+    with pytest.raises(ImportError, match="scipy") as err:
+        load_kernel(str(tmp_path))
+    assert str(tmp_path) in str(err.value)

@@ -4,8 +4,9 @@ by some call in the package and left to its default by another.
 
 No linter ships with the project; these are the lint checks it keeps.
 ``__init__.py`` is left out of the import check: its imports are the
-package's public names.  A last check keeps scipy's sparse solvers out of
-the processes that never run a Newton solve.
+package's public names.  The last checks keep scipy's sparse solvers out of
+the processes that never run a Newton solve, and scipy.fft's package (with
+scipy.special) out of every process: mkrf.grid loads only its kernel.
 """
 
 import ast
@@ -245,18 +246,69 @@ def test_always_passed_default_is_caught():
     assert sorted((fn, arg) for _, fn, arg, _ in found) == [("K", "z"), ("f", "b"), ("f", "d")]
 
 
+# packages a run without Newton solves must not load; mkrf.grid loads scipy.fft's
+# compiled kernel module alone, not the package (whose __init__ imports scipy.special)
+HEAVY = ("scipy.sparse", "scipy.fft", "scipy.special")
+KERNEL = "scipy.fft._pocketfft.pypocketfft"
+
+
 def test_cli_and_a_finite_time_run_leave_scipy_sparse_unloaded(tmp_path):
     # only a Krylov solve imports scipy.sparse.linalg; a finite-time run has none
     code = (
         "import sys\n"
         "import mkrf.cli\n"
-        "loaded = ['scipy.sparse' in sys.modules]\n"
+        f"heavy, kernel = {HEAVY!r}, {KERNEL!r}\n"
+        "def loaded():\n"
+        "    return [m for m in heavy if m in sys.modules], kernel in sys.modules\n"
+        "after_import = loaded()\n"
         "rc = mkrf.cli.main(['run', '--preset', 'finite-time', '--out', sys.argv[1]])\n"
-        "loaded.append('scipy.sparse' in sys.modules)\n"
-        "print(rc, *loaded)\n"
+        "after_run = loaded()\n"
+        "ours = sys.modules[kernel]\n"
+        "import scipy.fft\n"
+        "from scipy.fft._pocketfft import pypocketfft\n"
+        "works = scipy.fft.irfftn(scipy.fft.rfftn([[1.0, 2.0], [3.0, 4.0]]), s=(2, 2))\n"
+        "shared = pypocketfft is ours and sys.modules[kernel] is ours\n"
+        "print(repr((rc, after_import, after_run, shared, works.tolist())))\n"
     )
     path = [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "run")], env=env,
                          capture_output=True, text=True, timeout=300)
-    assert out.stdout.split()[-3:] == ["0", "False", "False"], out.stderr
+    assert out.returncode == 0, out.stderr
+    rc, after_import, after_run, shared, works = ast.literal_eval(out.stdout.splitlines()[-1])
+    assert rc == 0
+    assert after_import == ([], True)
+    assert after_run == ([], True)
+    # a later import of scipy.fft reuses the kernel module mkrf loaded
+    assert shared and works == [[1.0, 2.0], [3.0, 4.0]]
+
+
+def scipy_fft_imports(tree):
+    """Line of every import statement that loads scipy.fft or a submodule."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(name == "scipy.fft" or name.startswith("scipy.fft.") for name in names):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_module_does_not_import_scipy_fft(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = list(scipy_fft_imports(tree))
+    assert not lines, f"{path.name} imports scipy.fft (lines {lines}); use the grid kernel"
+
+
+def test_scipy_fft_import_is_caught():
+    tree = ast.parse(
+        "import scipy.fft as sfft\n"
+        "from scipy import fft\n"
+        "from scipy.fft import rfftn\n"
+        "import scipy.sparse.linalg\n"
+        "from scipy import sparse\n"
+    )
+    assert list(scipy_fft_imports(tree)) == [1, 2, 3]

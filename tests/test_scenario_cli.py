@@ -419,3 +419,36 @@ def test_cli_collapsed_run_with_psi_family(tmp_path):
     names = [f[0] for f in __import__("mkrf.grid", fromlist=["read_snapshot"])
              .read_snapshot(out / "final.mkrf")]
     assert "w" in names and any(n.startswith("psi_t") for n in names)
+
+
+def test_phase_timings_side_file(tmp_path):
+    # run: four phases, listed in the summary; the record's other files keep
+    # their keys and columns
+    out = tmp_path / "run"
+    assert main(["run", "--preset", "finite-time", "--grid", "8", "--out", str(out)]) == 0
+    timings = json.loads((out / "timings.json").read_text())
+    assert sorted(timings) == ["core_s", "setup_s", "verdict_s", "write_s"]
+    assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
+    summary = (out / "summary.txt").read_text()
+    assert "phase wall times:" in summary
+    assert all(f"  {k} = {v:.3f}" in summary for k, v in timings.items())
+    data = json.loads((out / "constants.json").read_text())
+    assert sorted(data) == ["constants", "reports", "step_control"]
+    assert sorted(data["constants"]) == [
+        "C3", "T", "halvings", "r", "regime", "status", "steps", "stop_reason", "t_final",
+        "violations", "wall_time_s"]
+    assert (out / "series.csv").read_text().splitlines()[0] == (
+        "t,dt,min_u_hat,max_u_hat,min_ut_hat,max_ut_hat,lambda_min_metric,mean_det,"
+        "class_det,margin_u_hat_nonpos,margin_ut_hat_nonpos,margin_eq7,"
+        "margin_combo_monotone,margin_conservation,margin_positivity,margin_eq8_chain,"
+        "min_F,margin_vol_sandwich")
+    assert [n for n, _ in read_snapshot(out / "final.mkrf")] == ["u_hat", "ut_hat", "V_proxy"]
+
+    # cy-solve: no verdict phase
+    cfg = tmp_path / "tiny8.json"
+    cfg.write_text(tiny_scenario(N=8, log_h=[{"mode": [1, 0], "amp": 0.01}]).to_json())
+    out = tmp_path / "cy"
+    assert main(["cy-solve", "--config", str(cfg), "--out", str(out)]) == 0
+    timings = json.loads((out / "timings.json").read_text())
+    assert sorted(timings) == ["core_s", "setup_s", "write_s"]
+    assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
