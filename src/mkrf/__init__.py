@@ -32,7 +32,6 @@ from .flow import (
     FlowProblem,
     RunOptions,
     RunResult,
-    SingularityStopError,
     normalization_constant,
     run_flow,
 )

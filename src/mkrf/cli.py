@@ -133,8 +133,7 @@ def verdict(scenario: Scenario, problem, result):
     extra_constants = {}
     extra_fields = []
     if regime == Regime.FINITE_TIME:
-        reports["finite_time"] = monitors.check_finite_time(
-            result.series, problem.path.T, regime.value)
+        reports["finite_time"] = monitors.check_finite_time(result.series, problem.path.T)
     if regime == Regime.COLLAPSED:
         rep = monitors.check_collapsed(result.series, problem.path.r, scenario.t_max,
                                        result.constants["C3"])
@@ -236,10 +235,6 @@ def cmd_cy_solve(args) -> int:
     core_start = time.perf_counter()
     try:
         U, rep = solve_cy(problem)
-    except ValueError as e:
-        # solve_cy's positivity test of the limit class
-        print(f"invalid config: Ainf: {e}", file=sys.stderr)
-        return EXIT_INVALID
     except NewtonConvergenceError as e:
         print(f"solver failed: {e}", file=sys.stderr)
         return EXIT_BREAKDOWN
@@ -255,21 +250,11 @@ def cmd_cy_solve(args) -> int:
         write_snapshot([("U", U)], os.path.join(args.out, "cy_solution.mkrf"))
         with open(os.path.join(args.out, "newton_report.json"), "w",
                   encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "iterations": rep.iterations,
-                    "final_residual": rep.final_residual,
-                    "residual_history": rep.residual_history,
-                    "damping_history": rep.damping_history,
-                    "converged": rep.converged,
-                    "linear_rtols": rep.linear_rtols,
-                    "linear_residuals": rep.linear_residuals,
-                    "matvecs": rep.matvecs,
-                    "start": rep.start,
-                    "coarse_levels": rep.coarse_levels,
-                },
-                fh, indent=2, sort_keys=True,
-            )
+            json.dump(dict(_newton_work(rep), final_residual=rep.final_residual,
+                           residual_history=rep.residual_history,
+                           damping_history=rep.damping_history, converged=rep.converged,
+                           linear_rtols=rep.linear_rtols),
+                      fh, indent=2, sort_keys=True)
             fh.write("\n")
         write_timings(args.out, {"setup_s": core_start - start,
                                   "core_s": core_end - core_start,

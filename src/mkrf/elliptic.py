@@ -81,12 +81,17 @@ MAX_KRYLOV_CYCLES = 12
 
 
 class NewtonConvergenceError(Exception):
+    """A stalled Newton solve; the message is made from the report when
+    printed, so it shows what was added to report.message after the raise."""
+
     def __init__(self, report):
+        super().__init__()
         self.report = report
-        super().__init__(
-            f"Newton did not converge: residual {report.final_residual:.3e} "
-            f"after {report.iterations} iterations"
-        )
+
+    def __str__(self):
+        rep = self.report
+        return (f"Newton did not converge: residual {rep.final_residual:.3e} after "
+                f"{rep.iterations} iterations" + (rep.message and f": {rep.message.lstrip()}"))
 
 
 @dataclass
@@ -327,10 +332,13 @@ def solve_cy(problem: EllipticProblem):
     than needed.  J s comes from the K y the Krylov solve keeps current, so
     the forcing costs no Jacobian application.
 
-    The iteration starts from the interpolated solution on the half grid
-    (_nested_start) where the grid has one and the interpolant is
-    admissible, else from zero; the report's coarse_levels records the
-    coarse solves.
+    Nested iteration (Bank and Rose 1982): while N/2 is even and at least
+    8, the equation is restricted to the half grid; the restricted problems
+    are solved coarsest first to the looser certificate COARSE_TOL_FACTOR,
+    each from the prolonged solution of the one below, else from zero, and
+    by mesh independence (Allgower, Boehmer, Potra and Rheinboldt 1986) the
+    fine iteration then starts inside its quadratic basin.  coarse_levels
+    records the coarse solves as {N, iterations, matvecs, converged}.
 
     Returns (U, NewtonReport) with mean(U) = 0 and sup-norm residual below
     SUP_TOL_FACTOR c mean(h).  Raises NewtonConvergenceError when the
@@ -340,8 +348,25 @@ def solve_cy(problem: EllipticProblem):
     if lam <= POSITIVITY_EPS:
         raise ValueError(f"class must be positive definite for the elliptic solve"
                          f" (smallest eigenvalue {lam:.3e} <= {POSITIVITY_EPS:g})")
+    chain = [problem]
+    while chain[-1].form.grid.N % 4 == 0 and chain[-1].form.grid.N >= 16:
+        chain.append(_restrict(chain[-1]))
     levels = []
-    U, report = _cold_newton(problem, SUP_TOL_FACTOR, levels)
+    start = None  # the prolonged solution of the level below, if it converged
+    while len(chain) > 1:
+        grid = chain[-1].form.grid
+        try:
+            # popped, and the solution rebound: no coarse array outlives its level
+            start, report = _newton_from(chain.pop(), start, COARSE_TOL_FACTOR)
+            start = _prolong(ScalarField(grid, start), chain[-1].form.grid).values
+        except NewtonConvergenceError as err:
+            start, report = None, err.report
+        except SingularMetricError:
+            # the coarse data is not a Kahler metric at all
+            start, report = None, NewtonReport()
+        levels.append({"N": grid.N, "iterations": report.iterations,
+                       "matvecs": list(report.matvecs), "converged": start is not None})
+    U, report = _newton_from(problem, start, SUP_TOL_FACTOR)
     report.coarse_levels = levels
     return ScalarField(problem.form.grid, U), report
 
@@ -383,52 +408,18 @@ def _prolong(coarse: ScalarField, fine: GridSpec) -> ScalarField:
     return ScalarField(fine, inverse(fine, padded))
 
 
-def _cold_newton(problem: EllipticProblem, tol_factor: float, levels: list):
-    """Newton from the nested start, or from zero when there is none or it
-    is inadmissible on this grid; coarse solves are appended to levels."""
-    start = _nested_start(problem, levels)
+def _newton_from(problem: EllipticProblem, start, tol_factor: float):
+    """_newton from start, or from zero when there is none or it is
+    inadmissible on this grid."""
     if start is not None:
         try:
             U, report = _newton(problem, start, tol_factor)
-            report.start = "nested"
-            return U, report
         except SingularMetricError:
             pass
+        else:
+            report.start = "nested"
+            return U, report
     return _newton(problem, np.zeros(problem.form.grid.shape), tol_factor)
-
-
-def _nested_start(problem: EllipticProblem, levels: list):
-    """The half-grid solution interpolated onto the problem's grid, or None.
-
-    Nested iteration (Bank and Rose 1982): when N/2 is itself a valid grid,
-    the restricted problem is solved, recursively from its own half grid,
-    to the looser certificate COARSE_TOL_FACTOR, and its solution is
-    prolonged.  By mesh independence (Allgower, Boehmer, Potra and
-    Rheinboldt 1986) the fine Newton iteration then starts inside its
-    quadratic basin.  Each coarse solve appends {N, iterations, matvecs,
-    converged} to levels, coarsest first; a failed one gives None.
-    """
-    grid = problem.form.grid
-    if grid.N % 4 or grid.N < 16:
-        # N/2 is odd or below GridSpec's least N, 8
-        return None
-    coarse = _restrict(problem)
-
-    def record(report, converged):
-        levels.append({"N": grid.N // 2, "iterations": report.iterations,
-                       "matvecs": list(report.matvecs), "converged": converged})
-
-    try:
-        U, report = _cold_newton(coarse, COARSE_TOL_FACTOR, levels)
-    except NewtonConvergenceError as err:
-        record(err.report, False)
-        return None
-    except SingularMetricError:
-        # the coarse data is not a Kahler metric at all
-        record(NewtonReport(), False)
-        return None
-    record(report, True)
-    return _prolong(ScalarField(coarse.form.grid, U), grid).values
 
 
 def _newton(problem: EllipticProblem, U: np.ndarray, tol_factor: float):

@@ -94,14 +94,6 @@ UHAT_SNAP_DT = 0.5
 STOP_MARGIN = 1e-3
 
 
-class SingularityStopError(Exception):
-    """Step size collapsed against a singular metric; the run must stop."""
-
-    def __init__(self, cause: SingularMetricError):
-        self.cause = cause
-        super().__init__(f"singularity stop: {cause}")
-
-
 class FlowBreakdownError(Exception):
     """Non-finite numbers appeared in the state; fatal."""
 
@@ -119,8 +111,6 @@ class FlowProblem:
         self.grid: GridSpec = form0.grid
         if form_inf.grid != self.grid or omega.grid != self.grid:
             raise ValueError("forms and density must share one grid")
-        self.form0 = form0
-        self.form_inf = form_inf
         self.omega = omega
         self.path = compute_T(form0.A, form_inf.A)
         self.tables = tables(self.grid.n, self.grid.N)
@@ -130,7 +120,6 @@ class FlowProblem:
         self.phi_inf_hat = forward(self.phi_inf_phys)
         self.drift_hat = self.phi_inf_hat - self.phi0_hat  # d/dt phi_t = e^{-t} drift
         self.log_h = np.log(omega.h.values)
-        self.mean_h = float(np.mean(omega.h.values))
         self.class_det0 = float(np.linalg.det(self.path.A0).real)
         self.workspace = _Workspace(self.grid, self.tables)
         # admissibility: the initial form must be a metric
@@ -148,13 +137,6 @@ class FlowProblem:
 
     def A_t(self, t: float) -> np.ndarray:
         return self.path.A_t(t)
-
-    def class_det(self, t: float) -> float:
-        return float(np.linalg.det(self.A_t(t)).real)
-
-    def positivity_floor(self, t: float) -> float:
-        lam = float(np.linalg.eigvalsh(self.A_t(t)).min())
-        return POSITIVITY_EPS * min(1.0, max(lam, 0.0))
 
     def phi_t_hat(self, t: float, out: np.ndarray | None = None,
                   work: np.ndarray | None = None) -> np.ndarray:
@@ -174,8 +156,8 @@ class FlowProblem:
         return self.tables.laplacian_symbol(inv)
 
     def _stage_constants(self, t: float) -> tuple:
-        """(A_t, positivity floor, e^{-t}, log det(A_t)) at t, computed once
-        per stage time.
+        """(A_t, positivity floor, e^{-t}, det(A_t), log det(A_t)) at t,
+        computed once per stage time.
 
         The lockstep flows and the RK stages of one step revisit the same
         few times, so the last few are kept.
@@ -189,7 +171,8 @@ class FlowProblem:
             det = float(np.linalg.det(A).real)
             # past T no metric passes the positivity test, so -inf is unused
             log_det = math.log(det) if det > 0.0 else -math.inf
-            c = times[t] = (A, self.positivity_floor(t), math.exp(-t), log_det)
+            floor = POSITIVITY_EPS * min(1.0, max(float(np.linalg.eigvalsh(A).min()), 0.0))
+            c = times[t] = (A, floor, math.exp(-t), det, log_det)
         return c
 
 
@@ -240,7 +223,7 @@ def _eval_flow(problem: FlowProblem, p_hat: np.ndarray, t: float, r: int,
     """
     grid = problem.grid
     ws = problem.workspace
-    A, floor, decay, log_det = problem._stage_constants(t)
+    A, floor, decay, _, log_det = problem._stage_constants(t)
     hs = hessian_components(grid, p_hat, ws.prod)
     comps = metric_components(A, hs, grid.n, grid.shape, out=hs)
     det = det_components(comps, out=None if full else ws.det, work=ws.work)
@@ -403,8 +386,8 @@ def _attempt_step(problem, states, t, dt):
 
     states: list of (p_hat, r, comparison, F0), F0 the RHS at (p_hat, t).
     Returns (new_list, dt_used, halvings), new_list holding one (y1, d)
-    pair of _lawson_rk4 per flow.  Raises SingularityStopError after
-    MAX_HALVINGS failures.
+    pair of _lawson_rk4 per flow.  Re-raises the last SingularMetricError
+    after MAX_HALVINGS failures.
     """
     halvings = 0
     while True:
@@ -412,10 +395,10 @@ def _attempt_step(problem, states, t, dt):
             new = [_lawson_rk4(problem, y, t, dt, r, comparison, F0)
                    for y, r, comparison, F0 in states]
             return new, dt, halvings
-        except SingularMetricError as err:
+        except SingularMetricError:
             halvings += 1
             if halvings > MAX_HALVINGS:
-                raise SingularityStopError(err) from err
+                raise
             dt *= 0.5
 
 
@@ -464,7 +447,6 @@ class RunResult:
     final: dict
     uhat_snaps: list
     wall_time: float
-    columns: list
     step_control: dict
 
 
@@ -533,20 +515,7 @@ def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
     # only the Kahler-limit convergence monitor consumes potential snapshots
     collect_snaps = regime == Regime.KAHLER_LIMIT
 
-    columns = [
-        "t", "dt", "min_u_hat", "max_u_hat", "min_ut_hat", "max_ut_hat",
-        "lambda_min_metric", "mean_det", "class_det",
-        "margin_u_hat_nonpos", "margin_ut_hat_nonpos", "margin_eq7",
-        "margin_combo_monotone", "margin_conservation", "margin_positivity",
-    ]
-    if regime == Regime.FINITE_TIME:
-        columns += ["margin_eq8_chain", "min_F", "margin_vol_sandwich"]
-    if regime == Regime.COLLAPSED:
-        columns += ["min_v", "max_v", "min_vt", "max_vt"]
-    if run_w:
-        columns += ["min_w", "max_w", "min_wt", "max_wt", "margin_appendix_w"]
-        columns += [f"min_q_s{S:g}" for S in monitors.S_LIST]
-    series = {c: [] for c in columns}
+    series = {}  # column -> values; the columns are the keys of record's rows
 
     # event grid: snapshot cadence plus finite-time sample times
     events = set()
@@ -602,10 +571,10 @@ def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
         lam_min = float(lam.min())
         lam_loc = tuple(int(i) for i in np.unravel_index(int(np.argmin(lam)), lam.shape))
         mean_det = float(np.mean(ev.det))
-        class_det = problem.class_det(t)
+        _, floor, _, class_det, _ = problem._stage_constants(t)
         snap = monitors.StepSnapshot(
             t, n, regime.value, T, u_hat, ut_hat, lam_min, lam_loc,
-            problem.positivity_floor(t), mean_det, class_det, problem.class_det0,
+            floor, mean_det, class_det, problem.class_det0,
         )
         report = monitors.check_core(snap, prev_combo)
         prev_combo = report.combo_min
@@ -655,13 +624,13 @@ def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
                 else:
                     qS = (1.0 - math.exp(S)) * ev.rhs_phys + v_phys - wpast
                     row[f"min_q_s{S:g}"] = float(qS.min())
-        for c in columns:
-            series[c].append(row[c])
+        for c, v in row.items():
+            series.setdefault(c, []).append(v)
         for res in report.failures():
             worst = violations.get(res.name)
             if worst is None or res.margin < worst:
                 violations[res.name] = res.margin
-        if not all(math.isfinite(row[c]) or math.isnan(row[c]) for c in columns):
+        if not all(math.isfinite(v) or math.isnan(v) for v in row.values()):
             raise FlowBreakdownError(f"non-finite observables at t={t:.6f}")
         return u_hat
 
@@ -752,9 +721,9 @@ def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
             # the previous evaluations, states and RHS and the consumed
             # estimates are garbage now; release them before the next record
             del ev, new, states
-    except SingularityStopError as stop:
+    except SingularMetricError as stop:
         status = "singularity-stop"
-        stop_reason = str(stop)
+        stop_reason = f"singularity stop: {stop}"
     except FlowBreakdownError as bd:
         status = "breakdown"
         stop_reason = str(bd)
@@ -790,7 +759,6 @@ def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
         final=final,
         uhat_snaps=uhat_snaps,
         wall_time=time.perf_counter() - t_start,
-        columns=columns,
         step_control={
             "accepted": steps,
             "rejections": rejections,

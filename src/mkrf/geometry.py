@@ -281,10 +281,6 @@ class ClassPath:
         w = math.exp(-t)
         return self.Ainf + w * (self.A0 - self.Ainf)
 
-    @property
-    def n(self) -> int:
-        return self.A0.shape[0]
-
 
 # ---------------------------------------------------------------------------
 # Operations

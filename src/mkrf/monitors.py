@@ -146,11 +146,9 @@ def _series_window(ts, values, lo, hi):
     return [v for t, v in zip(ts, values) if lo <= t <= hi and not math.isnan(v)]
 
 
-def check_finite_time(series: dict, T: float, regime: str) -> RegimeReport:
+def check_finite_time(series: dict, T: float) -> RegimeReport:
     """Volume blow-down trend, bounded weak-limit potential, and the
     integrated volume sandwich for a finite-time run."""
-    if regime != "FINITE_TIME":
-        return RegimeReport()
     ts = series["t"]
     checks = []
     constants = {}
@@ -185,7 +183,8 @@ def check_finite_time(series: dict, T: float, regime: str) -> RegimeReport:
 def check_collapsed(series: dict, r: int, t_max: float, C3: float) -> RegimeReport:
     """Linear growth of the scaled potential, the S-damped rate bounds with
     measured constants, comparison-flow boundedness, and the auxiliary-flow
-    proof quantity for a collapsed run."""
+    proof quantity for a collapsed run; the last two (and the C_shift
+    constants) only when the series has the comparison flow's columns."""
     if r < 1:
         raise ValueError("inconsistent regime: collapsed monitoring requires r >= 1")
     ts = np.asarray(series["t"])
@@ -233,25 +232,22 @@ def check_collapsed(series: dict, r: int, t_max: float, C3: float) -> RegimeRepo
         constants["C_damp"] = C_damp
         checks.append(MonitorResult("vt_late_damping", margin, TOL_EXACT))
 
-    # (c) comparison flow boundedness across window halves
-    half = 0.5 * t_max
-    for name in ("w", "wt"):
-        lo_sup = max(
-            max(abs(v) for v in _series_window(ts, series[f"min_{name}"], 0.0, half)),
-            max(abs(v) for v in _series_window(ts, series[f"max_{name}"], 0.0, half)),
-        )
-        hi_sup = max(
-            max(abs(v) for v in _series_window(ts, series[f"min_{name}"], half, t_max)),
-            max(abs(v) for v in _series_window(ts, series[f"max_{name}"], half, t_max)),
-        )
-        constants[f"sup_{name}_early"] = lo_sup
-        constants[f"sup_{name}_late"] = hi_sup
-        checks.append(MonitorResult(f"{name}_non_trending", lo_sup + 0.1 - hi_sup, 0.0))
+    if "min_w" in series:
+        # (c) comparison flow boundedness across window halves
+        half = 0.5 * t_max
+        for name in ("w", "wt"):
+            lo_sup, hi_sup = (
+                max(abs(v) for col in ("min_", "max_")
+                    for v in _series_window(ts, series[col + name], lo, hi))
+                for lo, hi in ((0.0, half), (half, t_max)))
+            constants[f"sup_{name}_early"] = lo_sup
+            constants[f"sup_{name}_late"] = hi_sup
+            checks.append(MonitorResult(f"{name}_non_trending", lo_sup + 0.1 - hi_sup, 0.0))
 
-    # (d) auxiliary-flow proof quantity stays below its initial maximum -r
-    appendix = [v for v in series["margin_appendix_w"] if not math.isnan(v)]
-    checks.append(MonitorResult("appendix_w_bound", min(appendix), TOL_INEQ))
-    constants["appendix_w_margin"] = min(appendix)
+        # (d) auxiliary-flow proof quantity stays below its initial maximum -r
+        appendix = [v for v in series["margin_appendix_w"] if not math.isnan(v)]
+        checks.append(MonitorResult("appendix_w_bound", min(appendix), TOL_INEQ))
+        constants["appendix_w_margin"] = min(appendix)
 
     # consistency of the raw potential window reconstructed from v
     max_u = np.asarray(series["max_u_hat"])

@@ -113,7 +113,7 @@ def save_run(out_dir, scenario, result, regime_reports=None, extra_constants=Non
     with open(os.path.join(out_dir, "scenario.json"), "w", encoding="utf-8") as fh:
         fh.write(scenario.to_json())
         fh.write("\n")
-    write_csv(result.columns, result.series, os.path.join(out_dir, "series.csv"))
+    write_csv(list(result.series), result.series, os.path.join(out_dir, "series.csv"))
 
     constants = dict(result.constants)
     constants["status"] = result.status

@@ -15,6 +15,7 @@ import numpy as np
 from .elliptic import EllipticProblem
 from .flow import FlowProblem, RunOptions
 from .geometry import (
+    POSITIVITY_EPS,
     KahlerForm,
     SingularMetricError,
     VolumeDensity,
@@ -175,9 +176,8 @@ def validate(scenario: Scenario) -> None:
     # a non-positive cap would step at the 1e-12 floor forever
     if not is_finite_number(s.dt_cap) or s.dt_cap <= 0.0:
         raise InvalidScenarioError(f"dt_cap must be a positive finite number, got {s.dt_cap!r}")
-    A0 = matrix_from_rows(s.A0, s.n, "A0")
-    if not np.linalg.eigvalsh(A0).min() > 0:
-        raise InvalidScenarioError("A0 must be positive definite")
+    # the floor of every later positivity test: A0 + H[phi0] can pass only above it
+    _check_definite(matrix_from_rows(s.A0, s.n, "A0"), "A0")
     matrix_from_rows(s.Ainf, s.n, "Ainf")
     _parse_modes(s.phi0, s.n, "phi0")
     _parse_modes(s.phi_inf, s.n, "phi_inf")
@@ -186,6 +186,15 @@ def validate(scenario: Scenario) -> None:
         for t in s.psi_times:
             if not (0.0 <= t <= s.t_max):
                 raise InvalidScenarioError(f"psi_times: {t} outside [0, t_max]")
+
+
+def _check_definite(A: np.ndarray, what: str) -> None:
+    """Raise InvalidScenarioError naming what unless A's smallest eigenvalue
+    exceeds POSITIVITY_EPS."""
+    lam = float(np.linalg.eigvalsh(A).min())
+    if not lam > POSITIVITY_EPS:
+        raise InvalidScenarioError(f"{what}: must be positive definite (smallest eigenvalue"
+                                   f" {lam:.3e} <= {POSITIVITY_EPS:g})")
 
 
 def _form(s: Scenario, grid: GridSpec, A_key: str, phi_key: str) -> KahlerForm:
@@ -210,18 +219,19 @@ def build_problem(scenario: Scenario) -> FlowProblem:
     omega = _density(s, grid)
     try:
         return FlowProblem(form0, form_inf, omega)
-    except Exception as e:
-        raise InvalidScenarioError(f"inadmissible scenario: {e}") from e
+    except SingularMetricError as e:
+        raise InvalidScenarioError(f"phi0: inadmissible scenario: {e}") from e
 
 
 def build_limit_problem(scenario: Scenario) -> EllipticProblem:
     """The limit equation det(Ainf + H[phi_inf] + H[U]) = c h of a scenario,
     with the density h = exp(log_h) of its flow problem; builds nothing else.
 
-    Ainf is not checked here: solve_cy rejects a class that is not positive
-    definite, and its Newton solve a limit form that is not a metric.
+    Ainf must be positive definite above POSITIVITY_EPS, as solve_cy
+    requires; the Newton solve rejects a limit form that is not a metric.
     """
     validate(scenario)
+    _check_definite(matrix_from_rows(scenario.Ainf, scenario.n, "Ainf"), "Ainf")
     grid = GridSpec(scenario.n, scenario.N)
     return EllipticProblem.compatible(_form(scenario, grid, "Ainf", "phi_inf"),
                                       _density(scenario, grid))
@@ -235,7 +245,7 @@ def check_initial_form(scenario: Scenario) -> None:
     try:
         check_positive_components(form0.metric(), t=0.0)
     except SingularMetricError as e:
-        raise InvalidScenarioError(f"inadmissible scenario: {e}") from e
+        raise InvalidScenarioError(f"phi0: inadmissible scenario: {e}") from e
 
 
 def run_options(scenario: Scenario) -> RunOptions:

@@ -224,7 +224,7 @@ def test_criterion_10_determinism_and_persistence(tmp_path):
         problem = build_problem(sc)
         result = run_flow(problem, run_options(sc))
         path = tmp_path / f"run{i}.csv"
-        write_csv(result.columns, result.series, path)
+        write_csv(list(result.series), result.series, path)
         csvs.append(path.read_bytes())
     ok = csvs[0] == csvs[1]
 

@@ -20,7 +20,7 @@ def ones_density(grid):
 
 def newton_from(prob, U0=None):
     """A single-level Newton solve from U0 less its mean, or from zero (the
-    start _cold_newton falls back to): (U, report), with no coarse level."""
+    start _newton_from falls back to): (U, report), with no coarse level."""
     import mkrf.elliptic as elliptic
 
     g = prob.form.grid

@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module, every
-parameter of its functions is read, and every defaulted parameter is passed
-by some call in the package and left to its default by another.
+parameter of its functions is read, every defaulted parameter is passed by
+some call in the package and left to its default by another, and every
+attribute a class stores on self is read somewhere in the package.
 
 No linter ships with the project; these are the lint checks it keeps.
 ``__init__.py`` is left out of the import check: its imports are the
@@ -244,6 +245,48 @@ def test_always_passed_default_is_caught():
     )
     found = always_passed_defaults({"m.py": tree})
     assert sorted((fn, arg) for _, fn, arg, _ in found) == [("K", "z"), ("f", "b"), ("f", "d")]
+
+
+def stored_attributes(tree):
+    """(class, attribute, line) of every attribute a class's code stores on self."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for node in ast.walk(cls):
+                if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                    yield cls.name, node.attr, node.lineno
+
+
+def unread_attributes(trees):
+    """(file, class, attribute, line) of every attribute stored on self that no
+    code in the trees reads as an attribute, of any object."""
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    for file, tree in trees.items():
+        for cls, attr, line in stored_attributes(tree):
+            if attr not in read:
+                yield file, cls, attr, line
+
+
+def test_every_stored_attribute_is_read():
+    dead = [f"{cls}.{attr} ({file}, line {line})"
+            for file, cls, attr, line in unread_attributes(package_trees())]
+    assert not dead, f"attributes nothing in src/mkrf reads: {dead}"
+
+
+def test_unread_attribute_is_caught():
+    tree = ast.parse(
+        "class K:\n"
+        "    def __init__(self, a):\n"
+        "        self.kept, self.dead = a, a\n"
+        "        self.bumped = 0\n"
+        "    def m(self, other):\n"
+        "        self.bumped += 1\n"
+        "        other.foreign = self.kept\n"
+        "        return other\n"
+    )
+    found = {(cls, attr) for _, cls, attr, _ in unread_attributes({"m.py": tree})}
+    assert found == {("K", "dead"), ("K", "bumped")}
 
 
 # packages a run without Newton solves must not load; mkrf.grid loads scipy.fft's

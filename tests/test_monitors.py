@@ -9,7 +9,6 @@ from mkrf.monitors import (
     check_collapsed,
     check_convergence,
     check_core,
-    check_finite_time,
     convergence_gap,
     stable_within,
 )
@@ -101,11 +100,6 @@ def test_conservation_and_positivity_margins():
     assert rep.passed  # tolerance 1e-8 * class_det0
 
 
-def test_finite_time_gating():
-    rep = check_finite_time({"t": [0.0]}, math.inf, "KAHLER_LIMIT")
-    assert rep.status == "not applicable"
-
-
 def test_collapsed_rejects_r_zero():
     with pytest.raises(ValueError):
         check_collapsed({"t": [0.0]}, 0, 30.0, 0.0)
@@ -174,7 +168,7 @@ def test_offline_reevaluation_roundtrip(tmp_path):
     rep_live = check_collapsed(res.series, 1, 12.0, res.constants["C3"])
 
     path = tmp_path / "series.csv"
-    write_csv(res.columns, res.series, path)
+    write_csv(list(res.series), res.series, path)
     _, series_back = read_csv(path)
     rep_offline = check_collapsed(series_back, 1, 12.0, res.constants["C3"])
 

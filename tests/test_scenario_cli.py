@@ -353,6 +353,51 @@ def test_limit_form_that_is_no_metric_exits_4_naming_phi_inf(tmp_path, capsys, m
     assert "phi_inf" in err and "lambda_min=-3.935e+00" in err
 
 
+NEAR_SINGULAR = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [5e-11, 0.0]]]
+
+
+@pytest.mark.parametrize("command", ["run", "cy-solve"])
+@pytest.mark.parametrize("field,over", [
+    # A0 + H[phi0] has lambda_min -3.9 at the origin
+    ("phi0", {"phi0": [{"mode": [1, 0, 0, 0], "amp": 0.5}]}),
+    # smallest eigenvalue above zero, below the positivity floor 1e-10
+    ("A0", {"A0": NEAR_SINGULAR}),
+    ("Ainf", {"Ainf": NEAR_SINGULAR}),
+])
+def test_set_up_failures_name_their_field(tmp_path, capsys, command, field, over):
+    eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    cfg = tmp_path / "bad.json"
+    base = dict(n=2, N=8, A0=eye, Ainf=eye, phi0=[], log_h=[], t_max=0.5)
+    cfg.write_text(tiny_scenario(**{**base, **over}).to_json())
+    assert main([command, "--config", str(cfg)]) == 4
+    assert capsys.readouterr().err.startswith(f"invalid config: {field}:")
+
+
+def test_collapsed_run_without_the_comparison_flow(tmp_path, capsys):
+    # no w columns in the series: the collapsed report leaves out the
+    # comparison-flow checks instead of failing on the missing columns
+    sc = load_scenario("collapsed", None)
+    sc.N, sc.t_max, sc.run_comparison_flow, sc.run_psi_family = 8, 6.0, False, False
+    cfg = tmp_path / "collapsed.json"
+    cfg.write_text(sc.to_json())
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    names = [c["name"] for c in
+             json.loads((out / "constants.json").read_text())["reports"]["collapsed"]["checks"]]
+    assert "v_linear_growth_finite" in names
+    assert not [n for n in names if n.startswith(("w_", "wt_", "appendix_w"))]
+
+
+def test_newton_failure_prints_the_solver_diagnosis(capsys):
+    # the N=8 grid cannot resolve the preset's density: the line search
+    # fails, and the message says why
+    assert main(["cy-solve", "--preset", "kahler-limit", "--grid", "8"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failed: Newton did not converge")
+    assert "line search failed" in err and "refine the grid" in err
+
+
 def test_run_overrides(tmp_path):
     cfg = tmp_path / "tiny.json"
     cfg.write_text(tiny_scenario().to_json())
