@@ -146,15 +146,18 @@ def _hessian_rows(grid, coeffs: np.ndarray, stencil: np.ndarray, row_buf: np.nda
 
 def _frame_stencil(grid, A: np.ndarray) -> np.ndarray:
     """Symbols of the Hessian in the A-orthonormal frame: the congruence
-    R S R, R = A^{-1/2}, of the tables' symbol stack S, as a real stack of
-    the same shape.
+    R S R, R = A^{-1/2}, of the tables' symbols S, as a real stack of shape
+    (components,) + rshape.
 
     The congruence is a constant linear map of the Hessian components, so
     the rows of hessian_components with this stencil are the components of
-    A^{-1/2} H A^{-1/2}, with no congruence on grid fields.
+    A^{-1/2} H A^{-1/2}, with no congruence on grid fields.  It reads the
+    symbols as the tables make them, so no stack of the plain symbols is
+    made; every frame symbol spans the full grid (at n=2 each has an
+    off-diagonal term).
     """
     root_inv = matrix_sqrt_hermitian(np.linalg.inv(A))
-    return np.stack(congruence_components(root_inv, tuple(tables(grid.n, grid.N).stack)))
+    return np.stack(congruence_components(root_inv, tables(grid.n, grid.N).symbols()))
 
 
 def _frame_state(problem: EllipticProblem, stencil: np.ndarray, U: np.ndarray,
@@ -210,7 +213,9 @@ class _FrameOperators:
     the solve's frame stencil, one stencil product and one inverse
     transform per row, consumed by one pairing as they are made; a lift is
     its one inverse transform.  row_buf is the solve's one-row product
-    buffer (see _hessian_rows), shared with its frame states.
+    buffer (see _hessian_rows), shared with its frame states.  Of their own
+    the operators keep only 1 / w, the inverse symbol and its kernel mask;
+    y / w is a temporary that the forward transform consumes at once.
     """
 
     def __init__(self, grid, A: np.ndarray, stencil: np.ndarray, row_buf: np.ndarray, weight):
@@ -225,10 +230,8 @@ class _FrameOperators:
         self.inv_ell = np.divide(1.0, ell, out=np.zeros(tab.rshape), where=~self.kernel)
         self.stencil = stencil
         self.row_buf = row_buf
-        # pointwise scaling of the preconditioner's input (see _precond_weight),
-        # applied into a buffer of its own
+        # pointwise scaling of the preconditioner's input (see _precond_weight)
         self.inv_weight = None if weight is None else 1.0 / weight
-        self.weighted = None if weight is None else np.empty(grid.shape)
         self.matvecs = 0
 
     def _preconditioned_spectrum(self, y):
@@ -236,7 +239,7 @@ class _FrameOperators:
         the spectrum of P y up to the factor 1 / mean_det."""
         v = y.reshape(self.grid.shape)
         if self.inv_weight is not None:
-            v = np.multiply(v, self.inv_weight, out=self.weighted)
+            v = v * self.inv_weight
         yh = forward(v)
         yh *= self.inv_ell
         return yh
@@ -422,9 +425,19 @@ def _newton_from(problem: EllipticProblem, start, tol_factor: float):
     return _newton(problem, np.zeros(problem.form.grid.shape), tol_factor)
 
 
+def _frame_target(problem: EllipticProblem, det_A: float) -> np.ndarray:
+    """The right-hand side (c / det A) h of the equation in the A-frame, a
+    fresh array: all residual arithmetic happens at its unit scale."""
+    return (problem.c / det_A) * problem.omega.h.values
+
+
 def _newton(problem: EllipticProblem, U: np.ndarray, tol_factor: float):
     """Damped inexact Newton from the mean-zero start U, which is updated in
     place, to the sup-norm certificate tol_factor * scale.
+
+    The frame target is a grid field only until the preconditioner weight
+    is made from it; the line search makes it again for each trial, so no
+    Krylov system holds it.
 
     Returns (U, NewtonReport).  Raises SingularMetricError when the start is
     inadmissible and NewtonConvergenceError when the iteration stalls.
@@ -433,10 +446,8 @@ def _newton(problem: EllipticProblem, U: np.ndarray, tol_factor: float):
     A = problem.form.A
     det_A = float(np.linalg.det(A).real)
     stencil = _frame_stencil(grid, A)
-    h = problem.omega.h.values
-    # all residual arithmetic happens at the unit scale of the A-frame
-    target = (problem.c / det_A) * h
-    scale = problem.c * float(np.mean(h)) / det_A
+    target = _frame_target(problem, det_A)
+    scale = problem.c * float(np.mean(problem.omega.h.values)) / det_A
     tol = scale * tol_factor
 
     report = NewtonReport()
@@ -456,6 +467,7 @@ def _newton(problem: EllipticProblem, U: np.ndarray, tol_factor: float):
     mean_det = float(det.mean())
     del det, res
     ops = _FrameOperators(grid, A, stencil, row_buf, _precond_weight(target, grid.n))
+    del target
     npts = grid.num_points
 
     forcing = res_norm / scale
@@ -487,7 +499,7 @@ def _newton(problem: EllipticProblem, U: np.ndarray, tol_factor: float):
         del y
         delta -= delta.mean()
 
-        step = _line_search(problem, stencil, row_buf, target, state, rhs, delta, res_norm)
+        step = _line_search(problem, stencil, row_buf, det_A, state, rhs, delta, res_norm)
         del delta
         report.iterations = it + 1
         if step is None:
@@ -532,12 +544,13 @@ def _newton(problem: EllipticProblem, U: np.ndarray, tol_factor: float):
     return U, report
 
 
-def _line_search(problem: EllipticProblem, stencil, row_buf, target, state, rhs, delta,
-                 res_norm):
+def _line_search(problem: EllipticProblem, stencil, row_buf, det_A: float, state, rhs,
+                 delta, res_norm):
     """Damped step: halve s until U + s delta is admissible and lowers the
-    sup-norm residual.  The accepted step overwrites state = (U, *comps)
-    and rhs, the negated residual less its mean, in place.  Returns
-    (s, residual, mean det) or None after MAX_HALVINGS halvings.
+    sup-norm residual against the frame target of det_A.  The accepted step
+    overwrites state = (U, *comps) and rhs, the negated residual less its
+    mean, in place.  Returns (s, residual, mean det) or None after
+    MAX_HALVINGS halvings.
     """
     U = state[0]
     s = 1.0
@@ -549,7 +562,8 @@ def _line_search(problem: EllipticProblem, stencil, row_buf, target, state, rhs,
         except SingularMetricError:
             s *= 0.5
             continue
-        res = det - target
+        res = _frame_target(problem, det_A)
+        np.subtract(det, res, out=res)
         trial_norm = float(np.abs(res).max())
         if trial_norm < res_norm:
             for cur, new in zip(state, (trial, *comps)):

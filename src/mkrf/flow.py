@@ -125,7 +125,7 @@ class FlowProblem:
         # admissibility: the initial form must be a metric
         comps0 = metric_components(
             self.path.A0,
-            hessian_components(self.grid, self.phi0_hat),
+            hessian_components(self.grid, self.phi0_hat, stencil=self.workspace.stencil),
             self.grid.n,
             self.grid.shape,
         )
@@ -186,7 +186,8 @@ class _Workspace:
 
     def __init__(self, grid: GridSpec, tabs):
         spec = tabs.rshape
-        self.prod = np.empty(tabs.stack.shape, dtype=np.complex128)  # Hessian stencil product
+        self.stencil = tabs.stack()  # the Hessian symbols of every batched Hessian
+        self.prod = np.empty(self.stencil.shape, dtype=np.complex128)  # stencil product
         self.det = np.empty(grid.shape)
         self.work = np.empty(grid.shape)  # det intermediate, positivity test, log density
         self.spec = np.empty(spec, dtype=np.complex128)  # spectral temporaries
@@ -224,7 +225,7 @@ def _eval_flow(problem: FlowProblem, p_hat: np.ndarray, t: float, r: int,
     grid = problem.grid
     ws = problem.workspace
     A, floor, decay, _, log_det = problem._stage_constants(t)
-    hs = hessian_components(grid, p_hat, ws.prod)
+    hs = hessian_components(grid, p_hat, ws.prod, ws.stencil)
     comps = metric_components(A, hs, grid.n, grid.shape, out=hs)
     det = det_components(comps, out=None if full else ws.det, work=ws.work)
     if not positive_components(comps, det, floor, work=ws.work):
@@ -410,14 +411,15 @@ def normalization_constant(problem: FlowProblem) -> float:
     and rate along the flow.
     """
     grid = problem.grid
+    stencil = problem.workspace.stencil
     res = _eval_flow(problem, problem.phi0_hat.copy(), 0.0, 0, False, full=True)
     udot0 = res.rhs_phys
     lap = trace_pair_components(
-        res.comps, hessian_components(grid, forward(udot0)), res.det
+        res.comps, hessian_components(grid, forward(udot0), stencil=stencil), res.det
     )
     diff_comps = metric_components(
         problem.path.A0 - problem.path.Ainf,
-        hessian_components(grid, -problem.drift_hat),
+        hessian_components(grid, -problem.drift_hat, stencil=stencil),
         grid.n,
         grid.shape,
     )

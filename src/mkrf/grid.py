@@ -136,11 +136,14 @@ class ScalarField:
 
 
 class SpectralTables:
-    """Cached Fourier symbols for one grid.
+    """Cached Fourier symbols for one grid, kept as per-axis factors.
 
     All derivative factors zero the Nyquist mode, keeping real inputs real,
     the symbols genuinely odd, and the determinant conservation identity
-    exact for arbitrary grid input.
+    exact for arbitrary grid input.  The tables hold only the frequencies of
+    each axis; every symbol is made from them where it is used, and a
+    product of the same factors gives the same bits whether or not it was
+    first broadcast to the full grid.
     """
 
     def __init__(self, grid: GridSpec):
@@ -155,29 +158,43 @@ class SpectralTables:
             k[N // 2] = 0.0  # the Nyquist frequency
             return k.reshape([k.size if a == axis else 1 for a in range(naxes)])
 
-        kodd = [axis_freqs(a) for a in range(naxes)]
-        pi2 = np.pi ** 2
+        # Nyquist-zeroed first-derivative frequencies, each shaped to
+        # broadcast along its own axis of the rfft grid
+        self.freqs = tuple(axis_freqs(a) for a in range(naxes))
 
-        # Hessian entry symbols H[f]_{jk} = d/dz_j d/dzbar_k f, stacked in the
-        # component order of hessian_components: the diagonal
-        # -pi^2 (kx_j^2 + ky_j^2), then Re and Im of the (0, 1) entry.  Every
-        # factor uses the Nyquist-zeroed first-derivative frequencies so that
-        # the discrete product identity behind Monge-Ampere mass conservation
-        # holds pointwise in k for arbitrary (not just band-limited) input.
-        parts = [-pi2 * (kodd[2 * j] ** 2 + kodd[2 * j + 1] ** 2) for j in range(n)]
-        if n == 2:
-            parts.append(-pi2 * (kodd[0] * kodd[2] + kodd[1] * kodd[3]))
-            parts.append(-pi2 * (kodd[0] * kodd[3] - kodd[1] * kodd[2]))
-        self.stack = np.stack([np.broadcast_to(p, self.rshape) for p in parts])
+    def symbols(self) -> list:
+        """Hessian entry symbols H[f]_{jk} = d/dz_j d/dzbar_k f in the
+        component order of hessian_components, as arrays that broadcast to
+        rshape: the diagonal -pi^2 (kx_j^2 + ky_j^2), each over its own two
+        axes, then Re and Im of the (0, 1) entry, made on every call.
+
+        Every factor uses the Nyquist-zeroed first-derivative frequencies so
+        that the discrete product identity behind Monge-Ampere mass
+        conservation holds pointwise in k for arbitrary (not just
+        band-limited) input.
+        """
+        k = self.freqs
+        pi2 = np.pi ** 2
+        parts = [-pi2 * (k[2 * j] ** 2 + k[2 * j + 1] ** 2) for j in range(self.grid.n)]
+        if self.grid.n == 2:
+            parts.append(-pi2 * (k[0] * k[2] + k[1] * k[3]))
+            parts.append(-pi2 * (k[0] * k[3] - k[1] * k[2]))
+        return parts
+
+    def stack(self) -> np.ndarray:
+        """The symbols as one real stack of shape (components,) + rshape, a
+        fresh array: the stencil of a batched Hessian."""
+        return np.stack([np.broadcast_to(p, self.rshape) for p in self.symbols()])
 
     def laplacian_symbol(self, inv_matrix: np.ndarray) -> np.ndarray:
         """Symbol of the constant-coefficient Laplacian tr(B . H[f]) for B = inv_matrix."""
         b = inv_matrix
+        s = self.symbols()
         if self.grid.n == 1:
-            return b[0, 0].real * self.stack[0]
-        out = b[0, 0].real * self.stack[0] + b[1, 1].real * self.stack[1]
+            return b[0, 0].real * s[0]
+        out = b[0, 0].real * s[0] + b[1, 1].real * s[1]
         # B and S are Hermitian: cross terms give 2 Re(B_01 conj(S_01)).
-        out += 2.0 * (b[0, 1].real * self.stack[2] + b[0, 1].imag * self.stack[3])
+        out += 2.0 * (b[0, 1].real * s[2] + b[0, 1].imag * s[3])
         return out
 
 
@@ -209,12 +226,13 @@ def hessian_components(grid: GridSpec, coeffs: np.ndarray,
     One batched inverse transform keeps this on the hot path.  buf, when
     given, is a complex array of shape (components,) + coeffs.shape that
     receives the stencil product in place of a fresh allocation; the
-    returned stack is always a new array.  stencil, when given, replaces the
-    tables' symbol stack with a real array of the same shape, e.g. the
-    symbols of the Hessian seen in another constant frame.
+    returned stack is always a new array.  stencil is a real array of that
+    shape, e.g. a symbol stack a caller keeps (the flow's) or the symbols of
+    the Hessian seen in another constant frame; without one, the tables'
+    symbol stack is made for this call.
     """
     if stencil is None:
-        stencil = tables(grid.n, grid.N).stack
+        stencil = tables(grid.n, grid.N).stack()
     stack = np.multiply(stencil, coeffs, out=buf)
     axes = tuple(range(1, 2 * grid.n + 1))
     return _pfft.c2r(stack, axes, grid.N, False, _NORM_INVERSE, None, fft_workers())

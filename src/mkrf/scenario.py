@@ -17,10 +17,12 @@ from .flow import FlowProblem, RunOptions
 from .geometry import (
     POSITIVITY_EPS,
     KahlerForm,
+    Regime,
     SingularMetricError,
     VolumeDensity,
     check_hermitian,
     check_positive_components,
+    compute_T,
 )
 from .grid import GridSpec, ScalarField, synthesize
 
@@ -177,15 +179,21 @@ def validate(scenario: Scenario) -> None:
     if not is_finite_number(s.dt_cap) or s.dt_cap <= 0.0:
         raise InvalidScenarioError(f"dt_cap must be a positive finite number, got {s.dt_cap!r}")
     # the floor of every later positivity test: A0 + H[phi0] can pass only above it
-    _check_definite(matrix_from_rows(s.A0, s.n, "A0"), "A0")
-    matrix_from_rows(s.Ainf, s.n, "Ainf")
+    A0 = matrix_from_rows(s.A0, s.n, "A0")
+    _check_definite(A0, "A0")
+    Ainf = matrix_from_rows(s.Ainf, s.n, "Ainf")
     _parse_modes(s.phi0, s.n, "phi0")
     _parse_modes(s.phi_inf, s.n, "phi_inf")
     _parse_modes(s.log_h, s.n, "log_h")
     if s.run_psi_family:
+        path = compute_T(A0, Ainf)
         for t in s.psi_times:
             if not (0.0 <= t <= s.t_max):
                 raise InvalidScenarioError(f"psi_times: {t} outside [0, t_max]")
+            # each psi solve needs its class above the floor solve_cy requires;
+            # a collapsing class falls below it at t ~ log(1 / POSITIVITY_EPS)
+            if path.regime == Regime.COLLAPSED:
+                _check_definite(path.A_t(t), f"psi_times: the class A_t at t={t:g}")
 
 
 def _check_definite(A: np.ndarray, what: str) -> None:

@@ -550,6 +550,96 @@ def test_frame_rows_from_the_frame_stencil_match_the_congruence(case):
     assert np.array_equal(det, det_components(rows))
 
 
+def _full_grid_symbol_stack(n, N):
+    """The Hessian symbols built over the whole rfft grid and stacked: the
+    frequencies of every axis broadcast to the full grid first, then the
+    symbols' formulas."""
+    k = [np.fft.fftfreq(N) * N for _ in range(2 * n - 1)] + [np.arange(N // 2 + 1.0)]
+    for ka in k:
+        ka[N // 2] = 0.0
+    K = np.meshgrid(*k, indexing="ij")
+    pi2 = np.pi ** 2
+    rows = [-pi2 * (K[2 * j] ** 2 + K[2 * j + 1] ** 2) for j in range(n)]
+    if n == 2:
+        rows += [-pi2 * (K[0] * K[2] + K[1] * K[3]), -pi2 * (K[0] * K[3] - K[1] * K[2])]
+    return np.stack(rows)
+
+
+@pytest.mark.parametrize("n,N,A", [
+    (1, 8, [[1.7]]), (1, 16, [[0.3]]),
+    (2, 8, [[1.3, 0.2 + 0.15j], [0.2 - 0.15j, 0.9]]), (2, 8, [[1.3, 0.0], [0.0, 0.9]]),
+    (2, 12, [[1.0, 0.3 + 0.2j], [0.3 - 0.2j, 0.13 + 1e-7]]),
+])
+def test_symbols_from_axis_factors_equal_the_full_grid_stack_bit_for_bit(n, N, A):
+    # the tables keep only per-axis frequencies; the Laplacian symbol and the
+    # frame stencil made from them are the ones a full-grid symbol stack
+    # gives, bit for bit, and so is the batched Hessian's stencil
+    from mkrf.elliptic import _frame_stencil
+    from mkrf.geometry import congruence_components, matrix_sqrt_hermitian
+    from mkrf.grid import tables
+
+    A = np.array(A, dtype=np.complex128)
+    S = _full_grid_symbol_stack(n, N)
+    tab = tables(n, N)
+    assert tab.stack().tobytes() == S.tobytes()
+    b = np.linalg.inv(A)
+    if n == 1:
+        lap = b[0, 0].real * S[0]
+    else:
+        lap = b[0, 0].real * S[0] + b[1, 1].real * S[1]
+        lap += 2.0 * (b[0, 1].real * S[2] + b[0, 1].imag * S[3])
+    got = tab.laplacian_symbol(b)
+    assert got.shape == tab.rshape and got.tobytes() == lap.tobytes()
+    root_inv = matrix_sqrt_hermitian(np.linalg.inv(A))
+    frame = np.stack(congruence_components(root_inv, tuple(S)))
+    assert _frame_stencil(GridSpec(n, N), A).tobytes() == frame.tobytes()
+
+
+def test_newton_solve_keeps_no_symbol_stack_target_or_weighted_copy(monkeypatch):
+    # at every fine Krylov solve the solve holds U, the four frame
+    # components and rhs (6 fields), the frame stencil (4 half-spectrum rows,
+    # 2.25), the one-row product buffer (1.125), the inverse Laplacian symbol
+    # and its kernel (0.63) and 1 / w (1): 11 real fields.  A kept frame
+    # target or y / w buffer adds a field each.  scipy.sparse.linalg is
+    # imported at module level here, so its import is not traced; pocketfft's
+    # own temporaries are not traced either
+    import tracemalloc
+
+    import mkrf.elliptic as elliptic
+    from mkrf.grid import SpectralTables, tables
+
+    def refuse(*args):
+        raise AssertionError("a Newton solve made the symbol stack")
+
+    monkeypatch.setattr(SpectralTables, "stack", refuse)
+    g = GridSpec(2, 16)
+    A = np.array([[1.3, 0.2 + 0.15j], [0.2 - 0.15j, 0.9]])
+    phi = synthesize(g, [((1, 0, 0, 0), 0.01), ((0, 1, 1, 0), 0.006, 0.4)])
+    h = np.exp(synthesize(g, [((1, 0, 0, 0), 0.2, 0.5), ((0, 0, 1, 1), 0.1)]).values)
+    prob = EllipticProblem.compatible(KahlerForm(A, phi), VolumeDensity(ScalarField(g, h)))
+    held = []
+    real = elliptic._FrameOperators.solve
+
+    def solve(ops, *args):
+        if ops.grid == g:
+            held.append((tracemalloc.get_traced_memory()[0] - base) / (8 * g.num_points))
+        return real(ops, *args)
+
+    monkeypatch.setattr(elliptic._FrameOperators, "solve", solve)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _, rep = solve_cy(prob)
+    finally:
+        tracemalloc.stop()
+    assert rep.converged and rep.start == "nested" and held
+    assert max(held) < 12.0, held
+    # the cached tables of the grid hold its per-axis frequencies only
+    arrays = [a for v in vars(tables(2, 16)).values()
+              for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray)]
+    assert arrays and max(a.size for a in arrays) <= g.N
+
+
 def test_failing_frame_state_names_the_smallest_eigenvalue_and_its_point():
     # the positivity test decides without an eigenvalue field; on failure the
     # error carries lambda_min and its grid point as the eigenvalue scan did

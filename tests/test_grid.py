@@ -260,7 +260,7 @@ def test_hessian_stencil_argument(n):
     rng = np.random.default_rng(11)
     c = forward(rng.standard_normal(g.shape))
     plain = hessian_components(g, c)
-    stack = tables(n, 8).stack
+    stack = tables(n, 8).stack()
     assert np.array_equal(hessian_components(g, c, stencil=stack), plain)
     buf = np.empty(stack.shape, dtype=np.complex128)
     assert np.array_equal(hessian_components(g, c, buf=buf, stencil=2.0 * stack), 2.0 * plain)
@@ -275,7 +275,7 @@ def test_one_row_hessians_equal_the_batched_rows_bit_for_bit(n, N):
 
     g = GridSpec(n, N)
     c = forward(np.random.default_rng(N + n).standard_normal(g.shape))
-    stack = tables(n, N).stack
+    stack = tables(n, N).stack()
     batched = hessian_components(g, c)
     buf = np.empty((1,) + c.shape, dtype=np.complex128)
     for k in range(len(stack)):
@@ -427,7 +427,7 @@ def test_transforms_are_bit_equal_to_scipy_fft(n, threads, data):
     grid = GridSpec(n, N)
     values = data.draw(finite_grid_values(grid))
     axes = tuple(range(1, 2 * n + 1))
-    stack = tables(n, N).stack
+    stack = tables(n, N).stack()
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("MKRF_THREADS", threads)
         workers = int(threads)

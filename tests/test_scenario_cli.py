@@ -389,6 +389,31 @@ def test_collapsed_run_without_the_comparison_flow(tmp_path, capsys):
     assert not [n for n in names if n.startswith(("w_", "wt_", "appendix_w"))]
 
 
+@pytest.mark.parametrize("command", ["run", "classify"])
+def test_psi_time_past_the_positivity_floor_exits_4_before_the_flow(tmp_path, capsys,
+                                                                     monkeypatch, command):
+    # the rank-1 collapsing class has lambda_min e^{-t}, below POSITIVITY_EPS
+    # after t = 23.03: the psi solve at t = 24 cannot start, and that is a
+    # set-up error, found before any flow step
+    import mkrf.cli as cli
+
+    def no_flow(*args):
+        raise AssertionError("the flow ran")
+
+    monkeypatch.setattr(cli, "run_flow", no_flow)
+    sc = load_scenario("collapsed", None)
+    sc.N, sc.t_max, sc.run_comparison_flow, sc.psi_times = 8, 25.0, False, [0.0, 24.0]
+    cfg = tmp_path / "late_psi.json"
+    cfg.write_text(sc.to_json())
+    assert main([command, "--config", str(cfg)]) == 4
+    err = capsys.readouterr().err
+    assert "psi_times: the class A_t at t=24: must be positive definite" in err
+    # without the psi family the same times are not read
+    sc.run_psi_family = False
+    cfg.write_text(sc.to_json())
+    assert main(["classify", "--config", str(cfg)]) == 0
+
+
 def test_newton_failure_prints_the_solver_diagnosis(capsys):
     # the N=8 grid cannot resolve the preset's density: the line search
     # fails, and the message says why
