@@ -54,7 +54,7 @@ from .geometry import (
     matrix_sqrt_hermitian,
     trace_pair_components,
 )
-from .grid import GridSpec, ScalarField, forward, inverse, tables
+from .grid import GridSpec, ScalarField, forward, hessian_rows, inverse, tables
 
 SUP_TOL_FACTOR = 1e-10
 LINEAR_RTOL = 1e-8
@@ -131,19 +131,6 @@ class NewtonReport:
     coarse_levels: list = field(default_factory=list)
 
 
-def _hessian_rows(grid, coeffs: np.ndarray, stencil: np.ndarray, row_buf: np.ndarray):
-    """The rows of hessian_components(grid, coeffs, stencil=stencil), made
-    on demand and in order, one inverse transform each.
-
-    row_buf, a one-row complex array shaped (1,) + coeffs.shape, receives
-    each row's stencil product, so no step holds more than one row of the
-    product or of the transform.  Each row equals the batched one bit for
-    bit.
-    """
-    for c in range(len(stencil)):
-        yield hessian_components(grid, coeffs, buf=row_buf, stencil=stencil[c:c + 1])[0]
-
-
 def _frame_stencil(grid, A: np.ndarray) -> np.ndarray:
     """Symbols of the Hessian in the A-orthonormal frame: the congruence
     R S R, R = A^{-1/2}, of the tables' symbols S, as a real stack of shape
@@ -174,7 +161,7 @@ def _frame_state(problem: EllipticProblem, stencil: np.ndarray, U: np.ndarray,
     """
     grid = problem.form.grid
     coeffs = forward(problem.form.phi.values + U)
-    fr = tuple(_hessian_rows(grid, coeffs, stencil, row_buf))
+    fr = tuple(hessian_rows(hessian_components, grid, coeffs, stencil, row_buf))
     del coeffs
     for diagonal in fr[:grid.n]:
         diagonal += 1.0
@@ -213,7 +200,7 @@ class _FrameOperators:
     the solve's frame stencil, one stencil product and one inverse
     transform per row, consumed by one pairing as they are made; a lift is
     its one inverse transform.  row_buf is the solve's one-row product
-    buffer (see _hessian_rows), shared with its frame states.  Of their own
+    buffer (see grid.hessian_rows), shared with its frame states.  Of their own
     the operators keep only 1 / w, the inverse symbol and its kernel mask;
     y / w is a temporary that the forward transform consumes at once.
     """
@@ -264,8 +251,8 @@ class _FrameOperators:
             if not y.any():
                 return np.zeros(npts)
             self.matvecs += 1
-            rows = _hessian_rows(grid, self._preconditioned_spectrum(y), self.stencil,
-                                 self.row_buf)
+            rows = hessian_rows(hessian_components, grid, self._preconditioned_spectrum(y),
+                                self.stencil, self.row_buf)
             out = trace_pair_components(adj, rows, 1.0)
             out -= out.mean()
             out /= mean_det

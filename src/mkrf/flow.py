@@ -71,13 +71,13 @@ from .geometry import (
     compute_T,
     constant_components,
     det_components,
+    diagonal_and_det,
     lambda_min_components,
-    metric_components,
     positive_components,
     singular_metric_error,
     trace_pair_components,
 )
-from .grid import GridSpec, ScalarField, forward, hessian_components, inverse, tables
+from .grid import GridSpec, ScalarField, forward, hessian_components, hessian_rows, inverse, tables
 
 MAX_HALVINGS = 20
 # Local error allowed per accepted step: the sup bound of the embedded
@@ -123,13 +123,9 @@ class FlowProblem:
         self.class_det0 = float(np.linalg.det(self.path.A0).real)
         self.workspace = _Workspace(self.grid, self.tables)
         # admissibility: the initial form must be a metric
-        comps0 = metric_components(
-            self.path.A0,
-            hessian_components(self.grid, self.phi0_hat, stencil=self.workspace.stencil),
-            self.grid.n,
-            self.grid.shape,
-        )
-        check_positive_components(comps0, t=0.0)
+        diag, det = diagonal_and_det(self.path.A0, self.hessian_rows(self.phi0_hat),
+                                     self.grid.n)
+        check_positive_components(diag, t=0.0, det=det)
 
     @property
     def scaled_r(self) -> int:
@@ -150,6 +146,12 @@ class FlowProblem:
     def phi_t_phys(self, t: float) -> np.ndarray:
         w = math.exp(-t)
         return w * self.phi0_phys + (1.0 - w) * self.phi_inf_phys
+
+    def hessian_rows(self, coeffs: np.ndarray):
+        """The Hessian rows of coeffs, one at a time through the workspace's
+        one-row product buffer (grid.hessian_rows)."""
+        ws = self.workspace
+        return hessian_rows(hessian_components, self.grid, coeffs, ws.stencil, ws.prod)
 
     def laplace_symbol(self, t: float) -> np.ndarray:
         inv = np.linalg.inv(self.A_t(t))
@@ -180,16 +182,17 @@ class _Workspace:
     """Preallocated scratch of one problem's RHS evaluations and RK stages.
 
     Everything an evaluation or a step returns is a fresh array; these
-    buffers only carry temporaries between the in-place operations, so the
-    hot path allocates (almost) nothing per stage.
+    buffers only carry temporaries between the in-place operations.  The
+    Hessian is made one row at a time (FlowProblem.hessian_rows), so the
+    stencil product takes one row here; the metric is made in the rows
+    the transform returns.
     """
 
     def __init__(self, grid: GridSpec, tabs):
         spec = tabs.rshape
-        self.stencil = tabs.stack()  # the Hessian symbols of every batched Hessian
-        self.prod = np.empty(self.stencil.shape, dtype=np.complex128)  # stencil product
-        self.det = np.empty(grid.shape)
-        self.work = np.empty(grid.shape)  # det intermediate, positivity test, log density
+        self.stencil = tabs.stack()  # the Hessian symbols, one row per component
+        self.prod = np.empty((1,) + spec, dtype=np.complex128)  # one row's stencil product
+        self.work = np.empty(grid.shape)  # positivity test, log density
         self.spec = np.empty(spec, dtype=np.complex128)  # spectral temporaries
         self.spec2 = np.empty(spec, dtype=np.complex128)
         self.stage = np.empty(spec, dtype=np.complex128)  # RK stage argument
@@ -204,6 +207,9 @@ class _Workspace:
 class EvalResult:
     F_hat: np.ndarray
     rhs_phys: np.ndarray | None = None   # log-density RHS (+ r t), no damping term
+    # the u/v flow's metric diagonal (g11,) / (g11, g22) and determinant,
+    # which record reads; None for the comparison flow, whose metric
+    # nothing reads
     comps: tuple | None = None
     det: np.ndarray | None = None
     pot_phys: np.ndarray | None = None   # full potential phi_t + field
@@ -216,24 +222,33 @@ def _eval_flow(problem: FlowProblem, p_hat: np.ndarray, t: float, r: int,
     p_hat is the spectral full potential.  For the u/v flows F_hat leaves
     out the class forcing c(t) = log det(A_t) + r t, which _lawson_rk4
     integrates exactly; rhs_phys keeps it.  full=True additionally
-    materializes the physical RHS, the metric components, the density, and
-    the physical potential for monitoring.  Every array in the result is
-    owned by it; the problem's workspace only holds temporaries.  A
-    non-finite state raises FlowBreakdownError, a metric below the
-    positivity floor SingularMetricError.
+    materializes the physical RHS and the physical potential for
+    monitoring, and for the u/v flow (comparison False) the metric diagonal
+    and the density that record reads.  The Hessian rows are made and
+    consumed one at a time (geometry.diagonal_and_det), so the evaluation
+    holds at most four grid rows and one row of transform work.  Every
+    array in the result is owned by it; the problem's workspace only holds
+    temporaries.  A non-finite state raises FlowBreakdownError, a metric
+    below the positivity floor SingularMetricError.
     """
     grid = problem.grid
     ws = problem.workspace
     A, floor, decay, _, log_det = problem._stage_constants(t)
-    hs = hessian_components(grid, p_hat, ws.prod, ws.stencil)
-    comps = metric_components(A, hs, grid.n, grid.shape, out=hs)
-    det = det_components(comps, out=None if full else ws.det, work=ws.work)
-    if not positive_components(comps, det, floor, work=ws.work):
+    diag, det = diagonal_and_det(A, problem.hessian_rows(p_hat), grid.n)
+    if not positive_components(diag, det, floor, work=ws.work):
         # a non-finite state fails the test too; NaN anywhere makes the min NaN
         if not math.isfinite(float(det.min())):
             raise FlowBreakdownError(f"non-finite state at t={t:.6f}")
-        raise singular_metric_error(comps, det, t)
-    rhs = np.log(det, out=None if full else ws.work)
+        raise singular_metric_error(diag, det, t)
+    if not full:
+        rhs = np.log(det, out=ws.work)
+        diag = det = None
+    elif comparison:
+        # nothing reads the comparison flow's metric: the RHS takes its row
+        rhs = np.log(det, out=det)
+        diag = det = None
+    else:
+        rhs = np.log(det)
     rhs -= problem.log_h
     if r:
         rhs += r * t
@@ -247,11 +262,11 @@ def _eval_flow(problem: FlowProblem, p_hat: np.ndarray, t: float, r: int,
         F_hat -= np.subtract(p_hat, phi_t, out=phi_t)
     if not full:
         return EvalResult(F_hat)
-    return EvalResult(F_hat, rhs, comps, det, inverse(grid, p_hat))
+    return EvalResult(F_hat, rhs, diag, det, inverse(grid, p_hat))
 
 
 def _lawson_rk4(problem: FlowProblem, y: np.ndarray, t: float, dt: float, r: int,
-                comparison: bool, F0: np.ndarray) -> tuple:
+                comparison: bool, F0: np.ndarray, ell: np.ndarray) -> tuple:
     """One Lawson (integrating factor) RK4 step.
 
     Returns (y1, d).  y1 is the new state.  d = k4 + ell y1 is the part of
@@ -262,14 +277,13 @@ def _lawson_rk4(problem: FlowProblem, y: np.ndarray, t: float, dt: float, r: int
     and 5 carry the same factor e^{-dt ell}, which cancels on the way back.
 
     F0 is the already-evaluated RHS at (y, t), so the first stage costs no
-    evaluation; it is only read.  The stage combinations run in place in
-    the problem's workspace and in the stage RHS arrays; y1 and d are the
-    (fresh) stage-2 and stage-4 RHS arrays.
+    evaluation; it is only read.  ell is the flow's linear symbol at the
+    step's midpoint: the Laplacian symbol at t + dt/2, less 1 for the
+    comparison flow; it is only read.  The stage combinations run in place
+    in the problem's workspace and in the stage RHS arrays; y1 and d are
+    the (fresh) stage-2 and stage-4 RHS arrays.
     """
     ws = problem.workspace
-    ell = problem.laplace_symbol(t + 0.5 * dt)
-    if comparison:
-        ell -= 1.0
     E2 = np.multiply(0.5 * dt, ell, out=ws.E2)
     np.exp(E2, out=E2)
     E1 = np.multiply(E2, E2, out=ws.E1)
@@ -387,13 +401,17 @@ def _attempt_step(problem, states, t, dt):
 
     states: list of (p_hat, r, comparison, F0), F0 the RHS at (p_hat, t).
     Returns (new_list, dt_used, halvings), new_list holding one (y1, d)
-    pair of _lawson_rk4 per flow.  Re-raises the last SingularMetricError
-    after MAX_HALVINGS failures.
+    pair of _lawson_rk4 per flow.  Each attempt builds the Laplacian symbol
+    at its midpoint once for all flows; the comparison flow's symbol less 1
+    is its own array.  Re-raises the last SingularMetricError after
+    MAX_HALVINGS failures.
     """
     halvings = 0
     while True:
+        ell = problem.laplace_symbol(t + 0.5 * dt)
         try:
-            new = [_lawson_rk4(problem, y, t, dt, r, comparison, F0)
+            new = [_lawson_rk4(problem, y, t, dt, r, comparison, F0,
+                               ell - 1.0 if comparison else ell)
                    for y, r, comparison, F0 in states]
             return new, dt, halvings
         except SingularMetricError:
@@ -409,21 +427,24 @@ def normalization_constant(problem: FlowProblem) -> float:
     C3 = max( max_x du/dt|0 , max_x [Lap(du/dt) - <metric0, omega0 - omegainf>
     + du/dt]|0 ); the monitored potential u - C3 t then has nonpositive value
     and rate along the flow.
+
+    The pairings need all four rows of the t = 0 metric, so they are kept
+    (FlowProblem checked that it is a metric); every other Hessian is made
+    one row at a time and consumed in order by its pairing.
     """
-    grid = problem.grid
-    stencil = problem.workspace.stencil
-    res = _eval_flow(problem, problem.phi0_hat.copy(), 0.0, 0, False, full=True)
-    udot0 = res.rhs_phys
-    lap = trace_pair_components(
-        res.comps, hessian_components(grid, forward(udot0), stencil=stencil), res.det
-    )
-    diff_comps = metric_components(
-        problem.path.A0 - problem.path.Ainf,
-        hessian_components(grid, -problem.drift_hat, stencil=stencil),
-        grid.n,
-        grid.shape,
-    )
-    pairing = trace_pair_components(res.comps, diff_comps, res.det)
+    n = problem.grid.n
+    path = problem.path
+    A = problem._stage_constants(0.0)[0]  # A_t at 0, up to round-off A0, as the flow has it
+    metric0 = tuple(np.add(h, c, out=h) for c, h in zip(
+        constant_components(A, n), problem.hessian_rows(problem.phi0_hat)))
+    det0 = det_components(metric0)
+    udot0 = np.log(det0)
+    udot0 -= problem.log_h
+    lap = trace_pair_components(metric0, problem.hessian_rows(forward(udot0)), det0)
+    # the rows of A0 - Ainf + H[phi0 - phi_inf], made as they are read
+    diff_rows = (np.add(h, c, out=h) for c, h in zip(
+        constant_components(path.A0 - path.Ainf, n), problem.hessian_rows(-problem.drift_hat)))
+    pairing = trace_pair_components(metric0, diff_rows, det0)
     second = lap - pairing + udot0
     return max(float(udot0.max()), float(second.max()))
 
@@ -549,7 +570,7 @@ def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
     # the lockstep flows by their comparison flag, the u/v flow first; ys
     # and evs hold each one's spectral state and its full evaluation there
     flows = (False, True) if run_w else (False,)
-    ys = [problem.phi0_hat.copy() for _ in flows]
+    ys = [problem.phi0_hat for _ in flows]  # read only, as every state is
     evs = [_eval_flow(problem, y, t, r, comparison, full=True)
            for y, comparison in zip(ys, flows)]
 

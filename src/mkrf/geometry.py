@@ -71,46 +71,65 @@ def constant_components(A: np.ndarray, n: int) -> tuple:
     return (A[0, 0].real, A[1, 1].real, A[0, 1].real, A[0, 1].imag)
 
 
-def metric_components(A: np.ndarray, hess_stack: np.ndarray | None, n: int, shape,
-                      out: np.ndarray | None = None):
+def metric_components(A: np.ndarray, hess_stack: np.ndarray | None, n: int, shape):
     """Component arrays of A + H, H given as a hessian_components stack
-    (None for H = 0).
-
-    out, a stack shaped like hess_stack (it may be hess_stack itself),
-    receives the components, which are then returned as views into it.
-    """
+    (None for H = 0)."""
     consts = constant_components(A, n)
     if hess_stack is None:
         return tuple(c + np.zeros(shape) for c in consts)
-    return tuple(
-        np.add(c, hess_stack[i], out=None if out is None else out[i])
-        for i, c in enumerate(consts)
-    )
+    return tuple(c + hess_stack[i] for i, c in enumerate(consts))
 
 
-def det_components(comps, out: np.ndarray | None = None, work: np.ndarray | None = None):
-    """Pointwise determinant; for n=1 this is comps[0] itself.
-
-    out receives the result and work, of the same shape, holds the
-    intermediate p^2 + q^2; either may be None to allocate.
-    """
+def det_components(comps):
+    """Pointwise determinant; for n=1 this is comps[0] itself."""
     if len(comps) == 1:
         return comps[0]
     g11, g22, p, q = comps
-    qq = np.multiply(q, q, out=out)
-    pq = np.multiply(p, p, out=work)
+    qq = q * q
+    pq = p * p
     pq += qq
     det = np.multiply(g11, g22, out=qq)
     det -= pq
     return det
 
 
-def lambda_min_components(comps, det):
-    """Smallest eigenvalue field, computed in a cancellation-safe form; det
-    is det_components(comps)."""
-    if len(comps) == 1:
-        return comps[0]
-    g11, g22, p, q = comps
+def diagonal_and_det(A: np.ndarray, hess_rows, n: int) -> tuple:
+    """The diagonal (g11,) / (g11, g22) of g = A + H and det(g), with H given
+    as its rows in the order of hessian_components (e.g. grid.hessian_rows).
+
+    The rows are read strictly in order and are the workspace: the diagonal
+    is made in the first two and det in the last (for n=1 det is g11
+    itself).  The off-diagonal rows are squared as soon as they arrive, so
+    at most four rows are live.  Each entry is H + A (IEEE addition
+    commutes) and det is formed with det_components' operations in its
+    order, so every bit is the bit of metric_components and det_components.
+    """
+    consts = constant_components(A, n)
+    rows = iter(hess_rows)
+    g11 = next(rows)
+    g11 += consts[0]
+    if n == 1:
+        return (g11,), g11
+    g22 = next(rows)
+    g22 += consts[1]
+    pq = next(rows)
+    pq += consts[2]
+    pq *= pq
+    q = next(rows)
+    q += consts[3]
+    q *= q
+    pq += q
+    det = np.multiply(g11, g22, out=q)
+    det -= pq
+    return (g11, g22), det
+
+
+def lambda_min_components(diag, det):
+    """Smallest eigenvalue field, computed in a cancellation-safe form, from
+    the diagonal (g11,) / (g11, g22) and det of a Hermitian field."""
+    if len(diag) == 1:
+        return diag[0]
+    g11, g22 = diag
     m = 0.5 * (g11 + g22)
     s = np.sqrt(np.maximum(m * m - det, 0.0))
     lam_max = m + s
@@ -186,11 +205,11 @@ def positive_components(comps, det, floor: float = POSITIVITY_EPS,
                         work: np.ndarray | None = None) -> bool:
     """Whether the smallest eigenvalue is at least floor at every grid point.
 
-    det is det_components(comps).  Decided from the components without an
-    eigenvalue: for n=2, lambda_min >= floor iff g11 >= floor and
-    det(g - floor I) >= 0, and det > 0 is required as well.  Any NaN fails.
-    work, shaped like det, receives the shifted determinant (None to
-    allocate).
+    det is det_components(comps).  Only the diagonal of comps is read, so it
+    may be (g11, g22) alone.  Decided without an eigenvalue: for n=2,
+    lambda_min >= floor iff g11 >= floor and det(g - floor I) >= 0, and
+    det > 0 is required as well.  Any NaN fails.  work, shaped like det,
+    receives the shifted determinant (None to allocate).
     """
     det_min = float(det.min())
     if len(comps) == 1:
@@ -205,21 +224,22 @@ def positive_components(comps, det, floor: float = POSITIVITY_EPS,
     return bool(shifted.min() >= 0.0)
 
 
-def singular_metric_error(comps, det, t: float | None) -> SingularMetricError:
-    """The error for a field that failed positive_components: its smallest
-    eigenvalue and the grid point where it sits."""
-    lam = lambda_min_components(comps, det)
+def singular_metric_error(diag, det, t: float | None) -> SingularMetricError:
+    """The error for a field that failed positive_components (diag and det
+    as there): its smallest eigenvalue and the grid point where it sits."""
+    lam = lambda_min_components(diag, det)
     loc = np.unravel_index(int(np.argmin(lam)), lam.shape)
     return SingularMetricError(float(lam.min()), loc, t)
 
 
 def check_positive_components(comps, t: float | None = None, det=None):
     """Raise SingularMetricError where the pointwise smallest eigenvalue dips
-    below POSITIVITY_EPS; det, when given, is det_components(comps)."""
+    below POSITIVITY_EPS; det, when given, is det_components(comps), and
+    then comps may be the diagonal alone."""
     if det is None:
         det = det_components(comps)
     if not positive_components(comps, det):
-        raise singular_metric_error(comps, det, t)
+        raise singular_metric_error(comps[:2], det, t)
 
 
 # ---------------------------------------------------------------------------

@@ -223,19 +223,35 @@ def hessian_components(grid: GridSpec, coeffs: np.ndarray,
     """Real component fields of the complex Hessian from rfft coefficients.
 
     Returns a stacked array: (H11,) for n=1; (H11, H22, Re H12, Im H12) for n=2.
-    One batched inverse transform keeps this on the hot path.  buf, when
-    given, is a complex array of shape (components,) + coeffs.shape that
-    receives the stencil product in place of a fresh allocation; the
-    returned stack is always a new array.  stencil is a real array of that
-    shape, e.g. a symbol stack a caller keeps (the flow's) or the symbols of
-    the Hessian seen in another constant frame; without one, the tables'
-    symbol stack is made for this call.
+    One batched inverse transform makes every row given.  buf, when given,
+    is a complex array of shape (components,) + coeffs.shape that receives
+    the stencil product in place of a fresh allocation; the returned stack
+    is always a new array.  stencil is a real array of that shape, e.g. one
+    row of the symbol stack the flow keeps or of the symbols of the Hessian
+    seen in another constant frame (see hessian_rows); without one, the
+    tables' symbol stack is made for this call.
     """
     if stencil is None:
         stencil = tables(grid.n, grid.N).stack()
     stack = np.multiply(stencil, coeffs, out=buf)
     axes = tuple(range(1, 2 * grid.n + 1))
     return _pfft.c2r(stack, axes, grid.N, False, _NORM_INVERSE, None, fft_workers())
+
+
+def hessian_rows(hessian_components, grid: GridSpec, coeffs: np.ndarray,
+                 stencil: np.ndarray, row_buf: np.ndarray):
+    """The rows of hessian_components(grid, coeffs, stencil=stencil), made
+    on demand and in order, one inverse transform each.
+
+    hessian_components is this module's function as the calling module
+    binds it, so a wrapper on the caller's name (perfbench's spans) sees
+    every row under its caller.  row_buf, a one-row complex array shaped
+    (1,) + coeffs.shape, receives each row's stencil product, so no step
+    holds more than one row of the product or of the transform.  Each row
+    equals the batched one bit for bit.
+    """
+    for c in range(len(stencil)):
+        yield hessian_components(grid, coeffs, buf=row_buf, stencil=stencil[c:c + 1])[0]
 
 
 def complex_hessian(f: ScalarField) -> np.ndarray:

@@ -254,7 +254,12 @@ def test_scaled_raw_lockstep_consistency():
     # metrics agree pointwise (the rescaling shifts only the potential)
     eu = _eval_flow(prob, yu, t, 0, False, full=True)
     ev = _eval_flow(prob, yv, t, r, False, full=True)
-    assert max(np.abs(a - b).max() for a, b in zip(eu.comps, ev.comps)) < 1e-10
+    assert len(eu.comps) == len(ev.comps) == 2
+    assert max(np.abs(a - b).max()
+               for a, b in zip((*eu.comps, eu.det), (*ev.comps, ev.det))) < 1e-10
+    # all four Hessian components, which the evaluations no longer keep
+    hu, hv = hessian_components(prob.grid, yu), hessian_components(prob.grid, yv)
+    assert np.abs(hu - hv).max() < 1e-10
 
 
 def test_comparison_state_roundtrip():
@@ -398,6 +403,13 @@ def reference_rhs(prob, p_hat, t, r, comparison):
     return F
 
 
+def midpoint_symbol(prob, t, dt, comparison):
+    """The linear symbol _lawson_rk4 takes for a step from t: the Laplacian
+    symbol of A_t at t + dt/2, less 1 for the comparison flow."""
+    ell = prob.tables.laplacian_symbol(np.linalg.inv(prob.A_t(t + 0.5 * dt)))
+    return ell - 1.0 if comparison else ell
+
+
 def reference_lawson_rk4(prob, y, t, dt, r, comparison):
     y1 = reference_lawson_stages(prob, y, t, dt, r, comparison)
     if not comparison:
@@ -430,7 +442,8 @@ def test_lawson_step_matches_allocating_reference(comparison):
     y = prob.phi0_hat.copy()
     t, dt, r = 0.3, 0.01, prob.scaled_r
     F0 = _eval_flow(prob, y, t, r, comparison).F_hat
-    got, _ = _lawson_rk4(prob, y, t, dt, r, comparison, F0=F0)
+    got, _ = _lawson_rk4(prob, y, t, dt, r, comparison, F0,
+                         midpoint_symbol(prob, t, dt, comparison))
     want = reference_lawson_rk4(prob, y, t, dt, r, comparison)
     assert np.array_equal(got, want)
 
@@ -442,8 +455,14 @@ def test_full_eval_result_owns_its_arrays():
     evs = [_eval_flow(prob, y, 0.2, r, comp, full=True) for comp in (False, True)]
 
     def arrays(ev):
+        if ev.comps is None:
+            return [ev.F_hat, ev.rhs_phys, ev.pot_phys]
         return [ev.F_hat, ev.rhs_phys, ev.det, ev.pot_phys, *ev.comps]
 
+    # the u/v flow keeps the diagonal and det that record reads, the
+    # comparison flow no metric
+    assert len(evs[0].comps) == 2 and evs[0].det is not None
+    assert evs[1].comps is None and evs[1].det is None
     before = [[a.copy() for a in arrays(ev)] for ev in evs]
     y2 = y * 1.01
     _eval_flow(prob, y2, 0.3, r, False)
@@ -452,6 +471,94 @@ def test_full_eval_result_owns_its_arrays():
     for ev, saved in zip(evs, before):
         for a, b in zip(arrays(ev), saved):
             assert np.array_equal(a, b)
+
+
+def test_flow_holds_one_hessian_row_of_transform_work(monkeypatch):
+    # every Hessian of the flow's set-up, normalization constant and steps
+    # is made one row at a time; the comparison flow's evaluations keep no
+    # metric rows; and one evaluation holds at most the four rows it makes
+    # the metric in (stage, comparison) or those plus the rows the u/v
+    # result keeps, in grid fields: 4.0 and 6.13 here, 5.13 and 8.13 with
+    # the four-row stack.  The one-row product buffer belongs to the
+    # workspace, and pocketfft's temporaries are not traced
+    stencil_rows = []
+    real_hessian = mkrf.flow.hessian_components
+
+    def recording_hessian(grid, coeffs, buf=None, stencil=None):
+        stencil_rows.append(None if stencil is None else len(stencil))
+        return real_hessian(grid, coeffs, buf=buf, stencil=stencil)
+
+    monkeypatch.setattr(mkrf.flow, "hessian_components", recording_hessian)
+    prob = collapsed_problem(N=16)
+    assert stencil_rows == [1] * 4
+    normalization_constant(prob)
+    assert stencil_rows == [1] * 16
+    assert prob.workspace.prod.shape == (1,) + prob.tables.rshape
+
+    evaluations = []
+    real_eval = mkrf.flow._eval_flow
+
+    def recording_eval(*args, **kwargs):
+        res = real_eval(*args, **kwargs)
+        evaluations.append((args[4], kwargs.get("full", False), res))
+        return res
+
+    monkeypatch.setattr(mkrf.flow, "_eval_flow", recording_eval)
+    res = run_flow(prob, RunOptions(t_max=0.2, run_comparison=True, dt_cap=0.05))
+    assert res.status == "completed"
+    # run_flow's own normalization constant, then four rows per evaluation
+    assert len(stencil_rows) == 16 + 12 + 4 * len(evaluations)
+    assert set(stencil_rows) == {1}
+    comparison_full = [ev for comparison, full, ev in evaluations if comparison and full]
+    assert comparison_full and all(ev.comps is None and ev.det is None for ev in comparison_full)
+
+    field = 8 * prob.grid.num_points
+    y, r = prob.phi0_hat, prob.scaled_r
+    for comparison, full, bound in ((False, False, 5.0), (True, False, 5.0),
+                                    (True, True, 5.0), (False, True, 7.2)):
+        real_eval(prob, y, 0.3, r, comparison, full=full)  # stage constants at t
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ev = real_eval(prob, y, 0.3, r, comparison, full=full)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        del ev
+        assert peak / field < bound, (comparison, full, peak / field)
+
+
+def test_one_laplacian_symbol_per_attempted_step(monkeypatch):
+    # both lockstep flows step with the symbol built once per attempt; the
+    # comparison flow's symbol less 1 is its own array, and the shared one
+    # keeps the bits of the tables' Laplacian symbol
+    prob = collapsed_problem()
+    r = prob.scaled_r
+    y = prob.phi0_hat
+    t, dt = 0.3, 0.01
+    built, stepped = [], []
+    real_symbol = FlowProblem.laplace_symbol
+    real_step = mkrf.flow._lawson_rk4
+
+    def counting_symbol(problem, tau):
+        ell = real_symbol(problem, tau)
+        built.append(ell)
+        return ell
+
+    def recording_step(*args):
+        out = real_step(*args)
+        stepped.append((args[5], args[7] is built[-1], args[7].copy()))
+        return out
+
+    monkeypatch.setattr(FlowProblem, "laplace_symbol", counting_symbol)
+    monkeypatch.setattr(mkrf.flow, "_lawson_rk4", recording_step)
+    _attempt_step(prob, states(prob, t, (y, r, False), (y, r, True)), t, dt)
+    assert len(built) == 1
+    assert [(c, shared) for c, shared, _ in stepped] == [(False, True), (True, False)]
+    want = midpoint_symbol(prob, t, dt, False)
+    assert built[0].tobytes() == want.tobytes()
+    assert stepped[0][2].tobytes() == want.tobytes()
+    assert stepped[1][2].tobytes() == midpoint_symbol(prob, t, dt, True).tobytes()
 
 
 def test_lockstep_step_peak_allocation():
@@ -545,7 +652,8 @@ def test_embedded_estimate_matches_reference(comparison):
     y = prob.phi0_hat.copy()
     t, dt, r = 0.3, 0.01, prob.scaled_r
     F0 = _eval_flow(prob, y, t, r, comparison).F_hat
-    y1, d = _lawson_rk4(prob, y, t, dt, r, comparison, F0=F0)
+    y1, d = _lawson_rk4(prob, y, t, dt, r, comparison, F0,
+                        midpoint_symbol(prob, t, dt, comparison))
     F1 = _eval_flow(prob, y1, t + dt, r, comparison).F_hat
     want = reference_embedded_error(prob, y, t, dt, r, comparison)
     got = 0.1 * dt * (d - F1)
@@ -565,7 +673,8 @@ def test_embedded_estimate_is_third_order():
     errs = []
     for dt in (1.25e-3, 6.25e-4):
         F0 = _eval_flow(prob, y, 0.0, r, False).F_hat
-        y1, d = _lawson_rk4(prob, y, 0.0, dt, r, False, F0=F0)
+        y1, d = _lawson_rk4(prob, y, 0.0, dt, r, False, F0,
+                            midpoint_symbol(prob, 0.0, dt, False))
         errs.append(_embedded_error(prob, d, _eval_flow(prob, y1, dt, r, False).F_hat, dt))
     assert 12.0 < errs[0] / errs[1] < 20.0
 
@@ -597,8 +706,8 @@ def test_accepted_step_costs_three_stages_and_one_full_eval_per_flow(monkeypatch
     assert res.constants["halvings"] == 0 and res.step_control["rejections"] == 0
     flows = 2
     assert calls[False] == 3 * flows * res.constants["steps"]
-    # one for the normalization constant, one per flow at t = 0
-    assert calls[True] == 1 + flows * (res.constants["steps"] + 1)
+    # one per flow at t = 0 (the normalization constant makes its own rows)
+    assert calls[True] == flows * (res.constants["steps"] + 1)
     assert res.step_control["accepted"] == res.constants["steps"]
     assert sum(res.step_control["limits"].values()) == res.constants["steps"]
     assert 0.0 < res.step_control["max_error"] <= mkrf.flow.STEP_TOL

@@ -97,7 +97,7 @@ def test_ma_density_positivity_loss_reports_location():
 
 # --- positivity test ---------------------------------------------------------
 
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import Phase, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
@@ -124,7 +124,7 @@ def test_positivity_test_decides_as_the_eigenvalue_scan(n, data):
     for diagonal in comps[:n]:
         diagonal += shift
     det = det_components(comps)
-    lam = lambda_min_components(comps, det)
+    lam = lambda_min_components(comps[:2], det)
     assume(float(np.abs(lam - floor).min()) > 1e-9)
     expected = bool(float(lam.min()) >= floor)
     assert positive_components(comps, det, floor) == expected
@@ -145,6 +145,48 @@ def test_positivity_test_fails_on_nan():
     for comps in ((np.array([1.0, np.nan]),),
                   (np.array([1.0, np.nan]), np.ones(2), np.zeros(2), np.zeros(2))):
         assert not positive_components(comps, det_components(comps))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+# a wrong operation order fails on nearly every input, so shrinking would
+# show nothing more than the first failing example
+@pytest.mark.parametrize("n", [1, 2])
+@settings(max_examples=150, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(data=st.data())
+def test_streamed_metric_is_bit_identical_to_the_four_row_stack(n, data):
+    # the flow makes A + H one Hessian row at a time and keeps only the
+    # diagonal and det; those, the positivity verdict and the error of a
+    # failed test must be the bits the stack-based path gives, on arbitrary
+    # finite rows and class constants (zero and signed-zero off-diagonals
+    # included), small enough that no product overflows
+    from mkrf.geometry import diagonal_and_det, metric_components, singular_metric_error
+
+    shape = (3, 4)
+    value = st.one_of(st.floats(-1e100, 1e100, allow_nan=False, allow_infinity=False),
+                      st.sampled_from([0.0, -0.0, 1e-310, -1.0, 1.0]))
+    rows = [data.draw(arrays(np.float64, shape, elements=value)) for _ in range(n * n)]
+    for row in rows[n:]:
+        zero = data.draw(st.sampled_from([None, 0.0, -0.0]))
+        if zero is not None:
+            row[...] = zero
+    a11, a22, ap, aq = (data.draw(value) for _ in range(4))
+    A = np.array([[a11, complex(ap, aq)], [complex(ap, -aq), a22]])[:n, :n]
+    floor = data.draw(st.sampled_from([POSITIVITY_EPS, 1e-3, 0.5]))
+
+    comps = metric_components(A, np.stack(rows), n, shape)
+    det_ref = det_components(comps)
+    diag, det = diagonal_and_det(A, (row.copy() for row in rows), n)
+    assert len(diag) == n
+    assert [_bits(g) for g in diag] == [_bits(g) for g in comps[:n]]
+    assert _bits(det) == _bits(det_ref)
+    assert positive_components(diag, det, floor) == positive_components(comps, det_ref, floor)
+    err = singular_metric_error(diag, det, 0.5)
+    ref = singular_metric_error(comps[:2], det_ref, 0.5)
+    assert _bits(err.lambda_min) == _bits(ref.lambda_min)
+    assert err.location == ref.location
 
 
 # --- trace_pair -------------------------------------------------------------

@@ -269,9 +269,10 @@ def test_hessian_stencil_argument(n):
 
 @pytest.mark.parametrize("n,N", [(1, 8), (1, 64), (2, 8), (2, 12), (2, 16), (2, 24)])
 def test_one_row_hessians_equal_the_batched_rows_bit_for_bit(n, N):
-    # the elliptic layer transforms one Hessian row at a time through a
-    # one-row product buffer; its rows must be the batched call's
-    from mkrf.grid import tables
+    # the flow and the elliptic layer transform one Hessian row at a time
+    # through a one-row product buffer (hessian_rows); its rows must be the
+    # batched call's
+    from mkrf.grid import hessian_rows, tables
 
     g = GridSpec(n, N)
     c = forward(np.random.default_rng(N + n).standard_normal(g.shape))
@@ -282,6 +283,11 @@ def test_one_row_hessians_equal_the_batched_rows_bit_for_bit(n, N):
         row = hessian_components(g, c, buf=buf, stencil=stack[k:k + 1])
         assert row.shape == (1,) + g.shape
         assert np.array_equal(row[0].view(np.uint64), batched[k].view(np.uint64))
+    rows = list(hessian_rows(hessian_components, g, c, stack, buf))
+    assert len(rows) == len(stack)
+    for row, want in zip(rows, batched):
+        assert row.shape == g.shape
+        assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
 
 
 def full_grid_synthesis(grid, modes):
