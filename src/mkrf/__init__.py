@@ -30,7 +30,6 @@ from .grid import (
 from .elliptic import EllipticProblem, NewtonReport, solve_cy, solve_psi_family
 from .flow import (
     FlowProblem,
-    RunOptions,
     RunResult,
     normalization_constant,
     run_flow,
@@ -44,6 +43,6 @@ from .monitors import (
     check_core,
     check_finite_time,
 )
-from .scenario import PRESETS, InvalidScenarioError, Scenario, build_problem, run_options
+from .scenario import PRESETS, InvalidScenarioError, Scenario, build_problem
 
 __version__ = "0.1.0"

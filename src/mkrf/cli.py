@@ -15,6 +15,7 @@ not counted).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -34,11 +35,8 @@ from .scenario import (
     Scenario,
     build_limit_problem,
     build_problem,
-    check_initial_form,
     is_finite_number,
     load_scenario,
-    matrix_from_rows,
-    run_options,
     validate,
 )
 
@@ -75,13 +73,10 @@ def _fmt_T(T: float) -> str:
 
 def cmd_classify(args) -> int:
     try:
-        sc = _load(args)
-        validate(sc)
-        A0 = matrix_from_rows(sc.A0, sc.n, "A0")
-        Ainf = matrix_from_rows(sc.Ainf, sc.n, "Ainf")
-        path = compute_T(A0, Ainf)
+        parsed = validate(_load(args))
+        path = compute_T(parsed["A0"], parsed["Ainf"])
     except (InvalidScenarioError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        print(f"invalid config: {e}", file=sys.stderr)
         return EXIT_INVALID
     if args.json:
         out = {
@@ -116,17 +111,18 @@ def _inadmissible_limit(err: SingularMetricError) -> int:
     return EXIT_INVALID
 
 
-def verdict(scenario: Scenario, problem, result):
+def verdict(scenario: Scenario, problem, result, limit):
     """Judge a finished run by its regime.
 
     Finite-time runs get the blow-down report.  Collapsed runs get the
     collapsed report plus, when the scenario asks for it, the psi family
     and its psi_non_trending check.  Kahler-limit runs are compared with
-    the reference Newton solve of the limit equation.  Returns (reports,
-    failures, extra_constants, extra_fields): failures names every failed
-    check, the run's monitor violations included.  A failed Newton solve
-    raises NewtonConvergenceError or ValueError, a limit form that is not a
-    metric SingularMetricError.
+    the reference Newton solve of limit, the scenario's limit problem (None
+    in the other regimes).  Returns (reports, failures, extra_constants,
+    extra_fields): failures names every failed check, the run's monitor
+    violations included.  A failed Newton solve raises
+    NewtonConvergenceError or ValueError, a limit form that is not a metric
+    SingularMetricError.
     """
     regime = problem.path.regime
     reports = {}
@@ -152,7 +148,7 @@ def verdict(scenario: Scenario, problem, result):
                 (f"psi_t{t:g}", p) for t, p in zip(scenario.psi_times, psis)
             ]
     if regime == Regime.KAHLER_LIMIT:
-        U, newton_rep = solve_cy(build_limit_problem(scenario))
+        U, newton_rep = solve_cy(limit)
         gaps = [
             monitors.convergence_gap(arr, U.values) for _, arr in result.uhat_snaps
         ]
@@ -172,18 +168,19 @@ def cmd_run(args) -> int:
     try:
         sc = _load(args)
         problem = build_problem(sc)
+        limit = None
         if problem.path.regime == Regime.KAHLER_LIMIT:
+            limit = build_limit_problem(sc)
             # the reference solve after the flow needs a limit form that is
             # a metric (congruence into the Newton frame keeps positivity)
-            check_positive_components(build_limit_problem(sc).form.metric())
+            check_positive_components(limit.form.metric())
     except InvalidScenarioError as e:
         print(f"invalid config: {e}", file=sys.stderr)
         return EXIT_INVALID
     except SingularMetricError as e:
         return _inadmissible_limit(e)
-    opts = run_options(sc)
     core_start = time.perf_counter()
-    result = run_flow(problem, opts)
+    result = run_flow(problem, sc.t_max, sc.run_comparison_flow, sc.dt_cap)
     core_end = time.perf_counter()
     timings = {"setup_s": core_start - start, "core_s": core_end - core_start}
 
@@ -196,7 +193,7 @@ def cmd_run(args) -> int:
         return EXIT_BREAKDOWN
 
     try:
-        reports, failures, extra_constants, extra_fields = verdict(sc, problem, result)
+        reports, failures, extra_constants, extra_fields = verdict(sc, problem, result, limit)
     except (NewtonConvergenceError, ValueError) as e:
         what = ("psi family" if problem.path.regime == Regime.COLLAPSED
                 else "reference elliptic solve")
@@ -228,7 +225,6 @@ def cmd_cy_solve(args) -> int:
     try:
         sc = _load(args)
         problem = build_limit_problem(sc)
-        check_initial_form(sc)
     except InvalidScenarioError as e:
         print(f"invalid config: {e}", file=sys.stderr)
         return EXIT_INVALID
@@ -250,10 +246,7 @@ def cmd_cy_solve(args) -> int:
         write_snapshot([("U", U)], os.path.join(args.out, "cy_solution.mkrf"))
         with open(os.path.join(args.out, "newton_report.json"), "w",
                   encoding="utf-8") as fh:
-            json.dump(dict(_newton_work(rep), final_residual=rep.final_residual,
-                           residual_history=rep.residual_history,
-                           damping_history=rep.damping_history, converged=rep.converged,
-                           linear_rtols=rep.linear_rtols),
+            json.dump({k: v for k, v in dataclasses.asdict(rep).items() if k != "message"},
                       fh, indent=2, sort_keys=True)
             fh.write("\n")
         write_timings(args.out, {"setup_s": core_start - start,

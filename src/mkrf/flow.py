@@ -454,13 +454,6 @@ def normalization_constant(problem: FlowProblem) -> float:
 
 
 @dataclass
-class RunOptions:
-    t_max: float
-    run_comparison: bool
-    dt_cap: float
-
-
-@dataclass
 class RunResult:
     status: str
     stop_reason: str
@@ -515,8 +508,11 @@ def _w_ring_lookup(ring, t_query):
     return None
 
 
-def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
-    """Integrate from t=0 with adaptive steps, invoking monitors each step.
+def run_flow(problem: FlowProblem, t_max: float, run_comparison: bool,
+             dt_cap: float) -> RunResult:
+    """Integrate from t=0 with adaptive steps of at most dt_cap, invoking
+    monitors each step; a collapsed run with run_comparison integrates the
+    comparison flow in lockstep.
 
     Stops at t_max (a finite-time run at T - STOP_MARGIN at the latest, as a
     singularity stop) or on positivity loss; monitor violations are
@@ -529,12 +525,11 @@ def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
     r = problem.scaled_r
     n = grid.n
     T = path.T
-    t_max = options.t_max
     if regime == Regime.FINITE_TIME:
         t_max = min(t_max, T - STOP_MARGIN)
     C3 = normalization_constant(problem)
 
-    run_w = options.run_comparison and regime == Regime.COLLAPSED
+    run_w = run_comparison and regime == Regime.COLLAPSED
     # only the Kahler-limit convergence monitor consumes potential snapshots
     collect_snaps = regime == Regime.KAHLER_LIMIT
 
@@ -596,7 +591,7 @@ def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
         mean_det = float(np.mean(ev.det))
         _, floor, _, class_det, _ = problem._stage_constants(t)
         snap = monitors.StepSnapshot(
-            t, n, regime.value, T, u_hat, ut_hat, lam_min, lam_loc,
+            t, n, regime.value, u_hat, ut_hat, lam_min, lam_loc,
             floor, mean_det, class_det, problem.class_det0,
         )
         report = monitors.check_core(snap, prev_combo)
@@ -665,7 +660,7 @@ def run_flow(problem: FlowProblem, options: RunOptions) -> RunResult:
 
     def propose_dt():
         """The largest dt every bound allows, and the name of the bound that set it."""
-        dt, limit = options.dt_cap, "dt_cap"
+        dt, limit = dt_cap, "dt_cap"
         if dt_err < dt:
             dt, limit = dt_err, "error"
         for e in events:

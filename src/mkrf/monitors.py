@@ -60,7 +60,6 @@ class StepSnapshot:
     t: float
     n: int
     regime: str
-    T: float
     u_hat: np.ndarray
     ut_hat: np.ndarray
     lambda_min: float

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .elliptic import EllipticProblem
-from .flow import FlowProblem, RunOptions
+from .flow import FlowProblem
 from .geometry import (
     POSITIVITY_EPS,
     KahlerForm,
@@ -152,9 +152,10 @@ def _parse_modes(modes, n: int, what: str):
     return out
 
 
-def validate(scenario: Scenario) -> None:
+def validate(scenario: Scenario) -> dict:
     """Check every field's type and range; raise InvalidScenarioError naming
-    the first bad field.  Builds no grid."""
+    the first bad field.  Builds no grid; returns what it parsed by field
+    name, the matrices A0 and Ainf and the mode lists phi0, phi_inf, log_h."""
     s = scenario
     if not isinstance(s.name, str):
         raise InvalidScenarioError(f"name must be a string, got {s.name!r}")
@@ -179,14 +180,13 @@ def validate(scenario: Scenario) -> None:
     if not is_finite_number(s.dt_cap) or s.dt_cap <= 0.0:
         raise InvalidScenarioError(f"dt_cap must be a positive finite number, got {s.dt_cap!r}")
     # the floor of every later positivity test: A0 + H[phi0] can pass only above it
-    A0 = matrix_from_rows(s.A0, s.n, "A0")
-    _check_definite(A0, "A0")
-    Ainf = matrix_from_rows(s.Ainf, s.n, "Ainf")
-    _parse_modes(s.phi0, s.n, "phi0")
-    _parse_modes(s.phi_inf, s.n, "phi_inf")
-    _parse_modes(s.log_h, s.n, "log_h")
+    parsed = {"A0": matrix_from_rows(s.A0, s.n, "A0")}
+    _check_definite(parsed["A0"], "A0")
+    parsed["Ainf"] = matrix_from_rows(s.Ainf, s.n, "Ainf")
+    for key in ("phi0", "phi_inf", "log_h"):
+        parsed[key] = _parse_modes(getattr(s, key), s.n, key)
     if s.run_psi_family:
-        path = compute_T(A0, Ainf)
+        path = compute_T(parsed["A0"], parsed["Ainf"])
         for t in s.psi_times:
             if not (0.0 <= t <= s.t_max):
                 raise InvalidScenarioError(f"psi_times: {t} outside [0, t_max]")
@@ -194,6 +194,7 @@ def validate(scenario: Scenario) -> None:
             # a collapsing class falls below it at t ~ log(1 / POSITIVITY_EPS)
             if path.regime == Regime.COLLAPSED:
                 _check_definite(path.A_t(t), f"psi_times: the class A_t at t={t:g}")
+    return parsed
 
 
 def _check_definite(A: np.ndarray, what: str) -> None:
@@ -205,28 +206,23 @@ def _check_definite(A: np.ndarray, what: str) -> None:
                                    f" {lam:.3e} <= {POSITIVITY_EPS:g})")
 
 
-def _form(s: Scenario, grid: GridSpec, A_key: str, phi_key: str) -> KahlerForm:
-    """The scenario's class A_key with the potential phi_key."""
-    A = matrix_from_rows(getattr(s, A_key), s.n, A_key)
-    return KahlerForm(A, synthesize(grid, _parse_modes(getattr(s, phi_key), s.n, phi_key)))
+def _form(parsed: dict, grid: GridSpec, A_key: str, phi_key: str) -> KahlerForm:
+    """The parsed class A_key with the potential phi_key."""
+    return KahlerForm(parsed[A_key], synthesize(grid, parsed[phi_key]))
 
 
-def _density(s: Scenario, grid: GridSpec) -> VolumeDensity:
-    log_h = synthesize(grid, _parse_modes(s.log_h, s.n, "log_h"))
-    return VolumeDensity(ScalarField(grid, np.exp(log_h.values)))
+def _density(parsed: dict, grid: GridSpec) -> VolumeDensity:
+    return VolumeDensity(ScalarField(grid, np.exp(synthesize(grid, parsed["log_h"]).values)))
 
 
 def build_problem(scenario: Scenario) -> FlowProblem:
     """Assemble the flow problem; admissibility of the initial metric is
     checked during construction."""
-    validate(scenario)
-    s = scenario
-    grid = GridSpec(s.n, s.N)
-    form0 = _form(s, grid, "A0", "phi0")
-    form_inf = _form(s, grid, "Ainf", "phi_inf")
-    omega = _density(s, grid)
+    parsed = validate(scenario)
+    grid = GridSpec(scenario.n, scenario.N)
     try:
-        return FlowProblem(form0, form_inf, omega)
+        return FlowProblem(_form(parsed, grid, "A0", "phi0"),
+                           _form(parsed, grid, "Ainf", "phi_inf"), _density(parsed, grid))
     except SingularMetricError as e:
         raise InvalidScenarioError(f"phi0: inadmissible scenario: {e}") from e
 
@@ -236,32 +232,19 @@ def build_limit_problem(scenario: Scenario) -> EllipticProblem:
     with the density h = exp(log_h) of its flow problem; builds nothing else.
 
     Ainf must be positive definite above POSITIVITY_EPS, as solve_cy
-    requires; the Newton solve rejects a limit form that is not a metric.
+    requires, and A0 + H[phi0] a metric, the check build_problem makes (it
+    needs no transform when phi0 is empty); the Newton solve rejects a limit
+    form that is not a metric.
     """
-    validate(scenario)
-    _check_definite(matrix_from_rows(scenario.Ainf, scenario.n, "Ainf"), "Ainf")
+    parsed = validate(scenario)
+    _check_definite(parsed["Ainf"], "Ainf")
     grid = GridSpec(scenario.n, scenario.N)
-    return EllipticProblem.compatible(_form(scenario, grid, "Ainf", "phi_inf"),
-                                      _density(scenario, grid))
-
-
-def check_initial_form(scenario: Scenario) -> None:
-    """Raise InvalidScenarioError unless A0 + H[phi0] is a metric, the check
-    build_problem makes; it needs no transform when phi0 is empty."""
-    validate(scenario)
-    form0 = _form(scenario, GridSpec(scenario.n, scenario.N), "A0", "phi0")
     try:
-        check_positive_components(form0.metric(), t=0.0)
+        check_positive_components(_form(parsed, grid, "A0", "phi0").metric(), t=0.0)
     except SingularMetricError as e:
         raise InvalidScenarioError(f"phi0: inadmissible scenario: {e}") from e
-
-
-def run_options(scenario: Scenario) -> RunOptions:
-    return RunOptions(
-        t_max=scenario.t_max,
-        run_comparison=scenario.run_comparison_flow,
-        dt_cap=scenario.dt_cap,
-    )
+    return EllipticProblem.compatible(_form(parsed, grid, "Ainf", "phi_inf"),
+                                      _density(parsed, grid))
 
 
 PRESETS = {

@@ -2,7 +2,8 @@ import pytest
 
 from mkrf.cli import verdict
 from mkrf.flow import run_flow
-from mkrf.scenario import build_problem, load_scenario, run_options
+from mkrf.geometry import Regime
+from mkrf.scenario import build_limit_problem, build_problem, load_scenario
 
 _cache = {}
 
@@ -16,8 +17,11 @@ def preset_run(name, grid_override=None):
         if grid_override is not None:
             sc.N = grid_override
         problem = build_problem(sc)
-        result = run_flow(problem, run_options(sc))
-        reports, _, constants, fields = verdict(sc, problem, result)
+        limit = (build_limit_problem(sc) if problem.path.regime == Regime.KAHLER_LIMIT
+                 else None)
+        result = run_flow(problem, t_max=sc.t_max, run_comparison=sc.run_comparison_flow,
+                          dt_cap=sc.dt_cap)
+        reports, _, constants, fields = verdict(sc, problem, result, limit)
         _cache[key] = {"scenario": sc, "problem": problem, "result": result,
                        "reports": reports, "constants": constants, "fields": dict(fields)}
     return _cache[key]

@@ -25,7 +25,7 @@ from mkrf.grid import (
     write_snapshot,
 )
 from mkrf.report import write_csv
-from mkrf.scenario import build_limit_problem, build_problem, load_scenario, run_options
+from mkrf.scenario import build_limit_problem, build_problem, load_scenario
 
 RUNTIME_BUDGET_S = 120.0
 
@@ -222,7 +222,8 @@ def test_criterion_10_determinism_and_persistence(tmp_path):
     csvs = []
     for i in range(2):
         problem = build_problem(sc)
-        result = run_flow(problem, run_options(sc))
+        result = run_flow(problem, t_max=sc.t_max, run_comparison=sc.run_comparison_flow,
+                          dt_cap=sc.dt_cap)
         path = tmp_path / f"run{i}.csv"
         write_csv(list(result.series), result.series, path)
         csvs.append(path.read_bytes())

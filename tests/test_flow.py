@@ -11,7 +11,6 @@ from mkrf.flow import (
     STOP_MARGIN,
     FlowBreakdownError,
     FlowProblem,
-    RunOptions,
     _attempt_step,
     _embedded_error,
     _eval_flow,
@@ -282,7 +281,7 @@ def test_comparison_state_roundtrip():
 
 def test_run_flow_kahler_completes():
     prob = flat_problem(n=1, N=16, h_const=1.1)
-    res = run_flow(prob, RunOptions(t_max=2.0, run_comparison=False, dt_cap=0.02))
+    res = run_flow(prob, t_max=2.0, run_comparison=False, dt_cap=0.02)
     assert res.status == "completed"
     assert res.series["t"][-1] == pytest.approx(2.0)
     assert min(res.series["margin_ut_hat_nonpos"]) > -1e-8
@@ -291,7 +290,7 @@ def test_run_flow_kahler_completes():
 
 def test_run_flow_finite_time_stops_near_T():
     prob = finite_problem()
-    res = run_flow(prob, RunOptions(t_max=5.0, run_comparison=False, dt_cap=0.02))
+    res = run_flow(prob, t_max=5.0, run_comparison=False, dt_cap=0.02)
     assert res.status == "singularity-stop"
     assert res.stop_reason.startswith("finite-time approach window")
     T = prob.path.T
@@ -307,7 +306,7 @@ def test_run_flow_finite_time_stops_near_T():
 
 def test_run_flow_collapsed_with_comparison():
     prob = collapsed_problem()
-    res = run_flow(prob, RunOptions(t_max=3.0, run_comparison=True, dt_cap=0.05))
+    res = run_flow(prob, t_max=3.0, run_comparison=True, dt_cap=0.05)
     assert res.status == "completed"
     assert "min_w" in res.series
     assert not math.isnan(res.series["min_q_s1"][-1])
@@ -319,7 +318,7 @@ def test_run_flow_collapsed_with_comparison():
 def test_lag_history_holds_only_readable_snapshots():
     # a run shorter than the lags' span stores fewer snapshots than the
     # 53 a full span holds, and every lag still finds both of its brackets
-    res = run_flow(collapsed_problem(), RunOptions(t_max=5.5, run_comparison=True, dt_cap=0.05))
+    res = run_flow(collapsed_problem(), t_max=5.5, run_comparison=True, dt_cap=0.05)
     assert res.status == "completed"
     for S in (1, 3, 5):
         rows = [q for t, q in zip(res.series["t"], res.series[f"min_q_s{S}"]) if t >= S]
@@ -340,8 +339,8 @@ def test_lag_lookup_never_interpolates_across_a_gap():
 
 def test_run_flow_is_deterministic():
     prob = flat_problem(n=1, N=16, h_const=1.2)
-    r1 = run_flow(prob, RunOptions(t_max=1.0, run_comparison=False, dt_cap=0.02))
-    r2 = run_flow(prob, RunOptions(t_max=1.0, run_comparison=False, dt_cap=0.02))
+    r1 = run_flow(prob, t_max=1.0, run_comparison=False, dt_cap=0.02)
+    r2 = run_flow(prob, t_max=1.0, run_comparison=False, dt_cap=0.02)
     assert r1.series == r2.series
 
 
@@ -349,9 +348,8 @@ def test_lockstep_runs_on_one_problem_are_identical():
     # the v and w flows and both runs share the problem's workspace;
     # nothing may leak from one evaluation into the next
     prob = collapsed_problem()
-    opts = RunOptions(t_max=1.0, run_comparison=True, dt_cap=0.05)
-    r1 = run_flow(prob, opts)
-    r2 = run_flow(prob, opts)
+    r1 = run_flow(prob, t_max=1.0, run_comparison=True, dt_cap=0.05)
+    r2 = run_flow(prob, t_max=1.0, run_comparison=True, dt_cap=0.05)
     assert r1.series == r2.series
 
 
@@ -359,7 +357,7 @@ def test_run_flow_u_dot_matches_rhs():
     # the recorded rate field is the RHS at the final state, not a finite
     # difference
     prob = collapsed_problem()
-    res = run_flow(prob, RunOptions(t_max=1.0, run_comparison=False, dt_cap=0.05))
+    res = run_flow(prob, t_max=1.0, run_comparison=False, dt_cap=0.05)
     t = res.constants["t_final"]
     r = prob.scaled_r
     C3 = res.constants["C3"]
@@ -371,7 +369,7 @@ def test_run_flow_u_dot_matches_rhs():
 def test_flat_run_margins_at_machine_precision():
     # stationary flat data: every core margin should sit at round-off
     prob = flat_problem(n=1, N=16)
-    res = run_flow(prob, RunOptions(t_max=0.5, run_comparison=False, dt_cap=0.02))
+    res = run_flow(prob, t_max=0.5, run_comparison=False, dt_cap=0.02)
     for key in ("margin_u_hat_nonpos", "margin_ut_hat_nonpos", "margin_eq7",
                 "margin_conservation"):
         assert min(res.series[key]) >= -1e-12
@@ -504,7 +502,7 @@ def test_flow_holds_one_hessian_row_of_transform_work(monkeypatch):
         return res
 
     monkeypatch.setattr(mkrf.flow, "_eval_flow", recording_eval)
-    res = run_flow(prob, RunOptions(t_max=0.2, run_comparison=True, dt_cap=0.05))
+    res = run_flow(prob, t_max=0.2, run_comparison=True, dt_cap=0.05)
     assert res.status == "completed"
     # run_flow's own normalization constant, then four rows per evaluation
     assert len(stencil_rows) == 16 + 12 + 4 * len(evaluations)
@@ -701,7 +699,7 @@ def test_accepted_step_costs_three_stages_and_one_full_eval_per_flow(monkeypatch
 
     monkeypatch.setattr(mkrf.flow, "_eval_flow", counting_eval)
     prob = collapsed_problem()
-    res = run_flow(prob, RunOptions(t_max=1.0, run_comparison=True, dt_cap=0.05))
+    res = run_flow(prob, t_max=1.0, run_comparison=True, dt_cap=0.05)
     assert res.status == "completed"
     assert res.constants["halvings"] == 0 and res.step_control["rejections"] == 0
     flows = 2
@@ -724,7 +722,7 @@ def test_tiny_step_tol_rejects_retries_and_completes(monkeypatch):
     monkeypatch.setattr(mkrf.flow, "_lawson_rk4", counting_step)
     monkeypatch.setattr(mkrf.flow, "STEP_TOL", 1e-11)
     prob = collapsed_problem()
-    res = run_flow(prob, RunOptions(t_max=0.3, run_comparison=True, dt_cap=0.05))
+    res = run_flow(prob, t_max=0.3, run_comparison=True, dt_cap=0.05)
     control = res.step_control
     assert res.status == "completed"
     assert res.series["t"][-1] == pytest.approx(0.3)
@@ -748,14 +746,14 @@ def test_error_estimate_alone_keeps_a_rough_run_stable():
             VolumeDensity(ScalarField(g, np.ones(g.shape))),
         )
 
-    opts = RunOptions(t_max=2.0, run_comparison=False, dt_cap=0.02)
-    res = run_flow(rough(), opts)
+    dt_cap = 0.02
+    res = run_flow(rough(), t_max=2.0, run_comparison=False, dt_cap=dt_cap)
     assert res.status == "completed"
     assert res.step_control["rejections"] > 0
     assert res.step_control["max_error"] <= mkrf.flow.STEP_TOL
     # at dt_cap / 8 the estimate still sets the first steps; dt_cap / 32
     # is within 5e-8 of dt_cap / 64
-    ref = run_flow(rough(), RunOptions(t_max=2.0, run_comparison=False, dt_cap=opts.dt_cap / 32))
+    ref = run_flow(rough(), t_max=2.0, run_comparison=False, dt_cap=dt_cap / 32)
     assert ref.status == "completed"
     err = np.abs(res.final["u_hat"].values - ref.final["u_hat"].values).max()
     assert err <= mkrf.flow.STEP_TOL
@@ -821,7 +819,7 @@ def test_finite_time_preset_mean_mode_converges_in_dt_cap():
     sc = load_scenario("finite-time", None)
     prob = build_problem(sc)
     means = [
-        float(run_flow(prob, RunOptions(t_max=sc.t_max, run_comparison=False, dt_cap=cap))
+        float(run_flow(prob, t_max=sc.t_max, run_comparison=False, dt_cap=cap)
               .final["u_hat"].values.mean())
         for cap in (0.02, 0.01)
     ]

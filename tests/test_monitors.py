@@ -14,10 +14,10 @@ from mkrf.monitors import (
 )
 
 
-def snapshot(u_hat, ut_hat, t=0.5, n=1, regime="KAHLER_LIMIT", T=math.inf,
+def snapshot(u_hat, ut_hat, t=0.5, n=1, regime="KAHLER_LIMIT",
              mean_det=1.0, class_det=1.0):
     return StepSnapshot(
-        t=t, n=n, regime=regime, T=T,
+        t=t, n=n, regime=regime,
         u_hat=u_hat, ut_hat=ut_hat,
         lambda_min=0.9, lambda_min_loc=(0, 0),
         positivity_floor=1e-10,
@@ -62,7 +62,7 @@ def test_eq7_margin_matches_independent_recomputation():
     u = -np.abs(rng.standard_normal((8, 8)))
     ut = -np.abs(rng.standard_normal((8, 8)))
     t, n = 0.37, 2
-    rep = check_core(snapshot(u, ut, t=t, n=n, regime="FINITE_TIME", T=0.7), None)
+    rep = check_core(snapshot(u, ut, t=t, n=n, regime="FINITE_TIME"), None)
     # recompute from the raw fields with an independently written expression
     field = u + n * t - (math.exp(t) - 1.0) * ut
     assert rep.margins()["eq7"] == pytest.approx(field.min(), abs=1e-12)
@@ -76,7 +76,7 @@ def test_eq8_only_for_finite_time():
     ut = -0.2 * np.ones((4, 4))
     rep = check_core(snapshot(u, ut, regime="KAHLER_LIMIT"), None)
     assert "eq8_chain" not in rep.margins()
-    rep2 = check_core(snapshot(u, ut, regime="FINITE_TIME", T=0.7), None)
+    rep2 = check_core(snapshot(u, ut, regime="FINITE_TIME"), None)
     assert "eq8_chain" in rep2.margins()
 
 
@@ -151,7 +151,7 @@ def test_offline_reevaluation_roundtrip(tmp_path):
     # a run directory's CSV alone reproduces the regime diagnostics bit-exactly
     import numpy as np
 
-    from mkrf.flow import FlowProblem, RunOptions, run_flow
+    from mkrf.flow import FlowProblem, run_flow
     from mkrf.geometry import KahlerForm, VolumeDensity
     from mkrf.grid import GridSpec, ScalarField, synthesize
     from mkrf.report import read_csv, write_csv
@@ -162,7 +162,7 @@ def test_offline_reevaluation_roundtrip(tmp_path):
         KahlerForm(np.diag([1.0, 0.0]).astype(complex), g.zeros()),
         VolumeDensity(ScalarField(g, np.ones(g.shape))),
     )
-    res = run_flow(prob, RunOptions(t_max=12.0, run_comparison=True, dt_cap=0.05))
+    res = run_flow(prob, t_max=12.0, run_comparison=True, dt_cap=0.05)
     # past the lags' span the history holds at most one span of snapshots
     assert res.step_control["lag_snapshots_max"] <= 53
     rep_live = check_collapsed(res.series, 1, 12.0, res.constants["C3"])
@@ -182,7 +182,7 @@ def test_collapsed_checks_catch_doctored_series():
     # corrupting the comparison-flow tail must trip the non-trending check
     import numpy as np
 
-    from mkrf.flow import FlowProblem, RunOptions, run_flow
+    from mkrf.flow import FlowProblem, run_flow
     from mkrf.geometry import KahlerForm, VolumeDensity
     from mkrf.grid import GridSpec, ScalarField, synthesize
 
@@ -192,7 +192,7 @@ def test_collapsed_checks_catch_doctored_series():
         KahlerForm(np.diag([1.0, 0.0]).astype(complex), g.zeros()),
         VolumeDensity(ScalarField(g, np.ones(g.shape))),
     )
-    res = run_flow(prob, RunOptions(t_max=12.0, run_comparison=True, dt_cap=0.05))
+    res = run_flow(prob, t_max=12.0, run_comparison=True, dt_cap=0.05)
     good = check_collapsed(res.series, 1, 12.0, res.constants["C3"])
     assert good.status == "ok"
 

@@ -122,7 +122,8 @@ def test_mistyped_field_exits_4_naming_it(tmp_path, capsys, command, field, valu
     cfg = tmp_path / "bad.json"
     cfg.write_text(tiny_scenario(**{field: value}).to_json())
     assert main([command, "--config", str(cfg)]) == 4
-    assert field in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: ") and field in err
 
 
 def test_t_max_override_keeps_mistyped_psi_times_for_validation(tmp_path, capsys):
@@ -453,15 +454,51 @@ def test_cli_preset_runs_exit_codes(tmp_path):
 
 
 def test_series_identical_across_thread_counts(tmp_path, monkeypatch):
-    codes, series = [], []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("MKRF_THREADS", threads)
-        out = tmp_path / f"threads{threads}"
-        codes.append(main(["run", "--preset", "finite-time", "--t-max", "0.1",
-                           "--out", str(out)]))
-        series.append((out / "series.csv").read_bytes())
-    assert codes[0] == codes[1]
-    assert series[0] == series[1]
+    # a flow run and a Newton solve with several Krylov systems
+    cfg = tmp_path / "cy.json"
+    eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    cfg.write_text(tiny_scenario(n=2, N=16, A0=eye, Ainf=eye, phi0=[], log_h=[
+        {"mode": [1, 0, 0, 0], "amp": 0.3, "phase": 0.4},
+        {"mode": [0, 1, 1, 0], "amp": 0.25, "phase": 2.1}]).to_json())
+    cases = [(["run", "--preset", "finite-time", "--t-max", "0.1"], ["series.csv"]),
+             (["cy-solve", "--config", str(cfg)], ["cy_solution.mkrf", "newton_report.json"])]
+    for argv, names in cases:
+        codes, files = [], []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("MKRF_THREADS", threads)
+            out = tmp_path / f"{argv[0]}-threads{threads}"
+            codes.append(main([*argv, "--out", str(out)]))
+            files.append([(out / name).read_bytes() for name in names])
+        assert codes[0] == codes[1] == 0
+        assert files[0] == files[1], argv[0]
+
+
+def test_set_up_builds_each_problem_once(tmp_path, monkeypatch):
+    # a Kahler-limit run builds its limit problem once, before the flow, and
+    # the reference solve reuses it; cy-solve validates the scenario once
+    import mkrf.cli
+    import mkrf.scenario
+
+    calls = {"build_limit_problem": 0, "validate": 0}
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(mkrf.cli, "build_limit_problem")
+    counted(mkrf.scenario, "validate")
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(tiny_scenario(t_max=0.3).to_json())
+    # this short a run misses the final-gap bar (exit 2); only set-up is counted
+    assert main(["run", "--config", str(cfg)]) in (0, 2)
+    assert calls["build_limit_problem"] == 1
+    calls["validate"] = 0
+    assert main(["cy-solve", "--config", str(cfg)]) == 0
+    assert calls["validate"] == 1
 
 
 def test_cli_collapsed_run_with_psi_family(tmp_path):
