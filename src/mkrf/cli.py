@@ -27,7 +27,7 @@ import numpy as np
 from . import monitors
 from .elliptic import NewtonConvergenceError, solve_cy, solve_psi_family
 from .flow import run_flow
-from .geometry import Regime, SingularMetricError, check_positive_components, compute_T
+from .geometry import Regime, SingularMetricError, compute_T
 from .grid import write_snapshot
 from .report import render_report, save_run, write_timings
 from .scenario import (
@@ -67,6 +67,12 @@ def _load(args) -> Scenario:
     return sc
 
 
+def _invalid(what: str, err) -> int:
+    """Exit for invalid input: what (config, --out) and the error."""
+    print(f"invalid {what}: {err}", file=sys.stderr)
+    return EXIT_INVALID
+
+
 def _fmt_T(T: float) -> str:
     return "inf" if math.isinf(T) else f"{T:.6f}"
 
@@ -76,8 +82,7 @@ def cmd_classify(args) -> int:
         parsed = validate(_load(args))
         path = compute_T(parsed["A0"], parsed["Ainf"])
     except (InvalidScenarioError, ValueError) as e:
-        print(f"invalid config: {e}", file=sys.stderr)
-        return EXIT_INVALID
+        return _invalid("config", e)
     if args.json:
         out = {
             "T": _fmt_T(path.T) if math.isinf(path.T) else path.T,
@@ -106,9 +111,7 @@ def _newton_work(rep) -> dict:
 def _inadmissible_limit(err: SingularMetricError) -> int:
     """Exit for a limit form Ainf + H[phi_inf] that is not a metric: the
     limit equation's Newton solve has no admissible start."""
-    print(f"invalid config: phi_inf: the limit form Ainf + H[phi_inf] is not positive"
-          f" ({err})", file=sys.stderr)
-    return EXIT_INVALID
+    return _invalid("config", f"phi_inf: the limit form Ainf + H[phi_inf] is not positive ({err})")
 
 
 def verdict(scenario: Scenario, problem, result, limit):
@@ -173,12 +176,15 @@ def cmd_run(args) -> int:
             limit = build_limit_problem(sc)
             # the reference solve after the flow needs a limit form that is
             # a metric (congruence into the Newton frame keeps positivity)
-            check_positive_components(limit.form.metric())
+            limit.form.check_metric()
+        if args.out:  # made now, so that an unusable path fails before the flow
+            os.makedirs(args.out, exist_ok=True)
     except InvalidScenarioError as e:
-        print(f"invalid config: {e}", file=sys.stderr)
-        return EXIT_INVALID
+        return _invalid("config", e)
     except SingularMetricError as e:
         return _inadmissible_limit(e)
+    except OSError as e:
+        return _invalid("--out", e)
     core_start = time.perf_counter()
     result = run_flow(problem, sc.t_max, sc.run_comparison_flow, sc.dt_cap)
     core_end = time.perf_counter()
@@ -225,9 +231,12 @@ def cmd_cy_solve(args) -> int:
     try:
         sc = _load(args)
         problem = build_limit_problem(sc)
+        if args.out:  # made now, so that an unusable path fails before the solve
+            os.makedirs(args.out, exist_ok=True)
     except InvalidScenarioError as e:
-        print(f"invalid config: {e}", file=sys.stderr)
-        return EXIT_INVALID
+        return _invalid("config", e)
+    except OSError as e:
+        return _invalid("--out", e)
     core_start = time.perf_counter()
     try:
         U, rep = solve_cy(problem)
@@ -242,7 +251,6 @@ def cmd_cy_solve(args) -> int:
         f" matvecs {sum(rep.matvecs)}"
     )
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         write_snapshot([("U", U)], os.path.join(args.out, "cy_solution.mkrf"))
         with open(os.path.join(args.out, "newton_report.json"), "w",
                   encoding="utf-8") as fh:

@@ -50,11 +50,11 @@ from .geometry import (
     check_positive_components,
     congruence_components,
     det_components,
-    hessian_components,
     matrix_sqrt_hermitian,
     trace_pair_components,
 )
-from .grid import GridSpec, ScalarField, forward, hessian_rows, inverse, tables
+from .grid import (GridSpec, ScalarField, forward, hessian_components, hessian_rows, inverse,
+                   tables)
 
 SUP_TOL_FACTOR = 1e-10
 LINEAR_RTOL = 1e-8
@@ -166,7 +166,7 @@ def _frame_state(problem: EllipticProblem, stencil: np.ndarray, U: np.ndarray,
     for diagonal in fr[:grid.n]:
         diagonal += 1.0
     det = det_components(fr)
-    check_positive_components(fr, det=det)
+    check_positive_components(fr, det)
     return fr, det
 
 

@@ -67,12 +67,12 @@ from .geometry import (
     Regime,
     SingularMetricError,
     VolumeDensity,
-    check_positive_components,
     compute_T,
     constant_components,
     det_components,
     diagonal_and_det,
     lambda_min_components,
+    metric_rows,
     positive_components,
     singular_metric_error,
     trace_pair_components,
@@ -122,10 +122,7 @@ class FlowProblem:
         self.log_h = np.log(omega.h.values)
         self.class_det0 = float(np.linalg.det(self.path.A0).real)
         self.workspace = _Workspace(self.grid, self.tables)
-        # admissibility: the initial form must be a metric
-        diag, det = diagonal_and_det(self.path.A0, self.hessian_rows(self.phi0_hat),
-                                     self.grid.n)
-        check_positive_components(diag, t=0.0, det=det)
+        form0.check_metric(t=0.0)  # admissibility: the initial form must be a metric
 
     @property
     def scaled_r(self) -> int:
@@ -190,7 +187,7 @@ class _Workspace:
 
     def __init__(self, grid: GridSpec, tabs):
         spec = tabs.rshape
-        self.stencil = tabs.stack()  # the Hessian symbols, one row per component
+        self.stencil = tabs.symbols()  # the Hessian symbols, rows that broadcast
         self.prod = np.empty((1,) + spec, dtype=np.complex128)  # one row's stencil product
         self.work = np.empty(grid.shape)  # positivity test, log density
         self.spec = np.empty(spec, dtype=np.complex128)  # spectral temporaries
@@ -435,15 +432,13 @@ def normalization_constant(problem: FlowProblem) -> float:
     n = problem.grid.n
     path = problem.path
     A = problem._stage_constants(0.0)[0]  # A_t at 0, up to round-off A0, as the flow has it
-    metric0 = tuple(np.add(h, c, out=h) for c, h in zip(
-        constant_components(A, n), problem.hessian_rows(problem.phi0_hat)))
+    metric0 = tuple(metric_rows(A, problem.hessian_rows(problem.phi0_hat), n))
     det0 = det_components(metric0)
     udot0 = np.log(det0)
     udot0 -= problem.log_h
     lap = trace_pair_components(metric0, problem.hessian_rows(forward(udot0)), det0)
     # the rows of A0 - Ainf + H[phi0 - phi_inf], made as they are read
-    diff_rows = (np.add(h, c, out=h) for c, h in zip(
-        constant_components(path.A0 - path.Ainf, n), problem.hessian_rows(-problem.drift_hat)))
+    diff_rows = metric_rows(path.A0 - path.Ainf, problem.hessian_rows(-problem.drift_hat), n)
     pairing = trace_pair_components(metric0, diff_rows, det0)
     second = lap - pairing + udot0
     return max(float(udot0.max()), float(second.max()))

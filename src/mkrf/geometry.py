@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, complex_hessian, forward, hessian_components
+from .grid import GridSpec, ScalarField, complex_hessian, field_hessian_rows
 
 # Pointwise metrics below this smallest-eigenvalue threshold count as singular;
 # it separates genuine degeneration from round-off.
@@ -59,8 +59,8 @@ def check_hermitian(A: np.ndarray, what: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Hermitian matrix fields are real component arrays, as a tuple or as the
-# stack hessian_components returns:
+# Hermitian matrix fields are real component arrays, as a tuple, a stack or
+# the rows grid.hessian_rows makes, in the order:
 # n=1: (g11,); n=2: (g11, g22, p12, q12) with entry01 = p12 + i q12.
 
 
@@ -71,13 +71,12 @@ def constant_components(A: np.ndarray, n: int) -> tuple:
     return (A[0, 0].real, A[1, 1].real, A[0, 1].real, A[0, 1].imag)
 
 
-def metric_components(A: np.ndarray, hess_stack: np.ndarray | None, n: int, shape):
-    """Component arrays of A + H, H given as a hessian_components stack
-    (None for H = 0)."""
-    consts = constant_components(A, n)
-    if hess_stack is None:
-        return tuple(c + np.zeros(shape) for c in consts)
-    return tuple(c + hess_stack[i] for i, c in enumerate(consts))
+def metric_rows(A: np.ndarray, hess_rows, n: int):
+    """The rows of A + H, H given as its rows in order (e.g. grid.hessian_rows);
+    each row receives its class constant in place."""
+    for c, h in zip(constant_components(A, n), hess_rows):
+        h += c
+        yield h
 
 
 def det_components(comps):
@@ -95,28 +94,23 @@ def det_components(comps):
 
 def diagonal_and_det(A: np.ndarray, hess_rows, n: int) -> tuple:
     """The diagonal (g11,) / (g11, g22) of g = A + H and det(g), with H given
-    as its rows in the order of hessian_components (e.g. grid.hessian_rows).
+    as its rows in order (e.g. grid.hessian_rows).
 
-    The rows are read strictly in order and are the workspace: the diagonal
-    is made in the first two and det in the last (for n=1 det is g11
-    itself).  The off-diagonal rows are squared as soon as they arrive, so
-    at most four rows are live.  Each entry is H + A (IEEE addition
-    commutes) and det is formed with det_components' operations in its
-    order, so every bit is the bit of metric_components and det_components.
+    The rows of metric_rows are read strictly in order and are the
+    workspace: the diagonal is made in the first two and det in the last
+    (for n=1 det is g11 itself).  The off-diagonal rows are squared as soon
+    as they arrive, so at most four rows are live.  det is formed with
+    det_components' operations in its order, so every bit is the bit of
+    det_components on the metric rows.
     """
-    consts = constant_components(A, n)
-    rows = iter(hess_rows)
+    rows = metric_rows(A, hess_rows, n)
     g11 = next(rows)
-    g11 += consts[0]
     if n == 1:
         return (g11,), g11
     g22 = next(rows)
-    g22 += consts[1]
     pq = next(rows)
-    pq += consts[2]
     pq *= pq
     q = next(rows)
-    q += consts[3]
     q *= q
     pq += q
     det = np.multiply(g11, g22, out=q)
@@ -141,8 +135,8 @@ def lambda_min_components(diag, det):
 def trace_pair_components(phi_comps, psi_comps, phi_det=None):
     """Pointwise trace of psi against the inverse of phi.
 
-    The arrays of psi_comps (e.g. the rows of a hessian_components stack)
-    are the workspace: the result is written into the first row and
+    The arrays of psi_comps (e.g. Hessian rows from grid.hessian_rows) are
+    the workspace: the result is written into the first row and
     returned, and the other rows are clobbered.  The rows are read strictly
     in order, so psi_comps may be an iterator that makes each row on demand;
     at most three of them are live at once.
@@ -232,14 +226,11 @@ def singular_metric_error(diag, det, t: float | None) -> SingularMetricError:
     return SingularMetricError(float(lam.min()), loc, t)
 
 
-def check_positive_components(comps, t: float | None = None, det=None):
+def check_positive_components(comps, det):
     """Raise SingularMetricError where the pointwise smallest eigenvalue dips
-    below POSITIVITY_EPS; det, when given, is det_components(comps), and
-    then comps may be the diagonal alone."""
-    if det is None:
-        det = det_components(comps)
+    below POSITIVITY_EPS; det is det_components(comps)."""
     if not positive_components(comps, det):
-        raise singular_metric_error(comps[:2], det, t)
+        raise singular_metric_error(comps[:2], det, None)
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +252,18 @@ class KahlerForm:
     def grid(self) -> GridSpec:
         return self.phi.grid
 
-    def metric(self, extra: ScalarField | None = None):
-        """Component arrays of A + H[phi] (+ H[extra])."""
-        vals = self.phi.values if extra is None else self.phi.values + extra.values
-        if np.any(vals):
-            hs = hessian_components(self.grid, forward(vals))
-        else:
-            hs = None
-        return metric_components(self.A, hs, self.grid.n, self.grid.shape)
+    def metric(self) -> tuple:
+        """Component arrays of A + H[phi]."""
+        return tuple(metric_rows(self.A, field_hessian_rows(self.phi), self.grid.n))
+
+    def check_metric(self, t: float | None = None) -> np.ndarray:
+        """Raise SingularMetricError (at time t) unless A + H[phi] is a metric,
+        its smallest eigenvalue at least POSITIVITY_EPS everywhere; returns
+        det(A + H[phi]).  The rows are streamed through diagonal_and_det."""
+        diag, det = diagonal_and_det(self.A, field_hessian_rows(self.phi), self.grid.n)
+        if not positive_components(diag, det):
+            raise singular_metric_error(diag, det, t)
+        return det
 
 
 @dataclass
@@ -310,9 +305,8 @@ def ma_density(form: KahlerForm, u: ScalarField) -> ScalarField:
     """det(A + H[phi] + H[u]) pointwise; raises SingularMetricError on positivity loss."""
     if u.grid != form.grid:
         raise ValueError("grid mismatch")
-    comps = form.metric(u)
-    check_positive_components(comps)
-    return ScalarField(form.grid, det_components(comps))
+    shifted = KahlerForm(form.A, ScalarField(form.grid, form.phi.values + u.values))
+    return ScalarField(form.grid, shifted.check_metric())
 
 
 def trace_pair(phi_comps, psi_comps) -> np.ndarray:
@@ -322,7 +316,7 @@ def trace_pair(phi_comps, psi_comps) -> np.ndarray:
     shapes = {np.shape(c) for c in (*phi_comps, *psi_comps)}
     if len(phi_comps) != len(psi_comps) or len(shapes) != 1:
         raise ValueError("shape mismatch")
-    check_positive_components(phi_comps)
+    check_positive_components(phi_comps, det_components(phi_comps))
     return trace_pair_components(phi_comps, np.array(psi_comps, dtype=np.float64))
 
 

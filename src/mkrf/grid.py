@@ -181,11 +181,6 @@ class SpectralTables:
             parts.append(-pi2 * (k[0] * k[3] - k[1] * k[2]))
         return parts
 
-    def stack(self) -> np.ndarray:
-        """The symbols as one real stack of shape (components,) + rshape, a
-        fresh array: the stencil of a batched Hessian."""
-        return np.stack([np.broadcast_to(p, self.rshape) for p in self.symbols()])
-
     def laplacian_symbol(self, inv_matrix: np.ndarray) -> np.ndarray:
         """Symbol of the constant-coefficient Laplacian tr(B . H[f]) for B = inv_matrix."""
         b = inv_matrix
@@ -217,52 +212,55 @@ def inverse(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     return _pfft.c2r(coeffs, None, grid.N, False, _NORM_INVERSE, None, fft_workers())
 
 
-def hessian_components(grid: GridSpec, coeffs: np.ndarray,
-                       buf: np.ndarray | None = None,
-                       stencil: np.ndarray | None = None) -> np.ndarray:
-    """Real component fields of the complex Hessian from rfft coefficients.
-
-    Returns a stacked array: (H11,) for n=1; (H11, H22, Re H12, Im H12) for n=2.
-    One batched inverse transform makes every row given.  buf, when given,
-    is a complex array of shape (components,) + coeffs.shape that receives
-    the stencil product in place of a fresh allocation; the returned stack
-    is always a new array.  stencil is a real array of that shape, e.g. one
-    row of the symbol stack the flow keeps or of the symbols of the Hessian
-    seen in another constant frame (see hessian_rows); without one, the
-    tables' symbol stack is made for this call.
+def hessian_components(grid: GridSpec, coeffs: np.ndarray, buf: np.ndarray,
+                       stencil: np.ndarray) -> np.ndarray:
+    """Real fields of the complex Hessian from rfft coefficients, one per row
+    of the real stencil, in one batched inverse transform (called only by
+    hessian_rows).  buf, a complex array of shape (rows,) + coeffs.shape,
+    receives the stencil product; the returned stack is a new array.
     """
-    if stencil is None:
-        stencil = tables(grid.n, grid.N).stack()
     stack = np.multiply(stencil, coeffs, out=buf)
     axes = tuple(range(1, 2 * grid.n + 1))
     return _pfft.c2r(stack, axes, grid.N, False, _NORM_INVERSE, None, fft_workers())
 
 
 def hessian_rows(hessian_components, grid: GridSpec, coeffs: np.ndarray,
-                 stencil: np.ndarray, row_buf: np.ndarray):
-    """The rows of hessian_components(grid, coeffs, stencil=stencil), made
-    on demand and in order, one inverse transform each.
+                 stencil, row_buf: np.ndarray):
+    """The Hessian rows of coeffs, one per row of stencil (real rows that
+    broadcast to the rfft grid, e.g. the tables' symbols), made on demand
+    and in order, one inverse transform each.
 
     hessian_components is this module's function as the calling module
     binds it, so a wrapper on the caller's name (perfbench's spans) sees
     every row under its caller.  row_buf, a one-row complex array shaped
     (1,) + coeffs.shape, receives each row's stencil product, so no step
-    holds more than one row of the product or of the transform.  Each row
-    equals the batched one bit for bit.
+    holds more than one row of the product or of the transform.
     """
-    for c in range(len(stencil)):
-        yield hessian_components(grid, coeffs, buf=row_buf, stencil=stencil[c:c + 1])[0]
+    for row in stencil:
+        yield hessian_components(grid, coeffs, row_buf, row[np.newaxis])[0]
+
+
+def field_hessian_rows(f: ScalarField):
+    """The Hessian rows of f (hessian_rows with the tables' symbols and a
+    one-row buffer of its own); zero rows, made without a transform, when f
+    vanishes."""
+    grid = f.grid
+    if not np.any(f.values):
+        return (np.zeros(grid.shape) for _ in range(grid.n ** 2))
+    tabs = tables(grid.n, grid.N)
+    return hessian_rows(hessian_components, grid, forward(f.values), tabs.symbols(),
+                        np.empty((1,) + tabs.rshape, dtype=np.complex128))
 
 
 def complex_hessian(f: ScalarField) -> np.ndarray:
-    """Pointwise complex Hessian H[f]_{jk} = d/dz_j d/dzbar_k f as the
-    hessian_components stack.
+    """Pointwise complex Hessian H[f]_{jk} = d/dz_j d/dzbar_k f as the stack
+    of its rows (field_hessian_rows).
 
     Spectral differentiation; every diagonal component has zero torus average.
     """
     if not np.all(np.isfinite(f.values)):
         raise ValueError("complex_hessian: input field has non-finite values")
-    return hessian_components(f.grid, forward(f.values))
+    return np.stack(list(field_hessian_rows(f)))
 
 
 def mean(f: ScalarField) -> float:

@@ -38,9 +38,8 @@ class MonitorResult:
 
 @dataclass
 class MonitorReport:
-    t: float
     results: list
-    combo_min: float = math.nan
+    combo_min: float
 
     @property
     def passed(self) -> bool:
@@ -125,7 +124,7 @@ def check_core(snap: StepSnapshot, prev_combo_min: float | None) -> MonitorRepor
             snap.lambda_min_loc,
         )
     )
-    return MonitorReport(t, results, combo_min)
+    return MonitorReport(results, combo_min)
 
 
 @dataclass

@@ -104,12 +104,12 @@ def svg_line_plot(xs, ys, title: str) -> str:
 
 def save_run(out_dir, scenario, result, regime_reports=None, extra_constants=None,
              extra_fields=None):
-    """Persist a run directory: scenario copy, CSV series, constants, snapshots.
+    """Persist a run into the existing directory out_dir: scenario copy, CSV
+    series, constants, snapshots.
 
     The directory contents are sufficient to re-evaluate every monitor
     offline: the full per-step series plus the final field snapshots.
     """
-    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "scenario.json"), "w", encoding="utf-8") as fh:
         fh.write(scenario.to_json())
         fh.write("\n")
@@ -162,7 +162,9 @@ def render_report(run_dir, out_dir=None) -> list:
     if not os.path.exists(csv_path):
         raise FileNotFoundError(f"no series.csv in {run_dir}")
     columns, series = read_csv(csv_path)
-    ts = series["t"]
+    ts = series.get("t")
+    if not ts:
+        raise ValueError(f"{csv_path}: no 't' column or no rows")
     written = []
     os.makedirs(out_dir, exist_ok=True)
     for col in columns:
@@ -178,43 +180,46 @@ def render_report(run_dir, out_dir=None) -> list:
     lines = [f"run: {run_dir}", f"rows: {len(ts)}",
              f"t range: {ts[0]:.6g} .. {ts[-1]:.6g}", ""]
     if os.path.exists(const_path):
-        with open(const_path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        constants = data.get("constants", {})
-        solves = ([("reference", constants.pop("newton_reference"))]
-                  if "newton_reference" in constants else [])
-        solves += [(f"psi t={s['t']:g}", s) for s in constants.pop("psi_newton", [])]
-        lines.append("measured constants:")
-        for k in sorted(constants):
-            lines.append(f"  {k} = {constants[k]}")
-        if solves:
-            lines.append("newton solves:")
-            for label, s in solves:
-                start = f", start {s['start']}" if "start" in s else ""
-                lines.append(f"  {label}: {s['iterations']} iterations,"
-                             f" {sum(s['matvecs'])} matvecs {s['matvecs']}{start}")
-                if s.get("linear_residuals"):
-                    lines.append("    linear residuals: " + " ".join(
-                        "-" if r is None else f"{r:.2e}" for r in s["linear_residuals"]))
-                for c in s.get("coarse_levels", []):
-                    failed = "" if c["converged"] else ", failed"
-                    lines.append(f"    coarse N={c['N']}: {c['iterations']} iterations,"
-                                 f" {sum(c['matvecs'])} matvecs {c['matvecs']}{failed}")
-        control = data.get("step_control")
-        if control:
-            lines.append("step control:")
-            lines.append(f"  accepted = {control['accepted']}")
-            lines.append(f"  error rejections = {control['rejections']}")
-            lines.append(f"  largest accepted error = {control['max_error']:.6g}"
-                         f" (tol {control['tol']:.6g})")
-            lines.append("  dt set by: " + ", ".join(
-                f"{k} {v}" for k, v in sorted(control["limits"].items())))
-        for name in sorted(data.get("reports", {})):
-            rep = data["reports"][name]
-            lines.append(f"report {name}: {rep['status']}")
-            for c in rep["checks"]:
-                flag = "pass" if c["passed"] else "FAIL"
-                lines.append(f"  [{flag}] {c['name']}: margin={c['margin']:.6g}")
+        try:
+            with open(const_path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+            constants = data.get("constants", {})
+            solves = ([("reference", constants.pop("newton_reference"))]
+                      if "newton_reference" in constants else [])
+            solves += [(f"psi t={s['t']:g}", s) for s in constants.pop("psi_newton", [])]
+            lines.append("measured constants:")
+            for k in sorted(constants):
+                lines.append(f"  {k} = {constants[k]}")
+            if solves:
+                lines.append("newton solves:")
+                for label, s in solves:
+                    start = f", start {s['start']}" if "start" in s else ""
+                    lines.append(f"  {label}: {s['iterations']} iterations,"
+                                 f" {sum(s['matvecs'])} matvecs {s['matvecs']}{start}")
+                    if s.get("linear_residuals"):
+                        lines.append("    linear residuals: " + " ".join(
+                            "-" if r is None else f"{r:.2e}" for r in s["linear_residuals"]))
+                    for c in s.get("coarse_levels", []):
+                        failed = "" if c["converged"] else ", failed"
+                        lines.append(f"    coarse N={c['N']}: {c['iterations']} iterations,"
+                                     f" {sum(c['matvecs'])} matvecs {c['matvecs']}{failed}")
+            control = data.get("step_control")
+            if control:
+                lines.append("step control:")
+                lines.append(f"  accepted = {control['accepted']}")
+                lines.append(f"  error rejections = {control['rejections']}")
+                lines.append(f"  largest accepted error = {control['max_error']:.6g}"
+                             f" (tol {control['tol']:.6g})")
+                lines.append("  dt set by: " + ", ".join(
+                    f"{k} {v}" for k, v in sorted(control["limits"].items())))
+            for name in sorted(data.get("reports", {})):
+                rep = data["reports"][name]
+                lines.append(f"report {name}: {rep['status']}")
+                for c in rep["checks"]:
+                    flag = "pass" if c["passed"] else "FAIL"
+                    lines.append(f"  [{flag}] {c['name']}: margin={c['margin']:.6g}")
+        except (ValueError, LookupError, TypeError, AttributeError) as e:
+            raise ValueError(f"{const_path}: malformed run record: {e!r}") from e
     timings_path = os.path.join(run_dir, TIMINGS_FILE)
     if os.path.exists(timings_path):
         with open(timings_path, "r", encoding="utf-8") as fh:

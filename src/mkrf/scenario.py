@@ -21,7 +21,6 @@ from .geometry import (
     SingularMetricError,
     VolumeDensity,
     check_hermitian,
-    check_positive_components,
     compute_T,
 )
 from .grid import GridSpec, ScalarField, synthesize
@@ -124,7 +123,7 @@ def _parse_modes(modes, n: int, what: str):
         raise InvalidScenarioError(f"{what}: expected a list of mode terms, got {modes!r}")
     out = []
     for term in modes:
-        if isinstance(term, dict):
+        if isinstance(term, dict) and set(term) <= {"mode", "amp", "phase"}:
             mvec, amp, phase = term.get("mode"), term.get("amp"), term.get("phase", 0.0)
         elif isinstance(term, (list, tuple)) and len(term) in (2, 3):
             mvec, amp, phase = (*term, 0.0)[:3]
@@ -240,7 +239,7 @@ def build_limit_problem(scenario: Scenario) -> EllipticProblem:
     _check_definite(parsed["Ainf"], "Ainf")
     grid = GridSpec(scenario.n, scenario.N)
     try:
-        check_positive_components(_form(parsed, grid, "A0", "phi0").metric(), t=0.0)
+        _form(parsed, grid, "A0", "phi0").check_metric(t=0.0)
     except SingularMetricError as e:
         raise InvalidScenarioError(f"phi0: inadmissible scenario: {e}") from e
     return EllipticProblem.compatible(_form(parsed, grid, "Ainf", "phi_inf"),
@@ -304,7 +303,8 @@ def load_scenario(preset: str | None, config_path) -> Scenario:
         sc = PRESETS[preset]
         return Scenario.from_json(sc.to_json())  # defensive copy via round-trip
     try:
-        text = open(config_path, "r", encoding="utf-8").read()
-    except OSError as e:
+        with open(config_path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as e:
         raise InvalidScenarioError(f"cannot read config: {e}") from e
     return Scenario.from_json(text)

@@ -257,7 +257,7 @@ def test_scaled_raw_lockstep_consistency():
     assert max(np.abs(a - b).max()
                for a, b in zip((*eu.comps, eu.det), (*ev.comps, ev.det))) < 1e-10
     # all four Hessian components, which the evaluations no longer keep
-    hu, hv = hessian_components(prob.grid, yu), hessian_components(prob.grid, yv)
+    hu, hv = np.stack(list(prob.hessian_rows(yu))), np.stack(list(prob.hessian_rows(yv)))
     assert np.abs(hu - hv).max() < 1e-10
 
 
@@ -384,7 +384,8 @@ def reference_rhs(prob, p_hat, t, r, comparison):
     """The n=2 flow RHS written with allocating expressions only."""
     g = prob.grid
     A = prob.A_t(t)
-    hs = hessian_components(g, p_hat)
+    stack = np.stack(np.broadcast_arrays(*prob.tables.symbols()))  # every row, batched
+    hs = hessian_components(g, p_hat, np.empty(stack.shape, dtype=np.complex128), stack)
     g11, g22 = A[0, 0].real + hs[0], A[1, 1].real + hs[1]
     p, q = A[0, 1].real + hs[2], A[0, 1].imag + hs[3]
     rhs = np.log(g11 * g22 - (p * p + q * q)) - prob.log_h
@@ -472,25 +473,26 @@ def test_full_eval_result_owns_its_arrays():
 
 
 def test_flow_holds_one_hessian_row_of_transform_work(monkeypatch):
-    # every Hessian of the flow's set-up, normalization constant and steps
-    # is made one row at a time; the comparison flow's evaluations keep no
-    # metric rows; and one evaluation holds at most the four rows it makes
-    # the metric in (stage, comparison) or those plus the rows the u/v
-    # result keeps, in grid fields: 4.0 and 6.13 here, 5.13 and 8.13 with
-    # the four-row stack.  The one-row product buffer belongs to the
-    # workspace, and pocketfft's temporaries are not traced
+    # every Hessian of the flow's normalization constant and steps is made
+    # one row at a time (set-up checks its form in geometry, with no flow
+    # Hessian); the comparison flow's evaluations keep no metric rows; and
+    # one evaluation holds at most the four rows it makes the metric in
+    # (stage, comparison) or those plus the rows the u/v result keeps, in
+    # grid fields: 4.0 and 6.13 here, 5.13 and 8.13 with the four-row
+    # stack.  The one-row product buffer belongs to the workspace, and
+    # pocketfft's temporaries are not traced
     stencil_rows = []
     real_hessian = mkrf.flow.hessian_components
 
-    def recording_hessian(grid, coeffs, buf=None, stencil=None):
-        stencil_rows.append(None if stencil is None else len(stencil))
-        return real_hessian(grid, coeffs, buf=buf, stencil=stencil)
+    def recording_hessian(grid, coeffs, buf, stencil):
+        stencil_rows.append(len(stencil))
+        return real_hessian(grid, coeffs, buf, stencil)
 
     monkeypatch.setattr(mkrf.flow, "hessian_components", recording_hessian)
     prob = collapsed_problem(N=16)
-    assert stencil_rows == [1] * 4
+    assert stencil_rows == []
     normalization_constant(prob)
-    assert stencil_rows == [1] * 16
+    assert stencil_rows == [1] * 12
     assert prob.workspace.prod.shape == (1,) + prob.tables.rshape
 
     evaluations = []
@@ -505,7 +507,7 @@ def test_flow_holds_one_hessian_row_of_transform_work(monkeypatch):
     res = run_flow(prob, t_max=0.2, run_comparison=True, dt_cap=0.05)
     assert res.status == "completed"
     # run_flow's own normalization constant, then four rows per evaluation
-    assert len(stencil_rows) == 16 + 12 + 4 * len(evaluations)
+    assert len(stencil_rows) == 12 + 12 + 4 * len(evaluations)
     assert set(stencil_rows) == {1}
     comparison_full = [ev for comparison, full, ev in evaluations if comparison and full]
     assert comparison_full and all(ev.comps is None and ev.det is None for ev in comparison_full)

@@ -21,6 +21,11 @@ def identity_form(grid):
     return KahlerForm(np.eye(grid.n), grid.zeros())
 
 
+def shifted_form(form, u):
+    """The form with potential phi + u."""
+    return KahlerForm(form.A, ScalarField(form.grid, form.phi.values + u.values))
+
+
 def random_positive_hermitian_field(rng, grid, shift=0.5):
     """Components of the pointwise R^H R + shift*I, positive definite by
     construction."""
@@ -77,7 +82,7 @@ def test_ma_density_n2_matches_dense_determinant():
     u = synthesize(grid, [((0, 0, 1, 0), 0.012), ((1, 0, 0, 1), -0.007)])
     form = KahlerForm(np.eye(2), phi)
     d = ma_density(form, u)
-    M = pointwise_matrices(form.metric(u))
+    M = pointwise_matrices(shifted_form(form, u).metric())
     expected = np.linalg.det(M).real
     assert np.abs(d.values - expected).max() < 1e-12
 
@@ -131,14 +136,14 @@ def test_positivity_test_decides_as_the_eigenvalue_scan(n, data):
     assert positive_components(comps, det, floor, work=np.empty(shape)) == expected
     if floor == POSITIVITY_EPS:
         if expected:
-            check_positive_components(comps)
+            check_positive_components(comps, det)
         else:
             # on failure the eigenvalue scan names lambda_min and its point
             with pytest.raises(SingularMetricError) as exc:
-                check_positive_components(comps, t=1.5)
+                check_positive_components(comps, det)
             assert exc.value.lambda_min == float(lam.min())
             assert exc.value.location == np.unravel_index(int(np.argmin(lam)), shape)
-            assert exc.value.t == 1.5
+            assert exc.value.t is None
 
 
 def test_positivity_test_fails_on_nan():
@@ -162,7 +167,7 @@ def test_streamed_metric_is_bit_identical_to_the_four_row_stack(n, data):
     # failed test must be the bits the stack-based path gives, on arbitrary
     # finite rows and class constants (zero and signed-zero off-diagonals
     # included), small enough that no product overflows
-    from mkrf.geometry import diagonal_and_det, metric_components, singular_metric_error
+    from mkrf.geometry import constant_components, diagonal_and_det, singular_metric_error
 
     shape = (3, 4)
     value = st.one_of(st.floats(-1e100, 1e100, allow_nan=False, allow_infinity=False),
@@ -176,7 +181,7 @@ def test_streamed_metric_is_bit_identical_to_the_four_row_stack(n, data):
     A = np.array([[a11, complex(ap, aq)], [complex(ap, -aq), a22]])[:n, :n]
     floor = data.draw(st.sampled_from([POSITIVITY_EPS, 1e-3, 0.5]))
 
-    comps = metric_components(A, np.stack(rows), n, shape)
+    comps = tuple(c + row for c, row in zip(constant_components(A, n), rows))
     det_ref = det_components(comps)
     diag, det = diagonal_and_det(A, (row.copy() for row in rows), n)
     assert len(diag) == n
@@ -187,6 +192,35 @@ def test_streamed_metric_is_bit_identical_to_the_four_row_stack(n, data):
     ref = singular_metric_error(comps[:2], det_ref, 0.5)
     assert _bits(err.lambda_min) == _bits(ref.lambda_min)
     assert err.location == ref.location
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_check_metric_decides_on_the_bits_of_the_metric(n, monkeypatch):
+    # the streamed check returns det of metric() bit for bit, and a failed
+    # check names the time it is given and the eigenvalue scan of metric()
+    import mkrf.grid
+    from mkrf.geometry import det_components, lambda_min_components
+
+    grid = GridSpec(n, 8)
+    phi = synthesize(grid, [((1,) + (0,) * (2 * n - 1), 0.02), ((0,) * (2 * n - 1) + (1,), 0.01)])
+    form = KahlerForm(np.eye(n), phi)
+    assert _bits(form.check_metric(t=0.0)) == _bits(det_components(form.metric()))
+    bad = KahlerForm(0.05 * np.eye(n), phi)
+    comps = bad.metric()
+    lam = lambda_min_components(comps[:2], det_components(comps))
+    with pytest.raises(SingularMetricError) as exc:
+        bad.check_metric(t=2.5)
+    assert exc.value.t == 2.5 and exc.value.lambda_min == float(lam.min())
+    assert exc.value.location == np.unravel_index(int(np.argmin(lam)), grid.shape)
+
+    # a vanishing potential is checked with zero rows, without a transform
+    def refuse(values):
+        raise AssertionError("transform of a zero potential")
+
+    monkeypatch.setattr(mkrf.grid, "forward", refuse)
+    assert np.all(identity_form(grid).check_metric() == 1.0)
+    with pytest.raises(SingularMetricError):
+        KahlerForm(-np.eye(n), grid.zeros()).check_metric()
 
 
 # --- trace_pair -------------------------------------------------------------
@@ -467,7 +501,7 @@ def test_ma_linearization_directional_derivative():
     from mkrf.grid import complex_hessian
 
     base = ma_density(form, u)
-    metric = form.metric(u)
+    metric = shifted_form(form, u).metric()
     lin = trace_pair(metric, complex_hessian(delta))
     predicted_det = base.values * lin
 

@@ -11,8 +11,21 @@ from mkrf.grid import (
     mean,
     read_snapshot,
     synthesize,
+    tables,
     write_snapshot,
 )
+
+
+def symbol_stack(n, N):
+    """The tables' Hessian symbols broadcast to the full rfft grid and
+    stacked: the stencil of one batched Hessian of every row."""
+    return np.stack(np.broadcast_arrays(*tables(n, N).symbols()))
+
+
+def batched_hessian(grid, coeffs):
+    """Every Hessian row of coeffs from one batched inverse transform."""
+    stack = symbol_stack(grid.n, grid.N)
+    return hessian_components(grid, coeffs, np.empty(stack.shape, dtype=np.complex128), stack)
 
 
 # --- independent oracle: analytic complex Hessian of cosine polynomials ----
@@ -122,9 +135,9 @@ def test_hessian_buffer_matches_allocating_call(n):
     rng = np.random.default_rng(40 + n)
     grid = GridSpec(n, 16)
     coeffs = forward(rng.standard_normal(grid.shape))
-    want = hessian_components(grid, coeffs)
+    want = batched_hessian(grid, coeffs)
     buf = np.full((want.shape[0],) + coeffs.shape, np.nan, dtype=np.complex128)
-    got = hessian_components(grid, coeffs, buf)
+    got = hessian_components(grid, coeffs, buf, symbol_stack(n, 16))
     assert np.array_equal(got, want)
     assert not np.shares_memory(got, buf)
 
@@ -254,15 +267,13 @@ def test_fft_thread_cap_does_not_change_results(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_hessian_stencil_argument(n):
-    from mkrf.grid import forward, hessian_components, tables
-
     g = GridSpec(n, 8)
     rng = np.random.default_rng(11)
     c = forward(rng.standard_normal(g.shape))
-    plain = hessian_components(g, c)
-    stack = tables(n, 8).stack()
-    assert np.array_equal(hessian_components(g, c, stencil=stack), plain)
+    plain = batched_hessian(g, c)
+    stack = symbol_stack(n, 8)
     buf = np.empty(stack.shape, dtype=np.complex128)
+    assert np.array_equal(hessian_components(g, c, buf=buf, stencil=stack), plain)
     assert np.array_equal(hessian_components(g, c, buf=buf, stencil=2.0 * stack), 2.0 * plain)
 
 
@@ -271,23 +282,25 @@ def test_hessian_stencil_argument(n):
 def test_one_row_hessians_equal_the_batched_rows_bit_for_bit(n, N):
     # the flow and the elliptic layer transform one Hessian row at a time
     # through a one-row product buffer (hessian_rows); its rows must be the
-    # batched call's
-    from mkrf.grid import hessian_rows, tables
+    # batched call's, from the stacked symbols and from the tables' symbols
+    # as they broadcast
+    from mkrf.grid import hessian_rows
 
     g = GridSpec(n, N)
     c = forward(np.random.default_rng(N + n).standard_normal(g.shape))
-    stack = tables(n, N).stack()
-    batched = hessian_components(g, c)
+    stack = symbol_stack(n, N)
+    batched = batched_hessian(g, c)
     buf = np.empty((1,) + c.shape, dtype=np.complex128)
     for k in range(len(stack)):
         row = hessian_components(g, c, buf=buf, stencil=stack[k:k + 1])
         assert row.shape == (1,) + g.shape
         assert np.array_equal(row[0].view(np.uint64), batched[k].view(np.uint64))
-    rows = list(hessian_rows(hessian_components, g, c, stack, buf))
-    assert len(rows) == len(stack)
-    for row, want in zip(rows, batched):
-        assert row.shape == g.shape
-        assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
+    for stencil in (stack, tables(n, N).symbols()):
+        rows = list(hessian_rows(hessian_components, g, c, stencil, buf))
+        assert len(rows) == len(stack)
+        for row, want in zip(rows, batched):
+            assert row.shape == g.shape
+            assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
 
 
 def full_grid_synthesis(grid, modes):
@@ -328,7 +341,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from mkrf.geometry import det_components, metric_components  # noqa: E402
+from mkrf.geometry import det_components, metric_rows  # noqa: E402
 
 ROUGH_N = 8
 
@@ -380,8 +393,7 @@ def test_mass_conservation_on_rough_grids(n, data):
     A = data.draw(hermitian_matrices(n))
     grid = GridSpec(n, ROUGH_N)
     f = amp * values
-    hs = hessian_components(grid, forward(f))
-    comps = metric_components(A, hs, n, grid.shape)
+    comps = tuple(metric_rows(A, batched_hessian(grid, forward(f)), n))
     det = det_components(comps)
     scale = (1.0 + max(float(np.abs(c).max()) for c in comps)) ** n
     assert abs(float(np.mean(det)) - float(np.linalg.det(A).real)) <= 1e-13 * scale
@@ -394,7 +406,7 @@ def test_hessian_hermitian_real_and_finite_on_rough_grids(n, data):
     values, amp = data.draw(rough_fields(n))
     grid = GridSpec(n, ROUGH_N)
     f = amp * values
-    hs = hessian_components(grid, forward(f))
+    hs = batched_hessian(grid, forward(f))
     assert hs.dtype == np.float64
     assert np.isfinite(hs).all()
     full = full_spectrum_hessian(grid, f)
@@ -409,7 +421,7 @@ def test_hessian_hermitian_real_and_finite_on_rough_grids(n, data):
 import scipy.fft  # noqa: E402
 from hypothesis import Phase  # noqa: E402
 
-from mkrf.grid import fft_workers, inverse, load_kernel, tables  # noqa: E402
+from mkrf.grid import fft_workers, inverse, load_kernel  # noqa: E402
 
 
 def finite_grid_values(grid):
@@ -433,7 +445,7 @@ def test_transforms_are_bit_equal_to_scipy_fft(n, threads, data):
     grid = GridSpec(n, N)
     values = data.draw(finite_grid_values(grid))
     axes = tuple(range(1, 2 * n + 1))
-    stack = tables(n, N).stack()
+    stack = symbol_stack(n, N)
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("MKRF_THREADS", threads)
         workers = int(threads)
@@ -442,7 +454,7 @@ def test_transforms_are_bit_equal_to_scipy_fft(n, threads, data):
         assert (inverse(grid, coeffs).tobytes()
                 == scipy.fft.irfftn(coeffs, s=grid.shape, workers=workers).tobytes())
         want = scipy.fft.irfftn(stack * coeffs, s=grid.shape, axes=axes, workers=workers)
-        assert hessian_components(grid, coeffs).tobytes() == want.tobytes()
+        assert batched_hessian(grid, coeffs).tobytes() == want.tobytes()
         k = data.draw(st.integers(0, len(stack) - 1))
         buf = np.empty((1,) + coeffs.shape, dtype=np.complex128)
         row = hessian_components(grid, coeffs, buf=buf, stencil=stack[k:k + 1])

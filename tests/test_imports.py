@@ -1,7 +1,9 @@
 """Every name a module of the package imports is used in that module, every
 parameter of its functions is read, every defaulted parameter is passed by
 some call in the package and left to its default by another, and every
-attribute a class stores on self is read somewhere in the package.
+attribute a class stores on self is read somewhere in the package.  Every
+Hessian is made by grid.hessian_rows: no other code calls
+hessian_components, and no code stacks the tables' symbols.
 
 No linter ships with the project; these are the lint checks it keeps.
 ``__init__.py`` is left out of the import check: its imports are the
@@ -287,6 +289,56 @@ def test_unread_attribute_is_caught():
     )
     found = {(cls, attr) for _, cls, attr, _ in unread_attributes({"m.py": tree})}
     assert found == {("K", "dead"), ("K", "bumped")}
+
+
+def hessian_path_violations(trees):
+    """(file, line) of every call that makes a Hessian outside
+    grid.hessian_rows: a call of hessian_components in any other function,
+    or a ``.stack(`` call on anything but numpy."""
+    def visit(file, node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
+                if isinstance(f, ast.Attribute) and f.attr == "stack":
+                    bad = getattr(f.value, "id", None) not in ("np", "numpy")
+                else:
+                    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                    bad = (name == "hessian_components"
+                           and (file, func) != ("grid.py", "hessian_rows"))
+                if bad:
+                    yield file, child.lineno
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(file, child, child.name)
+            else:
+                yield from visit(file, child, func)
+
+    for file, tree in trees.items():
+        yield from visit(file, tree, None)
+
+
+def test_only_hessian_rows_makes_a_hessian():
+    found = [f"{file}, line {line}" for file, line in hessian_path_violations(package_trees())]
+    assert not found, f"Hessians made outside grid.hessian_rows: {found}"
+
+
+def test_hessian_path_violation_is_caught():
+    grid = ast.parse(
+        "def hessian_rows(hessian_components, g, c, stencil, buf):\n"
+        "    for row in stencil:\n"
+        "        yield hessian_components(g, c, buf, row[None])[0]\n"
+        "def complex_hessian(f):\n"
+        "    return hessian_components(f.grid, forward(f.values))\n"
+    )
+    geometry = ast.parse(
+        "import numpy as np\n"
+        "def metric(self):\n"
+        "    rows = hessian_rows(hessian_components, g, c, tables(1, 8).stack(), buf)\n"
+        "    return np.stack(list(rows)), mkrf.grid.hessian_components(g, c, buf, s)\n"
+        "def hessian_rows(hessian_components, g, c, stencil, buf):\n"
+        "    return hessian_components(g, c, buf, stencil)\n"
+    )
+    found = list(hessian_path_violations({"grid.py": grid, "geometry.py": geometry}))
+    assert found == [("grid.py", 5), ("geometry.py", 3), ("geometry.py", 4), ("geometry.py", 6)]
 
 
 # packages a run without Newton solves must not load; mkrf.grid loads scipy.fft's

@@ -117,6 +117,8 @@ def test_run_rejects_nonpositive_dt_cap_exit_4(tmp_path, capsys, dt_cap):
     ("N", "16"), ("n", True), ("psi_times", "abc"), ("psi_times", [1.0, "x"]),
     ("t_max", "1.5"), ("dt_cap", True), ("run_psi_family", 1), ("log_h", 3),
     ("phi0", [{"mode": [1.5, 0], "amp": 0.01}]), ("A0", [[["1", 0.0]]]),
+    ("phi0", [{"mode": [1, 0], "amp": 0.01, "phse": 1.0}]),
+    ("log_h", [{"mode": [1, 0], "amp": 0.08, "extra": 1}]),
 ])
 def test_mistyped_field_exits_4_naming_it(tmp_path, capsys, command, field, value):
     cfg = tmp_path / "bad.json"
@@ -268,6 +270,53 @@ def test_report_missing_series_exit_4(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert main(["report", str(empty)]) == 4
+
+
+GOOD_SERIES = "t,x\n0.0,1.0\n0.5,2.0\n"
+CONTROL = {"accepted": 3, "max_error": 0.1, "tol": 0.2, "limits": {}}
+
+
+@pytest.mark.parametrize("file,series,constants", [
+    ("series.csv", "t,x\n", None),
+    ("series.csv", "x,y\n0.0,1.0\n", None),
+    ("constants.json", GOOD_SERIES, []),
+    ("constants.json", GOOD_SERIES, {"constants": {}, "step_control": CONTROL}),
+], ids=["header-only", "no-t-column", "json-array", "no-rejections"])
+def test_report_of_malformed_run_dir_exits_4_naming_the_file(tmp_path, capsys, file, series,
+                                                             constants):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "series.csv").write_text(series)
+    if constants is not None:
+        (run / "constants.json").write_text(json.dumps(constants))
+    assert main(["report", str(run)]) == 4
+    assert capsys.readouterr().err.startswith(f"error: {run / file}: ")
+
+
+@pytest.mark.parametrize("command", ["run", "classify", "cy-solve"])
+def test_config_that_is_not_utf8_exits_4(tmp_path, capsys, command):
+    cfg = tmp_path / "latin1.json"
+    cfg.write_bytes(tiny_scenario().to_json().replace('"tiny"', '"caf\xe9"').encode("latin-1"))
+    assert main([command, "--config", str(cfg)]) == 4
+    assert capsys.readouterr().err.startswith("invalid config: cannot read config: ")
+
+
+@pytest.mark.parametrize("command,core", [("run", "run_flow"), ("cy-solve", "solve_cy")])
+def test_out_naming_a_file_exits_4_before_the_work(tmp_path, capsys, monkeypatch, command,
+                                                   core):
+    import mkrf.cli
+
+    def refuse(*args):
+        raise AssertionError(f"{core} ran with an unusable --out")
+
+    monkeypatch.setattr(mkrf.cli, core, refuse)
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(tiny_scenario(N=8).to_json())
+    out = tmp_path / "taken"
+    out.write_text("not a directory")
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("invalid --out: ")
+    assert out.read_text() == "not a directory"
 
 
 def test_cy_solve_cli(tmp_path, capsys):
