@@ -41,14 +41,17 @@ needed: where the non-constant remainder of the Laplacian is stiff, rejected
 steps hold dt at the controller's stability boundary.  A finite-time run
 ends at T - STOP_MARGIN.
 
+run_flow keeps time on one clock, the index k of the grid point k SNAP_DT
+(_grid_index, the one place t meets the grid): a step that lands on its
+next event (grid point k + 1, a finite-time sample T - d or t_max) up to
+round-off ends there and takes its index, None off the grid.
+
 The collapsed-regime monitors read the comparison flow at lagged times
-through q_S = (1 - e^S) dv/dt(t) + v(t) - w(t - S), S in monitors.S_LIST,
-interpolating linearly between the two snapshots of w that bracket t - S.
-Snapshots fall every SNAP_DT, and the one at s is stored and kept only while
-some lag can still read it from a record time t up to t_max:
-t - S - SNAP_DT < s < t_max - S + SNAP_DT.  The history so spans at most
-the longest lag plus two snapshot intervals, and near t_max it keeps only
-the snapshots around each t_max - S.
+through q_S = (1 - e^S) dv/dt(t) + v(t) - w(t - S), S in monitors.S_LIST.
+The lag history maps k to (time, w) at grid point k; a lookup at t - S
+interpolates linearly between k = idx(t - S) and k + 1.  Snapshot k is kept
+only while some lag can still read it from a record time up to t_max:
+idx(t - S) <= k <= idx(t_max - S) + 1 (_lag_window).
 """
 
 from __future__ import annotations
@@ -87,9 +90,8 @@ STEP_TOL = monitors.TOL_INEQ
 # integrand is analytic in the integration variable, so this leaves round-off.
 FORCING_NODES = 24
 # Event grid and comparison-flow snapshot cadence; the Kahler-limit
-# convergence monitor reads a potential snapshot every UHAT_SNAP_DT.
+# convergence monitor reads a potential snapshot at every fifth grid point.
 SNAP_DT = 0.1
-UHAT_SNAP_DT = 0.5
 # A finite-time run stops this far short of T, as a singularity stop.
 STOP_MARGIN = 1e-3
 
@@ -122,7 +124,8 @@ class FlowProblem:
         self.log_h = np.log(omega.h.values)
         self.class_det0 = float(np.linalg.det(self.path.A0).real)
         self.workspace = _Workspace(self.grid, self.tables)
-        form0.check_metric(t=0.0)  # admissibility: the initial form must be a metric
+        # admissibility: raises SingularMetricError unless the t = 0 form is a metric
+        self.C3 = normalization_constant(self)
 
     @property
     def scaled_r(self) -> int:
@@ -155,24 +158,13 @@ class FlowProblem:
         return self.tables.laplacian_symbol(inv)
 
     def _stage_constants(self, t: float) -> tuple:
-        """(A_t, positivity floor, e^{-t}, det(A_t), log det(A_t)) at t,
-        computed once per stage time.
-
-        The lockstep flows and the RK stages of one step revisit the same
-        few times, so the last few are kept.
-        """
-        times = self.workspace.times
-        c = times.get(t)
-        if c is None:
-            if len(times) >= 4:
-                del times[next(iter(times))]
-            A = self.A_t(t)
-            det = float(np.linalg.det(A).real)
-            # past T no metric passes the positivity test, so -inf is unused
-            log_det = math.log(det) if det > 0.0 else -math.inf
-            floor = POSITIVITY_EPS * min(1.0, max(float(np.linalg.eigvalsh(A).min()), 0.0))
-            c = times[t] = (A, floor, math.exp(-t), det, log_det)
-        return c
+        """(A_t, positivity floor, e^{-t}, det(A_t), log det(A_t)) at t."""
+        A = self.A_t(t)
+        det = float(np.linalg.det(A).real)
+        # past T no metric passes the positivity test, so -inf is unused
+        log_det = math.log(det) if det > 0.0 else -math.inf
+        floor = POSITIVITY_EPS * min(1.0, max(float(np.linalg.eigvalsh(A).min()), 0.0))
+        return A, floor, math.exp(-t), det, log_det
 
 
 class _Workspace:
@@ -197,7 +189,6 @@ class _Workspace:
         self.E1 = np.empty(spec)  # Lawson integrating factors
         self.E2 = np.empty(spec)
         self.err = np.empty(spec)  # moduli of the embedded error estimate
-        self.times = {}  # stage time -> FlowProblem._stage_constants
 
 
 @dataclass
@@ -425,15 +416,18 @@ def normalization_constant(problem: FlowProblem) -> float:
     + du/dt]|0 ); the monitored potential u - C3 t then has nonpositive value
     and rate along the flow.
 
-    The pairings need all four rows of the t = 0 metric, so they are kept
-    (FlowProblem checked that it is a metric); every other Hessian is made
-    one row at a time and consumed in order by its pairing.
+    The pairings need all four rows of the t = 0 metric, so they are kept;
+    they are also the problem's admissibility check, which raises
+    SingularMetricError unless they are a metric.  Every other Hessian is
+    made one row at a time and consumed in order by its pairing.
     """
     n = problem.grid.n
     path = problem.path
     A = problem._stage_constants(0.0)[0]  # A_t at 0, up to round-off A0, as the flow has it
     metric0 = tuple(metric_rows(A, problem.hessian_rows(problem.phi0_hat), n))
     det0 = det_components(metric0)
+    if not positive_components(metric0, det0):
+        raise singular_metric_error(metric0[:2], det0, 0.0)
     udot0 = np.log(det0)
     udot0 -= problem.log_h
     lap = trace_pair_components(metric0, problem.hessian_rows(forward(udot0)), det0)
@@ -461,46 +455,30 @@ class RunResult:
     step_control: dict
 
 
-def _lag_readable(s: float, t: float, t_max: float) -> bool:
-    """Whether a lag S of monitors.S_LIST can still read the comparison-flow
-    snapshot at s from a record time in [t, t_max].
-
-    A lookup at t - S reads the two snapshots that bracket it, which lie
-    less than SNAP_DT from it, so s is read iff t - S - SNAP_DT < s <
-    t_max - S + SNAP_DT for some S; both ends are widened by the ring's time
-    tolerance, so a query that lands on a snapshot up to round-off still
-    finds its neighbour.
-    """
-    return any(t - S - SNAP_DT - 1e-9 < s < t_max - S + SNAP_DT + 1e-9
-               for S in monitors.S_LIST)
+def _grid_index(t: float) -> int:
+    """The index of the last grid point at t or before, up to round-off."""
+    return math.floor(t / SNAP_DT + 1e-9)
 
 
-def _w_ring_lookup(ring, t_query):
-    """Linear interpolation between the two stored comparison-flow snapshots
-    that bracket t_query.
+def _lag_window(t: float, t_max: float) -> list:
+    """Per lag S, the snapshot indices its lookups at t' - S read from the
+    record times t' in [t, t_max]: idx(t' - S) and the one after."""
+    return [range(_grid_index(t - S), _grid_index(t_max - S) + 2) for S in monitors.S_LIST]
 
-    None when no stored pair brackets it, or when the bracketing pair is
-    more than SNAP_DT apart: a snapshot missing from the history is never
-    interpolated across.
-    """
-    if not ring or t_query < ring[0][0] - 1e-9:
+
+def _lag_lookup(history: dict, t_query: float):
+    """w at t_query from the lag history: snapshot k = idx(t_query) on an
+    exact hit, else the linear interpolation between snapshots k and k + 1,
+    None when either is missing (a gap is never interpolated across)."""
+    k = _grid_index(t_query)
+    lo, hi = history.get(k), history.get(k + 1)
+    if lo is not None and lo[0] == t_query:
+        return lo[1]
+    if lo is None or hi is None:
         return None
-    lo = None
-    for ts, arr in ring:
-        if ts <= t_query + 1e-12:
-            lo = (ts, arr)
-        else:
-            if lo is None:
-                return None
-            t0, a0 = lo
-            if ts - t0 > SNAP_DT + 1e-9:
-                return None
-            lam = (t_query - t0) / (ts - t0)
-            return (1.0 - lam) * a0 + lam * arr
-    t0, a0 = lo
-    if abs(t_query - t0) < 1e-9:
-        return a0
-    return None
+    (t0, a0), (t1, a1) = lo, hi
+    lam = (t_query - t0) / (t1 - t0)
+    return (1.0 - lam) * a0 + lam * a1
 
 
 def run_flow(problem: FlowProblem, t_max: float, run_comparison: bool,
@@ -520,9 +498,11 @@ def run_flow(problem: FlowProblem, t_max: float, run_comparison: bool,
     r = problem.scaled_r
     n = grid.n
     T = path.T
+    samples = []  # finite-time sample times, events besides the grid and t_max
     if regime == Regime.FINITE_TIME:
         t_max = min(t_max, T - STOP_MARGIN)
-    C3 = normalization_constant(problem)
+        samples = [T - d for d in monitors.FINITE_TIME_DELTAS]
+    C3 = problem.C3
 
     run_w = run_comparison and regime == Regime.COLLAPSED
     # only the Kahler-limit convergence monitor consumes potential snapshots
@@ -530,20 +510,8 @@ def run_flow(problem: FlowProblem, t_max: float, run_comparison: bool,
 
     series = {}  # column -> values; the columns are the keys of record's rows
 
-    # event grid: snapshot cadence plus finite-time sample times
-    events = set()
-    k = 1
-    while k * SNAP_DT < t_max + 1e-9:
-        events.add(round(k * SNAP_DT, 10))
-        k += 1
-    if regime == Regime.FINITE_TIME:
-        for d in monitors.FINITE_TIME_DELTAS:
-            if T - d > 0:
-                events.add(T - d)
-    events.add(t_max)
-    events = sorted(e for e in events if e > 1e-12)
-
     t = 0.0
+    k_t = 0  # the snapshot index of t, None off the grid
     dt_last = 0.0
     dt_err = math.inf  # the error controller's proposal; the first step takes the cap
     prev_combo = None
@@ -554,7 +522,7 @@ def run_flow(problem: FlowProblem, t_max: float, run_comparison: bool,
     max_err = 0.0
     # which bound set each accepted dt ("positivity": halved on positivity loss)
     limits = dict.fromkeys(("error", "dt_cap", "event", "positivity"), 0)
-    w_ring = []
+    w_lags = {}  # the lag history: snapshot index -> (time, w)
     lag_snapshots_max = 0
     uhat_snaps = []
     # the lockstep flows by their comparison flag, the u/v flow first; ys
@@ -623,15 +591,17 @@ def run_flow(problem: FlowProblem, t_max: float, run_comparison: bool,
             row["max_wt"] = float(w_dot.max())
             Q = np.expm1(t) * w_dot - w_phys - (n - r) * t - r * math.exp(t)
             row["margin_appendix_w"] = -r - float(Q.max())
-            # the lag history holds a w field every SNAP_DT, stored and kept
-            # only while some lag can still read it (_lag_readable); w_phys
-            # is fresh, so the ring holds it uncopied
-            w_ring[:] = [snap for snap in w_ring if _lag_readable(snap[0], t, t_max)]
-            if abs(t / SNAP_DT - round(t / SNAP_DT)) < 1e-9 and _lag_readable(t, t, t_max):
-                w_ring.append((t, w_phys))
-            lag_snapshots_max = max(lag_snapshots_max, len(w_ring))
+            # the lag history holds w at the grid points, stored and kept
+            # only while some lag can still read them (_lag_window); w_phys
+            # is fresh, so the history holds it uncopied
+            if k_t is not None:
+                w_lags[k_t] = (t, w_phys)
+            window = _lag_window(t, t_max)
+            for k in [k for k in w_lags if not any(k in ks for ks in window)]:
+                del w_lags[k]
+            lag_snapshots_max = max(lag_snapshots_max, len(w_lags))
             for S in monitors.S_LIST:
-                wpast = _w_ring_lookup(w_ring, t - S)
+                wpast = _lag_lookup(w_lags, t - S)
                 if wpast is None:
                     row[f"min_q_s{S:g}"] = math.nan
                 else:
@@ -653,20 +623,24 @@ def run_flow(problem: FlowProblem, t_max: float, run_comparison: bool,
         ev = _eval_flow(problem, y1, t_new, r, comparison, full=True)
         return ev, _embedded_error(problem, d, ev.F_hat, dt_used)
 
-    def propose_dt():
+    def next_event():
+        """The first event after t and its snapshot index (None off the grid)."""
+        k = _grid_index(t) + 1
+        e = min([t_max] + [s for s in samples if s > t])
+        grid_point = round(k * SNAP_DT, 10)
+        return (grid_point, k) if grid_point <= e else (e, None)
+
+    def propose_dt(event):
         """The largest dt every bound allows, and the name of the bound that set it."""
         dt, limit = dt_cap, "dt_cap"
         if dt_err < dt:
             dt, limit = dt_err, "error"
-        for e in events:
-            if e > t + 1e-12:
-                if e - t < dt:
-                    # a step that only lands on the event up to round-off
-                    # is still set by the bound above
-                    if e - t < dt * (1.0 - 1e-9):
-                        limit = "event"
-                    dt = e - t
-                break
+        if event - t < dt:
+            # a step that only lands on the event up to round-off is still
+            # set by the bound above
+            if event - t < dt * (1.0 - 1e-9):
+                limit = "event"
+            dt = event - t
         return max(dt, 1e-12), limit
 
     def dt_ratio(err):
@@ -678,10 +652,7 @@ def run_flow(problem: FlowProblem, t_max: float, run_comparison: bool,
     try:
         while True:
             u_hat_arr = record(dt_last)
-            if collect_snaps and (
-                t == 0.0
-                or abs(t / UHAT_SNAP_DT - round(t / UHAT_SNAP_DT)) < 1e-9
-            ):
+            if collect_snaps and k_t is not None and k_t % 5 == 0:
                 uhat_snaps.append((t, u_hat_arr))
             if t >= t_max - 1e-12:
                 status, stop_reason = "completed", "reached t_max"
@@ -689,7 +660,8 @@ def run_flow(problem: FlowProblem, t_max: float, run_comparison: bool,
                     status = "singularity-stop"
                     stop_reason = f"finite-time approach window at t={t:.6f} (T={T:.6f})"
                 break
-            dt, limit = propose_dt()
+            event, k_event = next_event()
+            dt, limit = propose_dt(event)
             # the evaluations at t stay alive until a step is accepted (a
             # retry starts from F_hat, a stop reports their fields), next to
             # those at the new point; their metric arrays are consumed by now
@@ -702,11 +674,9 @@ def run_flow(problem: FlowProblem, t_max: float, run_comparison: bool,
             for _ in range(MAX_HALVINGS + 1):
                 new, dt_used, halv = _attempt_step(problem, states, t, dt)
                 halvings_total += halv
-                t_new = t + dt_used
-                for e in events:
-                    if abs(t_new - e) < 1e-11:
-                        t_new = e
-                        break
+                t_new, k_new = t + dt_used, None
+                if abs(t_new - event) < 1e-11:
+                    t_new, k_new = event, k_event
                 # the full evaluations at the new point record the step, seed
                 # the next one's first stage and complete the error estimate,
                 # flow by flow
@@ -728,7 +698,7 @@ def run_flow(problem: FlowProblem, t_max: float, run_comparison: bool,
             for i in range(len(flows)):
                 ys[i] = new[i][0]
                 evs[i] = evaluated[i][0]
-            t = t_new
+            t, k_t = t_new, k_new
             dt_last = dt_used
             steps += 1
             # the previous evaluations, states and RHS and the consumed

@@ -344,9 +344,14 @@ def read_snapshot(path):
         pos += 2
         if pos + namelen + 8 * npts > len(data):
             raise SnapshotFormatError("truncated field payload")
-        name = data[pos : pos + namelen].decode("utf-8")
+        try:
+            name = data[pos : pos + namelen].decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise SnapshotFormatError(f"field name: {e}") from e
         pos += namelen
         vals = np.frombuffer(data[pos : pos + 8 * npts], dtype="<f8").reshape(grid.shape)
         pos += 8 * npts
         out.append((name, ScalarField(grid, vals.copy())))
+    if pos != len(data):
+        raise SnapshotFormatError(f"{len(data) - pos} trailing bytes after the last field")
     return out

@@ -34,18 +34,23 @@ def write_csv(columns, series, path) -> None:
 
 
 def read_csv(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln]
-    if not lines:
-        raise ValueError(f"empty CSV: {path}")
-    columns = lines[0].split(",")
-    series = {c: [] for c in columns}
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(columns):
-            raise ValueError(f"ragged CSV row in {path}")
-        for c, p in zip(columns, parts):
-            series[c].append(float(p))
+    """The columns and the float series of a CSV written by write_csv; every
+    error is a ValueError that names path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln for ln in fh.read().splitlines() if ln]
+        if not lines:
+            raise ValueError("empty CSV")
+        columns = lines[0].split(",")
+        series = {c: [] for c in columns}
+        for ln in lines[1:]:
+            parts = ln.split(",")
+            if len(parts) != len(columns):
+                raise ValueError("ragged CSV row")
+            for c, p in zip(columns, parts):
+                series[c].append(float(p))
+    except ValueError as e:  # a UnicodeDecodeError is one too
+        raise ValueError(f"{path}: {e}") from e
     return columns, series
 
 
@@ -222,10 +227,13 @@ def render_report(run_dir, out_dir=None) -> list:
             raise ValueError(f"{const_path}: malformed run record: {e!r}") from e
     timings_path = os.path.join(run_dir, TIMINGS_FILE)
     if os.path.exists(timings_path):
-        with open(timings_path, "r", encoding="utf-8") as fh:
-            timings = json.load(fh)
-        lines.append("phase wall times:")
-        lines += [f"  {k} = {v:.3f}" for k, v in sorted(timings.items())]
+        try:
+            with open(timings_path, "r", encoding="utf-8") as fh:
+                timings = json.load(fh)
+            lines.append("phase wall times:")
+            lines += [f"  {k} = {v:.3f}" for k, v in sorted(timings.items())]
+        except (ValueError, TypeError, AttributeError) as e:
+            raise ValueError(f"{timings_path}: malformed timings: {e!r}") from e
     summary = os.path.join(out_dir, "summary.txt")
     with open(summary, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines))

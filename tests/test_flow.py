@@ -8,6 +8,7 @@ import pytest
 import mkrf.flow
 from mkrf.cli import main
 from mkrf.flow import (
+    SNAP_DT,
     STOP_MARGIN,
     FlowBreakdownError,
     FlowProblem,
@@ -15,6 +16,9 @@ from mkrf.flow import (
     _embedded_error,
     _eval_flow,
     _forcing_integral,
+    _grid_index,
+    _lag_lookup,
+    _lag_window,
     _lawson_rk4,
     _sup_bound,
     normalization_constant,
@@ -22,7 +26,7 @@ from mkrf.flow import (
 )
 from mkrf.geometry import KahlerForm, SingularMetricError, VolumeDensity
 from mkrf.grid import GridSpec, ScalarField, forward, hessian_components, inverse, synthesize
-from mkrf.monitors import check_finite_time
+from mkrf.monitors import FINITE_TIME_DELTAS, S_LIST, check_finite_time
 from mkrf.scenario import build_problem, load_scenario
 
 
@@ -236,6 +240,29 @@ def test_normalization_constant_cases():
         assert normalization_constant(prob) == pytest.approx(-c, abs=1e-12)
 
 
+def test_problem_makes_its_normalization_constant_once_at_set_up(monkeypatch):
+    # set-up transforms phi0 once: its normalization constant's metric rows
+    # are also its admissibility check, so no form check transforms it again
+    import mkrf.grid
+
+    calls = []
+    for module in (mkrf.flow, mkrf.grid):
+        real = module.forward
+        monkeypatch.setattr(module, "forward",
+                            lambda v, real=real, m=module.__name__: calls.append(m) or real(v))
+    prob = collapsed_problem(N=8)
+    # phi0, phi_inf and the initial rate, which the constant's Laplacian reads
+    assert calls == ["mkrf.flow"] * 3
+    assert prob.C3 == normalization_constant(prob)
+
+    g = GridSpec(1, 16)
+    with pytest.raises(SingularMetricError) as exc:
+        FlowProblem(KahlerForm(np.eye(1), synthesize(g, [((1, 0), 0.5)])),
+                    KahlerForm(np.eye(1), g.zeros()),
+                    VolumeDensity(ScalarField(g, np.ones(g.shape))))
+    assert exc.value.t == 0.0 and exc.value.lambda_min < 0.0
+
+
 def test_scaled_raw_lockstep_consistency():
     # v - u - (r/2) t^2 vanishes when both flows run from the same data
     prob = collapsed_problem()
@@ -297,7 +324,9 @@ def test_run_flow_finite_time_stops_near_T():
     # the run ends on the event T - STOP_MARGIN; no window bounds a step
     assert res.constants["t_final"] == res.series["t"][-1] == T - STOP_MARGIN
     assert "finite_window" not in res.step_control["limits"]
-    # the blow-down samples at T - 0.2, T - 0.1 and T - 0.05 are rows
+    # the blow-down samples at T - 0.2, T - 0.1 and T - 0.05 are rows, at
+    # exactly those times
+    assert all(T - d in res.series["t"] for d in FINITE_TIME_DELTAS)
     consts = check_finite_time(res.series, T).constants
     assert all(f"m_delta_{d}" in consts for d in (0.2, 0.1, 0.05))
     # volume blow-down: the minimum rate is strongly negative at the stop
@@ -317,24 +346,78 @@ def test_run_flow_collapsed_with_comparison():
 
 def test_lag_history_holds_only_readable_snapshots():
     # a run shorter than the lags' span stores fewer snapshots than the
-    # 53 a full span holds, and every lag still finds both of its brackets
+    # 51 a full span holds, and every lag still finds both of its brackets
     res = run_flow(collapsed_problem(), t_max=5.5, run_comparison=True, dt_cap=0.05)
     assert res.status == "completed"
     for S in (1, 3, 5):
         rows = [q for t, q in zip(res.series["t"], res.series[f"min_q_s{S}"]) if t >= S]
         assert rows and all(math.isfinite(q) for q in rows), S
-    assert res.step_control["lag_snapshots_max"] <= 41
+    # at t = 3.7 the lags read snapshots 0-6, 7-26 and 27-37
+    assert res.step_control["lag_snapshots_max"] == 38
+    # every grid point is a row, at exactly its grid time
+    ts = res.series["t"]
+    near = [t for t in ts if abs(t / SNAP_DT - round(t / SNAP_DT)) < 1e-6]
+    assert near == [round(k * SNAP_DT, 10) for k in range(56)]
 
 
 def test_lag_lookup_never_interpolates_across_a_gap():
-    ring = [(0.0, np.zeros(2)), (0.1, np.ones(2)), (0.3, np.full(2, 3.0))]
-    assert np.allclose(mkrf.flow._w_ring_lookup(ring, 0.05), 0.5)
-    assert np.array_equal(mkrf.flow._w_ring_lookup(ring, 0.3), ring[2][1])
-    # 0.1 and 0.3 bracket both queries, and 0.2 is missing
-    assert mkrf.flow._w_ring_lookup(ring, 0.1) is None
-    assert mkrf.flow._w_ring_lookup(ring, 0.2) is None
-    assert mkrf.flow._w_ring_lookup(ring, 0.35) is None
-    assert mkrf.flow._w_ring_lookup(ring, -0.05) is None
+    history = {0: (0.0, np.zeros(2)), 1: (0.1, np.ones(2)), 3: (0.3, np.full(2, 3.0))}
+    assert np.allclose(_lag_lookup(history, 0.05), 0.5)
+    # an exact hit reads its snapshot, whether or not the next one is stored
+    assert _lag_lookup(history, 0.3) is history[3][1]
+    assert _lag_lookup(history, 0.1) is history[1][1]
+    # snapshot 2 is missing: 0.1 and 0.3 are never interpolated between
+    assert _lag_lookup(history, 0.2) is None
+    assert _lag_lookup(history, 0.15) is None
+    assert _lag_lookup(history, 0.35) is None
+    assert _lag_lookup(history, -0.05) is None
+
+
+def brute_force_lookup(history, t_query):
+    """The lag lookup by definition: an exact hit, or the two stored
+    snapshots one grid step apart whose times bracket t_query, a time
+    counting as reached 1e-10 early (round-off)."""
+    for t0, a0 in history.values():
+        if t0 == t_query:
+            return a0
+    for k, (t0, a0) in history.items():
+        if k + 1 in history and t0 <= t_query + 1e-10 < history[k + 1][0]:
+            t1, a1 = history[k + 1]
+            lam = (t_query - t0) / (t1 - t0)
+            return (1.0 - lam) * a0 + lam * a1
+    return None
+
+
+def test_lag_lookup_matches_brute_force_over_histories_with_gaps():
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        ks = [int(k) for k in np.flatnonzero(rng.random(40) < 0.7)]
+        history = {k: (round(k * SNAP_DT, 10), rng.standard_normal(3)) for k in ks}
+        queries = list(rng.uniform(-0.5, 4.5, 20)) + [round(k * SNAP_DT, 10) for k in ks]
+        queries += [1.3 - 1.0, 3.7 - 3.0, 0.7 - 0.4]  # grid points up to round-off
+        for tq in queries:
+            got, want = _lag_lookup(history, tq), brute_force_lookup(history, tq)
+            assert (got is None) == (want is None), tq
+            if got is not None:
+                assert np.array_equal(got, want), tq
+
+
+def test_lag_window_is_the_set_of_snapshots_the_lags_read():
+    # every index a lookup at t' - S reads from a record time t' in
+    # [t, t_max], record times on the grid and off it, lies in the window,
+    # and every index in the window is read by some record time
+    rng = np.random.default_rng(5)
+    for t_max in (0.7, 5.5, 12.0, 12.35, 30.0):
+        times = sorted(set([round(k * SNAP_DT, 10) for k in range(int(t_max / SNAP_DT) + 1)]
+                           + list(rng.uniform(0.0, t_max, 400)) + [t_max]))
+        for t in times[::7]:
+            read = {S: set() for S in S_LIST}
+            for tr in (x for x in times if x >= t):
+                for S in S_LIST:
+                    k = _grid_index(tr - S)
+                    read[S] |= {k, k + 1}
+            for S, ks in zip(S_LIST, _lag_window(t, t_max)):
+                assert read[S] == set(ks), (t_max, t, S)
 
 
 def test_run_flow_is_deterministic():
@@ -473,9 +556,10 @@ def test_full_eval_result_owns_its_arrays():
 
 
 def test_flow_holds_one_hessian_row_of_transform_work(monkeypatch):
-    # every Hessian of the flow's normalization constant and steps is made
-    # one row at a time (set-up checks its form in geometry, with no flow
-    # Hessian); the comparison flow's evaluations keep no metric rows; and
+    # every Hessian of the flow's normalization constant, which set-up makes
+    # once and which is also its admissibility check, and of its steps is
+    # made one row at a time; the comparison flow's evaluations keep no
+    # metric rows; and
     # one evaluation holds at most the four rows it makes the metric in
     # (stage, comparison) or those plus the rows the u/v result keeps, in
     # grid fields: 4.0 and 6.13 here, 5.13 and 8.13 with the four-row
@@ -490,8 +574,6 @@ def test_flow_holds_one_hessian_row_of_transform_work(monkeypatch):
 
     monkeypatch.setattr(mkrf.flow, "hessian_components", recording_hessian)
     prob = collapsed_problem(N=16)
-    assert stencil_rows == []
-    normalization_constant(prob)
     assert stencil_rows == [1] * 12
     assert prob.workspace.prod.shape == (1,) + prob.tables.rshape
 
@@ -506,8 +588,10 @@ def test_flow_holds_one_hessian_row_of_transform_work(monkeypatch):
     monkeypatch.setattr(mkrf.flow, "_eval_flow", recording_eval)
     res = run_flow(prob, t_max=0.2, run_comparison=True, dt_cap=0.05)
     assert res.status == "completed"
-    # run_flow's own normalization constant, then four rows per evaluation
-    assert len(stencil_rows) == 12 + 12 + 4 * len(evaluations)
+    # run_flow reads the problem's normalization constant, then makes four
+    # rows per evaluation
+    assert res.constants["C3"] == prob.C3
+    assert len(stencil_rows) == 12 + 4 * len(evaluations)
     assert set(stencil_rows) == {1}
     comparison_full = [ev for comparison, full, ev in evaluations if comparison and full]
     assert comparison_full and all(ev.comps is None and ev.det is None for ev in comparison_full)

@@ -247,6 +247,30 @@ def test_snapshot_wrong_magic(tmp_path):
         read_snapshot(bad)
 
 
+def test_snapshot_non_utf8_field_name(tmp_path):
+    grid = GridSpec(1, 8)
+    path = tmp_path / "snap.mkrf"
+    write_snapshot([("u", grid.zeros())], path)
+    data = bytearray(path.read_bytes())
+    data[18] = 0xFF  # the one byte of the name "u", after the 16-byte header and its length
+    bad = tmp_path / "bad.mkrf"
+    bad.write_bytes(bytes(data))
+    with pytest.raises(SnapshotFormatError, match="field name"):
+        read_snapshot(bad)
+
+
+def test_snapshot_trailing_bytes(tmp_path):
+    grid = GridSpec(1, 8)
+    path = tmp_path / "snap.mkrf"
+    write_snapshot([("u", grid.zeros())], path)
+    data = path.read_bytes()
+    for extra in (b"\x00", b"\x01\x00u"):
+        bad = tmp_path / "bad.mkrf"
+        bad.write_bytes(data + extra)
+        with pytest.raises(SnapshotFormatError, match="trailing"):
+            read_snapshot(bad)
+
+
 def test_snapshot_grid_mismatch(tmp_path):
     g1 = GridSpec(1, 8)
     g2 = GridSpec(1, 16)

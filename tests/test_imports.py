@@ -1,9 +1,10 @@
 """Every name a module of the package imports is used in that module, every
 parameter of its functions is read, every defaulted parameter is passed by
 some call in the package and left to its default by another, and every
-attribute a class stores on self is read somewhere in the package.  Every
-Hessian is made by grid.hessian_rows: no other code calls
-hessian_components, and no code stacks the tables' symbols.
+attribute a class stores on self and every UPPER_CASE module constant is
+read somewhere in the package.  Every Hessian is made by grid.hessian_rows:
+no other code calls hessian_components, and no code stacks the tables'
+symbols.
 
 No linter ships with the project; these are the lint checks it keeps.
 ``__init__.py`` is left out of the import check: its imports are the
@@ -339,6 +340,53 @@ def test_hessian_path_violation_is_caught():
     )
     found = list(hessian_path_violations({"grid.py": grid, "geometry.py": geometry}))
     assert found == [("grid.py", 5), ("geometry.py", 3), ("geometry.py", 4), ("geometry.py", 6)]
+
+
+def module_constants(tree):
+    """(name, line) of every UPPER_CASE name a module assigns at its top level."""
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        for target in targets:
+            for name in ast.walk(target) if target is not None else ():
+                if isinstance(name, ast.Name) and name.id.isupper():
+                    yield name.id, node.lineno
+
+
+def unread_constants(trees):
+    """(file, name, line) of every module constant that no code in the trees
+    reads, by name or as an attribute of its module."""
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    for file, tree in trees.items():
+        for name, line in module_constants(tree):
+            if name not in read:
+                yield file, name, line
+
+
+def test_every_module_constant_is_read():
+    dead = [f"{name} ({file}, line {line})"
+            for file, name, line in unread_constants(package_trees())]
+    assert not dead, f"module constants nothing in src/mkrf reads: {dead}"
+
+
+def test_unread_constant_is_caught():
+    flow = ast.parse(
+        "import monitors\n"
+        "SNAP_DT = 0.1\n"
+        "UHAT_SNAP_DT = 0.5\n"
+        "WIDTH, HEIGHT = 640, 400\n"
+        "LIMIT: int = 3\n"
+        "_PRIVATE_DEAD = 1\n"
+        "lower = 2\n"
+        "def f(t):\n"
+        "    return t / SNAP_DT + monitors.S_LIST[0] + WIDTH\n"
+    )
+    monitors = ast.parse("S_LIST = (1, 3)\nTOL = 1e-8\n")
+    found = sorted((file, name) for file, name, _ in
+                   unread_constants({"flow.py": flow, "monitors.py": monitors}))
+    assert found == [("flow.py", "HEIGHT"), ("flow.py", "LIMIT"), ("flow.py", "UHAT_SNAP_DT"),
+                     ("flow.py", "_PRIVATE_DEAD"), ("monitors.py", "TOL")]
 
 
 # packages a run without Newton solves must not load; mkrf.grid loads scipy.fft's

@@ -276,19 +276,28 @@ GOOD_SERIES = "t,x\n0.0,1.0\n0.5,2.0\n"
 CONTROL = {"accepted": 3, "max_error": 0.1, "tol": 0.2, "limits": {}}
 
 
-@pytest.mark.parametrize("file,series,constants", [
-    ("series.csv", "t,x\n", None),
-    ("series.csv", "x,y\n0.0,1.0\n", None),
-    ("constants.json", GOOD_SERIES, []),
-    ("constants.json", GOOD_SERIES, {"constants": {}, "step_control": CONTROL}),
-], ids=["header-only", "no-t-column", "json-array", "no-rejections"])
+@pytest.mark.parametrize("file,series,constants,timings", [
+    ("series.csv", "t,x\n", None, None),
+    ("series.csv", "x,y\n0.0,1.0\n", None, None),
+    ("constants.json", GOOD_SERIES, [], None),
+    ("constants.json", GOOD_SERIES, {"constants": {}, "step_control": CONTROL}, None),
+    ("series.csv", b"t,x\n0.0,\xe9\n", None, None),
+    ("series.csv", "t,x\n0.0,abc\n", None, None),
+    ("timings.json", GOOD_SERIES, None, [1]),
+    ("timings.json", GOOD_SERIES, None, {"core_s": "fast"}),
+], ids=["header-only", "no-t-column", "json-array", "no-rejections", "series-not-utf8",
+        "series-not-a-number", "timings-array", "timings-not-a-number"])
 def test_report_of_malformed_run_dir_exits_4_naming_the_file(tmp_path, capsys, file, series,
-                                                             constants):
+                                                             constants, timings):
     run = tmp_path / "run"
     run.mkdir()
-    (run / "series.csv").write_text(series)
+    if isinstance(series, str):
+        series = series.encode()
+    (run / "series.csv").write_bytes(series)
     if constants is not None:
         (run / "constants.json").write_text(json.dumps(constants))
+    if timings is not None:
+        (run / "timings.json").write_text(json.dumps(timings))
     assert main(["report", str(run)]) == 4
     assert capsys.readouterr().err.startswith(f"error: {run / file}: ")
 
