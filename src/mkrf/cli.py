@@ -218,7 +218,7 @@ def cmd_run(args) -> int:
 
     print(
         f"status={result.status} steps={result.constants['steps']} t_final="
-        f"{result.constants['t_final']:.6f} wall={result.wall_time:.1f}s"
+        f"{result.constants['t_final']:.6f} wall={timings['core_s']:.1f}s"
     )
     if failures:
         print("monitor violations: " + ", ".join(sorted(set(failures))), file=sys.stderr)

@@ -32,14 +32,14 @@ its mean mode and keeps the (smooth) forcing in its RHS.
 Step sizes come from an embedded order-3 estimate of each step's local
 error, (dt/10)(k4 - k5) with k5 the (Lawson-frame) RHS at the new point.
 run_flow evaluates that RHS anyway to record the step and to seed the next
-one's first stage, so the estimate costs no RHS evaluation.  A step is
-accepted when the sup bound of the estimate over the lockstep flows is at
-most STEP_TOL, and the next dt is scaled by 0.9 (STEP_TOL / err)^(1/4),
-clipped to [0.2, 5]; dt_cap and the event grid bound it as well, and a
-step that loses positivity is halved.  No separate stability bound is
-needed: where the non-constant remainder of the Laplacian is stiff, rejected
-steps hold dt at the controller's stability boundary.  A finite-time run
-ends at T - STOP_MARGIN.
+one's first stage, so the estimate costs no RHS evaluation.  Each step
+retries in one loop: a positivity loss in any evaluation of an attempt
+(stage or new point) halves dt, at most MAX_HALVINGS times, and a sup bound
+of the estimate over the lockstep flows above STEP_TOL scales it, as the
+accepted one scales the next dt, by 0.9 (STEP_TOL / err)^(1/4) clipped to
+[0.2, 5]; dt_cap and the event grid bound it too.  No separate stability
+bound is needed: where the non-constant remainder of the Laplacian is stiff,
+rejected steps hold dt at the controller's stability boundary.
 
 run_flow keeps time on one clock, the index k of the grid point k SNAP_DT
 (_grid_index, the one place t meets the grid): a step that lands on its
@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import functools
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -384,31 +383,6 @@ def _embedded_error(problem: FlowProblem, d: np.ndarray, F1: np.ndarray,
     return 0.1 * dt * _sup_bound(problem, d)
 
 
-def _attempt_step(problem, states, t, dt):
-    """Advance all lockstep flows by a common dt, halving on positivity loss.
-
-    states: list of (p_hat, r, comparison, F0), F0 the RHS at (p_hat, t).
-    Returns (new_list, dt_used, halvings), new_list holding one (y1, d)
-    pair of _lawson_rk4 per flow.  Each attempt builds the Laplacian symbol
-    at its midpoint once for all flows; the comparison flow's symbol less 1
-    is its own array.  Re-raises the last SingularMetricError after
-    MAX_HALVINGS failures.
-    """
-    halvings = 0
-    while True:
-        ell = problem.laplace_symbol(t + 0.5 * dt)
-        try:
-            new = [_lawson_rk4(problem, y, t, dt, r, comparison, F0,
-                               ell - 1.0 if comparison else ell)
-                   for y, r, comparison, F0 in states]
-            return new, dt, halvings
-        except SingularMetricError:
-            halvings += 1
-            if halvings > MAX_HALVINGS:
-                raise
-            dt *= 0.5
-
-
 def normalization_constant(problem: FlowProblem) -> float:
     """Shift constant C3 from the t=0 data.
 
@@ -451,7 +425,6 @@ class RunResult:
     violations: list
     final: dict
     uhat_snaps: list
-    wall_time: float
     step_control: dict
 
 
@@ -487,11 +460,10 @@ def run_flow(problem: FlowProblem, t_max: float, run_comparison: bool,
     monitors each step; a collapsed run with run_comparison integrates the
     comparison flow in lockstep.
 
-    Stops at t_max (a finite-time run at T - STOP_MARGIN at the latest, as a
-    singularity stop) or on positivity loss; monitor violations are
-    recorded, never fatal.
+    Stops at t_max (a finite-time run at T - STOP_MARGIN at the latest, a
+    singularity stop once there) or on positivity loss past the halvings of
+    one step; monitor violations are recorded, never fatal.
     """
-    t_start = time.perf_counter()
     grid = problem.grid
     path = problem.path
     regime = path.regime
@@ -499,6 +471,7 @@ def run_flow(problem: FlowProblem, t_max: float, run_comparison: bool,
     n = grid.n
     T = path.T
     samples = []  # finite-time sample times, events besides the grid and t_max
+    window = t_max >= T - STOP_MARGIN  # the run ends at the approach window
     if regime == Regime.FINITE_TIME:
         t_max = min(t_max, T - STOP_MARGIN)
         samples = [T - d for d in monitors.FINITE_TIME_DELTAS]
@@ -520,7 +493,7 @@ def run_flow(problem: FlowProblem, t_max: float, run_comparison: bool,
     halvings_total = 0
     rejections = 0
     max_err = 0.0
-    # which bound set each accepted dt ("positivity": halved on positivity loss)
+    # which bound set each accepted dt: that of its last retry, if any
     limits = dict.fromkeys(("error", "dt_cap", "event", "positivity"), 0)
     w_lags = {}  # the lag history: snapshot index -> (time, w)
     lag_snapshots_max = 0
@@ -617,12 +590,6 @@ def run_flow(problem: FlowProblem, t_max: float, run_comparison: bool,
             raise FlowBreakdownError(f"non-finite observables at t={t:.6f}")
         return u_hat
 
-    def evaluate(y1, d, comparison, t_new, dt_used):
-        """One flow's full evaluation at its new state y1 and its step's error;
-        consumes d.  A function, so no loop variable keeps d alive past the step."""
-        ev = _eval_flow(problem, y1, t_new, r, comparison, full=True)
-        return ev, _embedded_error(problem, d, ev.F_hat, dt_used)
-
     def next_event():
         """The first event after t and its snapshot index (None off the grid)."""
         k = _grid_index(t) + 1
@@ -656,7 +623,7 @@ def run_flow(problem: FlowProblem, t_max: float, run_comparison: bool,
                 uhat_snaps.append((t, u_hat_arr))
             if t >= t_max - 1e-12:
                 status, stop_reason = "completed", "reached t_max"
-                if regime == Regime.FINITE_TIME:
+                if window:
                     status = "singularity-stop"
                     stop_reason = f"finite-time approach window at t={t:.6f} (T={T:.6f})"
                 break
@@ -667,43 +634,53 @@ def run_flow(problem: FlowProblem, t_max: float, run_comparison: bool,
             # those at the new point; their metric arrays are consumed by now
             for ev in evs:
                 ev.comps = ev.det = None
-            states = [(y, r, comparison, ev.F_hat)
-                      for y, comparison, ev in zip(ys, flows, evs)]
-            # error rejections redo the step at a smaller dt, as many times
-            # as positivity loss may halve it
-            for _ in range(MAX_HALVINGS + 1):
-                new, dt_used, halv = _attempt_step(problem, states, t, dt)
-                halvings_total += halv
-                t_new, k_new = t + dt_used, None
-                if abs(t_new - event) < 1e-11:
-                    t_new, k_new = event, k_event
-                # the full evaluations at the new point record the step, seed
-                # the next one's first stage and complete the error estimate,
-                # flow by flow
-                evaluated = [evaluate(y1, d, comparison, t_new, dt_used)
-                             for (y1, d), comparison in zip(new, flows)]
-                err = max(e for _, e in evaluated)
+            halved = rejected = 0  # this step's retries
+            # each attempt builds one midpoint symbol for all flows (the
+            # comparison flow's symbol less 1 is its own array); positivity
+            # loss anywhere in it halves dt, an estimate above STEP_TOL
+            # scales it, and the last of these names the accepted dt's bound
+            while True:
+                ell = problem.laplace_symbol(t + 0.5 * dt)
+                t_new, k_new = ((event, k_event) if abs(t + dt - event) < 1e-11
+                                else (t + dt, None))
+                try:
+                    new = [_lawson_rk4(problem, y, t, dt, r, comparison, ev.F_hat,
+                                       ell - 1.0 if comparison else ell)
+                           for y, comparison, ev in zip(ys, flows, evs)]
+                    del ell
+                    # the full evaluations at the new point record the step,
+                    # seed the next one's first stage and complete the estimate
+                    new_evs = [_eval_flow(problem, y1, t_new, r, comparison, full=True)
+                               for (y1, _), comparison in zip(new, flows)]
+                except SingularMetricError:
+                    halved += 1
+                    if halved > MAX_HALVINGS:
+                        raise
+                    halvings_total += 1
+                    dt *= 0.5
+                    limit = "positivity"
+                    continue
+                err = max(_embedded_error(problem, d, ev.F_hat, dt)
+                          for (_, d), ev in zip(new, new_evs))
                 if err <= STEP_TOL:
                     break
                 rejections += 1
-                dt = dt_used * dt_ratio(err)
+                rejected += 1
+                if rejected > MAX_HALVINGS:
+                    raise FlowBreakdownError(f"step size control failed at t={t:.6f}: local "
+                                             f"error {err:.3e} after {MAX_HALVINGS} rejections")
+                dt *= dt_ratio(err)
                 limit = "error"
-            else:
-                raise FlowBreakdownError(
-                    f"step size control failed at t={t:.6f}: local error {err:.3e} "
-                    f"after {MAX_HALVINGS} rejections")
-            limits["positivity" if halv else limit] += 1
+            limits[limit] += 1
             max_err = max(max_err, err)
-            dt_err = dt_used * dt_ratio(err)
-            for i in range(len(flows)):
-                ys[i] = new[i][0]
-                evs[i] = evaluated[i][0]
+            dt_err = dt * dt_ratio(err)
+            ys, evs = [y1 for y1, _ in new], new_evs
             t, k_t = t_new, k_new
-            dt_last = dt_used
+            dt_last = dt
             steps += 1
-            # the previous evaluations, states and RHS and the consumed
-            # estimates are garbage now; release them before the next record
-            del ev, new, states
+            # the previous evaluations and the consumed estimates are garbage
+            # now; release them before the next record
+            del ev, new
     except SingularMetricError as stop:
         status = "singularity-stop"
         stop_reason = f"singularity stop: {stop}"
@@ -741,7 +718,6 @@ def run_flow(problem: FlowProblem, t_max: float, run_comparison: bool,
         violations=sorted(violations),
         final=final,
         uhat_snaps=uhat_snaps,
-        wall_time=time.perf_counter() - t_start,
         step_control={
             "accepted": steps,
             "rejections": rejections,

@@ -124,7 +124,6 @@ def save_run(out_dir, scenario, result, regime_reports=None, extra_constants=Non
     constants["status"] = result.status
     constants["stop_reason"] = result.stop_reason
     constants["violations"] = list(result.violations)
-    constants["wall_time_s"] = result.wall_time
     if extra_constants:
         constants.update(extra_constants)
     reports_json = {}

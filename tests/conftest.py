@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from mkrf.cli import verdict
@@ -9,8 +11,8 @@ _cache = {}
 
 
 def preset_run(name, grid_override=None):
-    """Run a preset once per session and judge it as `mkrf run` does;
-    acceptance criteria share the result."""
+    """Run a preset once per session, timing its flow, and judge it as
+    `mkrf run` does; acceptance criteria share the result."""
     key = (name, grid_override)
     if key not in _cache:
         sc = load_scenario(name, None)
@@ -19,10 +21,12 @@ def preset_run(name, grid_override=None):
         problem = build_problem(sc)
         limit = (build_limit_problem(sc) if problem.path.regime == Regime.KAHLER_LIMIT
                  else None)
+        start = time.perf_counter()
         result = run_flow(problem, t_max=sc.t_max, run_comparison=sc.run_comparison_flow,
                           dt_cap=sc.dt_cap)
+        wall = time.perf_counter() - start
         reports, _, constants, fields = verdict(sc, problem, result, limit)
-        _cache[key] = {"scenario": sc, "problem": problem, "result": result,
+        _cache[key] = {"scenario": sc, "problem": problem, "result": result, "wall": wall,
                        "reports": reports, "constants": constants, "fields": dict(fields)}
     return _cache[key]
 

@@ -49,8 +49,8 @@ def test_criterion_01_sup_bounds_and_runtime(kahler_run, finite_run, collapsed_r
         mu = worst(res.series, "margin_u_hat_nonpos")
         mut = worst(res.series, "margin_ut_hat_nonpos")
         ok &= mu >= -1e-8 and mut >= -1e-8
-        ok &= res.wall_time <= RUNTIME_BUDGET_S
-        details.append(f"{name}: margins=({mu:.2e},{mut:.2e}) wall={res.wall_time:.0f}s")
+        ok &= entry["wall"] <= RUNTIME_BUDGET_S
+        details.append(f"{name}: margins=({mu:.2e},{mut:.2e}) wall={entry['wall']:.0f}s")
     verdict(1, "normalized potential and rate stay nonpositive; runtime budget",
             ok, "; ".join(details))
 

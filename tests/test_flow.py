@@ -12,7 +12,6 @@ from mkrf.flow import (
     STOP_MARGIN,
     FlowBreakdownError,
     FlowProblem,
-    _attempt_step,
     _embedded_error,
     _eval_flow,
     _forcing_integral,
@@ -74,17 +73,12 @@ def rhs(prob, field, t, r=0):
     return _eval_flow(prob, embed(prob, field, t), t, r, False, full=True).rhs_phys
 
 
-def states(prob, t, *flows):
-    """_attempt_step's states for flows given as (y, r, comparison): each
-    with its RHS at t, as run_flow passes them."""
-    return [(y, r, comparison, _eval_flow(prob, y, t, r, comparison).F_hat)
-            for y, r, comparison in flows]
-
-
 def step(prob, y, t, dt, r=0, comparison=False):
-    """One step of a single flow as run_flow takes it: (y1, dt used)."""
-    new, dt_used, _ = _attempt_step(prob, states(prob, t, (y, r, comparison)), t, dt)
-    return new[0][0], dt_used
+    """One step of a single flow as run_flow takes it, from its RHS at t
+    with the midpoint symbol (less 1 for the comparison flow): the new state."""
+    F0 = _eval_flow(prob, y, t, r, comparison).F_hat
+    ell = prob.laplace_symbol(t + 0.5 * dt)
+    return _lawson_rk4(prob, y, t, dt, r, comparison, F0, ell - 1.0 if comparison else ell)[0]
 
 
 def density_problem(amp):
@@ -195,7 +189,7 @@ def test_rhs_comparison_stationary_in_t_for_flat_fiber():
 def test_step_rk4_stationary():
     prob = flat_problem()
     dt = 1e-3
-    y1, _ = step(prob, prob.phi0_hat.copy(), 0.0, dt)
+    y1 = step(prob, prob.phi0_hat.copy(), 0.0, dt)
     assert np.abs(potential(prob, y1, dt)).max() < 1e-14
     assert np.abs(_eval_flow(prob, y1, dt, 0, False, full=True).rhs_phys).max() < 1e-14
 
@@ -206,9 +200,9 @@ def test_step_rk4_richardson():
     y = embed(prob, synthesize(g, [((1, 0), 0.01), ((0, 1), 0.005)]), 0.0)
     errs = []
     for dt in (2e-3, 1e-3):
-        one, _ = step(prob, y, 0.0, dt)
-        half, _ = step(prob, y, 0.0, dt / 2)
-        half, _ = step(prob, half, dt / 2, dt / 2)
+        one = step(prob, y, 0.0, dt)
+        half = step(prob, y, 0.0, dt / 2)
+        half = step(prob, half, dt / 2, dt / 2)
         errs.append(np.abs(inverse(g, one) - inverse(g, half)).max())
     ratio = errs[0] / errs[1]
     assert 20.0 < ratio < 45.0
@@ -216,21 +210,42 @@ def test_step_rk4_richardson():
 
 def test_step_rk4_retry_path():
     # steep prescribed volume drives the metric toward positivity loss within
-    # one large step, forcing the halving retry
-    prob = density_problem(5.0)
-    dt_req = 0.5
-    _, dt_used, halvings = _attempt_step(
-        prob, states(prob, 0.0, (prob.phi0_hat.copy(), 0, False)), 0.0, dt_req)
-    assert halvings > 0
-    assert dt_used == dt_req * 0.5 ** halvings
+    # one large step, forcing the halving retry, which sets some steps
+    res = run_flow(density_problem(5.0), t_max=0.07, run_comparison=False, dt_cap=0.5)
+    assert res.status == "completed"
+    assert res.constants["halvings"] > 0
+    assert res.step_control["limits"]["positivity"] > 0
 
 
-def test_attempt_step_singularity_stop(monkeypatch):
-    prob = density_problem(5.0)
-    y = prob.phi0_hat.copy()
+def test_run_flow_singularity_stop_past_the_halving_cap(monkeypatch):
+    # the first step needs two halvings; the positivity loss after the one
+    # allowed ends the run as a singularity stop
     monkeypatch.setattr(mkrf.flow, "MAX_HALVINGS", 1)
-    with pytest.raises(SingularMetricError):
-        _attempt_step(prob, states(prob, 0.0, (y, 0, False)), 0.0, 0.5)
+    res = run_flow(density_problem(5.0), t_max=0.06, run_comparison=False, dt_cap=0.5)
+    assert res.status == "singularity-stop"
+    assert res.stop_reason.startswith("singularity stop: metric not positive")
+    assert res.constants["steps"] == 0 and res.constants["halvings"] == 1
+
+
+def test_positivity_loss_at_the_new_point_halves_the_step(monkeypatch):
+    # the full evaluation that records a step follows the stages' rule: a
+    # positivity loss there halves dt and the run goes on
+    real_eval = mkrf.flow._eval_flow
+    raised = []
+
+    def failing_once(problem, p_hat, t, r, comparison, full=False):
+        if full and t > 0.2 and not raised:
+            raised.append(t)
+            raise SingularMetricError(-1.0, (0, 0, 0, 0), t)
+        return real_eval(problem, p_hat, t, r, comparison, full=full)
+
+    monkeypatch.setattr(mkrf.flow, "_eval_flow", failing_once)
+    res = run_flow(finite_problem(), t_max=5.0, run_comparison=False, dt_cap=0.02)
+    assert raised
+    assert res.status == "singularity-stop"
+    assert res.stop_reason.startswith("finite-time approach window")
+    assert res.constants["halvings"] == 1
+    assert res.step_control["limits"]["positivity"] == 1
 
 
 def test_normalization_constant_cases():
@@ -270,10 +285,8 @@ def test_scaled_raw_lockstep_consistency():
     yu, yv = prob.phi0_hat.copy(), prob.phi0_hat.copy()
     t, dt = 0.0, 2e-3
     for _ in range(40):
-        new, dt_used, _ = _attempt_step(prob, states(prob, t, (yu, 0, False), (yv, r, False)),
-                                        t, dt)
-        (yu, _), (yv, _) = new
-        t += dt_used
+        yu, yv = step(prob, yu, t, dt), step(prob, yv, t, dt, r)
+        t += dt
     assert t == pytest.approx(40 * dt)
     drift = inverse(prob.grid, yv) - inverse(prob.grid, yu) - 0.5 * r * t**2
     assert np.abs(drift).max() < 1e-10
@@ -296,7 +309,7 @@ def test_comparison_state_roundtrip():
     y = prob.phi0_hat.copy()
     assert np.abs(potential(prob, y, 0.0)).max() < 1e-14
     dt = 1e-3
-    y1, _ = step(prob, y, 0.0, dt, r, comparison=True)
+    y1 = step(prob, y, 0.0, dt, r, comparison=True)
     w = potential(prob, y1, dt)
     w_dot = _eval_flow(prob, y1, dt, r, True, full=True).rhs_phys - w
     expect = rhs(prob, ScalarField(prob.grid, w), dt, r) - w
@@ -549,7 +562,9 @@ def test_full_eval_result_owns_its_arrays():
     y2 = y * 1.01
     _eval_flow(prob, y2, 0.3, r, False)
     _eval_flow(prob, y2, 0.3, r, True, full=True)
-    _attempt_step(prob, [(y, r, False, evs[0].F_hat), (y, r, True, evs[1].F_hat)], 0.2, 0.05)
+    ell = prob.laplace_symbol(0.225)
+    _lawson_rk4(prob, y, 0.2, 0.05, r, False, evs[0].F_hat, ell)
+    _lawson_rk4(prob, y, 0.2, 0.05, r, True, evs[1].F_hat, ell - 1.0)
     for ev, saved in zip(evs, before):
         for a, b in zip(arrays(ev), saved):
             assert np.array_equal(a, b)
@@ -613,16 +628,16 @@ def test_flow_holds_one_hessian_row_of_transform_work(monkeypatch):
 
 
 def test_one_laplacian_symbol_per_attempted_step(monkeypatch):
-    # both lockstep flows step with the symbol built once per attempt; the
-    # comparison flow's symbol less 1 is its own array, and the shared one
-    # keeps the bits of the tables' Laplacian symbol
+    # every attempt of a step, accepted, halved or rejected, builds the
+    # midpoint symbol once for both lockstep flows; the comparison flow's
+    # symbol less 1 is its own array, and the shared one keeps the bits of
+    # the tables' Laplacian symbol
     prob = collapsed_problem()
-    r = prob.scaled_r
-    y = prob.phi0_hat
-    t, dt = 0.3, 0.01
     built, stepped = [], []
     real_symbol = FlowProblem.laplace_symbol
     real_step = mkrf.flow._lawson_rk4
+    real_eval = mkrf.flow._eval_flow
+    raised = []
 
     def counting_symbol(problem, tau):
         ell = real_symbol(problem, tau)
@@ -630,33 +645,51 @@ def test_one_laplacian_symbol_per_attempted_step(monkeypatch):
         return ell
 
     def recording_step(*args):
-        out = real_step(*args)
-        stepped.append((args[5], args[7] is built[-1], args[7].copy()))
-        return out
+        stepped.append((args[5], args[7] is built[-1],
+                        args[7].tobytes() == midpoint_symbol(prob, args[2], args[3],
+                                                             args[5]).tobytes()))
+        return real_step(*args)
+
+    def failing_once(problem, p_hat, t, r, comparison, full=False):
+        # one positivity loss at a new point, so one attempt is halved
+        if full and t > 0.1 and not raised:
+            raised.append(t)
+            raise SingularMetricError(-1.0, (0, 0, 0, 0), t)
+        return real_eval(problem, p_hat, t, r, comparison, full=full)
 
     monkeypatch.setattr(FlowProblem, "laplace_symbol", counting_symbol)
     monkeypatch.setattr(mkrf.flow, "_lawson_rk4", recording_step)
-    _attempt_step(prob, states(prob, t, (y, r, False), (y, r, True)), t, dt)
-    assert len(built) == 1
-    assert [(c, shared) for c, shared, _ in stepped] == [(False, True), (True, False)]
-    want = midpoint_symbol(prob, t, dt, False)
-    assert built[0].tobytes() == want.tobytes()
-    assert stepped[0][2].tobytes() == want.tobytes()
-    assert stepped[1][2].tobytes() == midpoint_symbol(prob, t, dt, True).tobytes()
+    monkeypatch.setattr(mkrf.flow, "_eval_flow", failing_once)
+    monkeypatch.setattr(mkrf.flow, "STEP_TOL", 1e-11)
+    res = run_flow(prob, t_max=0.3, run_comparison=True, dt_cap=0.05)
+    assert res.status == "completed"
+    halvings, rejections = res.constants["halvings"], res.step_control["rejections"]
+    assert halvings == 1 and rejections > 0
+    assert len(built) == res.constants["steps"] + halvings + rejections
+    assert stepped[0::2] and all(s == (False, True, True) for s in stepped[0::2])
+    assert stepped[1::2] and all(s == (True, False, True) for s in stepped[1::2])
 
 
 def test_lockstep_step_peak_allocation():
     # one warmed-up v + w collapsed step at N=16 allocates no more than the
-    # stage RHS arrays and one Hessian stack at a time; the stencil product
-    # and the pointwise temporaries live in the problem's workspace
+    # midpoint symbols, the stage RHS arrays and one Hessian stack at a time;
+    # the stencil product and the pointwise temporaries live in the
+    # problem's workspace
     prob = collapsed_problem(N=16)
     r = prob.scaled_r
     y = prob.phi0_hat.copy()
-    lockstep = states(prob, 0.0, (y, r, False), (y, r, True))
-    _attempt_step(prob, lockstep, 0.0, 0.01)
+    F0s = [_eval_flow(prob, y, 0.0, r, comparison).F_hat for comparison in (False, True)]
+
+    def lockstep():
+        ell = prob.laplace_symbol(0.005)
+        return [_lawson_rk4(prob, y, 0.0, 0.01, r, comparison, F0,
+                            ell - 1.0 if comparison else ell)
+                for comparison, F0 in zip((False, True), F0s)]
+
+    lockstep()
     tracemalloc.start()
     try:
-        _attempt_step(prob, lockstep, 0.0, 0.01)
+        lockstep()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -666,7 +699,7 @@ def test_lockstep_step_peak_allocation():
 def test_nonfinite_state_is_breakdown_not_singularity(monkeypatch):
     prob = finite_problem()
     y = prob.phi0_hat.copy()
-    flow_states = states(prob, 0.0, (y, 0, False))
+    F0 = _eval_flow(prob, y, 0.0, 0, False).F_hat
     y[1, 0, 0, 0] = np.nan
     calls = []
     real_eval = mkrf.flow._eval_flow
@@ -677,8 +710,8 @@ def test_nonfinite_state_is_breakdown_not_singularity(monkeypatch):
 
     monkeypatch.setattr(mkrf.flow, "_eval_flow", counting_eval)
     with pytest.raises(FlowBreakdownError):
-        _attempt_step(prob, flow_states, 0.0, 0.01)
-    assert len(calls) == 1  # no halving retries
+        _lawson_rk4(prob, y, 0.0, 0.01, 0, False, F0, prob.laplace_symbol(0.005))
+    assert len(calls) == 1  # the first stage evaluation raises
 
 
 def test_nan_state_run_ends_as_breakdown_exit_3(tmp_path, monkeypatch):
@@ -818,6 +851,48 @@ def test_tiny_step_tol_rejects_retries_and_completes(monkeypatch):
     # every attempt steps both flows; a rejected one records no row
     assert len(steps) == 2 * (res.constants["steps"] + control["rejections"])
     assert len(res.series["t"]) == res.constants["steps"] + 1
+
+
+def scripted_first_step(monkeypatch, script):
+    """A short collapsed run whose first step goes through the attempts in
+    script, "halve" (a positivity loss at the new point) or "reject" (an
+    estimate above STEP_TOL), before it is accepted."""
+    prob = collapsed_problem()
+    attempts = []
+    real_symbol = prob.laplace_symbol
+    action = dict(enumerate(script, 1))
+
+    def counting_symbol(tau):
+        attempts.append(tau)
+        return real_symbol(tau)
+
+    def scripted_eval(problem, p_hat, t, r, comparison, full=False):
+        if full and action.get(len(attempts)) == "halve":
+            raise SingularMetricError(-1.0, (0, 0, 0, 0), t)
+        return _eval_flow(problem, p_hat, t, r, comparison, full=full)
+
+    def scripted_error(problem, d, F1, dt):
+        err = _embedded_error(problem, d, F1, dt)
+        return 1.0 if action.get(len(attempts)) == "reject" else err
+
+    monkeypatch.setattr(prob, "laplace_symbol", counting_symbol)
+    monkeypatch.setattr(mkrf.flow, "_eval_flow", scripted_eval)
+    monkeypatch.setattr(mkrf.flow, "_embedded_error", scripted_error)
+    return run_flow(prob, t_max=0.3, run_comparison=False, dt_cap=0.05)
+
+
+def test_last_retry_of_a_step_names_its_bound(monkeypatch):
+    # halving and the clipped error scaling commute on dt, so both orders
+    # take the same steps; the retry that came last names the first one
+    halved_last = scripted_first_step(monkeypatch, ["reject", "halve"])
+    rejected_last = scripted_first_step(monkeypatch, ["halve", "reject"])
+    for res in (halved_last, rejected_last):
+        assert res.status == "completed"
+        assert res.constants["halvings"] == 1 and res.step_control["rejections"] == 1
+    assert halved_last.series == rejected_last.series
+    a, b = halved_last.step_control["limits"], rejected_last.step_control["limits"]
+    assert a["positivity"] == 1 and b["positivity"] == 0
+    assert b["error"] == a["error"] + 1 and a["dt_cap"] == b["dt_cap"]
 
 
 def test_error_estimate_alone_keeps_a_rough_run_stable():

@@ -2,7 +2,9 @@
 parameter of its functions is read, every defaulted parameter is passed by
 some call in the package and left to its default by another, and every
 attribute a class stores on self and every UPPER_CASE module constant is
-read somewhere in the package.  Every Hessian is made by grid.hessian_rows:
+read somewhere in the package, and every function or class named with one
+leading underscore is named somewhere in the package outside its own
+definition.  Every Hessian is made by grid.hessian_rows:
 no other code calls hessian_components, and no code stacks the tables'
 symbols.
 
@@ -387,6 +389,53 @@ def test_unread_constant_is_caught():
                    unread_constants({"flow.py": flow, "monitors.py": monitors}))
     assert found == [("flow.py", "HEIGHT"), ("flow.py", "LIMIT"), ("flow.py", "UHAT_SNAP_DT"),
                      ("flow.py", "_PRIVATE_DEAD"), ("monitors.py", "TOL")]
+
+
+def unreferenced_private_definitions(trees):
+    """(file, name, line) of every function or class named with one leading
+    underscore that no code in the trees names, by name or as an attribute,
+    outside its own definition."""
+    refs = [(node.id if isinstance(node, ast.Name) else node.attr, node)
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+    for file, tree in trees.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                own = {id(n) for n in ast.walk(node)}
+                if not any(name == node.name and id(ref) not in own for name, ref in refs):
+                    yield file, node.name, node.lineno
+
+
+def test_every_private_definition_is_referenced():
+    dead = [f"{name} ({file}, line {line})"
+            for file, name, line in unreferenced_private_definitions(package_trees())]
+    assert not dead, f"private functions and classes nothing in src/mkrf names: {dead}"
+
+
+def test_unreferenced_private_definition_is_caught():
+    flow = ast.parse(
+        "class _Workspace:\n"
+        "    def _used(self):\n"
+        "        return 1\n"
+        "    def _recursive(self):\n"
+        "        return self._recursive()\n"
+        "class _Dead:\n"
+        "    pass\n"
+        "def _helper():\n"
+        "    return _Workspace()._used()\n"
+        "def _attempt_step():\n"
+        "    return _attempt_step()\n"
+        "def __getattr__(name):\n"
+        "    return name\n"
+        "def public():\n"
+        "    return 0\n"
+    )
+    cli = ast.parse("from .flow import _helper\n_helper()\n")
+    found = sorted((file, name) for file, name, _ in
+                   unreferenced_private_definitions({"flow.py": flow, "cli.py": cli}))
+    assert found == [("flow.py", "_Dead"), ("flow.py", "_attempt_step"),
+                     ("flow.py", "_recursive")]
 
 
 # packages a run without Newton solves must not load; mkrf.grid loads scipy.fft's

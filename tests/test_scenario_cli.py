@@ -511,6 +511,36 @@ def test_cli_preset_runs_exit_codes(tmp_path):
     assert data2["constants"]["status"] == "singularity-stop"
 
 
+def test_finite_time_run_ended_by_t_max_short_of_the_window_completes(tmp_path, capsys):
+    # the approach window starts at T - 0.2 = 0.49; a run that ends at a
+    # t_max before T - STOP_MARGIN reached t_max, it made no singularity stop
+    out = tmp_path / "short"
+    assert main(["run", "--preset", "finite-time", "--t-max", "0.3", "--out", str(out)]) == 0
+    data = json.loads((out / "constants.json").read_text())
+    assert data["constants"]["status"] == "completed"
+    assert data["constants"]["stop_reason"] == "reached t_max"
+    assert data["constants"]["t_final"] == 0.3
+    assert data["reports"]["finite_time"]["status"] == "not applicable"
+    assert "status=completed" in capsys.readouterr().out
+
+
+def test_repeated_runs_write_identical_records(tmp_path):
+    # a second run of one scenario into the same directory rewrites every
+    # file byte for byte, apart from timings.json and the phase wall times
+    # summary.txt lists from it
+    out = tmp_path / "run"
+    records = []
+    for _ in range(2):
+        assert main(["run", "--preset", "finite-time", "--grid", "8", "--out", str(out)]) == 0
+        record = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "timings.json"}
+        record["summary.txt"] = record["summary.txt"].split(b"phase wall times:")[0]
+        records.append(record)
+    assert {"constants.json", "series.csv", "final.mkrf", "summary.txt"} <= set(records[0])
+    assert sorted(records[0]) == sorted(records[1])
+    for name in records[0]:
+        assert records[0][name] == records[1][name], name
+
+
 def test_series_identical_across_thread_counts(tmp_path, monkeypatch):
     # a flow run and a Newton solve with several Krylov systems
     cfg = tmp_path / "cy.json"
@@ -601,7 +631,7 @@ def test_phase_timings_side_file(tmp_path):
     assert sorted(data) == ["constants", "reports", "step_control"]
     assert sorted(data["constants"]) == [
         "C3", "T", "halvings", "r", "regime", "status", "steps", "stop_reason", "t_final",
-        "violations", "wall_time_s"]
+        "violations"]
     assert (out / "series.csv").read_text().splitlines()[0] == (
         "t,dt,min_u_hat,max_u_hat,min_ut_hat,max_ut_hat,lambda_min_metric,mean_det,"
         "class_det,margin_u_hat_nonpos,margin_ut_hat_nonpos,margin_eq7,"
