@@ -35,9 +35,7 @@ from .flow import (
     run_flow,
 )
 from .monitors import (
-    MonitorReport,
     MonitorResult,
-    StepSnapshot,
     check_collapsed,
     check_convergence,
     check_core,

@@ -134,8 +134,9 @@ def verdict(scenario: Scenario, problem, result, limit):
     if regime == Regime.FINITE_TIME:
         reports["finite_time"] = monitors.check_finite_time(result.series, problem.path.T)
     if regime == Regime.COLLAPSED:
-        rep = monitors.check_collapsed(result.series, problem.path.r, scenario.t_max,
-                                       result.constants["C3"])
+        # windows end where the run did: a singularity stop ends before t_max
+        rep = monitors.check_collapsed(result.series, problem.path.r,
+                                       result.constants["t_final"], result.constants["C3"])
         reports["collapsed"] = rep
         if scenario.run_psi_family and scenario.psi_times:
             psis, psi_reports = solve_psi_family(problem, scenario.psi_times)

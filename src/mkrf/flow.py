@@ -488,7 +488,7 @@ def run_flow(problem: FlowProblem, t_max: float, run_comparison: bool,
     dt_last = 0.0
     dt_err = math.inf  # the error controller's proposal; the first step takes the cap
     prev_combo = None
-    violations = {}
+    violations = set()  # the names of the per-step monitors that failed
     steps = 0
     halvings_total = 0
     rejections = 0
@@ -521,18 +521,13 @@ def run_flow(problem: FlowProblem, t_max: float, run_comparison: bool,
         nonlocal prev_combo, lag_snapshots_max
         ev = evs[0]
         phi_t, v_phys, u_hat, ut_hat = uv_fields()
-        lam = lambda_min_components(ev.comps, ev.det)
-        lam_min = float(lam.min())
-        lam_loc = tuple(int(i) for i in np.unravel_index(int(np.argmin(lam)), lam.shape))
+        lam_min = float(lambda_min_components(ev.comps, ev.det).min())
         mean_det = float(np.mean(ev.det))
         _, floor, _, class_det, _ = problem._stage_constants(t)
-        snap = monitors.StepSnapshot(
-            t, n, regime.value, u_hat, ut_hat, lam_min, lam_loc,
-            floor, mean_det, class_det, problem.class_det0,
-        )
-        report = monitors.check_core(snap, prev_combo)
-        prev_combo = report.combo_min
-        m = report.margins()
+        results, prev_combo = monitors.check_core(
+            t, n, regime == Regime.FINITE_TIME, u_hat, ut_hat, prev_combo,
+            lam_min, floor, mean_det, class_det, problem.class_det0)
+        m = {res.name: res.margin for res in results}
         row = {
             "t": t, "dt": dt_used,
             "min_u_hat": float(u_hat.min()), "max_u_hat": float(u_hat.max()),
@@ -582,10 +577,7 @@ def run_flow(problem: FlowProblem, t_max: float, run_comparison: bool,
                     row[f"min_q_s{S:g}"] = float(qS.min())
         for c, v in row.items():
             series.setdefault(c, []).append(v)
-        for res in report.failures():
-            worst = violations.get(res.name)
-            if worst is None or res.margin < worst:
-                violations[res.name] = res.margin
+        violations.update(res.name for res in results if not res.passed)
         if not all(math.isfinite(v) or math.isnan(v) for v in row.values()):
             raise FlowBreakdownError(f"non-finite observables at t={t:.6f}")
         return u_hat
@@ -668,7 +660,7 @@ def run_flow(problem: FlowProblem, t_max: float, run_comparison: bool,
                 rejected += 1
                 if rejected > MAX_HALVINGS:
                     raise FlowBreakdownError(f"step size control failed at t={t:.6f}: local "
-                                             f"error {err:.3e} after {MAX_HALVINGS} rejections")
+                                             f"error {err:.3e} after {rejected} rejections")
                 dt *= dt_ratio(err)
                 limit = "error"
             limits[limit] += 1

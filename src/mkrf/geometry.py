@@ -35,8 +35,8 @@ class SingularMetricError(Exception):
         self.location = tuple(int(i) for i in location)
         self.t = t
         msg = f"metric not positive: lambda_min={self.lambda_min:.3e} at grid point {self.location}"
-        if t is not None:
-            msg += f" (t={t:.6f})"
+        if self.t is not None:
+            msg += f" (t={self.t:.6f})"
         super().__init__(msg)
 
 

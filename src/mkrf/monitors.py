@@ -29,102 +29,48 @@ class MonitorResult:
     name: str
     margin: float
     tol: float
-    location: tuple | None = None
 
     @property
     def passed(self) -> bool:
         return self.margin >= -self.tol
 
 
-@dataclass
-class MonitorReport:
-    results: list
-    combo_min: float
+def check_core(t: float, n: int, finite_time: bool, u: np.ndarray, ut: np.ndarray,
+               prev_combo_min: float | None, lambda_min: float, positivity_floor: float,
+               mean_det: float, class_det: float, class_det0: float) -> tuple[list, float]:
+    """Per-step estimates on the normalized potential u and its rate ut at
+    time t: sign bounds, the exponential-weight inequality, the finite-time
+    chain (finite_time only), monotonicity of the combined rate (after the
+    first step), conservation, and metric positivity.
 
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    def margins(self) -> dict:
-        return {r.name: r.margin for r in self.results}
-
-    def failures(self) -> list:
-        return [r for r in self.results if not r.passed]
-
-
-@dataclass
-class StepSnapshot:
-    """Normalized per-step data consumed by check_core."""
-
-    t: float
-    n: int
-    regime: str
-    u_hat: np.ndarray
-    ut_hat: np.ndarray
-    lambda_min: float
-    lambda_min_loc: tuple
-    positivity_floor: float
-    mean_det: float
-    class_det: float
-    class_det0: float
-
-
-def _argmax_loc(arr: np.ndarray) -> tuple:
-    return tuple(int(i) for i in np.unravel_index(int(np.argmax(arr)), arr.shape))
-
-
-def _argmin_loc(arr: np.ndarray) -> tuple:
-    return tuple(int(i) for i in np.unravel_index(int(np.argmin(arr)), arr.shape))
-
-
-def check_core(snap: StepSnapshot, prev_combo_min: float | None) -> MonitorReport:
-    """Per-step estimates: sign bounds, the exponential-weight inequality,
-    the finite-time chain, monotonicity of the combined rate, conservation,
-    and metric positivity."""
-    t, n = snap.t, snap.n
-    u, ut = snap.u_hat, snap.ut_hat
+    Returns (results, combo_min): the MonitorResult of each estimate, and
+    min(u + ut), the next step's prev_combo_min."""
     results = []
 
     max_u = float(u.max())
-    results.append(MonitorResult("u_hat_nonpos", -max_u, TOL_SUP, _argmax_loc(u)))
-    max_ut = float(ut.max())
-    results.append(MonitorResult("ut_hat_nonpos", -max_ut, TOL_SUP, _argmax_loc(ut)))
+    results.append(MonitorResult("u_hat_nonpos", -max_u, TOL_SUP))
+    results.append(MonitorResult("ut_hat_nonpos", -float(ut.max()), TOL_SUP))
 
     # (e^t - 1) du/dt - n t <= u pointwise
-    eq7_field = u + n * t - np.expm1(t) * ut
-    results.append(
-        MonitorResult("eq7", float(eq7_field.min()), TOL_INEQ, _argmin_loc(eq7_field))
-    )
+    eq7 = float((u + n * t - np.expm1(t) * ut).min())
+    results.append(MonitorResult("eq7", eq7, TOL_INEQ))
 
     combo = ut + u
     combo_min = float(combo.min())
-    if snap.regime == "FINITE_TIME":
-        chain = combo - (math.exp(t) * ut - n * t)
-        m1 = float(chain.min())
+    if finite_time:
+        m1 = float((combo - (math.exp(t) * ut - n * t)).min())
         m2 = -max_u
-        if m1 <= m2:
-            results.append(MonitorResult("eq8_chain", m1, TOL_INEQ, _argmin_loc(chain)))
-        else:
-            results.append(MonitorResult("eq8_chain", m2, TOL_INEQ, _argmax_loc(u)))
+        results.append(MonitorResult("eq8_chain", m1 if m1 <= m2 else m2, TOL_INEQ))
 
     if prev_combo_min is not None:
         results.append(
             MonitorResult("combo_monotone", prev_combo_min - combo_min, TOL_INEQ)
         )
 
-    cons_tol = TOL_SUP * abs(snap.class_det0)
-    results.append(
-        MonitorResult("conservation", -abs(snap.mean_det - snap.class_det), cons_tol)
-    )
-    results.append(
-        MonitorResult(
-            "positivity",
-            snap.lambda_min - snap.positivity_floor,
-            0.0,
-            snap.lambda_min_loc,
-        )
-    )
-    return MonitorReport(results, combo_min)
+    results.append(MonitorResult("conservation", -abs(mean_det - class_det),
+                                 TOL_SUP * abs(class_det0)))
+    results.append(MonitorResult("positivity", lambda_min - positivity_floor, 0.0))
+    return results, combo_min
 
 
 @dataclass
@@ -178,18 +124,19 @@ def check_finite_time(series: dict, T: float) -> RegimeReport:
     return RegimeReport(checks, constants)
 
 
-def check_collapsed(series: dict, r: int, t_max: float, C3: float) -> RegimeReport:
+def check_collapsed(series: dict, r: int, t_end: float, C3: float) -> RegimeReport:
     """Linear growth of the scaled potential, the S-damped rate bounds with
     measured constants, comparison-flow boundedness, and the auxiliary-flow
-    proof quantity for a collapsed run; the last two (and the C_shift
-    constants) only when the series has the comparison flow's columns."""
+    proof quantity for a collapsed run that ended at t_end; the last two
+    (and the C_shift constants) only when the series has the comparison
+    flow's columns."""
     if r < 1:
         raise ValueError("inconsistent regime: collapsed monitoring requires r >= 1")
     ts = np.asarray(series["t"])
     checks = []
     constants = {}
 
-    # (a) least-squares envelope of the running max of max_x v over [5, t_max]
+    # (a) least-squares envelope of the running max of max_x v over [5, t_end]
     max_v = np.asarray(series["max_v"])
     runmax = np.maximum.accumulate(max_v)
     sel = ts >= 5.0
@@ -222,8 +169,8 @@ def check_collapsed(series: dict, r: int, t_max: float, C3: float) -> RegimeRepo
                 constants[f"C_shift_{S:g}"] = -min(qs)
 
     # late-window damping: max_x dv/dt <= 0.1 t + C with C fixed on the early window
-    early = ts <= max(20.0, 0.5 * t_max)
-    late = ts > max(20.0, 0.5 * t_max)
+    early = ts <= max(20.0, 0.5 * t_end)
+    late = ts > max(20.0, 0.5 * t_end)
     if late.sum() >= 2:
         C_damp = float(np.max(max_vt[early] - 0.1 * ts[early]))
         margin = float(np.min(0.1 * ts[late] + C_damp - max_vt[late]))
@@ -232,12 +179,12 @@ def check_collapsed(series: dict, r: int, t_max: float, C3: float) -> RegimeRepo
 
     if "min_w" in series:
         # (c) comparison flow boundedness across window halves
-        half = 0.5 * t_max
+        half = 0.5 * t_end
         for name in ("w", "wt"):
             lo_sup, hi_sup = (
                 max(abs(v) for col in ("min_", "max_")
                     for v in _series_window(ts, series[col + name], lo, hi))
-                for lo, hi in ((0.0, half), (half, t_max)))
+                for lo, hi in ((0.0, half), (half, t_end)))
             constants[f"sup_{name}_early"] = lo_sup
             constants[f"sup_{name}_late"] = hi_sup
             checks.append(MonitorResult(f"{name}_non_trending", lo_sup + 0.1 - hi_sup, 0.0))

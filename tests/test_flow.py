@@ -734,6 +734,28 @@ def test_nan_state_run_ends_as_breakdown_exit_3(tmp_path, monkeypatch):
     assert constants["steps"] == 2
 
 
+
+def test_collapsed_run_stopped_before_half_of_t_max_is_judged_on_its_span(
+        tmp_path, capsys, monkeypatch):
+    # a singularity stop at t = 8 of t_max = 30: the collapsed report's
+    # early/late windows split the run that was made, not [0, t_max]
+    real_eval = mkrf.flow._eval_flow
+
+    def singular_past_8(problem, p_hat, t, r, comparison, full=False):
+        if t > 8.0:
+            raise SingularMetricError(-1.0, (0, 0, 0, 0), t)
+        return real_eval(problem, p_hat, t, r, comparison, full=full)
+
+    monkeypatch.setattr(mkrf.flow, "_eval_flow", singular_past_8)
+    out = tmp_path / "stopped"
+    assert main(["run", "--preset", "collapsed", "--grid", "8", "--out", str(out)]) == 0
+    assert "failed" not in capsys.readouterr().err
+    record = json.loads((out / "constants.json").read_text())
+    assert record["constants"]["status"] == "singularity-stop"
+    assert record["constants"]["t_final"] == 8.0
+    assert record["reports"]["collapsed"]["status"] == "ok"
+    assert (out / "series.csv").exists() and (out / "final.mkrf").exists()
+
 # --- embedded error estimate and step control -----------------------------------
 
 
@@ -851,6 +873,17 @@ def test_tiny_step_tol_rejects_retries_and_completes(monkeypatch):
     # every attempt steps both flows; a rejected one records no row
     assert len(steps) == 2 * (res.constants["steps"] + control["rejections"])
     assert len(res.series["t"]) == res.constants["steps"] + 1
+
+
+def test_error_breakdown_names_the_rejections_it_made(monkeypatch):
+    # no estimate meets a zero tolerance: the step breaks down at the
+    # rejection past MAX_HALVINGS, and the message counts that one too
+    monkeypatch.setattr(mkrf.flow, "STEP_TOL", 0.0)
+    monkeypatch.setattr(mkrf.flow, "MAX_HALVINGS", 2)
+    res = run_flow(finite_problem(), t_max=5.0, run_comparison=False, dt_cap=0.02)
+    assert res.status == "breakdown"
+    assert res.step_control["rejections"] == 3
+    assert res.stop_reason.endswith("after 3 rejections")
 
 
 def scripted_first_step(monkeypatch, script):

@@ -1,11 +1,13 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+import mkrf.monitors
+from mkrf.cli import main
 from mkrf.monitors import (
     MonitorResult,
-    StepSnapshot,
     check_collapsed,
     check_convergence,
     check_core,
@@ -14,35 +16,33 @@ from mkrf.monitors import (
 )
 
 
-def snapshot(u_hat, ut_hat, t=0.5, n=1, regime="KAHLER_LIMIT",
-             mean_det=1.0, class_det=1.0):
-    return StepSnapshot(
-        t=t, n=n, regime=regime,
-        u_hat=u_hat, ut_hat=ut_hat,
-        lambda_min=0.9, lambda_min_loc=(0, 0),
-        positivity_floor=1e-10,
-        mean_det=mean_det, class_det=class_det, class_det0=1.0,
-    )
+def core(u_hat, ut_hat, prev_combo_min=None, t=0.5, n=1, finite_time=False,
+         mean_det=1.0, class_det=1.0):
+    """check_core on one step's data: margins by name, whether all passed,
+    and combo_min."""
+    results, combo_min = check_core(t, n, finite_time, u_hat, ut_hat, prev_combo_min,
+                                    0.9, 1e-10, mean_det, class_det, 1.0)
+    margins = {r.name: r.margin for r in results}
+    return margins, all(r.passed for r in results), combo_min, results
 
 
 def test_core_passes_on_clean_snapshot():
     u = -0.1 * np.ones((4, 4))
     ut = -0.2 * np.ones((4, 4))
-    rep = check_core(snapshot(u, ut), None)
-    assert rep.passed
-    assert set(rep.margins()) == {
+    margins, passed, _, _ = core(u, ut)
+    assert passed
+    assert list(margins) == [
         "u_hat_nonpos", "ut_hat_nonpos", "eq7", "conservation", "positivity",
-    }
+    ]
 
 
-def test_core_flags_violation_with_location():
+def test_core_flags_violation_with_margin():
     u = -0.1 * np.ones((4, 4))
     u[2, 3] = 1e-3
     ut = -0.2 * np.ones((4, 4))
-    rep = check_core(snapshot(u, ut), None)
-    bad = {r.name: r for r in rep.failures()}
+    _, _, _, results = core(u, ut)
+    bad = {r.name: r for r in results if not r.passed}
     assert "u_hat_nonpos" in bad
-    assert bad["u_hat_nonpos"].location == (2, 3)
     assert bad["u_hat_nonpos"].margin == pytest.approx(-1e-3)
 
 
@@ -50,11 +50,12 @@ def test_core_is_pure():
     rng = np.random.default_rng(3)
     u = -np.abs(rng.standard_normal((4, 4)))
     ut = -np.abs(rng.standard_normal((4, 4)))
-    s = snapshot(u, ut, t=0.8)
-    r1 = check_core(s, prev_combo_min=-0.5)
-    r2 = check_core(s, prev_combo_min=-0.5)
-    assert r1.margins() == r2.margins()
-    assert r1.combo_min == r2.combo_min
+    u0, ut0 = u.copy(), ut.copy()
+    m1, _, c1, _ = core(u, ut, prev_combo_min=-0.5, t=0.8)
+    m2, _, c2, _ = core(u, ut, prev_combo_min=-0.5, t=0.8)
+    assert m1 == m2
+    assert c1 == c2
+    assert np.array_equal(u, u0) and np.array_equal(ut, ut0)
 
 
 def test_eq7_margin_matches_independent_recomputation():
@@ -62,42 +63,53 @@ def test_eq7_margin_matches_independent_recomputation():
     u = -np.abs(rng.standard_normal((8, 8)))
     ut = -np.abs(rng.standard_normal((8, 8)))
     t, n = 0.37, 2
-    rep = check_core(snapshot(u, ut, t=t, n=n, regime="FINITE_TIME"), None)
+    margins, _, _, _ = core(u, ut, t=t, n=n, finite_time=True)
     # recompute from the raw fields with an independently written expression
     field = u + n * t - (math.exp(t) - 1.0) * ut
-    assert rep.margins()["eq7"] == pytest.approx(field.min(), abs=1e-12)
+    assert margins["eq7"] == pytest.approx(field.min(), abs=1e-12)
     chain = (ut + u) - (math.exp(t) * ut - n * t)
     expected_chain = min(float(chain.min()), float(-u.max()))
-    assert rep.margins()["eq8_chain"] == pytest.approx(expected_chain, abs=1e-12)
+    assert margins["eq8_chain"] == pytest.approx(expected_chain, abs=1e-12)
 
 
 def test_eq8_only_for_finite_time():
     u = -0.1 * np.ones((4, 4))
     ut = -0.2 * np.ones((4, 4))
-    rep = check_core(snapshot(u, ut, regime="KAHLER_LIMIT"), None)
-    assert "eq8_chain" not in rep.margins()
-    rep2 = check_core(snapshot(u, ut, regime="FINITE_TIME"), None)
-    assert "eq8_chain" in rep2.margins()
+    assert "eq8_chain" not in core(u, ut, finite_time=False)[0]
+    assert "eq8_chain" in core(u, ut, finite_time=True)[0]
 
 
 def test_monotone_margin():
     u = -0.1 * np.ones((2, 2))
     ut = -0.2 * np.ones((2, 2))
-    rep = check_core(snapshot(u, ut), prev_combo_min=-0.25)
+    margins, _, combo_min, _ = core(u, ut, prev_combo_min=-0.25)
     # combo_min = -0.3; previous -0.25, so decreasing: margin +0.05
-    assert rep.margins()["combo_monotone"] == pytest.approx(0.05)
-    rep2 = check_core(snapshot(u, ut), prev_combo_min=-0.35)
-    assert rep2.margins()["combo_monotone"] == pytest.approx(-0.05)
-    assert not rep2.passed
+    assert combo_min == pytest.approx(-0.3)
+    assert margins["combo_monotone"] == pytest.approx(0.05)
+    margins2, passed2, _, _ = core(u, ut, prev_combo_min=-0.35)
+    assert margins2["combo_monotone"] == pytest.approx(-0.05)
+    assert not passed2
 
 
 def test_conservation_and_positivity_margins():
     u = -0.1 * np.ones((2, 2))
     ut = -0.2 * np.ones((2, 2))
-    s = snapshot(u, ut, mean_det=1.0 + 5e-9, class_det=1.0)
-    rep = check_core(s, None)
-    assert rep.margins()["conservation"] == pytest.approx(-5e-9)
-    assert rep.passed  # tolerance 1e-8 * class_det0
+    margins, passed, _, _ = core(u, ut, mean_det=1.0 + 5e-9, class_det=1.0)
+    assert margins["conservation"] == pytest.approx(-5e-9)
+    assert margins["positivity"] == pytest.approx(0.9 - 1e-10)
+    assert passed  # tolerance 1e-8 * class_det0
+
+
+def test_failed_step_monitors_reach_exit_stderr_and_run_record(tmp_path, capsys,
+                                                               monkeypatch):
+    # a negative tolerance fails every monitor held to TOL_INEQ at every step
+    monkeypatch.setattr(mkrf.monitors, "TOL_INEQ", -1e9)
+    out = tmp_path / "violated"
+    assert main(["run", "--preset", "finite-time", "--grid", "8", "--t-max", "0.6",
+                 "--out", str(out)]) == 2
+    names = ["combo_monotone", "eq7", "eq8_chain"]
+    assert "monitor violations: " + ", ".join(names) in capsys.readouterr().err
+    assert json.loads((out / "constants.json").read_text())["constants"]["violations"] == names
 
 
 def test_collapsed_rejects_r_zero():
