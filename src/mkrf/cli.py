@@ -255,8 +255,8 @@ def cmd_cy_solve(args) -> int:
         write_snapshot([("U", U)], os.path.join(args.out, "cy_solution.mkrf"))
         with open(os.path.join(args.out, "newton_report.json"), "w",
                   encoding="utf-8") as fh:
-            json.dump({k: v for k, v in dataclasses.asdict(rep).items() if k != "message"},
-                      fh, indent=2, sort_keys=True)
+            record = {k: v for k, v in dataclasses.asdict(rep).items() if k != "message"}
+            json.dump(dict(record, grid_shape=list(U.grid.shape)), fh, indent=2, sort_keys=True)
             fh.write("\n")
         write_timings(args.out, {"setup_s": core_start - start,
                                   "core_s": core_end - core_start,

@@ -144,7 +144,7 @@ def _frame_stencil(grid, A: np.ndarray) -> np.ndarray:
     off-diagonal term).
     """
     root_inv = matrix_sqrt_hermitian(np.linalg.inv(A))
-    return np.stack(congruence_components(root_inv, tables(grid.n, grid.N).symbols()))
+    return np.stack(congruence_components(root_inv, tables(grid).symbols()))
 
 
 def _frame_state(problem: EllipticProblem, stencil: np.ndarray, U: np.ndarray,
@@ -206,7 +206,7 @@ class _FrameOperators:
     """
 
     def __init__(self, grid, A: np.ndarray, stencil: np.ndarray, row_buf: np.ndarray, weight):
-        tab = tables(grid.n, grid.N)
+        tab = tables(grid)
         self.grid = grid
         # exact inverse of the mean-metric Laplacian as the spectral
         # preconditioner; modes with vanishing symbol (the constant and the
@@ -323,7 +323,8 @@ def solve_cy(problem: EllipticProblem):
     the forcing costs no Jacobian application.
 
     Nested iteration (Bank and Rose 1982): while N/2 is even and at least
-    8, the equation is restricted to the half grid; the restricted problems
+    8, the equation is restricted to the half grid, which halves the full
+    axes and keeps the one-point ones; the restricted problems
     are solved coarsest first to the looser certificate COARSE_TOL_FACTOR,
     each from the prolonged solution of the one below, else from zero, and
     by mesh independence (Allgower, Boehmer, Potra and Rheinboldt 1986) the
@@ -339,7 +340,7 @@ def solve_cy(problem: EllipticProblem):
         raise ValueError(f"class must be positive definite for the elliptic solve"
                          f" (smallest eigenvalue {lam:.3e} <= {POSITIVITY_EPS:g})")
     chain = [problem]
-    while chain[-1].form.grid.N % 4 == 0 and chain[-1].form.grid.N >= 16:
+    while (size := _points_per_axis(chain[-1].form.grid)) % 4 == 0 and size >= 16:
         chain.append(_restrict(chain[-1]))
     levels = []
     start = None  # the prolonged solution of the level below, if it converged
@@ -354,11 +355,16 @@ def solve_cy(problem: EllipticProblem):
         except SingularMetricError:
             # the coarse data is not a Kahler metric at all
             start, report = None, NewtonReport()
-        levels.append({"N": grid.N, "iterations": report.iterations,
+        levels.append({"N": _points_per_axis(grid), "iterations": report.iterations,
                        "matvecs": list(report.matvecs), "converged": start is not None})
     U, report = _newton_from(problem, start, SUP_TOL_FACTOR)
     report.coarse_levels = levels
     return ScalarField(problem.form.grid, U), report
+
+
+def _points_per_axis(grid: GridSpec) -> int:
+    """The points on each full axis of grid (1 on a one-point grid)."""
+    return max(grid.shape)
 
 
 def _restrict(problem: EllipticProblem) -> EllipticProblem:
@@ -369,32 +375,39 @@ def _restrict(problem: EllipticProblem) -> EllipticProblem:
     the coarse mean of h, which keeps the coarse problem discretely solvable.
     """
     grid = problem.form.grid
-    coarse = GridSpec(grid.n, grid.N // 2)
-    even = (slice(None, None, 2),) * (2 * grid.n)
+    coarse = grid.half()
+    even = tuple(slice(None, None, 2) if s > 1 else slice(None) for s in grid.shape)
     phi = ScalarField(coarse, np.ascontiguousarray(problem.form.phi.values[even]))
     h = ScalarField(coarse, np.ascontiguousarray(problem.omega.h.values[even]))
     return EllipticProblem.compatible(KahlerForm(problem.form.A, phi), VolumeDensity(h))
 
 
 def _prolong(coarse: ScalarField, fine: GridSpec) -> ScalarField:
-    """Trigonometric interpolation of a field onto a finer grid.
+    """Trigonometric interpolation of a field onto a finer grid with the same
+    full axes.
 
-    The rfft spectrum is zero-padded: the coarse Nyquist planes, whose modes
-    the spectral Hessian annihilates and which have no single fine
-    counterpart, are dropped, and the coefficients are scaled by
-    (N_fine / N_coarse)^(2n) for the unnormalized transforms.  A field
+    The rfft spectrum is zero-padded along the full axes: the coarse Nyquist
+    planes, whose modes the spectral Hessian annihilates and which have no
+    single fine counterpart, are dropped, and the coefficients are scaled by
+    (N_fine / N_coarse)^(full axes) for the unnormalized transforms.  A field
     band-limited below the coarse Nyquist frequency is reproduced exactly.
     """
-    nc, nf = coarse.grid.N, fine.N
+    axes = fine.axes
+    nc, nf = _points_per_axis(coarse.grid), _points_per_axis(fine)
     half = nc // 2
     kept_c = np.r_[0:half, half + 1:nc]
     kept_f = np.r_[0:half, nf - half + 1:nf]
-    naxes = 2 * fine.n
+
+    def index(kept):
+        """Per axis: the kept frequencies, the non-negative ones on the half
+        axis and the one point of a one-point axis."""
+        return np.ix_(*[np.arange(half) if a == axes[-1] else kept if a in axes else [0]
+                        for a in range(2 * fine.n)])
+
     coeffs = forward(coarse.values)
-    padded = np.zeros(tables(fine.n, nf).rshape, dtype=np.complex128)
-    last = np.arange(half)
-    padded[np.ix_(*[kept_f] * (naxes - 1), last)] = coeffs[np.ix_(*[kept_c] * (naxes - 1), last)]
-    padded *= (nf / nc) ** naxes
+    padded = np.zeros(tables(fine).rshape, dtype=np.complex128)
+    padded[index(kept_f)] = coeffs[index(kept_c)]
+    padded *= (nf / nc) ** len(axes)
     return ScalarField(fine, inverse(fine, padded))
 
 
@@ -439,7 +452,7 @@ def _newton(problem: EllipticProblem, U: np.ndarray, tol_factor: float):
 
     report = NewtonReport()
     # the one-row product buffer of every Hessian transform in this solve
-    row_buf = np.empty((1,) + tables(grid.n, grid.N).rshape, dtype=np.complex128)
+    row_buf = np.empty((1,) + tables(grid).rshape, dtype=np.complex128)
     comps, det = _frame_state(problem, stencil, U, row_buf)
     res = det - target
     res_norm = float(np.abs(res).max())

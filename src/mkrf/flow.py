@@ -37,9 +37,10 @@ retries in one loop: a positivity loss in any evaluation of an attempt
 (stage or new point) halves dt, at most MAX_HALVINGS times, and a sup bound
 of the estimate over the lockstep flows above STEP_TOL scales it, as the
 accepted one scales the next dt, by 0.9 (STEP_TOL / err)^(1/4) clipped to
-[0.2, 5]; dt_cap and the event grid bound it too.  No separate stability
-bound is needed: where the non-constant remainder of the Laplacian is stiff,
-rejected steps hold dt at the controller's stability boundary.
+[0.2, 5] (to at most 1 after a step that was halved); dt_cap and the event
+grid bound it too.  No separate stability bound is needed: where the
+non-constant remainder of the Laplacian is stiff, rejected steps hold dt at
+the controller's stability boundary.
 
 run_flow keeps time on one clock, the index k of the grid point k SNAP_DT
 (_grid_index, the one place t meets the grid): a step that lands on its
@@ -114,7 +115,7 @@ class FlowProblem:
             raise ValueError("forms and density must share one grid")
         self.omega = omega
         self.path = compute_T(form0.A, form_inf.A)
-        self.tables = tables(self.grid.n, self.grid.N)
+        self.tables = tables(self.grid)
         self.phi0_phys = form0.phi.values.copy()
         self.phi_inf_phys = form_inf.phi.values.copy()
         self.phi0_hat = forward(self.phi0_phys)
@@ -364,12 +365,20 @@ def _forcing_integral(problem: FlowProblem, t: float, dt: float, r: int) -> floa
 def _sup_bound(problem: FlowProblem, coeffs: np.ndarray) -> float:
     """Upper bound of the sup norm of the field with rfft coefficients coeffs.
 
-    The l1 norm of the full spectrum over N**(2n); the half spectrum stands
-    for its conjugate too, except on the self-conjugate planes (last index 0
-    and N/2).  No transform is needed.
+    The l1 norm of the full spectrum over the number of points; the half
+    spectrum stands for its conjugate too, except on the self-conjugate
+    planes (index 0 and N/2 of the half axis).  A one-point grid is its own
+    spectrum.  No transform is needed.
     """
     a = np.abs(coeffs, out=problem.workspace.err)
-    total = 2.0 * float(a.sum()) - float(a[..., 0].sum()) - float(a[..., -1].sum())
+    axes = problem.grid.axes
+    if not axes:
+        return float(a.sum())
+    total = 2.0 * float(a.sum())
+    plane = [slice(None)] * a.ndim
+    for end in (0, -1):
+        plane[axes[-1]] = end
+        total -= float(a[tuple(plane)].sum())
     return total / problem.grid.num_points
 
 
@@ -665,7 +674,10 @@ def run_flow(problem: FlowProblem, t_max: float, run_comparison: bool,
                 limit = "error"
             limits[limit] += 1
             max_err = max(max_err, err)
-            dt_err = dt * dt_ratio(err)
+            # after a positivity halving the next proposal stays at this dt:
+            # the error estimate does not see how close the metric came to
+            # the floor, and a larger step would lose positivity again
+            dt_err = dt * (min(1.0, dt_ratio(err)) if halved else dt_ratio(err))
             ys, evs = [y1 for y1, _ in new], new_evs
             t, k_t = t_new, k_new
             dt_last = dt
@@ -701,6 +713,7 @@ def run_flow(problem: FlowProblem, t_max: float, run_comparison: bool,
         "steps": steps,
         "halvings": halvings_total,
         "t_final": t,
+        "grid_shape": list(grid.shape),
     }
     return RunResult(
         status=status,

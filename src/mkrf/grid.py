@@ -1,10 +1,16 @@
 """Discretized flat-torus calculus.
 
-Fields live on the unit torus [0,1)^(2n) with complex dimension n in {1, 2}
-and N points per real axis, row-major axis order (x1, y1, x2, y2).  All
+Fields live on the unit torus [0,1)^(2n) with complex dimension n in {1, 2},
+row-major axis order (x1, y1, x2, y2).  A grid has N points on each real axis
+of the complex directions its fields vary along and one point on both axes
+of the others (GridSpec.along): on a flat torus every operator commutes with
+translations, so fields constant along z_j stay constant along it, and the
+one-point axis carries the same numbers as N points would.  All
 differentiation is spectral (discrete Fourier), so trigonometric polynomials
 below the Nyquist limit are differentiated exactly.  Complex derivatives use
-d/dz_j = (d/dx_j - i d/dy_j)/2.
+d/dz_j = (d/dx_j - i d/dy_j)/2.  The transforms run over the full (N-point)
+axes only; the real (half) axis of the rfft is the last full axis.  Snapshot
+files always hold the full N**(2n) grid.
 
 The transforms call scipy's compiled pocketfft kernel,
 ``scipy.fft._pocketfft.pypocketfft``, loaded from its file next to scipy's
@@ -24,10 +30,11 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import os
 import struct
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -85,10 +92,13 @@ def fft_workers() -> int:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform grid on the torus: n complex dimensions, N points per real axis."""
+    """Uniform grid on the torus: n complex dimensions, N points per real axis
+    of every complex direction in use and one point on the others (sizes,
+    per real axis; all N as constructed, see along)."""
 
     n: int
     N: int
+    sizes: tuple = field(init=False)
 
     def __post_init__(self):
         if self.n not in (1, 2):
@@ -97,20 +107,42 @@ class GridSpec:
         # that resolution-stability comparisons (e.g. N=16 vs N=24) are possible.
         if self.N < 8 or self.N % 2 != 0:
             raise ValueError(f"N must be even and >= 8, got {self.N}")
+        object.__setattr__(self, "sizes", (self.N,) * (2 * self.n))
+
+    def along(self, directions) -> "GridSpec":
+        """This grid with N points on both real axes of each complex direction
+        j (0-based) in directions and one point on both axes of the others."""
+        return self._sized(self.N, tuple(self.N if a // 2 in directions else 1
+                                         for a in range(2 * self.n)))
+
+    def half(self) -> "GridSpec":
+        """The grid of the even points: half the points on every full axis."""
+        return self._sized(self.N // 2, tuple(1 if s == 1 else s // 2 for s in self.sizes))
+
+    def _sized(self, N: int, sizes: tuple) -> "GridSpec":
+        grid = GridSpec(self.n, N)
+        object.__setattr__(grid, "sizes", sizes)
+        return grid
 
     @property
     def shape(self) -> tuple:
-        return (self.N,) * (2 * self.n)
+        return self.sizes
 
     @property
     def num_points(self) -> int:
-        return self.N ** (2 * self.n)
+        return math.prod(self.sizes)
+
+    @property
+    def axes(self) -> tuple:
+        """The full (N-point) axes, which the transforms run over; the last is
+        the half axis of the real transform."""
+        return tuple(a for a, s in enumerate(self.sizes) if s > 1)
 
     def axis_coordinate(self, axis: int) -> np.ndarray:
         """Coordinate array of one real axis, broadcastable over the grid."""
-        x = np.arange(self.N) / self.N
+        x = np.arange(self.sizes[axis]) / self.N
         shape = [1] * (2 * self.n)
-        shape[axis] = self.N
+        shape[axis] = self.sizes[axis]
         return x.reshape(shape)
 
     def zeros(self) -> "ScalarField":
@@ -148,14 +180,17 @@ class SpectralTables:
 
     def __init__(self, grid: GridSpec):
         self.grid = grid
-        n, N = grid.n, grid.N
-        naxes = 2 * n
-        self.rshape = (N,) * (naxes - 1) + (N // 2 + 1,)
+        N, naxes = grid.N, 2 * grid.n
+        half = grid.axes[-1] if grid.axes else None  # the half axis of the real transform
+        self.rshape = tuple(N // 2 + 1 if a == half else s for a, s in enumerate(grid.shape))
 
         def axis_freqs(axis):
-            last = axis == naxes - 1  # the half axis of the real transform
-            k = np.arange(N // 2 + 1, dtype=np.float64) if last else np.fft.fftfreq(N) * N
-            k[N // 2] = 0.0  # the Nyquist frequency
+            size = grid.shape[axis]
+            if axis == half:
+                k = np.arange(N // 2 + 1, dtype=np.float64)
+            else:
+                k = np.fft.fftfreq(size) * size
+            k[size // 2] = 0.0  # the Nyquist frequency (0 on a one-point axis)
             return k.reshape([k.size if a == axis else 1 for a in range(naxes)])
 
         # Nyquist-zeroed first-derivative frequencies, each shaped to
@@ -194,22 +229,34 @@ class SpectralTables:
 
 
 @lru_cache(maxsize=None)
-def tables(n: int, N: int) -> SpectralTables:
-    return SpectralTables(GridSpec(n, N))
+def tables(grid: GridSpec) -> SpectralTables:
+    return SpectralTables(grid)
 
 
-# pocketfft norm codes: forward unscaled, inverse scaled by 1/N^(2n)
+# pocketfft norm codes: forward unscaled, inverse scaled by 1/num_points
 _NORM_FORWARD, _NORM_INVERSE = 0, 2
 
 
 def forward(values: np.ndarray) -> np.ndarray:
-    """rfftn of a real grid over all its axes."""
-    return _pfft.r2c(values, None, True, _NORM_FORWARD, None, fft_workers())
+    """rfftn of a real grid over its full axes, those of more than one
+    point; a one-point grid is its own spectrum."""
+    axes = tuple(a for a, s in enumerate(values.shape) if s > 1)
+    if not axes:
+        return values.astype(np.complex128)
+    return _pfft.r2c(values, axes, True, _NORM_FORWARD, None, fft_workers())
+
+
+def _c2r(grid: GridSpec, coeffs: np.ndarray, first: int) -> np.ndarray:
+    """irfftn over the grid's full axes, which start at axis first of coeffs."""
+    if not grid.axes:
+        return coeffs.real.copy()
+    axes = tuple(a + first for a in grid.axes)
+    return _pfft.c2r(coeffs, axes, grid.N, False, _NORM_INVERSE, None, fft_workers())
 
 
 def inverse(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     """irfftn of rfft coefficients back to a real grid."""
-    return _pfft.c2r(coeffs, None, grid.N, False, _NORM_INVERSE, None, fft_workers())
+    return _c2r(grid, coeffs, 0)
 
 
 def hessian_components(grid: GridSpec, coeffs: np.ndarray, buf: np.ndarray,
@@ -219,9 +266,7 @@ def hessian_components(grid: GridSpec, coeffs: np.ndarray, buf: np.ndarray,
     hessian_rows).  buf, a complex array of shape (rows,) + coeffs.shape,
     receives the stencil product; the returned stack is a new array.
     """
-    stack = np.multiply(stencil, coeffs, out=buf)
-    axes = tuple(range(1, 2 * grid.n + 1))
-    return _pfft.c2r(stack, axes, grid.N, False, _NORM_INVERSE, None, fft_workers())
+    return _c2r(grid, np.multiply(stencil, coeffs, out=buf), 1)
 
 
 def hessian_rows(hessian_components, grid: GridSpec, coeffs: np.ndarray,
@@ -247,7 +292,7 @@ def field_hessian_rows(f: ScalarField):
     grid = f.grid
     if not np.any(f.values):
         return (np.zeros(grid.shape) for _ in range(grid.n ** 2))
-    tabs = tables(grid.n, grid.N)
+    tabs = tables(grid)
     return hessian_rows(hessian_components, grid, forward(f.values), tabs.symbols(),
                         np.empty((1,) + tabs.rshape, dtype=np.complex128))
 
@@ -274,7 +319,8 @@ def synthesize(grid: GridSpec, modes) -> ScalarField:
     Each term contributes amp * cos(2 pi m . x + phase) with m an integer
     vector over the 2n real axes.  A term's argument and cosine are built
     only over the axes where m is non-zero and added into the grid by
-    broadcasting, with the operations of the full-grid formula.
+    broadcasting, with the operations of the full-grid formula.  A term may
+    not vary along a one-point axis.
     """
     vals = np.zeros(grid.shape)
     for term in modes:
@@ -286,6 +332,8 @@ def synthesize(grid: GridSpec, modes) -> ScalarField:
         mvec = tuple(int(m) for m in mvec)
         if len(mvec) != 2 * grid.n:
             raise ValueError(f"mode vector {mvec} must have {2 * grid.n} components")
+        if any(m != 0 and s == 1 for m, s in zip(mvec, grid.shape)):
+            raise ValueError(f"mode vector {mvec} varies along a one-point axis of {grid.shape}")
         arg = np.zeros((1,) * (2 * grid.n))
         for axis, m in enumerate(mvec):
             if m != 0:
@@ -300,7 +348,8 @@ def write_snapshot(fields, path) -> None:
     fields: sequence of (name, ScalarField) pairs on one common grid.
     Layout: magic 'MKRF', u16 version, u16 n, u32 N, u32 field count, then for
     each field a u16 name length, the UTF-8 name, and the float64 values
-    little-endian in row-major order.
+    little-endian in row-major order, on the full grid of N**(2n) points: a
+    field on one-point axes is broadcast along them.
     """
     fields = list(fields)
     if not fields:
@@ -309,6 +358,7 @@ def write_snapshot(fields, path) -> None:
     for name, f in fields:
         if f.grid != grid:
             raise ValueError("write_snapshot: inconsistent grids")
+    full = (grid.N,) * (2 * grid.n)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<HHII", SNAPSHOT_VERSION, grid.n, grid.N, len(fields)))
@@ -316,7 +366,7 @@ def write_snapshot(fields, path) -> None:
             nb = name.encode("utf-8")
             fh.write(struct.pack("<H", len(nb)))
             fh.write(nb)
-            fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(np.broadcast_to(f.values, full), dtype="<f8").tobytes())
 
 
 def read_snapshot(path):

@@ -214,11 +214,26 @@ def _density(parsed: dict, grid: GridSpec) -> VolumeDensity:
     return VolumeDensity(ScalarField(grid, np.exp(synthesize(grid, parsed["log_h"]).values)))
 
 
+def _grid(scenario: Scenario, parsed: dict) -> GridSpec:
+    """The scenario's grid, with one point on both real axes of every complex
+    direction z_j that no mode of phi0, phi_inf or log_h varies along.
+
+    The flow, the Monge-Ampere equation and every monitor commute with
+    translations of the torus, so data constant along z_j keep every field
+    constant along it for all t, whatever the class matrices; the one-point
+    axes give the numbers of the full grid up to round-off, and the output
+    files broadcast them back to N points (grid.write_snapshot).
+    """
+    used = {a // 2 for key in ("phi0", "phi_inf", "log_h")
+            for mvec, _, _ in parsed[key] for a, m in enumerate(mvec) if m}
+    return GridSpec(scenario.n, scenario.N).along(used)
+
+
 def build_problem(scenario: Scenario) -> FlowProblem:
-    """Assemble the flow problem; admissibility of the initial metric is
-    checked during construction."""
+    """Assemble the flow problem on the scenario's grid (_grid); admissibility
+    of the initial metric is checked during construction."""
     parsed = validate(scenario)
-    grid = GridSpec(scenario.n, scenario.N)
+    grid = _grid(scenario, parsed)
     try:
         return FlowProblem(_form(parsed, grid, "A0", "phi0"),
                            _form(parsed, grid, "Ainf", "phi_inf"), _density(parsed, grid))
@@ -228,7 +243,8 @@ def build_problem(scenario: Scenario) -> FlowProblem:
 
 def build_limit_problem(scenario: Scenario) -> EllipticProblem:
     """The limit equation det(Ainf + H[phi_inf] + H[U]) = c h of a scenario,
-    with the density h = exp(log_h) of its flow problem; builds nothing else.
+    with the density h = exp(log_h) of its flow problem and on its grid
+    (_grid); builds nothing else.
 
     Ainf must be positive definite above POSITIVITY_EPS, as solve_cy
     requires, and A0 + H[phi0] a metric, the check build_problem makes (it
@@ -237,7 +253,7 @@ def build_limit_problem(scenario: Scenario) -> EllipticProblem:
     """
     parsed = validate(scenario)
     _check_definite(parsed["Ainf"], "Ainf")
-    grid = GridSpec(scenario.n, scenario.N)
+    grid = _grid(scenario, parsed)
     try:
         _form(parsed, grid, "A0", "phi0").check_metric(t=0.0)
     except SingularMetricError as e:

@@ -18,7 +18,7 @@ from mkrf.grid import (GridSpec, ScalarField, complex_hessian, hessian_component
 def batched_hessian(g, coeffs):
     """Every Hessian row of coeffs from one batched inverse transform of the
     tables' symbols, broadcast to the full grid and stacked."""
-    stack = np.stack(np.broadcast_arrays(*tables(g.n, g.N).symbols()))
+    stack = np.stack(np.broadcast_arrays(*tables(g).symbols()))
     return hessian_components(g, coeffs, np.empty(stack.shape, dtype=np.complex128), stack)
 
 
@@ -293,7 +293,7 @@ def _frame_operators_at(n, weighted=False, N=8):
     prob = EllipticProblem.compatible(KahlerForm(A, phi), ones_density(g))
     root_inv = matrix_sqrt_hermitian(np.linalg.inv(prob.form.A))
     U = synthesize(g, [((0,) * (2 * n - 1) + (1,), 0.005, 1.1)]).values
-    row_buf = np.empty((1,) + tables(n, N).rshape, dtype=np.complex128)
+    row_buf = np.empty((1,) + tables(GridSpec(n, N)).rshape, dtype=np.complex128)
     stencil = _frame_stencil(g, prob.form.A)
     comps, det = _frame_state(prob, stencil, U, row_buf)
     weight = (np.exp(synthesize(g, [((1,) + (0,) * (2 * n - 1), 0.2, 0.5)]).values)
@@ -307,8 +307,8 @@ def _reference_preconditioner(g, A, weight, mean_det, v):
     mean-metric Laplacian of v / w, zero on its kernel, over mean_det."""
     from mkrf.grid import forward, inverse, tables
 
-    ell = np.broadcast_to(tables(g.n, g.N).laplacian_symbol(np.linalg.inv(A)),
-                          tables(g.n, g.N).rshape)
+    ell = np.broadcast_to(tables(g).laplacian_symbol(np.linalg.inv(A)),
+                          tables(g).rshape)
     inv_ell = np.divide(1.0, ell, out=np.zeros(ell.shape), where=ell != 0.0)
     v = v.reshape(g.shape) if weight is None else v.reshape(g.shape) / weight
     return inverse(g, inv_ell * forward(v)) / mean_det
@@ -545,7 +545,7 @@ def test_frame_rows_from_the_frame_stencil_match_the_congruence(case):
 
     prob, U = _frame_state_cases()[case]
     g = prob.form.grid
-    row_buf = np.empty((1,) + tables(g.n, g.N).rshape, dtype=np.complex128)
+    row_buf = np.empty((1,) + tables(g).rshape, dtype=np.complex128)
     kept = U.copy()
     rows, det = _frame_state(prob, _frame_stencil(g, prob.form.A), U, row_buf)
     ref = _frame_rows_by_congruence(prob, U)
@@ -586,7 +586,7 @@ def test_symbols_from_axis_factors_equal_the_full_grid_stack_bit_for_bit(n, N, A
 
     A = np.array(A, dtype=np.complex128)
     S = _full_grid_symbol_stack(n, N)
-    tab = tables(n, N)
+    tab = tables(GridSpec(n, N))
     assert np.stack(np.broadcast_arrays(*tab.symbols())).tobytes() == S.tobytes()
     b = np.linalg.inv(A)
     if n == 1:
@@ -636,7 +636,7 @@ def test_newton_solve_keeps_no_symbol_stack_target_or_weighted_copy(monkeypatch)
     assert rep.converged and rep.start == "nested" and held
     assert max(held) < 12.0, held
     # the cached tables of the grid hold its per-axis frequencies only
-    arrays = [a for v in vars(tables(2, 16)).values()
+    arrays = [a for v in vars(tables(GridSpec(2, 16))).values()
               for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray)]
     assert arrays and max(a.size for a in arrays) <= g.N
 
@@ -652,7 +652,7 @@ def test_failing_frame_state_names_the_smallest_eigenvalue_and_its_point():
     # every axis varies, so the smallest eigenvalue sits at one grid point
     U = synthesize(g, [((1, 0, 0, 0), 0.08, 0.3), ((0, 1, 1, 0), 0.02, 1.0),
                        ((0, 0, 0, 1), 0.01, 0.7), ((1, 1, 0, 1), 0.005, 2.0)]).values
-    row_buf = np.empty((1,) + tables(g.n, g.N).rshape, dtype=np.complex128)
+    row_buf = np.empty((1,) + tables(g).rshape, dtype=np.complex128)
     with pytest.raises(SingularMetricError) as exc:
         _frame_state(prob, _frame_stencil(g, prob.form.A), U, row_buf)
     rows = _frame_rows_by_congruence(prob, U)
@@ -857,6 +857,35 @@ def test_nested_start_matches_the_zero_start(N):
     # the report keeps its fine-level meaning
     assert len(nested.matvecs) == len(nested.linear_rtols) == nested.iterations
     assert len(nested.residual_history) == nested.iterations + 1
+
+
+def test_reduced_newton_solve_matches_the_full_grid():
+    # a limit potential and density that vary along z1 only: the scenario's
+    # limit problem is on the grid with one point along z2, and its nested
+    # solve (half grid (8, 8, 1, 1)) reproduces the forced full-grid solve
+    from mkrf.scenario import Scenario, build_limit_problem, validate
+
+    cls = [[[1.2, 0.0], [0.0, 0.1]], [[0.0, -0.1], [1.0, 0.0]]]
+    sc = Scenario(name="z1", n=2, N=16, A0=cls, Ainf=cls,
+                  phi_inf=[{"mode": [1, 0, 0, 0], "amp": 0.01}],
+                  log_h=[{"mode": [1, 0, 0, 0], "amp": 0.2},
+                         {"mode": [1, 1, 0, 0], "amp": 0.15, "phase": 0.4},
+                         {"mode": [0, 1, 0, 0], "amp": 0.1}])
+    reduced = build_limit_problem(sc)
+    parsed = validate(sc)
+    g = GridSpec(2, 16)
+    full = EllipticProblem.compatible(
+        KahlerForm(parsed["Ainf"], synthesize(g, parsed["phi_inf"])),
+        VolumeDensity(ScalarField(g, np.exp(synthesize(g, parsed["log_h"]).values))))
+    (U, rep), (W, want) = solve_cy(reduced), solve_cy(full)
+    assert U.grid.shape == (16, 16, 1, 1) and W.grid.shape == (16,) * 4
+    assert rep.start == want.start == "nested"
+    assert [(c["N"], c["converged"]) for c in rep.coarse_levels] == [(8, True)]
+    assert [c["iterations"] for c in rep.coarse_levels] == [
+        c["iterations"] for c in want.coarse_levels]
+    assert rep.iterations == want.iterations and rep.converged
+    assert rep.final_residual <= 1e-10 * reduced.c * mean(reduced.omega.h)
+    assert np.abs(U.values - W.values).max() < 1e-12
 
 
 @pytest.mark.parametrize("N,levels", [(64, [8, 16, 32]), (40, [10, 20]), (20, [10]),

@@ -26,7 +26,7 @@ from mkrf.flow import (
 from mkrf.geometry import KahlerForm, SingularMetricError, VolumeDensity
 from mkrf.grid import GridSpec, ScalarField, forward, hessian_components, inverse, synthesize
 from mkrf.monitors import FINITE_TIME_DELTAS, S_LIST, check_finite_time
-from mkrf.scenario import build_problem, load_scenario
+from mkrf.scenario import Scenario, build_problem, load_scenario
 
 
 def flat_problem(n=1, N=32, h_const=1.0):
@@ -1018,3 +1018,136 @@ def test_finite_time_preset_mean_mode_converges_in_dt_cap():
         for cap in (0.02, 0.01)
     ]
     assert abs(means[0] - means[1]) <= 1e-7
+
+
+# --- Positivity halvings in the step controller ------------------------------
+
+
+def test_controller_remembers_positivity_halvings():
+    # on a density steep enough to halve thousands of steps, a step that was
+    # halved proposes at most its own dt next, not up to 5x more, so fewer
+    # attempts are wasted than the 3826 halvings and 196 rejections the
+    # controller made when it forgot them
+    res = run_flow(density_problem(5.0), t_max=0.1, run_comparison=False, dt_cap=0.02)
+    assert res.status == "completed"
+    wasted = res.constants["halvings"] + res.step_control["rejections"]
+    assert 0 < wasted < 3826 + 196
+
+
+# --- One-point axes and product data ------------------------------------------
+
+
+def scenario_problem_on_full_grid(sc):
+    """The flow problem of a scenario on its full grid, built through the
+    constructors (build_problem gives one point to every unused direction)."""
+    from mkrf.scenario import validate
+
+    parsed = validate(sc)
+    g = GridSpec(sc.n, sc.N)
+    return FlowProblem(KahlerForm(parsed["A0"], synthesize(g, parsed["phi0"])),
+                       KahlerForm(parsed["Ainf"], synthesize(g, parsed["phi_inf"])),
+                       VolumeDensity(ScalarField(g, np.exp(synthesize(g, parsed["log_h"]).values))))
+
+
+def close(a, b, rtol=1e-10, atol=1e-13):
+    return a == b or abs(a - b) <= rtol * max(abs(a), abs(b)) + atol or (
+        math.isnan(a) and math.isnan(b))
+
+
+@pytest.mark.parametrize("preset", ["finite-time", "collapsed"])
+def test_reduced_run_matches_the_full_grid(preset):
+    # the finite-time preset varies along z1 only; the collapsed one made
+    # z2-free: build_problem gives z2 one point, and every series value,
+    # constant and step of the run agree with the forced full grid
+    sc = load_scenario(preset, None)
+    sc.N, sc.t_max, sc.psi_times = 8, min(sc.t_max, 6.0), [0.0, 5.0]
+    sc.phi0 = [term for term in sc.phi0 if term["mode"][2:] == [0, 0]]
+    reduced, full = build_problem(sc), scenario_problem_on_full_grid(sc)
+    assert reduced.grid.shape == (8, 8, 1, 1) and full.grid.shape == (8,) * 4
+    runs = [run_flow(p, sc.t_max, sc.run_comparison_flow, sc.dt_cap) for p in (reduced, full)]
+    a, b = runs
+    assert (a.status, a.stop_reason, a.violations) == (b.status, b.stop_reason, b.violations)
+    assert a.step_control["limits"] == b.step_control["limits"]
+    assert a.constants["steps"] == b.constants["steps"] and list(a.series) == list(b.series)
+    for col in a.series:
+        assert all(close(x, y) for x, y in zip(a.series[col], b.series[col])), col
+    for key in ("C3", "T", "t_final"):
+        assert close(a.constants[key], b.constants[key])
+    assert a.constants["grid_shape"] == [8, 8, 1, 1] and b.constants["grid_shape"] == [8] * 4
+    for name, f in a.final.items():
+        assert np.abs(f.values - b.final[name].values).max() < 1e-12
+
+
+def _product_scenarios(A0, Ainf, flat_z2):
+    """An n=2 scenario of z1-only plus z2-only modes on diagonal classes, and
+    its two n=1 factors; flat_z2 leaves the z2 factor without modes."""
+    z1 = {"phi0": [((1, 0), 0.004), ((1, 1), 0.001)], "phi_inf": [((0, 1), 0.002)],
+          "log_h": [((1, 0), 0.02), ((0, 2), 0.01)]}
+    z2 = {"phi0": [((0, 1), 0.003)], "phi_inf": [((1, 0), 0.002)],
+          "log_h": [((1, 1), 0.015)]}
+    if flat_z2:
+        z2 = {key: [] for key in z2}
+
+    def terms(modes, embed):
+        return [{"mode": embed(m), "amp": a, "phase": 0.3 * i} for i, (m, a) in enumerate(modes)]
+
+    def scenario(n, a0, ainf, modes):
+        rows = [[[a0[i] if i == j else 0.0, 0.0] for j in range(n)] for i in range(n)]
+        rows_inf = [[[ainf[i] if i == j else 0.0, 0.0] for j in range(n)] for i in range(n)]
+        return Scenario(name="product", n=n, N=8, A0=rows, Ainf=rows_inf, **modes)
+
+    both = {key: terms(z1[key], lambda m: [*m, 0, 0]) + terms(z2[key], lambda m: [0, 0, *m])
+            for key in z1}
+    return (scenario(2, A0, Ainf, both),
+            scenario(1, A0[:1], Ainf[:1], {k: terms(v, list) for k, v in z1.items()}),
+            scenario(1, A0[1:], Ainf[1:], {k: terms(v, list) for k, v in z2.items()}))
+
+
+@pytest.mark.parametrize("regime,Ainf,flat_z2", [
+    ("KAHLER_LIMIT", (2.0, 0.8), False),
+    ("KAHLER_LIMIT", (2.0, 0.8), True),
+    ("COLLAPSED", (1.0, 0.0), False),
+    ("COLLAPSED", (1.0, 0.0), True),
+    ("FINITE_TIME", (-1.0, -1.0), True),
+])
+def test_product_data_flow_is_the_sum_of_its_factors(regime, Ainf, flat_z2):
+    # det(diag(a1, a2) + H[u1(z1) + u2(z2)]) is the product of the factors'
+    # determinants, so the n=2 flow of product data is the sum of two n=1
+    # flows.  With a flat z2 factor the n=2 run is on the grid with one point
+    # along z2 and its z2 factor on the one-point grid
+    both, f1, f2 = _product_scenarios((1.0, 1.0), Ainf, flat_z2)
+    problems = [build_problem(sc) for sc in (both, f1, f2)]
+    assert problems[0].path.regime.value == regime
+    assert problems[0].grid.shape == ((8, 8, 1, 1) if flat_z2 else (8,) * 4)
+    assert problems[2].grid.shape == ((1, 1) if flat_z2 else (8, 8))
+    t_max = 5.0 if regime == "FINITE_TIME" else 2.0
+    runs = [run_flow(p, t_max, False, 0.02) for p in problems]
+    for res in runs:
+        assert res.constants["halvings"] == 0
+        assert res.constants["t_final"] == runs[0].constants["t_final"]
+    if regime == "FINITE_TIME":
+        # a degenerating class with data makes the last steps before T
+        # error-limited, so the z1 factor matches the n=2 run step by step
+        # only as closely as their error estimates agree; the flat z2
+        # factor, whose solution is its exact class-forcing integral, needs
+        # none of those steps.  All three stop at the same T - STOP_MARGIN
+        assert all(res.status == "singularity-stop" for res in runs)
+        assert runs[0].constants["t_final"] == pytest.approx(math.log(2.0) - STOP_MARGIN,
+                                                              abs=1e-12)
+        dts = [np.array(res.series["dt"]) for res in runs[:2]]
+        assert dts[0].shape == dts[1].shape
+        assert np.all(np.abs(dts[0] - dts[1]) <= 1e-9 * dts[0])
+    else:
+        # dt_cap sets every step of every run, so they take the same steps
+        for res in runs:
+            assert res.step_control["limits"]["dt_cap"] == res.constants["steps"]
+            assert res.series["dt"] == runs[0].series["dt"]
+
+    def raw(res, field):
+        """The raw potential u = u_hat + C3 t, or its rate ut_hat + C3."""
+        C3, t = res.constants["C3"], res.constants["t_final"]
+        return res.final[field].values + C3 * (t if field == "u_hat" else 1.0)
+
+    for field in ("u_hat", "ut_hat"):
+        u, u1, u2 = (raw(res, field) for res in runs)
+        assert np.abs(u - (u1[:, :, None, None] + u2[None, None, :, :])).max() <= 1e-12

@@ -8,6 +8,7 @@ from mkrf.grid import (
     complex_hessian,
     forward,
     hessian_components,
+    inverse,
     mean,
     read_snapshot,
     synthesize,
@@ -16,15 +17,16 @@ from mkrf.grid import (
 )
 
 
-def symbol_stack(n, N):
-    """The tables' Hessian symbols broadcast to the full rfft grid and
+def symbol_stack(grid):
+    """The tables' Hessian symbols broadcast to the grid's rfft shape and
     stacked: the stencil of one batched Hessian of every row."""
-    return np.stack(np.broadcast_arrays(*tables(n, N).symbols()))
+    tab = tables(grid)
+    return np.stack([np.broadcast_to(s, tab.rshape) for s in tab.symbols()])
 
 
 def batched_hessian(grid, coeffs):
     """Every Hessian row of coeffs from one batched inverse transform."""
-    stack = symbol_stack(grid.n, grid.N)
+    stack = symbol_stack(grid)
     return hessian_components(grid, coeffs, np.empty(stack.shape, dtype=np.complex128), stack)
 
 
@@ -137,7 +139,7 @@ def test_hessian_buffer_matches_allocating_call(n):
     coeffs = forward(rng.standard_normal(grid.shape))
     want = batched_hessian(grid, coeffs)
     buf = np.full((want.shape[0],) + coeffs.shape, np.nan, dtype=np.complex128)
-    got = hessian_components(grid, coeffs, buf, symbol_stack(n, 16))
+    got = hessian_components(grid, coeffs, buf, symbol_stack(GridSpec(n, 16)))
     assert np.array_equal(got, want)
     assert not np.shares_memory(got, buf)
 
@@ -203,6 +205,39 @@ def test_mean_trace_of_hessian_vanishes():
     tr = M[0, 0].real * h11 + M[1, 1].real * h22 + 2.0 * (M[0, 1].real * p + M[0, 1].imag * q)
     scale = max(1.0, np.abs(h11).max(), np.abs(h22).max(), np.abs(p).max(), np.abs(q).max())
     assert abs(np.mean(tr)) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("directions", [{0}, {1}, set()], ids=["z1", "z2", "none"])
+def test_one_point_axes_give_the_full_grid_numbers(directions, tmp_path):
+    # a field constant along the complex directions not in directions: on
+    # the grid with one point along them, its Hessian rows are the full
+    # grid's and its snapshot is the full grid's file
+    full = GridSpec(2, 16)
+    grid = full.along(directions)
+    assert grid.shape == tuple(16 if a // 2 in directions else 1 for a in range(4))
+    assert grid.num_points == 16 ** (2 * len(directions)) and grid.N == 16
+    assert (grid == full) == (directions == {0, 1}) and tables(grid).grid == grid
+    assert full.along({0, 1}) == full
+    rng = np.random.default_rng(61)
+    vals = rng.standard_normal(grid.shape)
+    whole = np.ascontiguousarray(np.broadcast_to(vals, full.shape))
+    coeffs = forward(vals)
+    assert coeffs.shape == tables(grid).rshape
+    assert np.abs(inverse(grid, coeffs) - vals).max() < 1e-14
+    H = complex_hessian(ScalarField(grid, vals))
+    H_full = complex_hessian(ScalarField(full, whole))
+    assert np.abs(H - H_full).max() < 1e-12 * max(1.0, np.abs(H_full).max())
+    write_snapshot([("f", ScalarField(grid, vals))], tmp_path / "f.mkrf")
+    write_snapshot([("f", ScalarField(full, whole))], tmp_path / "whole.mkrf")
+    assert (tmp_path / "f.mkrf").read_bytes() == (tmp_path / "whole.mkrf").read_bytes()
+
+
+def test_half_grid_keeps_one_point_axes_and_modes_stay_on_full_axes():
+    grid = GridSpec(2, 16).along({1})
+    assert grid.half() == GridSpec(2, 8).along({1})
+    assert grid.half().shape == (1, 1, 8, 8)
+    with pytest.raises(ValueError, match="one-point axis"):
+        synthesize(grid, [((1, 0, 0, 0), 0.1)])
 
 
 def test_snapshot_roundtrip_bit_exact(tmp_path):
@@ -295,7 +330,7 @@ def test_hessian_stencil_argument(n):
     rng = np.random.default_rng(11)
     c = forward(rng.standard_normal(g.shape))
     plain = batched_hessian(g, c)
-    stack = symbol_stack(n, 8)
+    stack = symbol_stack(GridSpec(n, 8))
     buf = np.empty(stack.shape, dtype=np.complex128)
     assert np.array_equal(hessian_components(g, c, buf=buf, stencil=stack), plain)
     assert np.array_equal(hessian_components(g, c, buf=buf, stencil=2.0 * stack), 2.0 * plain)
@@ -312,14 +347,14 @@ def test_one_row_hessians_equal_the_batched_rows_bit_for_bit(n, N):
 
     g = GridSpec(n, N)
     c = forward(np.random.default_rng(N + n).standard_normal(g.shape))
-    stack = symbol_stack(n, N)
+    stack = symbol_stack(GridSpec(n, N))
     batched = batched_hessian(g, c)
     buf = np.empty((1,) + c.shape, dtype=np.complex128)
     for k in range(len(stack)):
         row = hessian_components(g, c, buf=buf, stencil=stack[k:k + 1])
         assert row.shape == (1,) + g.shape
         assert np.array_equal(row[0].view(np.uint64), batched[k].view(np.uint64))
-    for stencil in (stack, tables(n, N).symbols()):
+    for stencil in (stack, tables(GridSpec(n, N)).symbols()):
         rows = list(hessian_rows(hessian_components, g, c, stencil, buf))
         assert len(rows) == len(stack)
         for row, want in zip(rows, batched):
@@ -445,7 +480,7 @@ def test_hessian_hermitian_real_and_finite_on_rough_grids(n, data):
 import scipy.fft  # noqa: E402
 from hypothesis import Phase  # noqa: E402
 
-from mkrf.grid import fft_workers, inverse, load_kernel  # noqa: E402
+from mkrf.grid import fft_workers, load_kernel  # noqa: E402
 
 
 def finite_grid_values(grid):
@@ -469,7 +504,7 @@ def test_transforms_are_bit_equal_to_scipy_fft(n, threads, data):
     grid = GridSpec(n, N)
     values = data.draw(finite_grid_values(grid))
     axes = tuple(range(1, 2 * n + 1))
-    stack = symbol_stack(n, N)
+    stack = symbol_stack(GridSpec(n, N))
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("MKRF_THREADS", threads)
         workers = int(threads)

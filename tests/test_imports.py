@@ -6,7 +6,9 @@ read somewhere in the package, and every function or class named with one
 leading underscore is named somewhere in the package outside its own
 definition.  Every Hessian is made by grid.hessian_rows:
 no other code calls hessian_components, and no code stacks the tables'
-symbols.
+symbols.  Only grid.py, scenario.py and cli.py read an ``.N`` attribute:
+everywhere else array sizes and scale factors come from the grid's
+per-axis sizes, which are 1 along unused complex directions.
 
 No linter ships with the project; these are the lint checks it keeps.
 ``__init__.py`` is left out of the import check: its imports are the
@@ -342,6 +344,37 @@ def test_hessian_path_violation_is_caught():
     )
     found = list(hessian_path_violations({"grid.py": grid, "geometry.py": geometry}))
     assert found == [("grid.py", 5), ("geometry.py", 3), ("geometry.py", 4), ("geometry.py", 6)]
+
+
+# the modules that may read the points per axis N of a grid or a scenario
+N_READERS = ("grid.py", "scenario.py", "cli.py")
+
+
+def n_attribute_reads(trees):
+    """(file, line) of every read of an ``.N`` attribute outside N_READERS."""
+    for file, tree in trees.items():
+        if file not in N_READERS:
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Attribute) and node.attr == "N"
+                        and isinstance(node.ctx, ast.Load)):
+                    yield file, node.lineno
+
+
+def test_only_grid_scenario_and_cli_read_N():
+    found = [f"{file}, line {line}" for file, line in n_attribute_reads(package_trees())]
+    assert not found, f".N read outside {N_READERS} (use the grid's shape): {found}"
+
+
+def test_n_attribute_read_is_caught():
+    flow = ast.parse(
+        "def f(grid, sc):\n"
+        "    grid.N = 8\n"
+        "    npts = grid.N ** 4\n"
+        "    return npts * sc.N + grid.n + len(grid.shape)\n"
+    )
+    grid = ast.parse("def size(self):\n    return self.N\n")
+    found = list(n_attribute_reads({"flow.py": flow, "grid.py": grid}))
+    assert found == [("flow.py", 3), ("flow.py", 4)]
 
 
 def module_constants(tree):

@@ -2,6 +2,7 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -342,6 +343,7 @@ def test_cy_solve_cli(tmp_path, capsys):
     assert all(r <= rtol for r, rtol in zip(rep["linear_residuals"], rep["linear_rtols"]))
     assert rep["start"] == "nested"
     assert [(c["N"], c["converged"]) for c in rep["coarse_levels"]] == [(8, True)]
+    assert rep["grid_shape"] == [16, 16]
     # the summary line counts the fine level's Jacobian applications
     assert capsys.readouterr().out.strip().endswith(f", matvecs {sum(rep['matvecs'])}")
 
@@ -630,14 +632,20 @@ def test_phase_timings_side_file(tmp_path):
     data = json.loads((out / "constants.json").read_text())
     assert sorted(data) == ["constants", "reports", "step_control"]
     assert sorted(data["constants"]) == [
-        "C3", "T", "halvings", "r", "regime", "status", "steps", "stop_reason", "t_final",
-        "violations"]
+        "C3", "T", "grid_shape", "halvings", "r", "regime", "status", "steps", "stop_reason",
+        "t_final", "violations"]
+    # the preset varies along z1 only: the solver's grid has one point along z2
+    assert data["constants"]["grid_shape"] == [8, 8, 1, 1]
+    assert "  grid_shape = [8, 8, 1, 1]" in summary
     assert (out / "series.csv").read_text().splitlines()[0] == (
         "t,dt,min_u_hat,max_u_hat,min_ut_hat,max_ut_hat,lambda_min_metric,mean_det,"
         "class_det,margin_u_hat_nonpos,margin_ut_hat_nonpos,margin_eq7,"
         "margin_combo_monotone,margin_conservation,margin_positivity,margin_eq8_chain,"
         "min_F,margin_vol_sandwich")
-    assert [n for n, _ in read_snapshot(out / "final.mkrf")] == ["u_hat", "ut_hat", "V_proxy"]
+    final = read_snapshot(out / "final.mkrf")
+    assert [n for n, _ in final] == ["u_hat", "ut_hat", "V_proxy"]
+    assert all(f.values.shape == (8,) * 4 and np.ptp(f.values, axis=(2, 3)).max() == 0.0
+               for _, f in final)
 
     # cy-solve: no verdict phase
     cfg = tmp_path / "tiny8.json"
@@ -647,3 +655,29 @@ def test_phase_timings_side_file(tmp_path):
     timings = json.loads((out / "timings.json").read_text())
     assert sorted(timings) == ["core_s", "setup_s", "write_s"]
     assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_data_without_modes_solve_on_one_point_and_write_full_grids(n, tmp_path):
+    # nothing varies: run (with its reference Newton solve) and cy-solve
+    # work on the one-point grid and write fields of N**(2n) points
+    def diag(*entries):
+        return [[[entries[i] if i == j else 0.0, 0.0] for j in range(n)] for i in range(n)]
+
+    cfg = tmp_path / "flat.json"
+    cfg.write_text(Scenario(name="flat", n=n, N=8, A0=diag(1.0, 1.0), Ainf=diag(1.5, 0.7),
+                            t_max=1.0).to_json())
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    data = json.loads((out / "constants.json").read_text())
+    assert data["constants"]["grid_shape"] == [1] * (2 * n)
+    assert data["constants"]["regime"] == "KAHLER_LIMIT"
+    fields = read_snapshot(out / "final.mkrf")
+    assert [name for name, _ in fields] == ["u_hat", "ut_hat", "V_proxy", "U_reference"]
+    assert all(f.grid.shape == (8,) * (2 * n) and np.ptp(f.values) == 0.0 for _, f in fields)
+    out = tmp_path / "cy"
+    assert main(["cy-solve", "--config", str(cfg), "--out", str(out)]) == 0
+    rep = json.loads((out / "newton_report.json").read_text())
+    assert rep["grid_shape"] == [1] * (2 * n) and rep["converged"] and rep["iterations"] == 0
+    [(name, U)] = read_snapshot(out / "cy_solution.mkrf")
+    assert name == "U" and U.values.shape == (8,) * (2 * n) and not U.values.any()
