@@ -13,6 +13,7 @@ from mkrf.flow import FlowProblem
 from mkrf.geometry import KahlerForm, VolumeDensity, ma_density, trace_pair
 from mkrf.grid import (GridSpec, ScalarField, complex_hessian, hessian_components, mean,
                        synthesize, tables)
+from mkrf.scenario import Scenario, build_limit_problem, validate
 
 
 def batched_hessian(g, coeffs):
@@ -863,8 +864,6 @@ def test_reduced_newton_solve_matches_the_full_grid():
     # a limit potential and density that vary along z1 only: the scenario's
     # limit problem is on the grid with one point along z2, and its nested
     # solve (half grid (8, 8, 1, 1)) reproduces the forced full-grid solve
-    from mkrf.scenario import Scenario, build_limit_problem, validate
-
     cls = [[[1.2, 0.0], [0.0, 0.1]], [[0.0, -0.1], [1.0, 0.0]]]
     sc = Scenario(name="z1", n=2, N=16, A0=cls, Ainf=cls,
                   phi_inf=[{"mode": [1, 0, 0, 0], "amp": 0.01}],

@@ -26,7 +26,7 @@ from mkrf.flow import (
 from mkrf.geometry import KahlerForm, SingularMetricError, VolumeDensity
 from mkrf.grid import GridSpec, ScalarField, forward, hessian_components, inverse, synthesize
 from mkrf.monitors import FINITE_TIME_DELTAS, S_LIST, check_finite_time
-from mkrf.scenario import Scenario, build_problem, load_scenario
+from mkrf.scenario import Scenario, build_problem, load_scenario, validate
 
 
 def flat_problem(n=1, N=32, h_const=1.0):
@@ -1040,8 +1040,6 @@ def test_controller_remembers_positivity_halvings():
 def scenario_problem_on_full_grid(sc):
     """The flow problem of a scenario on its full grid, built through the
     constructors (build_problem gives one point to every unused direction)."""
-    from mkrf.scenario import validate
-
     parsed = validate(sc)
     g = GridSpec(sc.n, sc.N)
     return FlowProblem(KahlerForm(parsed["A0"], synthesize(g, parsed["phi0"])),
@@ -1068,6 +1066,8 @@ def test_reduced_run_matches_the_full_grid(preset):
     a, b = runs
     assert (a.status, a.stop_reason, a.violations) == (b.status, b.stop_reason, b.violations)
     assert a.step_control["limits"] == b.step_control["limits"]
+    # the error estimate's sup bound sees the same spectrum on both grids
+    assert close(a.step_control["max_error"], b.step_control["max_error"], rtol=1e-8)
     assert a.constants["steps"] == b.constants["steps"] and list(a.series) == list(b.series)
     for col in a.series:
         assert all(close(x, y) for x, y in zip(a.series[col], b.series[col])), col
