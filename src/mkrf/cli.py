@@ -266,6 +266,11 @@ def cmd_cy_solve(args) -> int:
 
 def cmd_report(args) -> int:
     try:
+        if args.out:
+            os.makedirs(args.out, exist_ok=True)
+    except OSError as e:
+        return _invalid("--out", e)
+    try:
         written = render_report(args.run_dir, args.out)
     except (FileNotFoundError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -53,8 +53,8 @@ from .geometry import (
     matrix_sqrt_hermitian,
     trace_pair_components,
 )
-from .grid import (GridSpec, ScalarField, forward, hessian_components, hessian_rows, inverse,
-                   tables)
+from .grid import (ScalarField, forward, hessian_components, hessian_rows, inverse, prolong,
+                   restrict, tables)
 
 SUP_TOL_FACTOR = 1e-10
 LINEAR_RTOL = 1e-8
@@ -322,9 +322,8 @@ def solve_cy(problem: EllipticProblem):
     than needed.  J s comes from the K y the Krylov solve keeps current, so
     the forcing costs no Jacobian application.
 
-    Nested iteration (Bank and Rose 1982): while N/2 is even and at least
-    8, the equation is restricted to the half grid, which halves the full
-    axes and keeps the one-point ones; the restricted problems
+    Nested iteration (Bank and Rose 1982): while the grid has a half grid
+    (GridSpec.half), the equation is restricted to it; the restricted problems
     are solved coarsest first to the looser certificate COARSE_TOL_FACTOR,
     each from the prolonged solution of the one below, else from zero, and
     by mesh independence (Allgower, Boehmer, Potra and Rheinboldt 1986) the
@@ -340,7 +339,7 @@ def solve_cy(problem: EllipticProblem):
         raise ValueError(f"class must be positive definite for the elliptic solve"
                          f" (smallest eigenvalue {lam:.3e} <= {POSITIVITY_EPS:g})")
     chain = [problem]
-    while (size := _points_per_axis(chain[-1].form.grid)) % 4 == 0 and size >= 16:
+    while chain[-1].form.grid.half() is not None:
         chain.append(_restrict(chain[-1]))
     levels = []
     start = None  # the prolonged solution of the level below, if it converged
@@ -349,66 +348,26 @@ def solve_cy(problem: EllipticProblem):
         try:
             # popped, and the solution rebound: no coarse array outlives its level
             start, report = _newton_from(chain.pop(), start, COARSE_TOL_FACTOR)
-            start = _prolong(ScalarField(grid, start), chain[-1].form.grid).values
+            start = prolong(ScalarField(grid, start), chain[-1].form.grid).values
         except NewtonConvergenceError as err:
             start, report = None, err.report
         except SingularMetricError:
             # the coarse data is not a Kahler metric at all
             start, report = None, NewtonReport()
-        levels.append({"N": _points_per_axis(grid), "iterations": report.iterations,
+        levels.append({"N": max(grid.shape), "iterations": report.iterations,
                        "matvecs": list(report.matvecs), "converged": start is not None})
     U, report = _newton_from(problem, start, SUP_TOL_FACTOR)
     report.coarse_levels = levels
     return ScalarField(problem.form.grid, U), report
 
 
-def _points_per_axis(grid: GridSpec) -> int:
-    """The points on each full axis of grid (1 on a one-point grid)."""
-    return max(grid.shape)
-
-
 def _restrict(problem: EllipticProblem) -> EllipticProblem:
-    """The same equation on the half grid.
-
-    The even points of the grid are exactly the points of the half grid, so
-    phi and h are taken there; the compatibility constant is recomputed from
-    the coarse mean of h, which keeps the coarse problem discretely solvable.
+    """The same equation on the half grid, with phi and h at its points
+    (grid.restrict); the compatibility constant is recomputed from the
+    coarse mean of h, which keeps the coarse problem discretely solvable.
     """
-    grid = problem.form.grid
-    coarse = grid.half()
-    even = tuple(slice(None, None, 2) if s > 1 else slice(None) for s in grid.shape)
-    phi = ScalarField(coarse, np.ascontiguousarray(problem.form.phi.values[even]))
-    h = ScalarField(coarse, np.ascontiguousarray(problem.omega.h.values[even]))
-    return EllipticProblem.compatible(KahlerForm(problem.form.A, phi), VolumeDensity(h))
-
-
-def _prolong(coarse: ScalarField, fine: GridSpec) -> ScalarField:
-    """Trigonometric interpolation of a field onto a finer grid with the same
-    full axes.
-
-    The rfft spectrum is zero-padded along the full axes: the coarse Nyquist
-    planes, whose modes the spectral Hessian annihilates and which have no
-    single fine counterpart, are dropped, and the coefficients are scaled by
-    (N_fine / N_coarse)^(full axes) for the unnormalized transforms.  A field
-    band-limited below the coarse Nyquist frequency is reproduced exactly.
-    """
-    axes = fine.axes
-    nc, nf = _points_per_axis(coarse.grid), _points_per_axis(fine)
-    half = nc // 2
-    kept_c = np.r_[0:half, half + 1:nc]
-    kept_f = np.r_[0:half, nf - half + 1:nf]
-
-    def index(kept):
-        """Per axis: the kept frequencies, the non-negative ones on the half
-        axis and the one point of a one-point axis."""
-        return np.ix_(*[np.arange(half) if a == axes[-1] else kept if a in axes else [0]
-                        for a in range(2 * fine.n)])
-
-    coeffs = forward(coarse.values)
-    padded = np.zeros(tables(fine).rshape, dtype=np.complex128)
-    padded[index(kept_f)] = coeffs[index(kept_c)]
-    padded *= (nf / nc) ** len(axes)
-    return ScalarField(fine, inverse(fine, padded))
+    return EllipticProblem.compatible(KahlerForm(problem.form.A, restrict(problem.form.phi)),
+                                      VolumeDensity(restrict(problem.omega.h)))
 
 
 def _newton_from(problem: EllipticProblem, start, tol_factor: float):

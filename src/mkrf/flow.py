@@ -80,7 +80,8 @@ from .geometry import (
     singular_metric_error,
     trace_pair_components,
 )
-from .grid import GridSpec, ScalarField, forward, hessian_components, hessian_rows, inverse, tables
+from .grid import (GridSpec, ScalarField, forward, hessian_components, hessian_rows, inverse,
+                   sup_bound, tables)
 
 MAX_HALVINGS = 20
 # Local error allowed per accepted step: the sup bound of the embedded
@@ -362,26 +363,6 @@ def _forcing_integral(problem: FlowProblem, t: float, dt: float, r: int) -> floa
     return float((weights * c).sum())
 
 
-def _sup_bound(problem: FlowProblem, coeffs: np.ndarray) -> float:
-    """Upper bound of the sup norm of the field with rfft coefficients coeffs.
-
-    The l1 norm of the full spectrum over the number of points; the half
-    spectrum stands for its conjugate too, except on the self-conjugate
-    planes (index 0 and N/2 of the half axis).  A one-point grid is its own
-    spectrum.  No transform is needed.
-    """
-    a = np.abs(coeffs, out=problem.workspace.err)
-    axes = problem.grid.axes
-    if not axes:
-        return float(a.sum())
-    total = 2.0 * float(a.sum())
-    plane = [slice(None)] * a.ndim
-    for end in (0, -1):
-        plane[axes[-1]] = end
-        total -= float(a[tuple(plane)].sum())
-    return total / problem.grid.num_points
-
-
 def _embedded_error(problem: FlowProblem, d: np.ndarray, F1: np.ndarray,
                     dt: float) -> float:
     """Sup bound of the estimate (dt/10)(d - F1) of one step (see _lawson_rk4).
@@ -389,7 +370,7 @@ def _embedded_error(problem: FlowProblem, d: np.ndarray, F1: np.ndarray,
     d is consumed.
     """
     d -= F1
-    return 0.1 * dt * _sup_bound(problem, d)
+    return 0.1 * dt * sup_bound(problem.grid, d, problem.workspace.err)
 
 
 def normalization_constant(problem: FlowProblem) -> float:

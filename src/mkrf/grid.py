@@ -1,16 +1,20 @@
 """Discretized flat-torus calculus.
 
 Fields live on the unit torus [0,1)^(2n) with complex dimension n in {1, 2},
-row-major axis order (x1, y1, x2, y2).  A grid has N points on each real axis
-of the complex directions its fields vary along and one point on both axes
-of the others (GridSpec.along): on a flat torus every operator commutes with
-translations, so fields constant along z_j stay constant along it, and the
-one-point axis carries the same numbers as N points would.  All
-differentiation is spectral (discrete Fourier), so trigonometric polynomials
-below the Nyquist limit are differentiated exactly.  Complex derivatives use
-d/dz_j = (d/dx_j - i d/dy_j)/2.  The transforms run over the full (N-point)
-axes only; the real (half) axis of the rfft is the last full axis.  Snapshot
-files always hold the full N**(2n) grid.
+row-major axis order (x1, y1, x2, y2).  The layout of a grid is its one-point
+axes (GridSpec.one_point): every real axis has N points except those, which
+have one.  On a flat torus every operator commutes with translations, so a
+field constant along an axis stays constant along it, and one point there
+carries the same numbers as N would.  The transforms run over the full
+(N-point) axes, or over the last axis when none is full (a one-point
+transform is the identity); the last transform axis is the half axis of the
+real transform.  No other module reads the layout: the half grid, the sup
+bound of a spectrum and the transfers between a grid and its half grid are
+made here.  Snapshot files always hold the full N**(2n) grid.
+
+All differentiation is spectral (discrete Fourier), so trigonometric
+polynomials below the Nyquist limit are differentiated exactly.  Complex
+derivatives use d/dz_j = (d/dx_j - i d/dy_j)/2.
 
 The transforms call scipy's compiled pocketfft kernel,
 ``scipy.fft._pocketfft.pypocketfft``, loaded from its file next to scipy's
@@ -25,7 +29,6 @@ result is bit-equal to theirs;
 that on arbitrary input.  The module is registered in ``sys.modules`` under its
 scipy name, so a later ``import scipy.fft`` shares it.
 """
-
 from __future__ import annotations
 
 import importlib.machinery
@@ -34,8 +37,8 @@ import math
 import os
 import struct
 import sys
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -90,15 +93,21 @@ def fft_workers() -> int:
         return 1
 
 
+def _transform_axes(shape: tuple) -> tuple:
+    """The axes the transforms of a grid of this shape run over: the full
+    ones, or the last axis when none is full."""
+    return tuple(a for a, s in enumerate(shape) if s > 1) or (len(shape) - 1,)
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform grid on the torus: n complex dimensions, N points per real axis
-    of every complex direction in use and one point on the others (sizes,
-    per real axis; all N as constructed, see along)."""
+    """Uniform grid on the torus: n complex dimensions, N points on every real
+    axis but the one-point axes, a set of real-axis indices (none by default),
+    which have one point each."""
 
     n: int
     N: int
-    sizes: tuple = field(init=False)
+    one_point: frozenset = frozenset()
 
     def __post_init__(self):
         if self.n not in (1, 2):
@@ -107,42 +116,35 @@ class GridSpec:
         # that resolution-stability comparisons (e.g. N=16 vs N=24) are possible.
         if self.N < 8 or self.N % 2 != 0:
             raise ValueError(f"N must be even and >= 8, got {self.N}")
-        object.__setattr__(self, "sizes", (self.N,) * (2 * self.n))
 
-    def along(self, directions) -> "GridSpec":
-        """This grid with N points on both real axes of each complex direction
-        j (0-based) in directions and one point on both axes of the others."""
-        return self._sized(self.N, tuple(self.N if a // 2 in directions else 1
-                                         for a in range(2 * self.n)))
-
-    def half(self) -> "GridSpec":
-        """The grid of the even points: half the points on every full axis."""
-        return self._sized(self.N // 2, tuple(1 if s == 1 else s // 2 for s in self.sizes))
-
-    def _sized(self, N: int, sizes: tuple) -> "GridSpec":
-        grid = GridSpec(self.n, N)
-        object.__setattr__(grid, "sizes", sizes)
-        return grid
-
-    @property
+    @cached_property
     def shape(self) -> tuple:
-        return self.sizes
+        return tuple(1 if a in self.one_point else self.N for a in range(2 * self.n))
+
+    @cached_property
+    def axes(self) -> tuple:
+        """The transform axes (_transform_axes); the last is the half axis of
+        the real transform."""
+        return _transform_axes(self.shape)
 
     @property
     def num_points(self) -> int:
-        return math.prod(self.sizes)
+        return math.prod(self.shape)
 
-    @property
-    def axes(self) -> tuple:
-        """The full (N-point) axes, which the transforms run over; the last is
-        the half axis of the real transform."""
-        return tuple(a for a, s in enumerate(self.sizes) if s > 1)
+    def half(self) -> "GridSpec | None":
+        """The grid of the even points, half the points on every full axis;
+        None unless the full axes have at least 16 points and an even half
+        (so also on a grid without a full axis)."""
+        size = max(self.shape)
+        if size % 4 or size < 16:
+            return None
+        return GridSpec(self.n, self.N // 2, self.one_point)
 
     def axis_coordinate(self, axis: int) -> np.ndarray:
         """Coordinate array of one real axis, broadcastable over the grid."""
-        x = np.arange(self.sizes[axis]) / self.N
+        x = np.arange(self.shape[axis]) / self.N
         shape = [1] * (2 * self.n)
-        shape[axis] = self.sizes[axis]
+        shape[axis] = self.shape[axis]
         return x.reshape(shape)
 
     def zeros(self) -> "ScalarField":
@@ -180,22 +182,21 @@ class SpectralTables:
 
     def __init__(self, grid: GridSpec):
         self.grid = grid
-        N, naxes = grid.N, 2 * grid.n
-        half = grid.axes[-1] if grid.axes else None  # the half axis of the real transform
-        self.rshape = tuple(N // 2 + 1 if a == half else s for a, s in enumerate(grid.shape))
+        half = grid.axes[-1]  # the half axis of the real transform
+        self.rshape = tuple(s // 2 + 1 if a == half else s for a, s in enumerate(grid.shape))
 
         def axis_freqs(axis):
             size = grid.shape[axis]
             if axis == half:
-                k = np.arange(N // 2 + 1, dtype=np.float64)
+                k = np.arange(size // 2 + 1, dtype=np.float64)
             else:
                 k = np.fft.fftfreq(size) * size
             k[size // 2] = 0.0  # the Nyquist frequency (0 on a one-point axis)
-            return k.reshape([k.size if a == axis else 1 for a in range(naxes)])
+            return k.reshape([k.size if a == axis else 1 for a in range(2 * grid.n)])
 
         # Nyquist-zeroed first-derivative frequencies, each shaped to
         # broadcast along its own axis of the rfft grid
-        self.freqs = tuple(axis_freqs(a) for a in range(naxes))
+        self.freqs = tuple(axis_freqs(a) for a in range(2 * grid.n))
 
     def symbols(self) -> list:
         """Hessian entry symbols H[f]_{jk} = d/dz_j d/dzbar_k f in the
@@ -238,20 +239,16 @@ _NORM_FORWARD, _NORM_INVERSE = 0, 2
 
 
 def forward(values: np.ndarray) -> np.ndarray:
-    """rfftn of a real grid over its full axes, those of more than one
-    point; a one-point grid is its own spectrum."""
-    axes = tuple(a for a, s in enumerate(values.shape) if s > 1)
-    if not axes:
-        return values.astype(np.complex128)
-    return _pfft.r2c(values, axes, True, _NORM_FORWARD, None, fft_workers())
+    """rfftn of a real grid over its transform axes."""
+    return _pfft.r2c(values, _transform_axes(values.shape), True, _NORM_FORWARD, None,
+                     fft_workers())
 
 
 def _c2r(grid: GridSpec, coeffs: np.ndarray, first: int) -> np.ndarray:
-    """irfftn over the grid's full axes, which start at axis first of coeffs."""
-    if not grid.axes:
-        return coeffs.real.copy()
+    """irfftn over the grid's transform axes, which start at axis first of coeffs."""
     axes = tuple(a + first for a in grid.axes)
-    return _pfft.c2r(coeffs, axes, grid.N, False, _NORM_INVERSE, None, fft_workers())
+    return _pfft.c2r(coeffs, axes, grid.shape[grid.axes[-1]], False, _NORM_INVERSE, None,
+                     fft_workers())
 
 
 def inverse(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
@@ -311,6 +308,57 @@ def complex_hessian(f: ScalarField) -> np.ndarray:
 def mean(f: ScalarField) -> float:
     """Arithmetic grid mean; equals the torus integral for band-limited fields."""
     return float(np.mean(f.values))
+
+
+def sup_bound(grid: GridSpec, coeffs: np.ndarray, out: np.ndarray) -> float:
+    """Upper bound of the sup norm of the field with rfft coefficients coeffs;
+    out, a real array of their shape, receives their moduli.
+
+    The l1 norm of the full spectrum over the number of points; the half
+    spectrum stands for its conjugate too, except on the self-conjugate
+    planes (frequencies 0 and size // 2 of the half axis, one plane on a
+    one-point axis).  No transform is needed.
+    """
+    a = np.abs(coeffs, out=out)
+    half = grid.axes[-1]
+    total = 2.0 * float(a.sum())
+    for k in sorted({0, grid.shape[half] // 2}):
+        total -= float(a[(slice(None),) * half + (k,)].sum())
+    return total / grid.num_points
+
+
+def restrict(f: ScalarField) -> ScalarField:
+    """f at the even points of its grid, which are the points of the half
+    grid; a one-point axis keeps its point."""
+    even = (slice(None, None, 2),) * (2 * f.grid.n)
+    return ScalarField(f.grid.half(), np.ascontiguousarray(f.values[even]))
+
+
+def prolong(coarse: ScalarField, fine: GridSpec) -> ScalarField:
+    """Trigonometric interpolation of a field on fine's half grid onto fine.
+
+    The rfft spectrum is zero-padded along the full axes: the coarse Nyquist
+    planes, whose modes the spectral Hessian annihilates and which have no
+    single fine counterpart, are dropped, and the coefficients are scaled by
+    (N_fine / N_coarse)^(full axes) for the unnormalized transforms.  A field
+    band-limited below the coarse Nyquist frequency is reproduced exactly.
+    """
+    axes = fine.axes
+    nc, nf = coarse.grid.N, fine.N
+    half = nc // 2
+    kept_c = np.r_[0:half, half + 1:nc]
+    kept_f = np.r_[0:half, nf - half + 1:nf]
+
+    def index(kept):
+        """Per axis: the kept frequencies, the non-negative ones on the half
+        axis and the one point of a one-point axis."""
+        return np.ix_(*[np.arange(half) if a == axes[-1] else kept if a in axes else [0]
+                        for a in range(2 * fine.n)])
+
+    padded = np.zeros(tables(fine).rshape, dtype=np.complex128)
+    padded[index(kept_f)] = forward(coarse.values)[index(kept_c)]
+    padded *= (nf / nc) ** len(axes)
+    return ScalarField(fine, inverse(fine, padded))
 
 
 def synthesize(grid: GridSpec, modes) -> ScalarField:

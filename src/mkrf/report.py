@@ -159,7 +159,8 @@ def render_report(run_dir, out_dir=None) -> list:
     """Emit one SVG per monitored scalar column plus a text summary.
 
     Pure function of the CSV, the constants file and, when present, the
-    phase timings side file; byte-identical on re-run.
+    phase timings side file; byte-identical on re-run.  out_dir (run_dir by
+    default) must exist.
     """
     out_dir = out_dir or run_dir
     csv_path = os.path.join(run_dir, "series.csv")
@@ -170,7 +171,6 @@ def render_report(run_dir, out_dir=None) -> list:
     if not ts:
         raise ValueError(f"{csv_path}: no 't' column or no rows")
     written = []
-    os.makedirs(out_dir, exist_ok=True)
     for col in columns:
         if col == "t":
             continue

@@ -118,7 +118,7 @@ def matrix_to_rows(M: np.ndarray) -> list:
     return [[[float(e.real), float(e.imag)] for e in row] for row in M]
 
 
-def _parse_modes(modes, n: int, what: str):
+def _parse_modes(modes, n: int, N: int, what: str):
     if not isinstance(modes, (list, tuple)):
         raise InvalidScenarioError(f"{what}: expected a list of mode terms, got {modes!r}")
     out = []
@@ -142,8 +142,11 @@ def _parse_modes(modes, n: int, what: str):
             raise InvalidScenarioError(
                 f"{what}: mode vector {mvec} must have {2 * n} components"
             )
-        if max((abs(m) for m in mvec), default=0) > 8:
-            raise InvalidScenarioError(f"{what}: mode {mvec} beyond supported band limit")
+        # N points alias |m| > N/2 to a lower mode, and the spectral Hessian
+        # zeroes the Nyquist mode N/2
+        if max((abs(m) for m in mvec), default=0) >= min(9, N // 2):
+            raise InvalidScenarioError(f"{what}: mode {mvec} beyond the band limit (|m| <= 8"
+                                       f" and below the Nyquist frequency {N // 2} of N={N})")
         amp = float(amp)
         if abs(amp) > 0.5:
             raise InvalidScenarioError(f"{what}: amplitude {amp} above admissibility cap")
@@ -183,7 +186,7 @@ def validate(scenario: Scenario) -> dict:
     _check_definite(parsed["A0"], "A0")
     parsed["Ainf"] = matrix_from_rows(s.Ainf, s.n, "Ainf")
     for key in ("phi0", "phi_inf", "log_h"):
-        parsed[key] = _parse_modes(getattr(s, key), s.n, key)
+        parsed[key] = _parse_modes(getattr(s, key), s.n, s.N, key)
     if s.run_psi_family:
         path = compute_T(parsed["A0"], parsed["Ainf"])
         for t in s.psi_times:
@@ -226,7 +229,8 @@ def _grid(scenario: Scenario, parsed: dict) -> GridSpec:
     """
     used = {a // 2 for key in ("phi0", "phi_inf", "log_h")
             for mvec, _, _ in parsed[key] for a, m in enumerate(mvec) if m}
-    return GridSpec(scenario.n, scenario.N).along(used)
+    return GridSpec(scenario.n, scenario.N,
+                    frozenset(a for a in range(2 * scenario.n) if a // 2 not in used))
 
 
 def build_problem(scenario: Scenario) -> FlowProblem:

@@ -11,8 +11,8 @@ from mkrf.elliptic import (
 )
 from mkrf.flow import FlowProblem
 from mkrf.geometry import KahlerForm, VolumeDensity, ma_density, trace_pair
-from mkrf.grid import (GridSpec, ScalarField, complex_hessian, hessian_components, mean,
-                       synthesize, tables)
+from mkrf.grid import (GridSpec, ScalarField, complex_hessian, forward, hessian_components,
+                       inverse, mean, synthesize, tables)
 from mkrf.scenario import Scenario, build_limit_problem, validate
 
 
@@ -174,6 +174,38 @@ def test_psi_family_solves_every_time_cold():
     for t, psi in zip(times, psis):
         alone, _ = solve_cy(psi_problem(fp, t))
         assert np.array_equal(psi.values, alone.values)
+
+
+def test_psi_family_of_a_product_density_is_its_base_solutions():
+    # on the collapsing pencil A_t = diag(1, e^-t) with a density h1(z1) h2(z2)
+    # and no potential, psi_t = a(z1) + e^-t b(z2) solves the psi equation,
+    # where 1 + H11[a] = h1 / mean(h1) and 1 + H22[b] = h2 / mean(h2): each
+    # factor is one spectral Poisson solve.  t = 12 and later wait for the
+    # psi certificate on nearly collapsed classes.
+    g = GridSpec(2, 16)
+    h1 = np.exp(synthesize(g, [((1, 0, 0, 0), 0.1)]).values)
+    h2 = np.exp(synthesize(g, [((0, 0, 1, 1), 0.08, 0.3)]).values)
+    log_h = synthesize(g, [((1, 0, 0, 0), 0.1), ((0, 0, 1, 1), 0.08, 0.3)])
+    fp = FlowProblem(KahlerForm(np.eye(2), g.zeros()),
+                     KahlerForm(np.diag([1.0, 0.0]).astype(complex), g.zeros()),
+                     VolumeDensity(ScalarField(g, np.exp(log_h.values))))
+    symbols = tables(g).symbols()
+
+    def poisson(f, j):
+        """The mean-free solution u of H_jj[u] = f - mean(f)."""
+        coeffs = forward(f - f.mean())
+        sym = np.broadcast_to(symbols[j], coeffs.shape)
+        sol = np.zeros_like(coeffs)
+        np.divide(coeffs, sym, out=sol, where=sym != 0.0)
+        return inverse(g, sol)
+
+    a, b = poisson(h1 / h1.mean(), 0), poisson(h2 / h2.mean(), 1)
+    times = [0.0, 5.0, 10.0]
+    psis, reps = solve_psi_family(fp, times)
+    assert all(rep.converged for rep in reps)
+    for t, psi in zip(times, psis):
+        want = a + math.exp(-t) * b
+        assert np.abs(psi.values - (want - want.mean())).max() < 1e-11, t
 
 
 def test_psi_family_requires_collapsed():
@@ -798,11 +830,11 @@ def _band_limited_modes(n, N):
 
 @pytest.mark.parametrize("n,N", [(1, 16), (2, 16), (2, 24)])
 def test_prolongation_reproduces_band_limited_fields(n, N):
-    from mkrf.elliptic import _prolong
+    from mkrf.grid import prolong
 
     fine, coarse = GridSpec(n, N), GridSpec(n, N // 2)
     modes = _band_limited_modes(n, N // 2)
-    got = _prolong(synthesize(coarse, modes), fine)
+    got = prolong(synthesize(coarse, modes), fine)
     want = synthesize(fine, modes)
     assert got.grid == fine
     assert np.abs(got.values - want.values).max() <= 1e-13
@@ -941,7 +973,7 @@ def test_inadmissible_interpolant_falls_back_to_the_zero_start(monkeypatch):
     prob = nested_problem(16)
     Z, _ = newton_from(prob)
     # a potential whose Hessian overwhelms the class: not a Kahler metric
-    monkeypatch.setattr(elliptic, "_prolong",
+    monkeypatch.setattr(elliptic, "prolong",
                         lambda coarse, fine: synthesize(fine, [((1, 0, 0, 0), 1.0)]))
     U, rep = solve_cy(prob)
     assert rep.start == "zero"

@@ -19,12 +19,12 @@ from mkrf.flow import (
     _lag_lookup,
     _lag_window,
     _lawson_rk4,
-    _sup_bound,
     normalization_constant,
     run_flow,
 )
 from mkrf.geometry import KahlerForm, SingularMetricError, VolumeDensity
-from mkrf.grid import GridSpec, ScalarField, forward, hessian_components, inverse, synthesize
+from mkrf.grid import (GridSpec, ScalarField, forward, hessian_components, inverse, sup_bound,
+                       synthesize)
 from mkrf.monitors import FINITE_TIME_DELTAS, S_LIST, check_finite_time
 from mkrf.scenario import Scenario, build_problem, load_scenario, validate
 
@@ -799,7 +799,7 @@ def test_embedded_estimate_matches_reference(comparison):
     # the reference subtracts two states: round-off on their scale
     assert np.abs(got - want).max() <= 1e-14 * np.abs(y1).max()
     assert _embedded_error(prob, d, F1, dt) == pytest.approx(
-        _sup_bound(prob, want), rel=1e-9)
+        sup_bound(prob.grid, want, np.empty(want.shape)), rel=1e-9)
 
 
 def test_embedded_estimate_is_third_order():
@@ -823,10 +823,11 @@ def test_sup_bound_bounds_the_field_and_is_sharp_for_one_mode():
     g = prob.grid
     rng = np.random.default_rng(3)
     f = rng.standard_normal(g.shape)
-    assert np.abs(f).max() <= _sup_bound(prob, forward(f))
+    out = np.empty(prob.tables.rshape)
+    assert np.abs(f).max() <= sup_bound(g, forward(f), out)
     for mode in ((1, 0, 0, 0), (0, 0, 0, 2), (1, 2, 3, 1)):
         c = forward(synthesize(g, [(mode, 0.3)]).values)
-        assert _sup_bound(prob, c) == pytest.approx(0.3, rel=1e-12)
+        assert sup_bound(g, c, out) == pytest.approx(0.3, rel=1e-12)
 
 
 def test_accepted_step_costs_three_stages_and_one_full_eval_per_flow(monkeypatch):

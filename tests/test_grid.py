@@ -207,17 +207,23 @@ def test_mean_trace_of_hessian_vanishes():
     assert abs(np.mean(tr)) < 1e-12 * scale
 
 
+def along(n, N, directions):
+    """The grid with N points on both real axes of each complex direction j
+    (0-based) in directions and one point on both axes of the others."""
+    return GridSpec(n, N, frozenset(a for a in range(2 * n) if a // 2 not in directions))
+
+
 @pytest.mark.parametrize("directions", [{0}, {1}, set()], ids=["z1", "z2", "none"])
 def test_one_point_axes_give_the_full_grid_numbers(directions, tmp_path):
     # a field constant along the complex directions not in directions: on
     # the grid with one point along them, its Hessian rows are the full
     # grid's and its snapshot is the full grid's file
     full = GridSpec(2, 16)
-    grid = full.along(directions)
+    grid = along(2, 16, directions)
     assert grid.shape == tuple(16 if a // 2 in directions else 1 for a in range(4))
     assert grid.num_points == 16 ** (2 * len(directions)) and grid.N == 16
     assert (grid == full) == (directions == {0, 1}) and tables(grid).grid == grid
-    assert full.along({0, 1}) == full
+    assert along(2, 16, {0, 1}) == full
     rng = np.random.default_rng(61)
     vals = rng.standard_normal(grid.shape)
     whole = np.ascontiguousarray(np.broadcast_to(vals, full.shape))
@@ -233,8 +239,8 @@ def test_one_point_axes_give_the_full_grid_numbers(directions, tmp_path):
 
 
 def test_half_grid_keeps_one_point_axes_and_modes_stay_on_full_axes():
-    grid = GridSpec(2, 16).along({1})
-    assert grid.half() == GridSpec(2, 8).along({1})
+    grid = along(2, 16, {1})
+    assert grid.half() == along(2, 8, {1})
     assert grid.half().shape == (1, 1, 8, 8)
     with pytest.raises(ValueError, match="one-point axis"):
         synthesize(grid, [((1, 0, 0, 0), 0.1)])
@@ -500,24 +506,31 @@ def finite_grid_values(grid):
 @settings(max_examples=12, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(data=st.data())
 def test_transforms_are_bit_equal_to_scipy_fft(n, threads, data):
+    # a drawn layout (full, reduced or all one-point) and the all-one-point
+    # grid: the transforms run over the full axes, or the last axis when
+    # none is full
     N = data.draw(st.sampled_from([8, 10, 16, 24]))
-    grid = GridSpec(n, N)
-    values = data.draw(finite_grid_values(grid))
-    axes = tuple(range(1, 2 * n + 1))
-    stack = symbol_stack(GridSpec(n, N))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("MKRF_THREADS", threads)
-        workers = int(threads)
-        coeffs = forward(values)
-        assert coeffs.tobytes() == scipy.fft.rfftn(values, workers=workers).tobytes()
-        assert (inverse(grid, coeffs).tobytes()
-                == scipy.fft.irfftn(coeffs, s=grid.shape, workers=workers).tobytes())
-        want = scipy.fft.irfftn(stack * coeffs, s=grid.shape, axes=axes, workers=workers)
-        assert batched_hessian(grid, coeffs).tobytes() == want.tobytes()
-        k = data.draw(st.integers(0, len(stack) - 1))
-        buf = np.empty((1,) + coeffs.shape, dtype=np.complex128)
-        row = hessian_components(grid, coeffs, buf=buf, stencil=stack[k:k + 1])
-        assert row.tobytes() == want[k:k + 1].tobytes()
+    drawn = data.draw(st.frozensets(st.integers(0, 2 * n - 1)))
+    for grid in (GridSpec(n, N, drawn), GridSpec(n, N, frozenset(range(2 * n)))):
+        values = data.draw(finite_grid_values(grid))
+        axes = tuple(a for a, s in enumerate(grid.shape) if s > 1) or (2 * n - 1,)
+        sizes = [grid.shape[a] for a in axes]
+        stack = symbol_stack(grid)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("MKRF_THREADS", threads)
+            workers = int(threads)
+            coeffs = forward(values)
+            assert (coeffs.tobytes()
+                    == scipy.fft.rfftn(values, axes=axes, workers=workers).tobytes())
+            assert (inverse(grid, coeffs).tobytes()
+                    == scipy.fft.irfftn(coeffs, s=sizes, axes=axes, workers=workers).tobytes())
+            want = scipy.fft.irfftn(stack * coeffs, s=sizes, axes=[a + 1 for a in axes],
+                                    workers=workers)
+            assert batched_hessian(grid, coeffs).tobytes() == want.tobytes()
+            k = data.draw(st.integers(0, len(stack) - 1))
+            buf = np.empty((1,) + coeffs.shape, dtype=np.complex128)
+            row = hessian_components(grid, coeffs, buf=buf, stencil=stack[k:k + 1])
+            assert row.tobytes() == want[k:k + 1].tobytes()
 
 
 @pytest.mark.parametrize("setting,threads", [

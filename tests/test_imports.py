@@ -7,8 +7,9 @@ leading underscore is named somewhere in the package outside its own
 definition.  Every Hessian is made by grid.hessian_rows:
 no other code calls hessian_components, and no code stacks the tables'
 symbols.  Only grid.py, scenario.py and cli.py read an ``.N`` attribute:
-everywhere else array sizes and scale factors come from the grid's
-per-axis sizes, which are 1 along unused complex directions.
+everywhere else array sizes and scale factors come from the grid's shape,
+which has 1 along unused complex directions, and only grid.py reads the
+layout (a grid's one-point axes and its transform axes).
 
 No linter ships with the project; these are the lint checks it keeps.
 ``__init__.py`` is left out of the import check: its imports are the
@@ -348,20 +349,25 @@ def test_hessian_path_violation_is_caught():
 
 # the modules that may read the points per axis N of a grid or a scenario
 N_READERS = ("grid.py", "scenario.py", "cli.py")
+# a grid's layout, its one-point axes and the transform axes they give,
+# which only grid.py reads
+LAYOUT = ("one_point", "axes")
 
 
-def n_attribute_reads(trees):
-    """(file, line) of every read of an ``.N`` attribute outside N_READERS."""
+def attribute_reads(trees, attrs, readers):
+    """(file, line) of every read of an attribute named in attrs outside the
+    files named in readers."""
     for file, tree in trees.items():
-        if file not in N_READERS:
+        if file not in readers:
             for node in ast.walk(tree):
-                if (isinstance(node, ast.Attribute) and node.attr == "N"
+                if (isinstance(node, ast.Attribute) and node.attr in attrs
                         and isinstance(node.ctx, ast.Load)):
                     yield file, node.lineno
 
 
 def test_only_grid_scenario_and_cli_read_N():
-    found = [f"{file}, line {line}" for file, line in n_attribute_reads(package_trees())]
+    found = [f"{file}, line {line}"
+             for file, line in attribute_reads(package_trees(), ("N",), N_READERS)]
     assert not found, f".N read outside {N_READERS} (use the grid's shape): {found}"
 
 
@@ -373,8 +379,28 @@ def test_n_attribute_read_is_caught():
         "    return npts * sc.N + grid.n + len(grid.shape)\n"
     )
     grid = ast.parse("def size(self):\n    return self.N\n")
-    found = list(n_attribute_reads({"flow.py": flow, "grid.py": grid}))
+    found = list(attribute_reads({"flow.py": flow, "grid.py": grid}, ("N",), N_READERS))
     assert found == [("flow.py", 3), ("flow.py", 4)]
+
+
+def test_only_grid_reads_the_layout():
+    found = [f"{file}, line {line}"
+             for file, line in attribute_reads(package_trees(), LAYOUT, ("grid.py",))]
+    assert not found, f"grid layout read outside grid.py (ask grid.py's functions): {found}"
+
+
+def test_layout_read_is_caught():
+    elliptic = ast.parse(
+        "def chain(grid, problem):\n"
+        "    if grid.one_point:\n"
+        "        return [problem]\n"
+        "    last = problem.form.grid.axes[-1]\n"
+        "    return [GridSpec(2, 8, frozenset({last})), grid.shape, grid.half()]\n"
+    )
+    grid = ast.parse("def axes(self):\n    return [a for a in range(4) if a not in self.one_point]\n")
+    found = list(attribute_reads({"elliptic.py": elliptic, "grid.py": grid}, LAYOUT,
+                                 ("grid.py",)))
+    assert found == [("elliptic.py", 2), ("elliptic.py", 4)]
 
 
 def module_constants(tree):

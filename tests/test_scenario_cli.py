@@ -329,6 +329,43 @@ def test_out_naming_a_file_exits_4_before_the_work(tmp_path, capsys, monkeypatch
     assert out.read_text() == "not a directory"
 
 
+@pytest.mark.parametrize("where", ["file", "under-a-file"])
+def test_report_out_that_cannot_be_made_exits_4(tmp_path, capsys, where):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "series.csv").write_text(GOOD_SERIES)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    out = taken if where == "file" else taken / "sub"
+    assert main(["report", str(run), "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("invalid --out: ")
+    assert taken.read_text() == "not a directory"
+
+
+@pytest.mark.parametrize("command", ["run", "classify", "cy-solve"])
+@pytest.mark.parametrize("field,mode,N,grid", [
+    ("phi0", [6, 0], 8, None),     # runs as [2, 0] on 8 points
+    ("phi0", [4, 0], 8, None),     # the Nyquist mode: the spectral Hessian zeroes it
+    ("log_h", [1, -4], 8, None),
+    ("phi_inf", [0, 4], 16, 8),    # below the Nyquist frequency of N=16, not of --grid 8
+], ids=["aliased", "nyquist", "negative", "grid-override"])
+def test_mode_the_grid_cannot_represent_exits_4(tmp_path, capsys, command, field, mode, N,
+                                                grid):
+    cfg = tmp_path / "finite.json"
+    cfg.write_text(tiny_scenario(N=N, Ainf=[[[-1.0, 0.0]]], t_max=0.3,
+                                 **{field: [{"mode": mode, "amp": 0.3}]}).to_json())
+    args = [command, "--config", str(cfg)]
+    if grid is not None:
+        assert main(["classify", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        args += ["--grid", str(grid)]
+    assert main(args) == 4
+    err = capsys.readouterr().err
+    size = grid or N
+    assert err.startswith("invalid config: ") and field in err
+    assert f"N={size}" in err and f"Nyquist frequency {size // 2}" in err
+
+
 def test_cy_solve_cli(tmp_path, capsys):
     cfg = tmp_path / "tiny.json"
     cfg.write_text(tiny_scenario().to_json())
