@@ -100,10 +100,11 @@ def cmd_classify(args) -> int:
 
 
 def _newton_work(rep) -> dict:
-    """How hard one Newton solve worked: iterations, Jacobian applications
-    and reached linear residuals on its grid, where it started, and the
-    coarse solves of a nested start."""
+    """How hard one Newton solve worked: iterations, Jacobian applications,
+    Krylov restart cycles and reached linear residuals on its grid, where
+    it started, and the coarse solves of a nested start."""
     return {"iterations": rep.iterations, "matvecs": list(rep.matvecs),
+            "krylov_cycles": list(rep.krylov_cycles),
             "linear_residuals": list(rep.linear_residuals),
             "start": rep.start, "coarse_levels": rep.coarse_levels}
 

@@ -7,27 +7,28 @@ solve_cy finds the mean-zero potential U with
 which is discretely solvable because the grid mean of the determinant equals
 det(A) for any periodic potential.  Newton linear systems are solved
 inexactly, to a tolerance proportional to the current residual, by a right
-preconditioned Krylov iteration, and steps are damped by halving until the
-sup-norm residual decreases.  The preconditioner divides its input by the
-fixed density weight w = (target / mean target)^((n-1)/n) and then inverts
-the constant-coefficient Laplacian of the mean metric exactly in Fourier
-space; there is no weight at n=1 or for a constant density.  lgmres
-iterates on the preconditioned operator K = J P, and the Newton step is
-lifted from the Krylov solution once per system; both start from the same
-preconditioned spectrum of their input.  Every Hessian of a solve, in the
-frame states and in the applications of K, is made directly in the
-A-orthonormal frame from one frame stencil, the frame congruence of the
-Hessian symbols built once per solve.  lgmres runs one restart cycle per
-call, and K y is kept current from its augmentation vectors, so no
-application of K checks the iterate it returns: that value decides
-convergence, ends a Krylov solve whose restart cycles stop reducing the
-residual, and feeds the forcing.  The operator applied to the zero vector,
-which lgmres's zero start asks for in every system, is answered without a
-transform and not counted.  One exact componentwise test, shared with the
-flow, decides positivity of every frame state.  A solve on a grid whose
-half is a grid too starts from the interpolated solution of the same
-equation on the half grid, solved to a looser certificate (nested
-iteration); the fine certificate is unchanged.
+preconditioned Krylov iteration, LGMRES, and steps are damped by halving
+until the sup-norm residual decreases.  The preconditioner divides its
+input by the fixed density weight w = (target / mean target)^((n-1)/n) and
+then inverts the constant-coefficient Laplacian of the mean metric exactly
+in Fourier space; there is no weight at n=1 or for a constant density.
+The module's own LGMRES (_FrameOperators.solve) iterates on the
+preconditioned operator K = J P, and the Newton step is lifted from the
+Krylov solution once per system; both start from the same preconditioned
+spectrum of their input.  Every Hessian of a solve, in the frame states and
+in the applications of K, is made directly in the A-orthonormal frame from
+one frame stencil, the frame congruence of the Hessian symbols built once
+per solve.  K y is read off the Arnoldi relation, so no application of K
+checks the iterate a Krylov solve returns, and none is spent on a zero
+start: that K y decides convergence, ends a Krylov solve whose restart
+cycles stop reducing the residual, and feeds the forcing.  Every inner
+product and norm of the Newton layer is one reduction without BLAS (_dot),
+so a solve gives the same bits at any BLAS thread count, and no Newton
+solve loads scipy.  One exact componentwise test, shared with the flow,
+decides positivity of every frame state.  A solve on a grid whose half is a
+grid too starts from the interpolated solution of the same equation on the
+half grid, solved to a looser certificate (nested iteration); the fine
+certificate is unchanged.
 
 solve_psi_family reuses the same solver along a collapsed pencil, producing
 the per-time reference potentials whose uniform bounds the collapsed-regime
@@ -71,13 +72,26 @@ MAX_HALVINGS = 30
 # buy no fine iteration and can stagnate on an under-resolved half grid
 # (see the sweep in CHANGES.md)
 COARSE_TOL_FACTOR = 1e-4
-# a restart cycle of lgmres that leaves more than this share of the linear
+# a restart cycle of LGMRES that leaves more than this share of the linear
 # residual it started from ends the Krylov solve: the rest of the
 # right-hand side lies outside the reach of the Jacobian (on an
 # under-resolved density), and further cycles only repeat the work
 STAGNATION_RATIO = 0.9
-# restart cycles of one Krylov solve, each of at most 30 Krylov iterations
+# restart cycles of one Krylov solve
 MAX_KRYLOV_CYCLES = 12
+# LGMRES(INNER_M, OUTER_K): Arnoldi steps on K per restart cycle, and the
+# augmentation pairs carried from cycle to cycle
+INNER_M = 30
+OUTER_K = 3
+_EPS = float(np.finfo(np.float64).eps)
+# largest estimated condition number of the triangular least-squares factor
+# a restart cycle takes its step from.  Where the right-hand side has a part
+# out of K's reach (an under-resolved density), the Krylov space closes in
+# on a null vector of K and the factor's smallest singular value falls by
+# about 6x per step; the later columns fit that part with coefficients up to
+# 1e11 times the residual, whose round-off the K y read-off then carries
+# (1.5e-4 of the right-hand side on the under-resolved test density)
+KRYLOV_COND_LIMIT = _EPS ** -0.5
 
 
 class NewtonConvergenceError(Exception):
@@ -116,10 +130,11 @@ class NewtonReport:
     damping_history: list = field(default_factory=list)
     converged: bool = False
     message: str = ""
-    # per Newton iteration: the lgmres relative tolerance and the number of
-    # Jacobian applications it took
+    # per Newton iteration: the Krylov solve's relative tolerance, the
+    # number of Jacobian applications it took and its restart cycles
     linear_rtols: list = field(default_factory=list)
     matvecs: list = field(default_factory=list)
+    krylov_cycles: list = field(default_factory=list)
     # per Newton iteration: the relative linear residual
     # ‖J delta - rhs‖ / ‖rhs‖ the Krylov solve reached, from the K y it
     # keeps current; None for a zero right-hand side
@@ -129,6 +144,26 @@ class NewtonReport:
     # coarsest first, as {N, iterations, matvecs, converged}
     start: str = "zero"
     coarse_levels: list = field(default_factory=list)
+
+
+def _dot(a, b) -> float:
+    """The inner product of two flat arrays, the one reduction of every
+    inner product and norm of the Newton layer: numpy's own summation loop,
+    no BLAS call, so its bits do not depend on the BLAS thread count."""
+    return float(np.einsum("i,i->", a, b))
+
+
+def _norm(a) -> float:
+    return math.sqrt(_dot(a, a))
+
+
+def _combination(coeffs, vectors, tmp):
+    """sum_i coeffs[i] vectors[i], accumulated in order, as a fresh array;
+    tmp is scratch of the vectors' shape."""
+    out = vectors[0] * coeffs[0]
+    for c, v in zip(coeffs[1:], vectors[1:]):
+        out += np.multiply(v, c, out=tmp)
+    return out
 
 
 def _frame_stencil(grid, A: np.ndarray) -> np.ndarray:
@@ -186,13 +221,78 @@ def _precond_weight(target: np.ndarray, n: int):
     return (target / target.mean()) ** ((n - 1) / n)
 
 
+class _LeastSquares:
+    """The least-squares problem min ‖e_1 - H c‖ of one restart cycle, its
+    Hessenberg columns added one Arnoldi step at a time and kept triangular
+    by Givens rotations.
+
+    Alongside, an incremental condition estimate (Bischof, SIMAX 11, 1990):
+    x with ‖x‖ = 1 and sig = ‖x^T R‖ estimate the smallest singular value
+    of the triangular factor R, and frob is its Frobenius norm.  k counts
+    the leading columns whose factor stays below KRYLOV_COND_LIMIT, and res
+    is the residual of the solution on those columns.
+    """
+
+    def __init__(self):
+        self.cols, self.tri, self.rots, self.g = [], [], [], [1.0]
+        self.x, self.sig, self.frob = [], 0.0, 0.0
+        self.k, self.res = 0, 1.0
+
+    def add(self, h):
+        """Append the Hessenberg column h, of length j + 2 for the j-th."""
+        j = len(self.cols)
+        self.cols.append(h)
+        r = list(h)
+        for i, (c, s) in enumerate(self.rots):
+            r[i], r[i + 1] = c * r[i] + s * r[i + 1], c * r[i + 1] - s * r[i]
+        d = math.hypot(r[j], r[j + 1])
+        c, s = (r[j] / d, r[j + 1] / d) if d > 0.0 else (1.0, 0.0)
+        self.rots.append((c, s))
+        r[j] = d
+        self.tri.append(r[:j + 1])
+        g = self.g
+        g.append(-s * g[j])
+        g[j] *= c
+        # the new x is (c' x, s') with c'^2 + s'^2 = 1 minimizing ‖x^T R‖:
+        # the eigenvector of the smallest eigenvalue of a 2x2 matrix whose
+        # determinant is (sig d)^2
+        self.frob += d * d + sum(t * t for t in r[:j])
+        if j == 0:
+            self.x, self.sig = [1.0], d
+        else:
+            alpha = sum(t * u for t, u in zip(self.x, r))
+            a, b = self.sig ** 2 + alpha ** 2, alpha * d
+            top = 0.5 * (a + d * d) + math.hypot(0.5 * (a - d * d), b)
+            low = (self.sig * d) ** 2 / top if top > 0.0 else 0.0
+            e1, e2 = (b, low - a) if abs(low - a) > abs(d * d - low) else (d * d - low, -b)
+            norm = math.hypot(e1, e2)
+            e1, e2 = (e1 / norm, e2 / norm) if norm > 0.0 else (0.0, 1.0)
+            self.x, self.sig = [e1 * t for t in self.x] + [e2], math.sqrt(low)
+        if self.k == j and self.sig * KRYLOV_COND_LIMIT > math.sqrt(self.frob):
+            self.k, self.res = j + 1, abs(g[j + 1])
+
+    def solution(self, scale: float):
+        """(coef, H coef) for the right-hand side scale * e_1 on the k
+        well-conditioned leading columns (a zero pivot, K z = 0 at a
+        breakdown, is never among them); coef is empty for k = 0."""
+        k, tri, g = self.k, self.tri, self.g
+        coef = [0.0] * k
+        for i in reversed(range(k)):
+            coef[i] = (g[i] - sum(tri[m][i] * coef[m] for m in range(i + 1, k))) / tri[i][i]
+        coef = [scale * c for c in coef]
+        # column m of H reaches row m + 1
+        image = [sum(self.cols[m][i] * coef[m] for m in range(max(0, i - 1), k))
+                 for i in range(k + 1)]
+        return coef, image
+
+
 class _FrameOperators:
     """Newton linear systems of one solve, in the A-orthonormal frame, right
     preconditioned.
 
     The preconditioner P = L0^{-1} (. / w) / mean_det approximates J^{-1}.
-    lgmres solves K y = rhs for K = J P, and the Newton step is the lifted
-    delta = P y, so lgmres's residual ‖rhs - K y‖ is the true linear
+    solve runs LGMRES on K y = rhs for K = J P, and the Newton step is the
+    lifted delta = P y, so its residual ‖rhs - K y‖ is the true linear
     residual ‖rhs - J delta‖ (Saad, Iterative Methods for Sparse Linear
     Systems, 2nd ed., section 9.3).  An application of K and a lift both
     start from the preconditioned spectrum forward(y / w) / L0 of their
@@ -220,6 +320,7 @@ class _FrameOperators:
         # pointwise scaling of the preconditioner's input (see _precond_weight)
         self.inv_weight = None if weight is None else 1.0 / weight
         self.matvecs = 0
+        self.cycles = 0
 
     def _preconditioned_spectrum(self, y):
         """forward(y / w) times the inverse Laplacian symbol, a fresh array:
@@ -231,73 +332,99 @@ class _FrameOperators:
         yh *= self.inv_ell
         return yh
 
-    def operator(self, comps, mean_det: float):
-        """K = J P at the frame metric comps, whose determinant has the grid
-        mean mean_det.
-
-        It returns a fresh array on every call, the first Hessian row
-        overwritten by the pairing: lgmres keeps them in its Krylov basis.
-        """
-        import scipy.sparse.linalg as spla  # see solve
-
-        grid = self.grid
-        npts = grid.num_points
+    def apply(self, comps, mean_det: float, y):
+        """K y = J P y at the frame metric comps, whose determinant has the
+        grid mean mean_det, as a fresh flat array: the first Hessian row,
+        overwritten by the pairing."""
+        self.matvecs += 1
         # det tr(g^{-1} S) = tr(adj(g) S): the pairing with the determinant
         # set to one is the adjugate pairing for n=2; for n=1 adj(g) = 1
-        adj = comps if grid.n == 2 else (1.0,)
-
-        def matvec(y):
-            # lgmres opens every system with K applied to its zero start
-            if not y.any():
-                return np.zeros(npts)
-            self.matvecs += 1
-            rows = hessian_rows(hessian_components, grid, self._preconditioned_spectrum(y),
-                                self.stencil, self.row_buf)
-            out = trace_pair_components(adj, rows, 1.0)
-            out -= out.mean()
-            out /= mean_det
-            return out.ravel()
-
-        return spla.LinearOperator((npts, npts), matvec=matvec, dtype=np.float64)
+        adj = comps if self.grid.n == 2 else (1.0,)
+        rows = hessian_rows(hessian_components, self.grid, self._preconditioned_spectrum(y),
+                            self.stencil, self.row_buf)
+        out = trace_pair_components(adj, rows, 1.0)
+        out -= out.mean()
+        out /= mean_det
+        return out.ravel()
 
     def solve(self, comps, mean_det: float, rhs, rtol: float):
-        """lgmres on K y = rhs, with K the operator at comps and mean_det, to
-        the relative tolerance rtol; returns (y, K y).
+        """LGMRES(INNER_M, OUTER_K) on K y = rhs, with K the operator at comps
+        and mean_det, to the relative tolerance rtol; returns (y, K y).
 
-        lgmres runs one restart cycle per call and carries its augmentation
-        pairs (dx/‖dx‖, K dx/‖dx‖) from call to call (Baker, Jessup and
-        Manteuffel, SIMAX 26, 2005), so K y is kept current from the newest
-        pair without an application of K.  That residual ends the solve
-        once it meets rtol, or once a cycle removed less than
-        1 - STAGNATION_RATIO of the residual it started from.  Each cycle
-        after the first opens with lgmres's own true-residual application.
-
-        scipy.sparse.linalg is imported here, at the first Krylov solve, and
-        not with the module: a run without Newton solves never loads it.
+        Each restart cycle opens with the residual rhs - K y, normalized, as
+        its first basis vector, runs at most INNER_M Arnoldi steps on K and
+        then one step on each carried augmentation pair (z, K z), the
+        normalized steps of the last OUTER_K cycles (Baker, Jessup and
+        Manteuffel, SIMAX 26, 2005), whose K z costs no application.  The
+        basis is orthogonalized by modified Gram-Schmidt and the small
+        least-squares problem is kept triangular by Givens rotations.  The
+        cycle's step solves it on the leading columns whose factor has an
+        estimated condition number below KRYLOV_COND_LIMIT; a cycle ends
+        once that solution's residual meets rtol, or at a breakdown.  The
+        step's image K dx is read off the Arnoldi relation K Z = V H, so K y
+        stays the image of y across cycles with no application of K; it
+        decides convergence, ends a solve whose cycle left more than
+        STAGNATION_RATIO of the residual it started from, and feeds the
+        forcing.  The basis is released before the step and its image
+        become the newest augmentation pair, in place.  Every inner product
+        is _dot, and no array operation calls BLAS.
         """
-        import scipy.sparse.linalg as spla
-
-        K = self.operator(comps, mean_det)
-        rhs_norm = float(np.linalg.norm(rhs))
-        y = None
-        Ky = np.zeros(rhs.shape)
-        outer_v = []
+        rhs_norm = _norm(rhs)
+        y = Ky = None
+        pairs = []  # augmentation pairs (z, K z), ‖z‖ = 1, oldest first
         res, prev = rhs_norm, math.inf
         for _ in range(MAX_KRYLOV_CYCLES):
             if res <= rtol * rhs_norm or res > STAGNATION_RATIO * prev:
                 break
-            newest = outer_v[-1] if outer_v else None
-            y_new, _ = spla.lgmres(K, rhs, x0=y, rtol=rtol, atol=0.0, maxiter=1, inner_m=30,
-                                   outer_v=outer_v)
-            if not outer_v or outer_v[-1] is newest:
-                # no step: the opening residual met rtol, or the cycle broke
-                # down (a right-hand side with no Krylov direction)
+            self.cycles += 1
+            v = rhs.copy() if Ky is None else rhs - Ky
+            v /= res
+            basis, lsq = [v], _LeastSquares()
+            ptol = min(1.0, rtol * rhs_norm / res)
+            for j in range(INNER_M + len(pairs)):
+                if j < INNER_M:
+                    w = self.apply(comps, mean_det, basis[j])
+                else:
+                    w = pairs[j - INNER_M][1].copy()
+                w_norm = _norm(w)
+                h = []
+                tmp = np.empty_like(w)
+                for q in basis:
+                    h.append(_dot(q, w))
+                    w -= np.multiply(q, h[-1], out=tmp)
+                del tmp
+                h.append(_norm(w))
+                if h[-1] > 0.0:
+                    w /= h[-1]
+                basis.append(w)
+                lsq.add(h)
+                if lsq.res < ptol or not h[-1] > _EPS * w_norm:  # met rtol, or a breakdown
+                    break
+            del v, w
+            coef, image = lsq.solution(res)
+            if not (coef and all(map(math.isfinite, coef))):
                 break
-            dx_norm = float(np.linalg.norm(y_new if y is None else y_new - y))
-            Ky += dx_norm * outer_v[-1][1]
-            y = y_new
-            prev, res = res, float(np.linalg.norm(rhs - Ky))
-        return (np.zeros(rhs.shape) if y is None else y), Ky
+            k = len(coef)
+            zs = basis[:min(k, INNER_M)] + [z for z, _ in pairs[:max(0, k - INNER_M)]]
+            tmp = np.empty_like(rhs)
+            dx, Kdx = _combination(coef, zs, tmp), _combination(image, basis, tmp)
+            del basis, zs, tmp
+            dx_norm = _norm(dx)
+            if dx_norm == 0.0:
+                break
+            if y is None:
+                y, Ky = dx.copy(), Kdx.copy()
+            else:
+                y += dx
+                Ky += Kdx
+            dx /= dx_norm
+            Kdx /= dx_norm
+            pairs = (pairs + [(dx, Kdx)])[-OUTER_K:]
+            del dx, Kdx
+            prev, res = res, _norm(rhs - Ky)
+        if y is None:
+            return np.zeros(rhs.shape), np.zeros(rhs.shape)
+        return y, Ky
 
     def lift(self, y, mean_det: float):
         """The Newton step delta = P y of a solution y of K y = rhs."""
@@ -309,7 +436,7 @@ class _FrameOperators:
 def solve_cy(problem: EllipticProblem):
     """Solve the prescribed-determinant equation by damped inexact Newton iteration.
 
-    Each Newton system is solved inexactly by lgmres (Dembo, Eisenstat and
+    Each Newton system is solved inexactly by LGMRES (Dembo, Eisenstat and
     Steihaug 1982).  The first to the relative tolerance residual / scale;
     every later one to the safeguarded Eisenstat-Walker choice 1 (SISC 1996),
     |‖F_k‖ - ‖F_{k-1} + J_{k-1} s_{k-1}‖| / ‖F_{k-1}‖ in the 2-norm of the
@@ -434,22 +561,23 @@ def _newton(problem: EllipticProblem, U: np.ndarray, tol_factor: float):
         if res_norm <= tol:
             report.converged = True
             break
-        rhs_norm = float(np.linalg.norm(rhs))
+        rhs_norm = _norm(rhs)
         if rhs_norm > 0.0:
             # a linear residual of half the Newton tolerance is as good as solved
             forcing = max(forcing, 0.5 * tol / rhs_norm)
         rtol = max(LINEAR_RTOL, min(MAX_FORCING, forcing))
-        matvecs_before = ops.matvecs
+        matvecs_before, cycles_before = ops.matvecs, ops.cycles
         # the line search below decides whether the direction is usable
         y, J_delta = ops.solve(comps, mean_det, rhs, rtol)
         report.linear_rtols.append(rtol)
         report.matvecs.append(ops.matvecs - matvecs_before)
+        report.krylov_cycles.append(ops.cycles - cycles_before)
         # the linear model's residual J delta - rhs, kept as the two numbers
         # that with rhs_norm give its norm once the line search picks s
         model = None
         if rhs_norm > 0.0:
             J_delta -= rhs
-            model = (float(np.linalg.norm(J_delta)), float(J_delta @ rhs))
+            model = (_norm(J_delta), _dot(J_delta, rhs))
             report.linear_residuals.append(model[0] / rhs_norm)
         else:
             report.linear_residuals.append(None)
@@ -486,7 +614,7 @@ def _newton(problem: EllipticProblem, U: np.ndarray, tol_factor: float):
             linear = r1 if s == 1.0 else math.sqrt(max(
                 0.0, (s * r1) ** 2 + 2.0 * s * (s - 1.0) * r1_rhs
                 + ((s - 1.0) * rhs_norm) ** 2))
-            new_norm = float(np.linalg.norm(rhs))
+            new_norm = _norm(rhs)
             forcing = abs(new_norm - linear) / rhs_norm
             # safeguard: the previous term to the golden-ratio power
             floor = rtol ** (0.5 * (1.0 + math.sqrt(5.0)))

@@ -186,11 +186,11 @@ class SpectralTables:
         self.rshape = tuple(s // 2 + 1 if a == half else s for a, s in enumerate(grid.shape))
 
         def axis_freqs(axis):
+            # exact integers, in fftfreq's order on a full axis: 0, 1, ...,
+            # size // 2, then the negative frequencies up to -1
             size = grid.shape[axis]
-            if axis == half:
-                k = np.arange(size // 2 + 1, dtype=np.float64)
-            else:
-                k = np.fft.fftfreq(size) * size
+            k = np.arange(size // 2 + 1 if axis == half else size, dtype=np.float64)
+            k[size // 2 + 1:] -= size
             k[size // 2] = 0.0  # the Nyquist frequency (0 on a one-point axis)
             return k.reshape([k.size if a == axis else 1 for a in range(2 * grid.n)])
 

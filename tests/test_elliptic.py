@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
 from mkrf.elliptic import (
     EllipticProblem,
@@ -264,23 +263,19 @@ def test_newton_report_records_forcing_and_matvecs(monkeypatch):
     # Krylov solution y: K y is J delta for the Newton step delta
     systems = []
     real_solve = elliptic._FrameOperators.solve
-    real_lgmres = spla.lgmres
 
     def recording_solve(ops, comps, mean_det, rhs, rtol):
         y, Ky = real_solve(ops, comps, mean_det, rhs, rtol)
-        systems.append((rhs.copy(), ops.operator(comps, mean_det).matvec(y).copy()))
+        systems.append((rhs.copy(), ops.apply(comps, mean_det, y).copy()))
         return y, Ky
 
-    def unpreconditioned_lgmres(K, b, **kwargs):
-        assert "M" not in kwargs
-        return real_lgmres(K, b, **kwargs)
-
     monkeypatch.setattr(elliptic._FrameOperators, "solve", recording_solve)
-    monkeypatch.setattr(spla, "lgmres", unpreconditioned_lgmres)
     calls.clear()
     _, rep = newton_from(prob)
     assert rep.iterations >= 3
     assert len(rep.linear_rtols) == len(rep.matvecs) == len(systems) == rep.iterations
+    assert rep.krylov_cycles == plain.krylov_cycles
+    assert len(plain.krylov_cycles) == plain.iterations and min(plain.krylov_cycles) >= 1
     assert sum(rep.matvecs) == len(calls)
     # the forcing reads J s off the K y the Krylov solve keeps current: an
     # extra application of K changes nothing
@@ -360,14 +355,13 @@ def test_folded_matvec_matches_frame_congruence(n):
         g, root_inv, comps, det, weight, ops = _frame_operators_at(n, weighted)
         A = np.linalg.inv(root_inv @ root_inv)
         mean_det = float(det.mean())
-        K = ops.operator(comps, mean_det)
         for _ in range(3):
             v = rng.standard_normal(g.num_points)
             u = _reference_preconditioner(g, A, weight, mean_det, v)
             hs = congruence_components(root_inv, batched_hessian(g, forward(u)))
             ref = det * trace_pair_components(comps, hs, det)
             ref = (ref - ref.mean()).ravel()
-            got = K.matvec(v)
+            got = ops.apply(comps, mean_det, v)
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
             # the lift is the preconditioner itself
             assert np.abs(ops.lift(v, mean_det) - u).max() <= 1e-12 * np.abs(u).max()
@@ -376,12 +370,12 @@ def test_folded_matvec_matches_frame_congruence(n):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_operator_outputs_are_fresh_arrays(n):
-    # lgmres keeps every returned vector in its Krylov basis
+    # the Krylov solve keeps every returned vector in its basis
     g, _, comps, det, _, ops = _frame_operators_at(n, weighted=True)
-    K = ops.operator(comps, float(det.mean()))
+    mean_det = float(det.mean())
     rng = np.random.default_rng(3)
     v1, v2 = rng.standard_normal((2, g.num_points))
-    for op in (K.matvec, lambda v: ops.lift(v, float(det.mean()))):
+    for op in (lambda v: ops.apply(comps, mean_det, v), lambda v: ops.lift(v, mean_det)):
         first = op(v1)
         kept = first.copy()
         second = op(v2)
@@ -408,34 +402,16 @@ def _counting(monkeypatch, names):
     return calls
 
 
-def test_matvec_skips_the_zero_vector(monkeypatch):
-    # lgmres opens every system with K applied to its zero start
-    g, _, comps, det, _, ops = _frame_operators_at(2)
-    K = ops.operator(comps, float(det.mean()))
-    calls = _counting(monkeypatch, ("hessian_components", "forward"))
-    zero = np.zeros(g.num_points)
-    outs = [K.matvec(zero), K.matvec(zero)]
-    for out in outs:
-        assert out.shape == (g.num_points,)
-        assert not out.any()
-        assert not np.shares_memory(out, zero)
-    assert not np.shares_memory(*outs)
-    assert calls == [] and ops.matvecs == 0
-    K.matvec(np.random.default_rng(5).standard_normal(g.num_points))
-    assert calls == ["forward"] + ["hessian_components"] * 4 and ops.matvecs == 1
-
-
 @pytest.mark.parametrize("n", [1, 2])
 def test_one_transform_pair_per_application(monkeypatch, n):
     # an application of K is one forward transform and one one-row Hessian
     # inverse per component, made on demand inside its one pairing; lifting
     # the Krylov solution is one forward and one inverse
     g, _, comps, det, _, ops = _frame_operators_at(n, weighted=True)
-    K = ops.operator(comps, float(det.mean()))
     calls = _counting(monkeypatch, ("forward", "inverse", "hessian_components",
                                     "trace_pair_components"))
     v = np.random.default_rng(9).standard_normal(g.num_points)
-    K.matvec(v)
+    ops.apply(comps, float(det.mean()), v)
     assert calls == ["forward", "trace_pair_components"] + ["hessian_components"] * n * n
     calls.clear()
     ops.lift(v, float(det.mean()))
@@ -450,13 +426,13 @@ def test_application_holds_one_hessian_row_at_a_time():
     import tracemalloc
 
     g, _, comps, det, _, ops = _frame_operators_at(2, weighted=True, N=16)
-    K = ops.operator(comps, float(det.mean()))
+    mean_det = float(det.mean())
     v = np.random.default_rng(21).standard_normal(g.num_points)
     field_bytes = 8 * g.num_points
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        out = K.matvec(v)
+        out = ops.apply(comps, mean_det, v)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -466,7 +442,8 @@ def test_application_holds_one_hessian_row_at_a_time():
 def test_kernel_right_hand_side_gives_a_zero_step():
     # a right-hand side whose preconditioned image vanishes (here a
     # pure-Nyquist mode, which the spectral Hessian annihilates) has no
-    # Krylov direction: the solve stops after one application, with y = 0
+    # Krylov direction: the Arnoldi process breaks down at once, and the
+    # solve stops after one application and one cycle, with y = 0
     g, _, comps, det, _, ops = _frame_operators_at(2)
     mean_det = float(det.mean())
     idx = np.indices(g.shape)
@@ -475,60 +452,129 @@ def test_kernel_right_hand_side_gives_a_zero_step():
     y, Ky = ops.solve(comps, mean_det, rhs, 1e-8)
     assert not y.any() and not ops.lift(y, mean_det).any()
     assert not Ky.any()
-    assert ops.matvecs == 1
+    assert ops.matvecs == 1 and ops.cycles == 1
 
 
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("inner_m", [30, 3])
 def test_krylov_solve_keeps_K_y_current(monkeypatch, n, inner_m):
-    # K y is read off lgmres's augmentation vectors, not applied: after one
-    # restart cycle (inner_m = 30) and after several (inner_m = 3 forces
-    # restarts) it equals an explicit application of K to y within round-off
+    # K y is read off the Arnoldi relation, not applied: after one restart
+    # cycle (inner_m = 30) and after several (inner_m = 3 forces restarts,
+    # whose augmentation pairs carry their K z) it equals an explicit
+    # application of K to y within round-off
     import mkrf.elliptic as elliptic
 
     g, _, comps, det, _, ops = _frame_operators_at(n, weighted=True)
     mean_det = float(det.mean())
-    K = ops.operator(comps, mean_det)
     # a right-hand side in the range of K
-    rhs = K.matvec(np.random.default_rng(11).standard_normal(g.num_points))
-    real = spla.lgmres
-    maxiters = []
-
-    def restarted(K, b, **kwargs):
-        maxiters.append(kwargs["maxiter"])
-        return real(K, b, **{**kwargs, "inner_m": inner_m})
-
-    monkeypatch.setattr(spla, "lgmres", restarted)
+    rhs = ops.apply(comps, mean_det, np.random.default_rng(11).standard_normal(g.num_points))
+    monkeypatch.setattr(elliptic, "INNER_M", inner_m)
     y, Ky = ops.solve(comps, mean_det, rhs, 1e-10)
-    assert set(maxiters) == {1}
-    assert (len(maxiters) == 1) == (inner_m == 30)
-    assert np.abs(Ky - K.matvec(y)).max() <= 1e-13 * np.abs(rhs).max()
+    assert (ops.cycles == 1) == (inner_m == 30)
+    assert np.abs(Ky - ops.apply(comps, mean_det, y)).max() <= 1e-13 * np.abs(rhs).max()
     assert np.linalg.norm(Ky - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
 def test_one_cycle_systems_apply_K_once_per_krylov_vector(monkeypatch):
     # no application checks the returned iterate: a Newton system whose
-    # Krylov solve ends in its first restart cycle applies K exactly once
-    # per vector of its Krylov basis (the zero start's product is free)
-    import sys
+    # Krylov solve ends in its first restart cycle applies K once to each
+    # vector of its Krylov basis, an orthonormal set that opens with the
+    # normalized right-hand side, and to nothing else
+    import mkrf.elliptic as elliptic
 
-    lgmres_module = sys.modules["scipy.sparse.linalg._isolve.lgmres"]
-    real_fgmres = lgmres_module._fgmres
-    dims = []
+    systems = []
+    real_solve, real_apply = elliptic._FrameOperators.solve, elliptic._FrameOperators.apply
 
-    def arnoldi(*args, **kwargs):
-        out = real_fgmres(*args, **kwargs)
-        dims.append(len(out[4]))  # the vectors K was applied to
-        return out
+    def solve(ops, comps, mean_det, rhs, rtol):
+        systems.append((rhs / np.linalg.norm(rhs), []))
+        return real_solve(ops, comps, mean_det, rhs, rtol)
 
-    monkeypatch.setattr(lgmres_module, "_fgmres", arnoldi)
+    def apply(ops, comps, mean_det, y):
+        systems[-1][1].append(y.copy())
+        return real_apply(ops, comps, mean_det, y)
+
+    monkeypatch.setattr(elliptic._FrameOperators, "solve", solve)
+    monkeypatch.setattr(elliptic._FrameOperators, "apply", apply)
     calls = _counting(monkeypatch, ("trace_pair_components",))
     prob = varying_density_problem()
     _, rep = newton_from(prob)
     assert rep.converged and rep.iterations >= 3
-    assert len(dims) == rep.iterations
-    assert rep.matvecs == dims
-    assert len(calls) == sum(dims)
+    assert rep.krylov_cycles == [1] * rep.iterations
+    assert rep.matvecs == [len(applied) for _, applied in systems]
+    assert len(calls) == sum(rep.matvecs)
+    for first, applied in systems:
+        basis = np.stack(applied)
+        assert np.abs(basis[0] - first).max() <= 1e-15
+        assert np.abs(basis @ basis.T - np.eye(len(applied))).max() <= 1e-9
+
+
+def under_resolved_problem():
+    # the cy-n24 class and density at N = 16, zero phases: the N = 8 level
+    # cannot resolve the density and fails
+    g = GridSpec(2, 16)
+    form = KahlerForm(np.array([[1.0, 0.2 + 0.1j], [0.2 - 0.1j, 0.8]]),
+                      synthesize(g, [((1, 0, 0, 1), 0.01)]))
+    h = ScalarField(g, np.exp(synthesize(g, [((1, 0, 0, 0), 0.3), ((0, 1, 1, 0), 0.25),
+                                             ((0, 0, 2, 1), 0.2), ((1, 1, 0, 0), 0.2)]).values))
+    return EllipticProblem.compatible(form, VolumeDensity(h))
+
+
+def test_krylov_image_stays_exact_on_an_under_resolved_density(monkeypatch):
+    # the K y of every fine-grid Krylov solve, restarted and stagnating
+    # ones included, equals an explicit application of K to y within
+    # round-off of the right-hand side: the Arnoldi relation does not
+    # drift where the iterate grows
+    import mkrf.elliptic as elliptic
+
+    prob = under_resolved_problem()
+    gaps = []
+    real = elliptic._FrameOperators.solve
+
+    def solve(ops, comps, mean_det, rhs, rtol):
+        y, Ky = real(ops, comps, mean_det, rhs, rtol)
+        if ops.grid == prob.form.grid:
+            explicit = ops.apply(comps, mean_det, y)
+            gaps.append(np.linalg.norm(Ky - explicit) / np.linalg.norm(rhs))
+        return y, Ky
+
+    monkeypatch.setattr(elliptic._FrameOperators, "solve", solve)
+    _, rep = solve_cy(prob)
+    assert rep.converged and len(gaps) == rep.iterations and max(rep.krylov_cycles) > 1
+    assert max(gaps) <= 1e-12, gaps
+
+
+def test_krylov_solve_holds_its_basis_and_little_else(monkeypatch):
+    # a Krylov solve with j applications peaks at its j + 1 basis vectors
+    # and one application's temporaries, about j + 4.1 real fields above
+    # its entry: no residual, start or step copies beside the basis
+    import tracemalloc
+
+    import mkrf.elliptic as elliptic
+
+    prob = lean_state_problem()
+    g = prob.form.grid
+    field_bytes = 8 * g.num_points
+    seen = []
+    real = elliptic._FrameOperators.solve
+
+    def solve(ops, *args):
+        if ops.grid != g:
+            return real(ops, *args)
+        before, matvecs = tracemalloc.get_traced_memory()[0], ops.matvecs
+        tracemalloc.reset_peak()
+        out = real(ops, *args)
+        seen.append((ops.matvecs - matvecs,
+                     (tracemalloc.get_traced_memory()[1] - before) / field_bytes))
+        return out
+
+    monkeypatch.setattr(elliptic._FrameOperators, "solve", solve)
+    tracemalloc.start()
+    try:
+        _, rep = solve_cy(prob)
+    finally:
+        tracemalloc.stop()
+    assert rep.converged and seen
+    assert all(peak <= j + 5 for j, peak in seen), seen
 
 
 def _frame_rows_by_congruence(prob, U):
@@ -634,23 +680,27 @@ def test_symbols_from_axis_factors_equal_the_full_grid_stack_bit_for_bit(n, N, A
     assert _frame_stencil(GridSpec(n, N), A).tobytes() == frame.tobytes()
 
 
+def lean_state_problem():
+    g = GridSpec(2, 16)
+    A = np.array([[1.3, 0.2 + 0.15j], [0.2 - 0.15j, 0.9]])
+    phi = synthesize(g, [((1, 0, 0, 0), 0.01), ((0, 1, 1, 0), 0.006, 0.4)])
+    h = np.exp(synthesize(g, [((1, 0, 0, 0), 0.2, 0.5), ((0, 0, 1, 1), 0.1)]).values)
+    return EllipticProblem.compatible(KahlerForm(A, phi), VolumeDensity(ScalarField(g, h)))
+
+
 def test_newton_solve_keeps_no_symbol_stack_target_or_weighted_copy(monkeypatch):
     # at every fine Krylov solve the solve holds U, the four frame
     # components and rhs (6 fields), the frame stencil (4 half-spectrum rows,
     # 2.25), the one-row product buffer (1.125), the inverse Laplacian symbol
     # and its kernel (0.63) and 1 / w (1): 11 real fields.  A kept frame
-    # target or y / w buffer adds a field each.  scipy.sparse.linalg is
-    # imported at module level here, so its import is not traced; pocketfft's
-    # own temporaries are not traced either
+    # target or y / w buffer adds a field each.  pocketfft's own temporaries
+    # are not traced
     import tracemalloc
 
     import mkrf.elliptic as elliptic
 
-    g = GridSpec(2, 16)
-    A = np.array([[1.3, 0.2 + 0.15j], [0.2 - 0.15j, 0.9]])
-    phi = synthesize(g, [((1, 0, 0, 0), 0.01), ((0, 1, 1, 0), 0.006, 0.4)])
-    h = np.exp(synthesize(g, [((1, 0, 0, 0), 0.2, 0.5), ((0, 0, 1, 1), 0.1)]).values)
-    prob = EllipticProblem.compatible(KahlerForm(A, phi), VolumeDensity(ScalarField(g, h)))
+    prob = lean_state_problem()
+    g = prob.form.grid
     held = []
     real = elliptic._FrameOperators.solve
 

@@ -30,6 +30,21 @@ def batched_hessian(grid, coeffs):
     return hessian_components(grid, coeffs, np.empty(stack.shape, dtype=np.complex128), stack)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_every_axis_table_holds_exact_integer_frequencies(n):
+    # the full axes as well as the half axis: np.fft.fftfreq(N) * N is not
+    # exact at N = 10, 20, 24 and 48 (6.999999999999999 for 7 at N = 24)
+    for N in range(8, 65, 2):
+        tab = tables(GridSpec(n, N))
+        full = list(range(N // 2)) + [0] + list(range(1 - N // 2, 0))
+        half = list(range(N // 2)) + [0]
+        for axis, k in enumerate(tab.freqs):
+            want = half if axis == 2 * n - 1 else full
+            assert k.shape == tuple(N // 2 + 1 if a == axis == 2 * n - 1 else N if a == axis
+                                    else 1 for a in range(2 * n)), (N, axis)
+            assert k.dtype == np.float64 and k.ravel().tolist() == want, (N, axis)
+
+
 # --- independent oracle: analytic complex Hessian of cosine polynomials ----
 #
 # For f = sum amp * cos(2 pi m.x + phase) the entrywise Hessian is

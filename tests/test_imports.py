@@ -13,12 +13,15 @@ layout (a grid's one-point axes and its transform axes).
 
 No linter ships with the project; these are the lint checks it keeps.
 ``__init__.py`` is left out of the import check: its imports are the
-package's public names.  The last checks keep scipy's sparse solvers out of
-the processes that never run a Newton solve, and scipy.fft's package (with
-scipy.special) out of every process: mkrf.grid loads only its kernel.
+package's public names.  The last checks keep every scipy import out of the
+package (mkrf.grid loads scipy's pocketfft kernel from its file) and
+scipy.sparse, scipy.linalg, scipy.fft's package and scipy.special out of
+every process, and check that Newton outputs do not depend on the BLAS
+thread count.
 """
 
 import ast
+import json
 import math
 import os
 import subprocess
@@ -563,3 +566,85 @@ def test_scipy_fft_import_is_caught():
         "from scipy import sparse\n"
     )
     assert list(scipy_fft_imports(tree)) == [1, 2, 3]
+
+
+def scipy_imports(tree):
+    """Line of every import statement that loads scipy or a submodule."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names = [node.module]
+        else:
+            continue
+        if any(name == "scipy" or name.startswith("scipy.") for name in names):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_module_does_not_import_scipy(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = list(scipy_imports(tree))
+    assert not lines, f"{path.name} imports scipy (lines {lines}); mkrf needs numpy alone"
+
+
+def test_scipy_import_is_caught():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "import scipy\n"
+        "import os, scipy.sparse.linalg as spla\n"
+        "from scipy.linalg import get_blas_funcs\n"
+        "from scipy import sparse\n"
+        "from .grid import scipy_kernel\n"
+        "spec = importlib.util.find_spec('scipy')\n"
+        "def solve():\n"
+        "    import scipy.sparse.linalg\n"
+    )
+    assert list(scipy_imports(tree)) == [2, 3, 4, 5, 9]
+
+
+# a cy-solve with the cy-n24 class and density at N = 16, and a collapsed run
+# with its psi family at N = 8; their outputs, compared byte for byte
+CY_N16 = {
+    "name": "cy-n16", "n": 2, "N": 16,
+    "A0": [[[1.0, 0.0], [0.2, 0.1]], [[0.2, -0.1], [0.8, 0.0]]],
+    "Ainf": [[[1.0, 0.0], [0.2, 0.1]], [[0.2, -0.1], [0.8, 0.0]]],
+    "phi_inf": [{"mode": [1, 0, 0, 1], "amp": 0.01, "phase": 0.7}],
+    "log_h": [{"mode": [1, 0, 0, 0], "amp": 0.3, "phase": 2.1},
+              {"mode": [0, 1, 1, 0], "amp": 0.25, "phase": 4.0},
+              {"mode": [0, 0, 2, 1], "amp": 0.2, "phase": 0.3},
+              {"mode": [1, 1, 0, 0], "amp": 0.2, "phase": 5.2}],
+}
+NEWTON_RUNS = {
+    "cy-solve": (["cy-solve", "--config", "{config}"], ("cy_solution.mkrf", "newton_report.json")),
+    "collapsed": (["run", "--preset", "collapsed", "--t-max", "5", "--grid", "8"],
+                  ("final.mkrf", "constants.json")),
+}
+
+
+@pytest.mark.parametrize("command", sorted(NEWTON_RUNS))
+def test_newton_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, command):
+    # every inner product of the Newton layer avoids BLAS, and no process
+    # loads scipy.sparse or scipy.linalg
+    config = tmp_path / "cy.json"
+    config.write_text(json.dumps(CY_N16))
+    args, files = NEWTON_RUNS[command]
+    code = (
+        "import sys\n"
+        "import mkrf.cli\n"
+        "rc = mkrf.cli.main(sys.argv[1:])\n"
+        "print(repr((rc, [m for m in ('scipy.sparse', 'scipy.linalg') if m in sys.modules])))\n"
+    )
+    path = [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)),
+               "OMP_NUM_THREADS": threads, "OPENBLAS_NUM_THREADS": threads}
+        argv = [a.format(config=config) for a in args] + ["--out", str(out)]
+        done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert ast.literal_eval(done.stdout.splitlines()[-1]) == (0, [])
+        outputs.append([(out / name).read_bytes() for name in files])
+    assert outputs[0] == outputs[1]

@@ -248,6 +248,9 @@ def test_run_tiny_scenario_and_report(tmp_path, capsys):
     # the reference Newton solve says how hard it worked
     ref = json.loads((out / "constants.json").read_text())["constants"]["newton_reference"]
     assert ref["iterations"] >= 1 and len(ref["matvecs"]) == ref["iterations"]
+    # and the Krylov restart cycles of each Newton system
+    assert len(ref["krylov_cycles"]) == ref["iterations"]
+    assert all(c >= 1 for c in ref["krylov_cycles"])
     assert (f"  reference: {ref['iterations']} iterations, {sum(ref['matvecs'])} matvecs"
             in (out / "summary.txt").read_text())
     # with the relative linear residual each Newton system reached
@@ -376,6 +379,8 @@ def test_cy_solve_cli(tmp_path, capsys):
     assert rep["converged"]
     assert rep["final_residual"] <= 1e-10
     assert len(rep["matvecs"]) == rep["iterations"]
+    assert len(rep["krylov_cycles"]) == rep["iterations"]
+    assert all(c >= 1 for c in rep["krylov_cycles"])
     assert len(rep["linear_residuals"]) == rep["iterations"]
     assert all(r <= rtol for r, rtol in zip(rep["linear_residuals"], rep["linear_rtols"]))
     assert rep["start"] == "nested"
@@ -641,7 +646,7 @@ def test_cli_collapsed_run_with_psi_family(tmp_path):
     assert len(data["constants"]["psi_sup"]) == 3  # psi times trimmed to t_max
     newton = data["constants"]["psi_newton"]
     assert [e["t"] for e in newton] == [0.0, 5.0, 10.0]
-    assert all(len(e["matvecs"]) == e["iterations"] for e in newton)
+    assert all(len(e["matvecs"]) == len(e["krylov_cycles"]) == e["iterations"] for e in newton)
     assert all(len(e["linear_residuals"]) == e["iterations"] for e in newton)
     # every psi solve starts cold, and N=8 has no half grid
     assert all(e["start"] == "zero" for e in newton)
